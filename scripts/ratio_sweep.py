@@ -12,7 +12,6 @@ Usage:
 import argparse
 import sys
 
-from facilab.cli import _documented_bound
 from facilab.geometry import parse_norm
 from facilab.mechanisms import parse_mechanism
 from facilab.objectives import Objective
@@ -37,7 +36,7 @@ def main() -> int:
         for objective in (Objective.MAX_COST, Objective.SOCIAL_COST):
             for n in range(2, args.nmax + 1):
                 res = search_worst_ratio(spec, norm, objective, n, 2, config)
-                bound = _documented_bound(spec.kind, objective, n)
+                bound = spec.bound(objective, n)
                 bound_text = f"{bound:8.4f}" if bound is not None else "     n/a"
                 print(
                     f"{mech_text:>12} {objective.value:>3} {n:>2} "

@@ -14,7 +14,6 @@ from .geometry import (
     centroid,
     expected_distance,
     format_norm,
-    norm_eval,
     parse_norm,
     point,
     point_on_segment_at_distance,

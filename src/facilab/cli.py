@@ -214,45 +214,20 @@ def load_profile(path: str) -> Profile:
 # -- property suite ------------------------------------------------------------
 
 
-def _first_coord_dominated(norm: Norm) -> bool:
-    """Whether |v_0| <= ||v|| holds, the geometry the sep2d analysis needs."""
-    if norm.transform is not None:
-        return False
-    if norm.weights is not None and norm.weights[0] < 1.0:
-        return False
-    return True
-
-
 def expected_outcomes(spec: MechanismSpec, n: int, d: int, norm: Norm) -> dict:
     """Documented behavior per mechanism: pass / fail / info (no claim)."""
     exp = {name: "pass" for name in PROPERTIES}
-    kind = spec.kind
-    if kind == "rand_center":
-        exp["group_strategyproof"] = (
-            "fail" if n >= 3 and d >= 2 and norm.strictly_convex else "info"
-        )
-        exp["support_segment"] = "fail" if n >= 3 and d >= 2 else "pass"
-        exp["2dictatorship"] = "fail" if n >= 3 and d >= 2 else ("pass" if d >= 2 else "info")
-    if kind == "sep2d":
-        exp["translation_invariance"] = "fail"
-        exp["2dictatorship"] = "fail"
-        if not _first_coord_dominated(norm):
-            exp["strategyproof"] = "info"
-            exp["group_strategyproof"] = "info"
-            exp["translation_invariance"] = "info"
-            exp["2dictatorship"] = "info"
-            exp["cost_continuity"] = "info"
-    if kind == "coord_median":
-        exp["group_strategyproof"] = "info"
-        exp["2dictatorship"] = "info"
-        if norm.transform is not None:
-            exp["strategyproof"] = "info"
-            exp["cost_continuity"] = "info"
+    exp.update(spec.claims(n, d, norm))
     if d == 1:
         # segment/dictatorship characterizations need d >= 2; geometry checks soften
         exp["support_segment"] = "pass"
         exp["2dictatorship"] = "info"
     return exp
+
+
+def _meets(want: str, verdict: PropertyVerdict) -> bool:
+    """Whether a verdict is consistent with its expected pass / fail / info."""
+    return want == "info" or verdict.passed == (want == "pass")
 
 
 def _sp_search_verdict(name: str, witness: Optional[Witness]) -> PropertyVerdict:
@@ -267,7 +242,7 @@ def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Prof
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(987))
     for _ in range(4):
         profiles.append(Profile.from_rows(gen.normal(size=(n, d)) * 1.5))
-    if spec.kind == "sep2d":
+    if spec.a is not None:
         # pin profiles on both sides of the branch constant
         for offset in (0.7, -0.7):
             base = profiles[0]
@@ -296,7 +271,7 @@ def run_check(
     e1 = np.zeros(d)
     e1[0] = 1.0
     shifts.append(Point.from_array(1.5 * e1))
-    if spec.kind == "sep2d":
+    if spec.a is not None:
         # shifts that push the first coordinate across the branch constant
         shifts.append(Point.from_array((spec.a + 1.0) * e1))
         shifts.append(Point.from_array((spec.a - 2.0) * e1))
@@ -349,13 +324,7 @@ def run_check(
     verdicts.append(unc)
 
     expected = expected_outcomes(spec, n, d, norm)
-    exit_code = 0
-    for v in verdicts:
-        want = expected.get(v.name, "info")
-        if want == "pass" and not v.passed:
-            exit_code = 1
-        if want == "fail" and v.passed:
-            exit_code = 1
+    exit_code = 0 if all(_meets(expected.get(v.name, "info"), v) for v in verdicts) else 1
 
     report = ExperimentReport(
         scenario="check",
@@ -384,13 +353,9 @@ def run_check(
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    try:
-        profile = load_profile(args.profile)
-        spec = parse_mechanism(args.mech)
-        norm = parse_norm(args.norm)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    profile = load_profile(args.profile)
+    spec = parse_mechanism(args.mech)
+    norm = parse_norm(args.norm)
     lot = apply(spec, profile, norm)
     mc = cost_mc(lot, profile, norm)
     sc = cost_sc(lot, profile, norm)
@@ -445,28 +410,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    try:
-        spec = parse_mechanism(args.mech)
-        norm = parse_norm(args.norm)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if spec.kind == "sep2d" and args.n < 3:
-        print("error: sep2d needs --n >= 3", file=sys.stderr)
-        return 2
-    if spec.kind == "dictator" and spec.index > args.n:
-        print("error: dictator index exceeds --n", file=sys.stderr)
-        return 2
+    spec = parse_mechanism(args.mech)
+    norm = parse_norm(args.norm)
+    if args.n < spec.min_agents:
+        raise ValueError(f"{describe(spec)} needs --n >= {spec.min_agents}")
     report, exit_code = run_check(spec, norm, args.n, args.d, args.seed, args.budget)
     expected = report.extra["expected"]
     print(f"property suite for {report.spec} ({report.norm}, n={args.n}, d={args.d}, seed={args.seed})")
     for v in report.verdicts:
         want = expected.get(v.name, "info")
-        mark = "OK" if (
-            want == "info"
-            or (want == "pass" and v.passed)
-            or (want == "fail" and not v.passed)
-        ) else "MISMATCH"
+        mark = "OK" if _meets(want, v) else "MISMATCH"
         print(
             f"  {v.name:24s} {v.status:12s} margin {v.margin:+.3e}  expected {want:4s}  {mark}"
             + (f"  [{v.note}]" if v.note else "")
@@ -479,34 +432,18 @@ def cmd_check(args) -> int:
     return exit_code
 
 
-def _documented_bound(kind: str, objective: Objective, n: int) -> Optional[float]:
-    if kind == "dictator":
-        return 2.0 if objective is Objective.MAX_COST else float(n - 1)
-    if kind == "rand_med":
-        if objective is Objective.MAX_COST:
-            return 1.5 if n == 2 else 2.0
-        return n / 2.0
-    if kind == "rand_center" and objective is Objective.MAX_COST:
-        return 2.0 - 1.0 / n
-    return None
-
-
 def cmd_ratio(args) -> int:
     started = time.perf_counter()
-    try:
-        spec = parse_mechanism(args.mech)
-        norm = parse_norm(args.norm)
-        objective = Objective.parse(args.obj)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    spec = parse_mechanism(args.mech)
+    norm = parse_norm(args.norm)
+    objective = Objective.parse(args.obj)
     config = SearchConfig(
         rng_seed=args.seed,
         restarts=max(8, min(200, args.budget // 250)),
         local_steps=24,
     )
     result = search_worst_ratio(spec, norm, objective, args.n, args.d, config)
-    bound = _documented_bound(spec.kind, objective, args.n)
+    bound = spec.bound(objective, args.n)
     print(
         f"worst {objective.value} ratio for {describe(spec)} over n={args.n}, d={args.d}: "
         f"{result.ratio:.9f} certified [{result.lo:.9f}, {result.hi:.9f}] "
@@ -586,6 +523,7 @@ def _scenario_l1_median(seed: int) -> tuple[ExperimentReport, int, list[str]]:
 
 def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str], list[dict]]:
     norm = Norm(2.0)
+    spec, dictator = MechanismSpec("rand_med"), MechanismSpec("dictator", index=1)
     rows: list[dict] = []
     lines = ["approximation-bound summary (measured with the two-agent mixed mechanism)"]
     for objective in (Objective.MAX_COST, Objective.SOCIAL_COST):
@@ -593,11 +531,9 @@ def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, lis
             config = SearchConfig(
                 rng_seed=seed, restarts=max(8, min(40, budget // 600)), local_steps=16
             )
-            result = search_worst_ratio(
-                MechanismSpec("rand_med"), norm, objective, n, 2, config
-            )
-            det = 2.0 if objective is Objective.MAX_COST else float(n - 1)
-            rand = _documented_bound("rand_med", objective, n)
+            result = search_worst_ratio(spec, norm, objective, n, 2, config)
+            det = dictator.bound(objective, n)
+            rand = spec.bound(objective, n)
             rows.append(
                 {
                     "objective": objective.value,
@@ -614,7 +550,7 @@ def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, lis
             )
     report = ExperimentReport(
         scenario="table1",
-        spec="rand_med",
+        spec=describe(spec),
         norm=format_norm(norm),
         seed=seed,
         extra={"rows": rows},
@@ -702,8 +638,7 @@ def write_csv(path: str, rows: Sequence[dict]) -> None:
 def cmd_repro(args) -> int:
     started = time.perf_counter()
     if args.scenario not in SCENARIOS:
-        print(f"error: unknown scenario {args.scenario!r} (choose from {', '.join(SCENARIOS)})", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown scenario {args.scenario!r} (choose from {', '.join(SCENARIOS)})")
     rows: list[dict] = []
     if args.scenario == "l1-median":
         report, code, lines = _scenario_l1_median(args.seed)
@@ -726,6 +661,13 @@ def cmd_repro(args) -> int:
     return code
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facilab",
@@ -737,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--profile", required=True, help="JSON file {'d': int, 'points': [[...], ...]}")
     p_eval.add_argument("--mech", required=True, help="dictator:i | rand_med | rand_center | sep2d:a=<r> | coord_median")
     p_eval.add_argument("--norm", default="lp:2", help="lp:<p>[;w=...][;A=...], p=inf allowed")
-    p_eval.add_argument("--budget", type=int, default=60_000)
+    p_eval.add_argument("--budget", type=positive_int, default=60_000)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None, help="write the JSON report here")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -745,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the full property suite for a mechanism")
     p_check.add_argument("--mech", required=True)
     p_check.add_argument("--norm", default="lp:2")
-    p_check.add_argument("--n", type=int, default=3)
-    p_check.add_argument("--d", type=int, default=2)
+    p_check.add_argument("--n", type=positive_int, default=3)
+    p_check.add_argument("--d", type=positive_int, default=2)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--budget", type=int, default=20_000)
+    p_check.add_argument("--budget", type=positive_int, default=20_000)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 
@@ -756,17 +698,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--mech", required=True)
     p_ratio.add_argument("--norm", default="lp:2")
     p_ratio.add_argument("--obj", required=True, help="mc | sc")
-    p_ratio.add_argument("--n", type=int, default=3)
-    p_ratio.add_argument("--d", type=int, default=2)
+    p_ratio.add_argument("--n", type=positive_int, default=3)
+    p_ratio.add_argument("--d", type=positive_int, default=2)
     p_ratio.add_argument("--seed", type=int, default=0)
-    p_ratio.add_argument("--budget", type=int, default=10_000)
+    p_ratio.add_argument("--budget", type=positive_int, default=10_000)
     p_ratio.add_argument("--out", default=None)
     p_ratio.set_defaults(func=cmd_ratio)
 
     p_repro = sub.add_parser("repro", help="run a canned reproduction scenario")
     p_repro.add_argument("scenario", help=" | ".join(SCENARIOS))
     p_repro.add_argument("--seed", type=int, default=0)
-    p_repro.add_argument("--budget", type=int, default=12_000)
+    p_repro.add_argument("--budget", type=positive_int, default=12_000)
     p_repro.add_argument("--out", default=None)
     p_repro.add_argument("--csv", default=None, help="table1 only: write the summary CSV here")
     p_repro.set_defaults(func=cmd_repro)

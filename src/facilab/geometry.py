@@ -197,11 +197,6 @@ class Norm:
 EUCLIDEAN = Norm(2.0)
 
 
-def norm_eval(norm: Norm, v: Point) -> float:
-    """Norm of a point, with dimension and finiteness checks."""
-    return norm(v)
-
-
 def parse_norm(text: str) -> Norm:
     """Parse a norm string: ``lp:<p>`` with optional ``;w=...`` and ``;A=...``.
 

@@ -3,14 +3,15 @@
 Every mechanism is deterministic as a function of (spec, profile, norm):
 the returned lottery *is* the randomness.  Mechanisms that ignore the norm
 (dictator, rand_med, rand_center, coord_median) still take it so the
-interface is uniform.  Agent indices are 1-based.
+interface is uniform.  Agent indices are 1-based.  Each kind is one entry
+of :data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .geometry import (
     point_on_segment_at_distance,
 )
 
-KINDS = ("dictator", "rand_med", "rand_center", "sep2d", "coord_median")
+if TYPE_CHECKING:
+    from .objectives import Objective
 
 MechanismFn = Callable[[Profile, Norm], Lottery]
 
@@ -40,42 +42,72 @@ class MechanismSpec:
     a: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        entry = REGISTRY.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind == "dictator":
+        if entry.param == "index":
             if self.index is None or int(self.index) < 1:
-                raise ValueError("dictator needs a 1-based agent index")
+                raise ValueError(f"{self.kind} needs a 1-based agent index")
             object.__setattr__(self, "index", int(self.index))
         elif self.index is not None:
             raise ValueError(f"{self.kind} takes no agent index")
-        if self.kind == "sep2d":
+        if entry.param == "a":
             if self.a is None or not math.isfinite(float(self.a)):
-                raise ValueError("sep2d needs a finite constant a")
+                raise ValueError(f"{self.kind} needs a finite constant a")
             object.__setattr__(self, "a", float(self.a))
         elif self.a is not None:
             raise ValueError(f"{self.kind} takes no constant a")
+
+    @property
+    def min_agents(self) -> int:
+        """Fewest agents the mechanism runs on; a dictator must be one of them."""
+        return max(REGISTRY[self.kind].min_agents, self.index or 1)
+
+    def bound(self, objective: Objective, n: int) -> Optional[float]:
+        """Documented worst-case ratio at n agents, or None where none is proved."""
+        rule = REGISTRY[self.kind].bounds.get(objective.value)
+        return rule(n) if rule else None
+
+    def claims(self, n: int, d: int, norm: Norm) -> dict[str, str]:
+        """Claimed property outcomes other than pass: "fail", or "info" for no claim."""
+        return REGISTRY[self.kind].claims(n, d, norm)
+
+
+@dataclass(frozen=True)
+class MechanismEntry:
+    """What one kind is and claims: ``bounds`` maps an objective value
+    (mc/sc) to its proved ratio bound at n agents, ``claims`` maps
+    (n, d, norm) to the property outcomes other than pass."""
+
+    kernel: Callable[[MechanismSpec, Profile, Norm], Lottery]
+    min_agents: int
+    param: Optional[str] = None  # "index", "a" or None
+    bounds: dict[str, Callable[[int], float]] = field(default_factory=dict)
+    claims: Callable[[int, int, Norm], dict[str, str]] = lambda n, d, norm: {}
 
 
 def parse_mechanism(text: str) -> MechanismSpec:
     """Parse CLI syntax: dictator:1, rand_med, rand_center, sep2d:a=0.0, coord_median."""
     text = text.strip()
-    if text.startswith("dictator:"):
-        return MechanismSpec("dictator", index=int(text.split(":", 1)[1]))
-    if text.startswith("sep2d:"):
-        arg = text.split(":", 1)[1]
+    kind, colon, arg = text.partition(":")
+    entry = REGISTRY.get(kind)
+    if entry is None or bool(colon) != (entry.param is not None):
+        raise ValueError(f"unknown mechanism string {text!r}")
+    if entry.param == "index":
+        return MechanismSpec(kind, index=int(arg))
+    if entry.param == "a":
         if not arg.startswith("a="):
-            raise ValueError(f"sep2d parameter must look like a=<real>: {text!r}")
-        return MechanismSpec("sep2d", a=float(arg[2:]))
-    if text in ("rand_med", "rand_center", "coord_median"):
-        return MechanismSpec(text)
-    raise ValueError(f"unknown mechanism string {text!r}")
+            raise ValueError(f"{kind} parameter must look like a=<real>: {text!r}")
+        return MechanismSpec(kind, a=float(arg[2:]))
+    return MechanismSpec(kind)
 
 
 def format_mechanism(spec: MechanismSpec) -> str:
-    if spec.kind == "dictator":
-        return f"dictator:{spec.index}"
-    if spec.kind == "sep2d":
-        return f"sep2d:a={spec.a:.17g}"
+    param = REGISTRY[spec.kind].param
+    if param == "index":
+        return f"{spec.kind}:{spec.index}"
+    if param == "a":
+        return f"{spec.kind}:a={spec.a:.17g}"
     return spec.kind
 
 
@@ -106,17 +138,7 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    if spec.kind == "dictator":
-        return apply_dictator(profile, spec.index)
-    if spec.kind == "rand_med":
-        return apply_rand_med(profile)
-    if spec.kind == "rand_center":
-        return apply_rand_center(profile)
-    if spec.kind == "sep2d":
-        return apply_separate_2dictator(profile, norm, spec.a)
-    if spec.kind == "coord_median":
-        return apply_coordinate_median(profile)
-    raise ValueError(f"unknown mechanism kind {spec.kind!r}")
+    return REGISTRY[spec.kind].kernel(spec, profile, norm)
 
 
 def apply_dictator(profile: Profile, index: int) -> Lottery:
@@ -181,3 +203,64 @@ def apply_coordinate_median(profile: Profile) -> Lottery:
     arr = np.sort(profile.as_array, axis=0)
     med = arr[(profile.n - 1) // 2]
     return Lottery.degenerate(Point.from_array(med))
+
+
+# -- the registry: claimed outcomes other than pass, then one entry per kind --
+
+
+def _rand_center_claims(n: int, d: int, norm: Norm) -> dict[str, str]:
+    if n < 3 or d < 2:
+        return {"group_strategyproof": "info"}
+    # the mean atom leaves every segment, and under a strictly convex norm
+    # a coalition can pull it toward all of its members at once
+    gsp = "fail" if norm.strictly_convex else "info"
+    return {"group_strategyproof": gsp, "support_segment": "fail", "2dictatorship": "fail"}
+
+
+def _sep2d_claims(n: int, d: int, norm: Norm) -> dict[str, str]:
+    # the analysis needs |v_0| <= ||v||; under other norms nothing is claimed
+    if norm.transform is None and (norm.weights is None or norm.weights[0] >= 1.0):
+        return {"translation_invariance": "fail", "2dictatorship": "fail"}
+    unclaimed = "strategyproof group_strategyproof translation_invariance 2dictatorship cost_continuity"
+    return dict.fromkeys(unclaimed.split(), "info")
+
+
+def _coord_median_claims(n: int, d: int, norm: Norm) -> dict[str, str]:
+    claims = {"group_strategyproof": "info", "2dictatorship": "info"}
+    if norm.transform is not None:  # the transform mixes the coordinates
+        claims.update(strategyproof="info", cost_continuity="info")
+    return claims
+
+
+REGISTRY: dict[str, MechanismEntry] = {
+    "dictator": MechanismEntry(
+        kernel=lambda spec, profile, norm: apply_dictator(profile, spec.index),
+        min_agents=1,
+        param="index",
+        bounds={"mc": lambda n: 2.0, "sc": lambda n: float(n - 1)},
+    ),
+    "rand_med": MechanismEntry(
+        kernel=lambda spec, profile, norm: apply_rand_med(profile),
+        min_agents=2,
+        bounds={"mc": lambda n: 1.5 if n == 2 else 2.0, "sc": lambda n: n / 2.0},
+    ),
+    "rand_center": MechanismEntry(
+        kernel=lambda spec, profile, norm: apply_rand_center(profile),
+        min_agents=2,
+        bounds={"mc": lambda n: 2.0 - 1.0 / n},
+        claims=_rand_center_claims,
+    ),
+    "sep2d": MechanismEntry(
+        kernel=lambda spec, profile, norm: apply_separate_2dictator(profile, norm, spec.a),
+        min_agents=3,
+        param="a",
+        claims=_sep2d_claims,
+    ),
+    "coord_median": MechanismEntry(
+        kernel=lambda spec, profile, norm: apply_coordinate_median(profile),
+        min_agents=1,
+        claims=_coord_median_claims,
+    ),
+}
+
+KINDS = tuple(REGISTRY)

@@ -356,26 +356,13 @@ def _branch_bound(
     return best_pt, best_val, max(lower, -math.inf), evals, note
 
 
-def _sc_fn(zs: np.ndarray, residual: Norm) -> Callable[[np.ndarray], np.ndarray]:
-    n, d = zs.shape
-
-    def fn(points: np.ndarray) -> np.ndarray:
-        m = points.shape[0]
-        diffs = points[:, None, :] - zs[None, :, :]
-        return residual.eval_many(diffs.reshape(m * n, d)).reshape(m, n).sum(axis=1)
-
-    return fn
-
-
-def _mc_fn(zs: np.ndarray, residual: Norm) -> Callable[[np.ndarray], np.ndarray]:
-    n, d = zs.shape
-
-    def fn(points: np.ndarray) -> np.ndarray:
-        m = points.shape[0]
-        diffs = points[:, None, :] - zs[None, :, :]
-        return residual.eval_many(diffs.reshape(m * n, d)).reshape(m, n).max(axis=1)
-
-    return fn
+def _objective_fn(
+    objective: Objective, zs: np.ndarray, residual: Norm
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched objective in working coordinates: one value per candidate row."""
+    if objective is Objective.MAX_COST:
+        return lambda points: _distance_matrix(points, zs, residual).max(axis=1)
+    return lambda points: _distance_matrix(points, zs, residual).sum(axis=1)
 
 
 def _axis_rates(residual: Norm, d: int, lipschitz: float) -> np.ndarray:
@@ -550,15 +537,11 @@ def _sc_gradient_lower_bound(
     """
     if not 1.0 < residual.p < math.inf:
         return -math.inf
-    diffs = y[None, :] - zs
-    dists = residual.eval_many(diffs)
+    dists = residual.eval_many(y[None, :] - zs)
     scale = 1.0 + float(np.abs(zs).max())
     if float(dists.min()) < 1e-12 * scale:
         return -math.inf
-    w = np.asarray(residual.weights, dtype=float) if residual.weights else np.ones(zs.shape[1])
-    p = residual.p
-    terms = w * np.sign(diffs) * np.abs(diffs) ** (p - 1.0) / dists[:, None] ** (p - 1.0)
-    grad = terms.sum(axis=0)
+    grad = _term_gradients(zs, residual, y, dists).sum(axis=0)
     return value - _dual_norm(residual, grad) * float(dists.max())
 
 
@@ -599,7 +582,7 @@ def opt_social_cost(
 
     zs, residual, inv = _working_space(profile, norm)
     lo, hi = zs.min(axis=0), zs.max(axis=0)
-    fn = _sc_fn(zs, residual)
+    fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
     rates = _axis_rates(residual, profile.d, float(profile.n))
     z, value, lower, evals, note = _branch_bound(
         fn, lo, hi, rates, budget, GAP_REL, _seed_points(zs)
@@ -635,7 +618,7 @@ def opt_max_cost(
 
     zs, residual, inv = _working_space(profile, norm)
     lo, hi = zs.min(axis=0), zs.max(axis=0)
-    fn = _mc_fn(zs, residual)
+    fn = _objective_fn(Objective.MAX_COST, zs, residual)
     rates = _axis_rates(residual, profile.d, 1.0)
     z, value, lower, evals, note = _branch_bound(
         fn, lo, hi, rates, budget, GAP_REL, _seed_points(zs)
@@ -676,12 +659,7 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
         return norm((distinct[0] - distinct[1]) / 2.0)
     zs, residual, inv = _working_space(profile, norm)
     cands = _seed_points(zs)
-    fn = (
-        _mc_fn(zs, residual)
-        if objective is Objective.MAX_COST
-        else _sc_fn(zs, residual)
-    )
-    return float(fn(cands).min())
+    return float(_objective_fn(objective, zs, residual)(cands).min())
 
 
 @dataclass(frozen=True)

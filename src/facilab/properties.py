@@ -36,7 +36,7 @@ from .geometry import (
     expected_distance,
     lotteries_match,
 )
-from .mechanisms import MechanismLike, parse_mechanism, resolve
+from .mechanisms import MechanismLike, MechanismSpec, parse_mechanism, resolve
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,10 @@ def check_group_strategyproof_at(
 
 
 def _default_arity(mech: MechanismLike) -> int:
-    kind = getattr(mech, "kind", None)
-    if kind is None and isinstance(mech, str):
+    if isinstance(mech, str):
         mech = parse_mechanism(mech)
-        kind = mech.kind
-    if kind == "sep2d":
-        return 3
-    if kind == "dictator":
-        return max(2, mech.index)
-    if kind in ("rand_med", "rand_center", "coord_median"):
-        return 2
+    if isinstance(mech, MechanismSpec):
+        return max(2, mech.min_agents)
     return 3  # bare callables: 3 agents satisfy every built-in arity
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from facilab.cli import (
     canonical_json,
+    expected_outcomes,
     load_profile,
     main,
 )
 from facilab.geometry import Norm, parse_norm
+from facilab.mechanisms import KINDS, parse_mechanism
 
 PROFILE_TWO = '{"d": 2, "points": [[0, 0], [2, 0]]}'
 
@@ -85,6 +87,11 @@ class TestEvaluate:
     def test_unknown_mechanism_exit_2(self, two_agent_file, capsys):
         assert main(["evaluate", "--profile", two_agent_file, "--mech", "oracle"]) == 2
 
+    def test_nonpositive_budget_exit_2(self, two_agent_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--profile", two_agent_file, "--mech", "rand_med", "--budget", "0"])
+        assert exc.value.code == 2
+
     def test_bad_profile_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json")
@@ -104,6 +111,17 @@ class TestCheck:
     def test_arity_validation(self, capsys):
         assert main(["check", "--mech", "sep2d:a=0", "--n", "2"]) == 2
         assert main(["check", "--mech", "dictator:5", "--n", "3"]) == 2
+        assert main(["check", "--mech", "rand_med", "--n", "1"]) == 2
+        assert "rand_med needs --n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--n", "0"], ["--d", "0"], ["--budget", "-5"], ["--n", "x"]]
+    )
+    def test_nonpositive_sizes_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--mech", "rand_med", *flag])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_report_written(self, tmp_path, capsys):
         out_path = tmp_path / "check.json"
@@ -145,6 +163,12 @@ class TestRatio:
 
     def test_unknown_objective_exit_2(self, capsys):
         assert main(["ratio", "--mech", "rand_med", "--obj", "zz"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--n", "0"], ["--d", "-1"], ["--budget", "0"]])
+    def test_nonpositive_sizes_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "--mech", "rand_med", "--obj", "mc", *flag])
+        assert exc.value.code == 2
 
 
 class TestRepro:
@@ -211,3 +235,71 @@ class TestDeterminism:
 def test_norm_strings_accept_weights_and_transform():
     norm = parse_norm("lp:2;w=1,2;A=1,0,0,1")
     assert isinstance(norm, Norm) and norm.weights == (1.0, 2.0)
+
+
+# Claimed outcomes other than "pass", recorded from the hand-written
+# expectations that preceded the mechanism registry.  Each row lists the
+# (n, d) shapes of CLAIM_SHAPES in order.
+CLAIM_SHAPES = ((3, 2), (2, 2), (3, 1))
+D1 = {"2dictatorship": "info"}
+RC = {"group_strategyproof": "fail", "support_segment": "fail", "2dictatorship": "fail"}
+RC_INFO = {"group_strategyproof": "info", "support_segment": "fail", "2dictatorship": "fail"}
+RC_N2 = {"group_strategyproof": "info"}
+RC_D1 = {"group_strategyproof": "info", "2dictatorship": "info"}
+S2 = {"translation_invariance": "fail", "2dictatorship": "fail"}
+S2_D1 = {"translation_invariance": "fail", "2dictatorship": "info"}
+S2_NONE = dict.fromkeys(
+    ["strategyproof", "group_strategyproof", "translation_invariance", "2dictatorship", "cost_continuity"],
+    "info",
+)
+CM = {"group_strategyproof": "info", "2dictatorship": "info"}
+CM_A = {**CM, "strategyproof": "info", "cost_continuity": "info"}
+CLAIMS = {
+    ("dictator:1", "lp:2"): ({}, {}, D1),
+    ("dictator:1", "lp:1"): ({}, {}, D1),
+    ("dictator:1", "lp:2;w=0.5,1"): ({}, {}, D1),
+    ("dictator:1", "lp:2;A=1,0.5,0,1"): ({}, {}, D1),
+    ("rand_med", "lp:2"): ({}, {}, D1),
+    ("rand_med", "lp:1"): ({}, {}, D1),
+    ("rand_med", "lp:2;w=0.5,1"): ({}, {}, D1),
+    ("rand_med", "lp:2;A=1,0.5,0,1"): ({}, {}, D1),
+    ("rand_center", "lp:2"): (RC, RC_N2, RC_D1),
+    ("rand_center", "lp:1"): (RC_INFO, RC_N2, RC_D1),
+    ("rand_center", "lp:2;w=0.5,1"): (RC, RC_N2, RC_D1),
+    ("rand_center", "lp:2;A=1,0.5,0,1"): (RC, RC_N2, RC_D1),
+    ("sep2d:a=0", "lp:2"): (S2, S2, S2_D1),
+    ("sep2d:a=0", "lp:1"): (S2, S2, S2_D1),
+    ("sep2d:a=0", "lp:2;w=0.5,1"): (S2_NONE, S2_NONE, S2_NONE),
+    ("sep2d:a=0", "lp:2;A=1,0.5,0,1"): (S2_NONE, S2_NONE, S2_NONE),
+    ("coord_median", "lp:2"): (CM, CM, CM),
+    ("coord_median", "lp:1"): (CM, CM, CM),
+    ("coord_median", "lp:2;w=0.5,1"): (CM, CM, CM),
+    ("coord_median", "lp:2;A=1,0.5,0,1"): (CM_A, CM_A, CM_A),
+}
+
+
+@pytest.mark.parametrize(
+    "mech,norm,n,d,claimed",
+    [
+        pytest.param(mech, norm, n, d, row[i], id=f"{mech}|{norm}|n={n},d={d}")
+        for (mech, norm), row in CLAIMS.items()
+        for i, (n, d) in enumerate(CLAIM_SHAPES)
+    ],
+)
+def test_expected_outcomes_pinned(mech, norm, n, d, claimed):
+    exp = expected_outcomes(parse_mechanism(mech), n, d, parse_norm(norm))
+    assert list(exp) == [
+        "unanimity",
+        "translation_invariance",
+        "strategyproof",
+        "group_strategyproof",
+        "support_segment",
+        "2dictatorship",
+        "cost_continuity",
+        "uncompromising",
+    ]
+    assert {k: v for k, v in exp.items() if v != "pass"} == claimed
+
+
+def test_claims_table_covers_every_kind():
+    assert {parse_mechanism(mech).kind for mech, _ in CLAIMS} == set(KINDS)

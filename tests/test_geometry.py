@@ -18,7 +18,6 @@ from facilab.geometry import (
     format_norm,
     is_on_segment,
     lotteries_match,
-    norm_eval,
     parse_norm,
     point,
     point_on_segment_at_distance,
@@ -31,13 +30,13 @@ from conftest import STANDARD_NORMS, lottery_strategy, point_strategy
 
 class TestNormEval:
     def test_euclidean_pythagorean(self):
-        assert norm_eval(Norm(2.0), point(3, 4)) == pytest.approx(5.0, abs=1e-12)
+        assert Norm(2.0)(point(3, 4)) == pytest.approx(5.0, abs=1e-12)
 
     def test_l1_sum_of_abs(self):
-        assert norm_eval(Norm(1.0), point(1, -2, 3)) == pytest.approx(6.0, abs=1e-12)
+        assert Norm(1.0)(point(1, -2, 3)) == pytest.approx(6.0, abs=1e-12)
 
     def test_linf_max_abs(self):
-        assert norm_eval(Norm(math.inf), point(1, -2)) == pytest.approx(2.0, abs=1e-12)
+        assert Norm(math.inf)(point(1, -2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_weighted_norm(self):
         n = Norm(2.0, weights=(4.0, 1.0))

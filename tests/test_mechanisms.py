@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from facilab.geometry import GEOM_TOL, Lottery, Norm, Point, Profile, is_on_segment, lotteries_match, point
 from facilab.mechanisms import (
+    KINDS,
+    REGISTRY,
     MechanismSpec,
     apply,
     apply_coordinate_median,
@@ -30,13 +32,18 @@ def atoms(lot: Lottery):
 
 class TestSpecParsing:
     def test_round_trip(self):
-        for text in ("dictator:1", "rand_med", "rand_center", "sep2d:a=0.5", "coord_median"):
-            assert format_mechanism(parse_mechanism(text)) == format_mechanism(
-                parse_mechanism(format_mechanism(parse_mechanism(text)))
-            )
+        suffix = {None: "", "index": ":2", "a": ":a=0.5"}
+        for kind in KINDS:
+            text = kind + suffix[REGISTRY[kind].param]
+            spec = parse_mechanism(text)
+            assert spec.kind == kind
+            assert format_mechanism(spec) == text
+            assert parse_mechanism(format_mechanism(spec)) == spec
 
     def test_rejects_unknown(self):
-        for text in ("dictator", "sep2d", "sep2d:b=1", "median", "dictator:0"):
+        for text in (
+            "dictator", "sep2d", "sep2d:b=1", "median", "dictator:0", "rand_med:", "coord_median:x"
+        ):
             with pytest.raises(ValueError):
                 parse_mechanism(text)
 
