@@ -75,9 +75,6 @@ PROPERTIES = (
     "uncompromising",
 )
 
-SCENARIOS = ("l1-median", "table1", "mech2-demo", "procaccia-n2")
-
-
 # -- canonical serialization ---------------------------------------------------
 
 
@@ -480,7 +477,7 @@ def cmd_ratio(args) -> int:
     return 0
 
 
-def _scenario_l1_median(seed: int) -> tuple[ExperimentReport, int, list[str]]:
+def _scenario_l1_median(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str]]:
     norm = Norm(1.0)
     profile = DISCUSSION_PROFILE
     spec = MechanismSpec("coord_median")
@@ -521,7 +518,7 @@ def _scenario_l1_median(seed: int) -> tuple[ExperimentReport, int, list[str]]:
     return report, 0 if ok else 1, lines
 
 
-def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str], list[dict]]:
+def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str]]:
     norm = Norm(2.0)
     spec, dictator = MechanismSpec("rand_med"), MechanismSpec("dictator", index=1)
     rows: list[dict] = []
@@ -555,10 +552,10 @@ def _scenario_table1(seed: int, budget: int) -> tuple[ExperimentReport, int, lis
         seed=seed,
         extra={"rows": rows},
     )
-    return report, 0, lines, rows
+    return report, 0, lines
 
 
-def _scenario_mech2_demo(seed: int) -> tuple[ExperimentReport, int, list[str]]:
+def _scenario_mech2_demo(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str]]:
     norm = Norm(2.0)
     a = 0.0
     spec = MechanismSpec("sep2d", a=a)
@@ -622,6 +619,15 @@ def _scenario_procaccia_n2(seed: int, budget: int) -> tuple[ExperimentReport, in
     return report, 0 if ok else 1, lines
 
 
+# name -> (seed, budget) -> (report, exit code, console lines)
+SCENARIOS = {
+    "l1-median": _scenario_l1_median,
+    "table1": _scenario_table1,
+    "mech2-demo": _scenario_mech2_demo,
+    "procaccia-n2": _scenario_procaccia_n2,
+}
+
+
 def write_csv(path: str, rows: Sequence[dict]) -> None:
     header = ["objective", "n", "deterministic_bound", "randomized_bound", "measured_lo", "measured_hi"]
     out = [",".join(header)]
@@ -639,23 +645,15 @@ def cmd_repro(args) -> int:
     started = time.perf_counter()
     if args.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {args.scenario!r} (choose from {', '.join(SCENARIOS)})")
-    rows: list[dict] = []
-    if args.scenario == "l1-median":
-        report, code, lines = _scenario_l1_median(args.seed)
-    elif args.scenario == "table1":
-        report, code, lines, rows = _scenario_table1(args.seed, args.budget)
-    elif args.scenario == "mech2-demo":
-        report, code, lines = _scenario_mech2_demo(args.seed)
-    else:
-        report, code, lines = _scenario_procaccia_n2(args.seed, args.budget)
+    report, code, lines = SCENARIOS[args.scenario](args.seed, args.budget)
     for line in lines:
         print(line)
     report.runtime_ms = int((time.perf_counter() - started) * 1000)
     print(f"runtime {report.runtime_ms} ms; exit {code}")
     report.write(args.out)
     if args.csv:
-        if rows:
-            write_csv(args.csv, rows)
+        if "rows" in report.extra:
+            write_csv(args.csv, report.extra["rows"])
         else:
             print("note: --csv only applies to the table1 scenario", file=sys.stderr)
     return code

@@ -6,19 +6,22 @@ return a feasible point together with a certified optimality gap, so
 approximation ratios can be reported as intervals instead of overclaimed
 point estimates.
 
+Both optimizers work in coordinates z = M x, where M is the norm's
+transform with the weights folded in as a row scaling.  There the norm is
+the plain p-norm of coordinate differences.
+
 Certification routes:
 
-* geometric median, plain or transformed Euclidean norm: Weiszfeld
-  iteration with a coincidence guard, gap certified from the gradient norm
-  times the hull radius;
-* anything else: Lipschitz branch-and-bound over the mapped bounding box
-  (the objectives are n- resp. 1-Lipschitz in the active norm), which keeps
-  a sound global lower bound even across flat valleys.
+* social cost under any p = 2 norm (Euclidean in the working coordinates):
+  Weiszfeld iteration with a coincidence guard, gap certified from the
+  gradient norm times the hull radius;
+* anything else: Lipschitz branch-and-bound over the working bounding box
+  (the objectives are n- resp. 1-Lipschitz per unit axis step), which
+  keeps a sound global lower bound even across flat valleys.
 
-Both objectives are convex and, in transform-mapped coordinates, the
-residual norm is coordinate-monotone, so clamping onto the mapped bounding
-box never increases either objective: the optimum provably lies inside the
-searched box for every supported norm.
+Both objectives are convex and the plain p-norm is coordinate-monotone, so
+clamping onto the working bounding box never increases either objective:
+the optimum provably lies inside the searched box for every supported norm.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -120,27 +123,26 @@ def point_cost(objective: Objective, y: Point, profile: Profile, norm: Norm) -> 
 
 # -- working coordinates -----------------------------------------------------
 #
-# Optimization always runs in transform-mapped coordinates z = A x, where
-# the residual norm is the weighted p-norm without the transform.  Distances
-# are unchanged, and the residual norm is coordinate-monotone, which is what
-# makes the bounding box rigorous.
+# Optimization always runs in coordinates z = M x.  M is the norm's
+# transform with the weights folded in as a row scaling (w**(1/p), or w for
+# p = inf), so distances equal plain p-norms of z-differences.  That residual
+# is coordinate-monotone, which makes the bounding box rigorous, moves by at
+# most one per unit axis step, and is Euclidean whenever p = 2.
 
 
 def _working_space(profile: Profile, norm: Norm):
+    """Mapped reports, the plain residual p-norm, and inv(M) (None for M = I)."""
     xs = profile.as_array
-    if norm.transform is not None:
-        mat = np.asarray(norm.transform, dtype=float)
-        zs = xs @ mat.T
-        inv = np.linalg.inv(mat)
-        residual = Norm(norm.p, norm.weights)
-        return zs, residual, inv
-    return xs, Norm(norm.p, norm.weights), None
-
-
-def _map_back(z: np.ndarray, inv: Optional[np.ndarray]) -> Point:
-    if inv is None:
-        return Point.from_array(z)
-    return Point.from_array(z @ inv.T)
+    residual = Norm(norm.p)
+    if norm.weights is None and norm.transform is None:
+        return xs, residual, None
+    if norm.dim != profile.d:
+        raise DimensionMismatch(f"norm expects dimension {norm.dim}, got {profile.d}")
+    mat = np.eye(profile.d) if norm.transform is None else np.asarray(norm.transform, dtype=float)
+    if norm.weights is not None:
+        w = np.asarray(norm.weights, dtype=float)
+        mat = (w if norm.p == math.inf else w ** (1.0 / norm.p))[:, None] * mat
+    return xs @ mat.T, residual, np.linalg.inv(mat)
 
 
 def _distinct_rows(arr: np.ndarray) -> np.ndarray:
@@ -150,26 +152,10 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
 # -- Weiszfeld ----------------------------------------------------------------
 
 
-def _euclidean_map(norm: Norm) -> Optional[np.ndarray]:
-    """Matrix M with ||v||_norm = ||M v||_2, or None when norm.p != 2."""
-    if norm.p != 2.0:
-        return None
-    d = norm.dim
-    mat = None
-    if norm.transform is not None:
-        mat = np.asarray(norm.transform, dtype=float)
-    if norm.weights is not None:
-        scale = np.sqrt(np.asarray(norm.weights, dtype=float))
-        mat = np.diag(scale) if mat is None else np.diag(scale) @ mat
-    if mat is None and d is None:
-        return None  # plain Euclidean, identity map
-    return mat
-
-
-def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
+def _weiszfeld(zs: np.ndarray, budget: int):
     """Geometric median of rows of zs under the plain Euclidean norm.
 
-    Returns (point, value, gap, evals, note).  The coincidence guard tests
+    Returns (point array, value, gap, evals, note).  The coincidence guard tests
     the subgradient optimality condition whenever an iterate lands on a
     data point; if it holds the point is exactly optimal (gap 0), otherwise
     a finite descent step escapes the singularity.
@@ -186,8 +172,8 @@ def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
     pair_diffs = zs[:, None, :] - zs[None, :, :]
     diam = float(np.linalg.norm(pair_diffs, axis=2).max())
     opt_lb = -math.inf
-    evals = evals_used
-    iterations = max(2, (budget - evals_used) // max(n, 1))
+    evals = 0
+    iterations = max(2, budget // max(n, 1))
     for _ in range(iterations):
         diff = zs - m
         dist = np.linalg.norm(diff, axis=1)
@@ -198,7 +184,7 @@ def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
             d_exact = np.linalg.norm(zs - anchor, axis=1)
             away = d_exact > 0.0
             if not away.any():
-                return Point.from_array(anchor), 0.0, 0.0, evals, ""
+                return anchor, 0.0, 0.0, evals, ""
             value = float(d_exact.sum())
             if value < best_val:
                 best_val, best_m = value, anchor.copy()
@@ -207,10 +193,10 @@ def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
             coincident = int((~away).sum())  # multiplicity of the anchor
             if gnorm <= coincident + 1e-12:
                 # subgradient condition holds: the data point is optimal
-                return Point.from_array(anchor), value, 0.0, evals, ""
+                return anchor, value, 0.0, evals, ""
             gap = max(0.0, best_val - opt_lb)
             if gap <= GAP_REL * (1.0 + best_val):
-                return Point.from_array(best_m), best_val, gap, evals, ""
+                return best_m, best_val, gap, evals, ""
             # escape the singularity with an explicit descent step
             inv_sum = float((1.0 / d_exact[away]).sum())
             step = (gnorm - coincident) / inv_sum
@@ -224,7 +210,7 @@ def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
             best_val, best_m = value, m.copy()
         gap = max(0.0, best_val - opt_lb)
         if gap <= GAP_REL * (1.0 + best_val):
-            return Point.from_array(best_m), best_val, gap, evals, ""
+            return best_m, best_val, gap, evals, ""
         w = 1.0 / dist
         m = (zs * w[:, None]).sum(axis=0) / w.sum()
     note = "budget exhausted before gap target"
@@ -232,7 +218,7 @@ def _weiszfeld(zs: np.ndarray, budget: int, evals_used: int):
     gap = max(0.0, best_val - opt_lb) if math.isfinite(best_val) else math.inf
     if gap <= GAP_REL * (1.0 + best_val):
         note = ""
-    return Point.from_array(best_m), best_val, gap, evals, note
+    return best_m, best_val, gap, evals, note
 
 
 # -- Lipschitz branch-and-bound ------------------------------------------------
@@ -244,7 +230,6 @@ def _branch_bound(
     hi: np.ndarray,
     axis_rate: np.ndarray,
     budget: int,
-    gap_rel: float,
     seeds: np.ndarray,
 ):
     """Certified minimization of a Lipschitz function over a box.
@@ -297,7 +282,7 @@ def _branch_bound(
         bounds = vals - radius
         lower = min(float(bounds.min()), dropped_lower, best_val)
         gap = best_val - lower
-        if gap <= gap_rel * (1.0 + best_val):
+        if gap <= GAP_REL * (1.0 + best_val):
             break
         keep = bounds < best_val
         if not keep.any():
@@ -357,17 +342,12 @@ def _branch_bound(
 
 
 def _objective_fn(
-    objective: Objective, zs: np.ndarray, residual: Norm
+    objective: Objective, zs: np.ndarray, norm: Norm
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched objective in working coordinates: one value per candidate row."""
+    """Batched objective over the rows zs: one value per candidate row."""
     if objective is Objective.MAX_COST:
-        return lambda points: _distance_matrix(points, zs, residual).max(axis=1)
-    return lambda points: _distance_matrix(points, zs, residual).sum(axis=1)
-
-
-def _axis_rates(residual: Norm, d: int, lipschitz: float) -> np.ndarray:
-    eye = np.eye(d)
-    return lipschitz * residual.eval_many(eye)
+        return lambda points: _distance_matrix(points, zs, norm).max(axis=1)
+    return lambda points: _distance_matrix(points, zs, norm).sum(axis=1)
 
 
 def _seed_points(zs: np.ndarray) -> np.ndarray:
@@ -379,21 +359,19 @@ def _seed_points(zs: np.ndarray) -> np.ndarray:
     return np.vstack(seeds)
 
 
-def _dual_norm(residual: Norm, u: np.ndarray) -> float:
-    """Dual of the weighted p-norm, for Hoelder bounds on subgradients.
+def _dual_norm(p: float, u: np.ndarray) -> float:
+    """Dual of the plain p-norm, for Hoelder bounds on subgradients.
 
     Max-factored so huge conjugate exponents (p near 1) cannot overflow;
     a small safety factor keeps the result an upper bound, which is the
     side certificates need.
     """
-    w = np.asarray(residual.weights, dtype=float) if residual.weights else np.ones(u.size)
-    p = residual.p
     if p == 1.0:
-        return float(np.max(np.abs(u) / w))
+        return float(np.max(np.abs(u)))
     if p == math.inf:
-        return float(np.sum(np.abs(u) / w))
+        return float(np.sum(np.abs(u)))
     q = p / (p - 1.0)
-    a = np.abs(u) * w ** (1.0 / q - 1.0)
+    a = np.abs(u)
     peak = float(a.max())
     if peak == 0.0:
         return 0.0
@@ -401,12 +379,19 @@ def _dual_norm(residual: Norm, u: np.ndarray) -> float:
     return value * (1.0 + 1e-12)
 
 
-def _term_gradients(zs: np.ndarray, residual: Norm, y: np.ndarray, dists: np.ndarray):
-    """Gradients of y -> N(y - z_i) for a differentiable residual norm."""
-    w = np.asarray(residual.weights, dtype=float) if residual.weights else np.ones(zs.shape[1])
+def _term_gradients(zs: np.ndarray, p: float, y: np.ndarray, dists: np.ndarray):
+    """Gradients of y -> ||y - z_i||_p for 1 < p < inf, given those distances.
+
+    Each ratio |u_k| / ||u||_p is at most 1, so the power cannot overflow
+    even for huge p.  Once p is so large that ||u||_p rounds to max |u_k|,
+    a k-way tie yields k unit entries; such rows are scaled back to dual
+    norm 1, which keeps them subgradients.
+    """
     diffs = y[None, :] - zs
-    p = residual.p
-    return w * np.sign(diffs) * np.abs(diffs) ** (p - 1.0) / dists[:, None] ** (p - 1.0)
+    grads = np.sign(diffs) * (np.abs(diffs) / dists[:, None]) ** (p - 1.0)
+    q = p / (p - 1.0)
+    dual = (np.abs(grads) ** q).sum(axis=1) ** (1.0 / q)
+    return grads / np.where(dual > 1.0 + 1e-9, dual, 1.0)[:, None]
 
 
 def _min_norm_point(grads: np.ndarray) -> np.ndarray:
@@ -468,7 +453,7 @@ def _mc_steepest_polish(
         active = dists >= value - tau
         if float(dists[active].min()) < 1e-12 * scale:
             break  # at a data point; nothing to balance
-        grads = _term_gradients(zs[active], residual, y, dists[active])
+        grads = _term_gradients(zs[active], residual.p, y, dists[active])
         combo = _min_norm_point(grads)
         gnorm = float(np.linalg.norm(combo))
         if gnorm < 1e-14:
@@ -521,9 +506,9 @@ def _mc_subgradient_lower_bound(
         active = dists >= value - eps
         if not active.any() or float(dists[active].min()) < 1e-12 * scale:
             continue
-        grads = _term_gradients(zs[active], residual, y, dists[active])
+        grads = _term_gradients(zs[active], residual.p, y, dists[active])
         combo = _min_norm_point(grads)
-        best = max(best, value - eps - _dual_norm(residual, combo) * reach)
+        best = max(best, value - eps - _dual_norm(residual.p, combo) * reach)
     return best
 
 
@@ -541,8 +526,8 @@ def _sc_gradient_lower_bound(
     scale = 1.0 + float(np.abs(zs).max())
     if float(dists.min()) < 1e-12 * scale:
         return -math.inf
-    grad = _term_gradients(zs, residual, y, dists).sum(axis=0)
-    return value - _dual_norm(residual, grad) * float(dists.max())
+    grad = _term_gradients(zs, residual.p, y, dists).sum(axis=0)
+    return value - _dual_norm(residual.p, grad) * float(dists.max())
 
 
 def opt_social_cost(
@@ -553,7 +538,7 @@ def opt_social_cost(
 ) -> OptResult:
     """Certified geometric-median benchmark (social-cost optimum).
 
-    method: "auto" picks Weiszfeld for Euclidean-reducible norms and
+    method: "auto" picks Weiszfeld for every p = 2 norm and
     branch-and-bound otherwise; "weiszfeld" / "grid" force a route (the
     two stay independent so they can cross-check each other).
     """
@@ -568,32 +553,28 @@ def opt_social_cost(
 
     if method not in ("auto", "weiszfeld", "grid"):
         raise ValueError(f"unknown method {method!r}")
-    use_weiszfeld = norm.p == 2.0 and method in ("auto", "weiszfeld")
     if method == "weiszfeld" and norm.p != 2.0:
         raise ValueError("weiszfeld route requires a Euclidean-reducible norm")
 
-    if use_weiszfeld:
-        mat = _euclidean_map(norm)
-        zs = xs if mat is None else xs @ mat.T
-        pt, value, gap, evals, note = _weiszfeld(zs, budget, 0)
-        if mat is not None:
-            pt = Point.from_array(pt.as_array() @ np.linalg.inv(mat).T)
-        return OptResult(pt, value, gap, "weiszfeld", evals, note)
-
     zs, residual, inv = _working_space(profile, norm)
-    lo, hi = zs.min(axis=0), zs.max(axis=0)
-    fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
-    rates = _axis_rates(residual, profile.d, float(profile.n))
-    z, value, lower, evals, note = _branch_bound(
-        fn, lo, hi, rates, budget, GAP_REL, _seed_points(zs)
-    )
-    # the sum of distances is at least the profile diameter (n >= 2)
-    diam = profile.diameter(norm)
-    lower = max(lower, diam, _sc_gradient_lower_bound(zs, residual, z, value))
-    gap = max(0.0, value - lower)
-    if gap <= GAP_REL * (1.0 + value):
-        note = ""
-    return OptResult(_map_back(z, inv), value, gap, "grid", evals, note)
+    if norm.p == 2.0 and method != "grid":
+        route = "weiszfeld"
+        z, value, gap, evals, note = _weiszfeld(zs, budget)
+    else:
+        route = "grid"
+        fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
+        rates = np.full(profile.d, float(profile.n))
+        z, value, lower, evals, note = _branch_bound(
+            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs)
+        )
+        # the sum of distances is at least the profile diameter (n >= 2)
+        diam = profile.diameter(norm)
+        lower = max(lower, diam, _sc_gradient_lower_bound(zs, residual, z, value))
+        gap = max(0.0, value - lower)
+        if gap <= GAP_REL * (1.0 + value):
+            note = ""
+    pt = Point.from_array(z if inv is None else z @ inv.T)
+    return OptResult(pt, value, gap, route, evals, note)
 
 
 def opt_max_cost(
@@ -619,9 +600,8 @@ def opt_max_cost(
     zs, residual, inv = _working_space(profile, norm)
     lo, hi = zs.min(axis=0), zs.max(axis=0)
     fn = _objective_fn(Objective.MAX_COST, zs, residual)
-    rates = _axis_rates(residual, profile.d, 1.0)
     z, value, lower, evals, note = _branch_bound(
-        fn, lo, hi, rates, budget, GAP_REL, _seed_points(zs)
+        fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs)
     )
     z, value, polish_evals = _mc_steepest_polish(zs, residual, z, value, lo, hi)
     evals += polish_evals
@@ -632,7 +612,8 @@ def opt_max_cost(
     gap = max(0.0, value - lower)
     if gap <= GAP_REL * (1.0 + value):
         note = ""
-    return OptResult(_map_back(z, inv), value, gap, "grid", evals, note)
+    pt = Point.from_array(z if inv is None else z @ inv.T)
+    return OptResult(pt, value, gap, "grid", evals, note)
 
 
 def opt_cost(
@@ -657,9 +638,7 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
     if distinct.shape[0] == 2 and objective is Objective.MAX_COST:
         # midpoint halves the diameter regardless of multiplicities
         return norm((distinct[0] - distinct[1]) / 2.0)
-    zs, residual, inv = _working_space(profile, norm)
-    cands = _seed_points(zs)
-    return float(_objective_fn(objective, zs, residual)(cands).min())
+    return float(_objective_fn(objective, xs, norm)(_seed_points(xs)).min())
 
 
 @dataclass(frozen=True)

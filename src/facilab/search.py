@@ -43,13 +43,7 @@ from .properties import (
     check_strategyproof_at,
 )
 
-CANDIDATE_KINDS = (
-    "axis_steps",
-    "common_point",
-    "gaussian_jitter",
-    "grid_near_support",
-    "segment_points",
-)
+BOUNDING_SCALE = 4.0  # misreports stay within this many diameters of the profile box
 
 
 @dataclass(frozen=True)
@@ -57,17 +51,10 @@ class SearchConfig:
     rng_seed: int = 0
     restarts: int = 100
     local_steps: int = 24
-    coalition_max_size: Optional[int] = None
-    candidate_kinds: frozenset = frozenset(CANDIDATE_KINDS)
-    bounding_scale: float = 4.0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        unknown = set(self.candidate_kinds) - set(CANDIDATE_KINDS)
-        if unknown:
-            raise ValueError(f"unknown candidate kinds {sorted(unknown)}")
-        object.__setattr__(self, "candidate_kinds", frozenset(self.candidate_kinds))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -134,9 +121,9 @@ def _scale(profile: Profile, norm: Norm) -> float:
     return diam if diam > GEOM_TOL else 1.0
 
 
-def _clip_box(profile: Profile, scale: float, bounding_scale: float):
+def _clip_box(profile: Profile, scale: float):
     lo, hi = profile.bounding_box()
-    pad = bounding_scale * scale
+    pad = BOUNDING_SCALE * scale
     return lo - pad, hi + pad
 
 
@@ -178,45 +165,43 @@ def _sp_candidates(
     norm: Norm,
     mech_fn,
     rng: np.random.Generator,
-    config: SearchConfig,
 ) -> list[np.ndarray]:
     xi = profile.agent(agent).as_array()
     xs = profile.as_array
     scale = _scale(profile, norm)
     truth_lot = mech_fn(profile, norm)
     out: list[np.ndarray] = []
-    for kind in sorted(config.candidate_kinds):
-        if kind == "common_point":
-            out.append(centroid(truth_lot).as_array())
-            out.append(xs.mean(axis=0))
-            out.append(np.median(xs, axis=0))
-            out.extend(xs[j] for j in range(profile.n) if j != agent - 1)
-        elif kind == "segment_points":
-            for j in range(profile.n):
-                if j == agent - 1:
-                    continue
-                for t in (0.25, 0.5, 0.75, 1.0):
-                    out.append(xi + t * (xs[j] - xi))
-        elif kind == "gaussian_jitter":
-            for sigma in (0.05, 0.25, 1.0):
-                out.append(xi + sigma * scale * rng.normal(size=profile.d))
-        elif kind == "grid_near_support":
-            for _, pt in truth_lot.atoms:
-                arr = pt.as_array()
-                out.append(arr)
-                for k in range(profile.d):
-                    off = np.zeros(profile.d)
-                    off[k] = 0.1 * scale
-                    out.append(arr + off)
-                    out.append(arr - off)
-        elif kind == "axis_steps":
-            for h in (0.5, 0.1, 0.02):
-                for k in range(profile.d):
-                    off = np.zeros(profile.d)
-                    off[k] = h * scale
-                    out.append(xi + off)
-                    out.append(xi - off)
-    lo, hi = _clip_box(profile, scale, config.bounding_scale)
+    # axis steps
+    for h in (0.5, 0.1, 0.02):
+        for k in range(profile.d):
+            off = np.zeros(profile.d)
+            off[k] = h * scale
+            out.append(xi + off)
+            out.append(xi - off)
+    # common points
+    out.append(centroid(truth_lot).as_array())
+    out.append(xs.mean(axis=0))
+    out.append(np.median(xs, axis=0))
+    out.extend(xs[j] for j in range(profile.n) if j != agent - 1)
+    # gaussian jitter
+    for sigma in (0.05, 0.25, 1.0):
+        out.append(xi + sigma * scale * rng.normal(size=profile.d))
+    # grid near the support
+    for _, pt in truth_lot.atoms:
+        arr = pt.as_array()
+        out.append(arr)
+        for k in range(profile.d):
+            off = np.zeros(profile.d)
+            off[k] = 0.1 * scale
+            out.append(arr + off)
+            out.append(arr - off)
+    # segment points
+    for j in range(profile.n):
+        if j == agent - 1:
+            continue
+        for t in (0.25, 0.5, 0.75, 1.0):
+            out.append(xi + t * (xs[j] - xi))
+    lo, hi = _clip_box(profile, scale)
     return [np.clip(c, lo, hi) for c in out]
 
 
@@ -225,8 +210,9 @@ def search_sp_violation(
 ) -> Optional[Witness]:
     """Hunt for a single-agent misreport with a strict expected-cost gain.
 
-    Candidate misreports are drawn per agent from the configured kinds and
-    refined by pattern search on the agent's cost; the first candidate that
+    Candidate misreports (axis steps, common points, jitter, points near the
+    output support, segment points) are drawn per agent and refined by
+    pattern search on the agent's cost; the first candidate that
     re-validates through the strategyproofness checker (gain beyond
     IMPROVE_MARGIN) is returned.
     """
@@ -234,7 +220,7 @@ def search_sp_violation(
     for r, profile in _profile_stream(n, d, config):
         rng = _rng(config.rng_seed, r)
         scale = _scale(profile, norm)
-        lo, hi = _clip_box(profile, scale, config.bounding_scale)
+        lo, hi = _clip_box(profile, scale)
         for agent in range(1, n + 1):
             xi = profile.agent(agent)
             truth_cost = expected_distance(xi, fn(profile, norm), norm)
@@ -243,9 +229,7 @@ def search_sp_violation(
                 moved = profile.replaced(agent, Point.from_array(z))
                 return expected_distance(xi, fn(moved, norm), norm)
 
-            cands = _sp_candidates(profile, agent, norm, fn, rng, config)
-            if not cands:
-                continue
+            cands = _sp_candidates(profile, agent, norm, fn, rng)
             vals = [misreport_cost(c) for c in cands]
             best_idx = int(np.argmin(vals))
             best_x, best_val = cands[best_idx], vals[best_idx]
@@ -296,20 +280,16 @@ def search_gsp_violation(
     checker before being returned.
     """
     fn = resolve(mech)
-    coalition_cap = config.coalition_max_size or n
-    if coalition_cap > n:
-        raise ValueError("coalition_max_size exceeds n")
-    kinds = sorted(config.candidate_kinds)
     for r, profile in _profile_stream(n, d, config):
         rng = _rng(config.rng_seed, r)
         scale = _scale(profile, norm)
-        lo, hi = _clip_box(profile, scale, config.bounding_scale)
+        lo, hi = _clip_box(profile, scale)
         truth_lot = fn(profile, norm)
         before = {
             i: expected_distance(profile.agent(i), truth_lot, norm)
             for i in range(1, n + 1)
         }
-        for size in range(1, coalition_cap + 1):
+        for size in range(1, n + 1):
             for coalition in itertools.combinations(range(1, n + 1), size):
                 members = [profile.agent(i) for i in coalition]
 
@@ -325,53 +305,45 @@ def search_gsp_violation(
                     pt = Point.from_array(np.clip(z, lo, hi))
                     return joint_margin([pt] * size)
 
-                best_margin = math.inf
-                best_reports: Optional[list[Point]] = None
-                if "common_point" in kinds or "grid_near_support" in kinds:
-                    targets = _gsp_common_targets(profile, coalition, norm, fn)
-                    vals = [common_margin(t) for t in targets]
-                    k = int(np.argmin(vals))
-                    z, val, _ = _pattern_minimize(
-                        common_margin, targets[k], scale, config.local_steps, lo, hi
-                    )
+                targets = _gsp_common_targets(profile, coalition, norm, fn)
+                vals = [common_margin(t) for t in targets]
+                k = int(np.argmin(vals))
+                z, best_margin, _ = _pattern_minimize(
+                    common_margin, targets[k], scale, config.local_steps, lo, hi
+                )
+                best_reports = [Point.from_array(np.clip(z, lo, hi))] * size
+                center = np.asarray([m.coords for m in members]).mean(axis=0)
+                for t in (0.5, 1.0):
+                    reports = [
+                        Point.from_array(m.as_array() + t * (center - m.as_array()))
+                        for m in members
+                    ]
+                    val = joint_margin(reports)
                     if val < best_margin:
-                        best_margin = val
-                        best_reports = [Point.from_array(np.clip(z, lo, hi))] * size
-                if "segment_points" in kinds:
-                    center = np.asarray([m.coords for m in members]).mean(axis=0)
-                    for t in (0.5, 1.0):
+                        best_margin, best_reports = val, reports
+                for sigma in (0.1, 0.5):
+                    for _ in range(2):
+                        shift = sigma * scale * rng.normal(size=d)
                         reports = [
-                            Point.from_array(m.as_array() + t * (center - m.as_array()))
+                            Point.from_array(np.clip(m.as_array() + shift, lo, hi))
                             for m in members
                         ]
                         val = joint_margin(reports)
                         if val < best_margin:
                             best_margin, best_reports = val, reports
-                if "gaussian_jitter" in kinds:
-                    for sigma in (0.1, 0.5):
-                        for _ in range(2):
-                            shift = sigma * scale * rng.normal(size=d)
+                for h in (0.5, 0.1):
+                    for k in range(d):
+                        off = np.zeros(d)
+                        off[k] = h * scale
+                        for sign in (1.0, -1.0):
                             reports = [
-                                Point.from_array(np.clip(m.as_array() + shift, lo, hi))
+                                Point.from_array(np.clip(m.as_array() + sign * off, lo, hi))
                                 for m in members
                             ]
                             val = joint_margin(reports)
                             if val < best_margin:
                                 best_margin, best_reports = val, reports
-                if "axis_steps" in kinds:
-                    for h in (0.5, 0.1):
-                        for k in range(d):
-                            off = np.zeros(d)
-                            off[k] = h * scale
-                            for sign in (1.0, -1.0):
-                                reports = [
-                                    Point.from_array(np.clip(m.as_array() + sign * off, lo, hi))
-                                    for m in members
-                                ]
-                                val = joint_margin(reports)
-                                if val < best_margin:
-                                    best_margin, best_reports = val, reports
-                if best_reports is not None and best_margin < -IMPROVE_MARGIN:
+                if best_margin < -IMPROVE_MARGIN:
                     verdict = check_group_strategyproof_at(
                         mech, profile, coalition, best_reports, norm
                     )
@@ -409,7 +381,6 @@ def search_worst_ratio(
     n: int,
     d: int,
     config: SearchConfig,
-    certify_budget: int = 60_000,
 ) -> WorstRatioResult:
     """Maximize the mechanism's approximation ratio over profiles.
 
@@ -448,7 +419,7 @@ def search_worst_ratio(
             best_score = -val
             best_profile = Profile.from_rows(x.reshape(n, d))
     assert best_profile is not None
-    certified = approx_ratio(mech, best_profile, norm, objective, certify_budget)
+    certified = approx_ratio(mech, best_profile, norm, objective)
     return WorstRatioResult(
         profile=best_profile,
         ratio=best_score,

@@ -92,6 +92,16 @@ class TestEvaluate:
             main(["evaluate", "--profile", two_agent_file, "--mech", "rand_med", "--budget", "0"])
         assert exc.value.code == 2
 
+    def test_huge_exponent_norm(self, tmp_path, capsys):
+        path = tmp_path / "four.json"
+        path.write_text('{"d": 2, "points": [[0, 0], [2, 0.5], [0.7, 1.9], [1.6, -0.8]]}')
+        report = tmp_path / "report.json"
+        argv = ["evaluate", "--profile", str(path), "--mech", "rand_center", "--norm", "lp:1e300"]
+        assert main(argv + ["--out", str(report)]) == 0
+        values = json.loads(report.read_text())["objective_values"]
+        # non-finite floats would be serialized as strings
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values()), values
+
     def test_bad_profile_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json")

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from facilab.geometry import Lottery, Norm, Profile, expected_distance, point
+from facilab.geometry import (
+    DimensionMismatch,
+    Lottery,
+    Norm,
+    Profile,
+    expected_distance,
+    parse_norm,
+    point,
+)
 from facilab.mechanisms import MechanismSpec, apply
 from facilab.objectives import (
     GAP_REL,
@@ -26,6 +34,7 @@ from facilab.objectives import (
     opt_value_upper,
     point_cost,
 )
+from facilab.objectives import _sc_gradient_lower_bound
 
 from conftest import (
     STANDARD_NORMS,
@@ -219,10 +228,18 @@ class TestOptUpperBound:
     @given(prof=profile_strategy(2, min_n=2, max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_never_undershoots_certified_optimum(self, prof):
-        for objective in (MC, SC):
-            upper = opt_value_upper(objective, prof, N2)
-            res = (opt_max_cost if objective is MC else opt_social_cost)(prof, N2, budget=4000)
-            assert upper >= res.value - res.certified_gap - 1e-9
+        norms = (
+            N2,
+            Norm(3.0, weights=(1.0, 2.0)),
+            Norm(1.5, transform=((1.0, 0.5), (-0.25, 1.0))),
+            Norm(math.inf, weights=(2.0, 1.0), transform=((1.0, 0.5), (0.0, 1.0))),
+        )
+        for norm in norms:
+            for objective in (MC, SC):
+                upper = opt_value_upper(objective, prof, norm)
+                opt = opt_max_cost if objective is MC else opt_social_cost
+                res = opt(prof, norm, budget=4000)
+                assert upper >= res.value - res.certified_gap - 1e-9, (norm, objective)
 
     def test_respects_multiplicities(self):
         prof = Profile.from_rows([(0, 0), (0, 0), (1, 0), (1, 0), (1, 0)])
@@ -312,8 +329,74 @@ def test_weiszfeld_agrees_with_grid_oracle(prof):
     fn = lambda p: brute_social_cost(prof, N2, p)
     lo, hi = prof.bounding_box()
     brute_val, _ = brute_force_minimize(fn, lo - 0.01, hi + 0.01, steps=81)
-    span = float(max(hi - lo)) if max(hi - lo) > 0 else 1.0
-    # brute grid value is itself off by at most n * grid step
-    slack = prof.n * span / 80.0
+    # brute grid value is itself off by at most n * grid step (sc is
+    # n-Lipschitz); the grid spans the box padded by 0.01 on each side
+    slack = prof.n * (float(max(hi - lo)) + 0.02) / 80.0
     assert res.value <= brute_val + 1e-9
     assert brute_val <= res.value + res.certified_gap + slack + 1e-9
+
+
+GRID_PROFILE = Profile.from_rows([(0, 0), (2, 0.5), (0.7, 1.9), (1.6, -0.8)])
+
+
+@pytest.mark.parametrize("objective", [MC, SC], ids=["mc", "sc"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lp:1;w=1,3",
+        "lp:3;w=1,2",
+        "lp:inf;w=2,1",
+        "lp:1.5;A=1,0.5,0,1",
+        "lp:3;w=1,2;A=1,0.5,0,1",
+    ],
+)
+def test_weighted_transformed_optima_against_dense_grid(text, objective):
+    norm = parse_norm(text)
+    prof = GRID_PROFILE
+    xs = prof.as_array
+    lo, hi = prof.bounding_box()
+    pad = float(max(hi - lo)) / 2.0  # covers optima outside the box under a transform
+    steps = 301
+    h = (float(max(hi - lo)) + 2.0 * pad) / (steps - 1)
+    axes = [np.linspace(lo[k] - pad, hi[k] + pad, steps) for k in range(2)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    dists = norm.eval_many((grid[:, None, :] - xs[None, :, :]).reshape(-1, 2))
+    dists = dists.reshape(grid.shape[0], prof.n)
+    grid_min = float((dists.max(axis=1) if objective is MC else dists.sum(axis=1)).min())
+    res = (opt_max_cost if objective is MC else opt_social_cost)(prof, norm)
+    # sound: the grid minimum is feasible, so it never beats the optimum
+    assert res.value - res.certified_gap <= grid_min + 1e-9
+    assert res.value <= grid_min + res.certified_gap + prof.n * h
+
+
+@pytest.mark.parametrize("text", ["lp:3;w=1,2", "lp:2;w=1,2", "lp:1.5;A=1,0.5,0,1"])
+def test_pinned_norm_dimension_checked(text):
+    prof = Profile.from_rows([(0, 0, 0), (1, 0, 2), (0, 1, 1)])
+    for opt in (opt_max_cost, opt_social_cost):
+        with pytest.raises(DimensionMismatch):
+            opt(prof, parse_norm(text))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_huge_exponent_matches_linf(seed):
+    # p = 1e300 is L-infinity to double precision; the optimizers used to
+    # overflow in the term gradients there
+    prof = Profile.from_rows(np.random.default_rng(seed).normal(size=(4, 2)))
+    huge, linf = Norm(1e300), Norm(math.inf)
+    diffs = prof.as_array[:, None, :] - prof.as_array[None, :, :]
+    assert np.array_equal(huge.eval_many(diffs.reshape(-1, 2)), linf.eval_many(diffs.reshape(-1, 2)))
+    for opt in (opt_max_cost, opt_social_cost):
+        a, b = opt(prof, huge), opt(prof, linf)
+        assert math.isfinite(a.value) and math.isfinite(a.certified_gap)
+        assert abs(a.value - b.value) <= a.certified_gap + b.certified_gap + 1e-12
+
+
+def test_gradient_certificate_sound_at_coordinate_tie():
+    # at y = 0 the first term ties in both coordinates, which ||u||_p cannot
+    # resolve at these p; counted as two unit gradients, the tie would
+    # certify sc >= 3, above the optimum 2.5
+    prof = Profile.from_rows([(-1, -1), (1, 0), (0, 1)])
+    zs = prof.as_array
+    for p in (1e15, 1e300):
+        lower = _sc_gradient_lower_bound(zs, Norm(p), np.zeros(2), 3.0)
+        assert lower <= opt_social_cost(prof, Norm(p)).value
