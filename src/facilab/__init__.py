@@ -23,11 +23,6 @@ from .geometry import (
 from .mechanisms import (
     MechanismSpec,
     apply,
-    apply_coordinate_median,
-    apply_dictator,
-    apply_rand_center,
-    apply_rand_med,
-    apply_separate_2dictator,
     format_mechanism,
     parse_mechanism,
     resolve,

@@ -2,8 +2,9 @@
 
 Everything downstream (mechanisms, objectives, property checks) consumes
 these types.  All types are immutable after construction and every
-operation is pure, so they are safe to evaluate from many workers with no
-coordination.
+operation is pure.  The searches skip the types and work on the arrays
+underneath: :func:`canonical_atoms` is the one canonical form of a
+lottery, and :class:`Lottery` is built on it.
 
 Tolerance ledger, shared across the package:
 
@@ -20,7 +21,7 @@ as inconclusive rather than as either verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -239,47 +240,59 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def canonical_atoms(weights, points) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical form of a finite lottery given as weights and (k, d) points.
+
+    Exact-duplicate points are merged (weights summed with ``math.fsum`` in
+    order of appearance), zero-weight atoms dropped, and atoms sorted
+    lexicographically by coordinates; the total weight must equal 1 within
+    ``WEIGHT_TOL``, and a full merge carries exactly 1.0.  Idempotent, so
+    equality of canonical forms is bit-stable.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) and (pts.ndim != 2 or pts.shape[1] < 1 or not np.isfinite(pts).all()):
+        raise ValueError("lottery atoms need finite points in one dimension d >= 1")
+    groups: dict[tuple[float, ...], list[float]] = {}
+    for w, coords in zip(weights, pts.tolist(), strict=True):
+        w = float(w)
+        if w < 0.0 or not math.isfinite(w):
+            raise ValueError(f"atom weight must be a nonnegative real, got {w}")
+        if w > 0.0:
+            groups.setdefault(tuple(coords), []).append(w)
+    if not groups:
+        raise ValueError("lottery needs at least one atom with positive weight")
+    merged = {coords: math.fsum(ws) for coords, ws in groups.items()}
+    total = math.fsum(merged.values())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"lottery weights sum to {total!r}, expected 1")
+    if len(merged) == 1:
+        # a full merge carries the whole unit mass exactly
+        return np.ones(1), np.asarray(list(merged), dtype=float)
+    keys = sorted(merged)
+    return np.asarray([merged[k] for k in keys], dtype=float), np.asarray(keys, dtype=float)
+
+
 @dataclass(frozen=True)
 class Lottery:
     """Finite discrete probability distribution over points.
 
-    Construction canonicalizes: exact-duplicate points are merged (weights
-    summed), zero-weight atoms dropped, atoms sorted lexicographically by
-    coordinates, and the total weight must equal 1 within ``WEIGHT_TOL``.
-    Canonicalization is idempotent, so lottery equality is bit-stable.
+    Construction canonicalizes through :func:`canonical_atoms`, whose
+    arrays stay on the lottery as ``weights_array`` and ``points_array``.
     """
 
     atoms: tuple[tuple[float, Point], ...]
+    weights_array: np.ndarray = field(init=False, repr=False, compare=False)
+    points_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups: dict[tuple[float, ...], list[float]] = {}
-        dim = None
-        for w, pt in self.atoms:
-            w = float(w)
-            if not isinstance(pt, Point):
-                pt = Point(tuple(pt))
-            if dim is None:
-                dim = pt.dim
-            elif pt.dim != dim:
-                raise DimensionMismatch("lottery atoms live in different dimensions")
-            if w < 0.0 or not math.isfinite(w):
-                raise ValueError(f"atom weight must be a nonnegative real, got {w}")
-            if w == 0.0:
-                continue
-            groups.setdefault(pt.coords, []).append(w)
-        if not groups:
-            raise ValueError("lottery needs at least one atom with positive weight")
-        merged = {coords: math.fsum(ws) for coords, ws in groups.items()}
-        total = math.fsum(merged.values())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"lottery weights sum to {total!r}, expected 1")
-        if len(merged) == 1:
-            # a full merge carries the whole unit mass exactly
-            merged = {coords: 1.0 for coords in merged}
-        atoms = tuple(
-            (merged[coords], Point(coords)) for coords in sorted(merged.keys())
-        )
+        pts = [pt if isinstance(pt, Point) else Point(tuple(pt)) for _, pt in self.atoms]
+        if any(pt.dim != pts[0].dim for pt in pts):
+            raise DimensionMismatch("lottery atoms live in different dimensions")
+        weights, points = canonical_atoms([w for w, _ in self.atoms], [pt.coords for pt in pts])
+        atoms = tuple(zip(weights.tolist(), (Point(tuple(row)) for row in points.tolist())))
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights_array", weights)
+        object.__setattr__(self, "points_array", points)
 
     @classmethod
     def degenerate(cls, pt: Point) -> "Lottery":
@@ -294,14 +307,6 @@ class Lottery:
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1
 
-    @cached_property
-    def points_array(self) -> np.ndarray:
-        return np.asarray([pt.coords for _, pt in self.atoms], dtype=float)
-
-    @cached_property
-    def weights_array(self) -> np.ndarray:
-        return np.asarray([w for w, _ in self.atoms], dtype=float)
-
     def support(self) -> tuple[Point, ...]:
         return tuple(pt for _, pt in self.atoms)
 
@@ -313,8 +318,14 @@ def expected_distance(x: Point, lot: Lottery, norm: Norm) -> float:
     """Expected norm distance between a fixed point and the lottery."""
     if x.dim != lot.dim:
         raise DimensionMismatch("point and lottery dimensions differ")
-    dists = norm.eval_many(lot.points_array - x.as_array())
-    return float(lot.weights_array @ dists)
+    return expected_distance_xs(x.as_array(), lot.weights_array, lot.points_array, norm)
+
+
+def expected_distance_xs(
+    x: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
+) -> float:
+    """:func:`expected_distance` from the coordinates x to the atoms (weights, points)."""
+    return float(weights @ norm.eval_many(points - x))
 
 
 def centroid(lot: Lottery) -> Point:
@@ -330,8 +341,7 @@ def radius(lot: Lottery, norm: Norm) -> float:
     if lot.is_degenerate:
         return 0.0
     c = lot.weights_array @ lot.points_array
-    dists = norm.eval_many(lot.points_array - c)
-    return float(lot.weights_array @ dists)
+    return expected_distance_xs(c, lot.weights_array, lot.points_array, norm)
 
 
 @dataclass(frozen=True)
@@ -460,10 +470,8 @@ def strict_convexity_witness(
     return None
 
 
-def point_on_segment_at_distance(
-    a: Point, b: Point, dist: float, norm: Norm
-) -> Point:
-    """The point on segment ab at norm-distance ``dist`` from a.
+def segment_point_at_distance(a: np.ndarray, b: np.ndarray, dist: float, norm: Norm) -> np.ndarray:
+    """The point on segment ab (coordinate arrays) at norm-distance ``dist`` from a.
 
     Relies on absolute homogeneity: the point a + t(b-a) with
     t = dist / ||b-a|| sits exactly at distance ``dist`` from a.
@@ -472,13 +480,19 @@ def point_on_segment_at_distance(
         raise ValueError(f"distance must be nonnegative, got {dist}")
     if dist <= 0.0:
         return a
-    length = norm.distance(a, b)
+    length = norm(a - b)
     if length <= WEIGHT_TOL:
         raise ValueError("segment endpoints coincide but distance is positive")
     if dist > length + GEOM_TOL:
         raise ValueError(f"distance {dist} exceeds segment length {length}")
     t = min(dist / length, 1.0)
-    return Point.from_array(a.as_array() + t * (b.as_array() - a.as_array()))
+    return a + t * (b - a)
+
+
+def point_on_segment_at_distance(a: Point, b: Point, dist: float, norm: Norm) -> Point:
+    """:func:`segment_point_at_distance` on points."""
+    _same_dim(a, b)
+    return Point.from_array(segment_point_at_distance(a.as_array(), b.as_array(), dist, norm))
 
 
 def is_on_segment(

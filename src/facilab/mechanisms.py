@@ -1,10 +1,14 @@
-"""Facility-location mechanisms as pure functions Profile -> Lottery.
+"""Facility-location mechanisms as pure functions of the reports.
 
-Every mechanism is deterministic as a function of (spec, profile, norm):
-the returned lottery *is* the randomness.  Mechanisms that ignore the norm
-(dictator, rand_med, rand_center, coord_median) still take it so the
-interface is uniform.  Agent indices are 1-based.  Each kind is one entry
-of :data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
+Every mechanism is deterministic as a function of (spec, reports, norm):
+the returned lottery *is* the randomness.  Each kind is one entry of
+:data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
+Its kernel maps an (n, d) report array to the canonical ``(weights,
+points)`` arrays of :func:`~facilab.geometry.canonical_atoms`; the searches
+call kernels directly (:func:`kernel_of`), while :func:`apply` and
+:func:`resolve` wrap them as ``Profile x Norm -> Lottery``.  Mechanisms that
+ignore the norm (dictator, rand_med, rand_center, coord_median) still take
+it so the interface is uniform.  Agent indices are 1-based.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ import numpy as np
 from .geometry import (
     Lottery,
     Norm,
-    Point,
     Profile,
-    point_on_segment_at_distance,
+    canonical_atoms,
+    segment_point_at_distance,
 )
 
 if TYPE_CHECKING:
     from .objectives import Objective
 
 MechanismFn = Callable[[Profile, Norm], Lottery]
+# (n, d) reports x norm -> canonical (weights, points)
+ArrayKernel = Callable[[np.ndarray, Norm], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class MechanismEntry:
     (mc/sc) to its proved ratio bound at n agents, ``claims`` maps
     (n, d, norm) to the property outcomes other than pass."""
 
-    kernel: Callable[[MechanismSpec, Profile, Norm], Lottery]
+    kernel: Callable[[MechanismSpec, np.ndarray, Norm], tuple[np.ndarray, np.ndarray]]
     min_agents: int
     param: Optional[str] = None  # "index", "a" or None
     bounds: dict[str, Callable[[int], float]] = field(default_factory=dict)
@@ -128,6 +134,22 @@ def resolve(mech: MechanismLike) -> MechanismFn:
     return run
 
 
+def kernel_of(mech: MechanismLike) -> ArrayKernel:
+    """The mechanism as an array kernel; a bare callable is adapted through
+    one Profile and one Lottery per call."""
+    if isinstance(mech, str):
+        mech = parse_mechanism(mech)
+    if isinstance(mech, MechanismSpec):
+        spec, kernel = mech, REGISTRY[mech.kind].kernel
+        return lambda xs, norm: kernel(spec, xs, norm)
+
+    def adapted(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+        lot = mech(Profile.from_rows(xs), norm)
+        return lot.weights_array, lot.points_array
+
+    return adapted
+
+
 def describe(mech: MechanismLike) -> str:
     if isinstance(mech, MechanismSpec):
         return format_mechanism(mech)
@@ -138,40 +160,46 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    return REGISTRY[spec.kind].kernel(spec, profile, norm)
+    weights, points = REGISTRY[spec.kind].kernel(spec, profile.as_array, norm)
+    return Lottery(tuple(zip(weights.tolist(), points.tolist())))
 
 
-def apply_dictator(profile: Profile, index: int) -> Lottery:
+# -- kernels: (spec, (n, d) reports, norm) -> canonical (weights, points) ------
+
+
+def _need_agents(kind: str, xs: np.ndarray, n: int) -> None:
+    if xs.shape[0] < n:
+        raise ValueError(f"{kind} needs at least {n} agents")
+
+
+def _dictator(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """Always the dictator's own report; everyone else is ignored."""
-    return Lottery.degenerate(profile.agent(index))
+    if spec.index > xs.shape[0]:
+        raise ValueError(f"agent index {spec.index} outside [1, {xs.shape[0]}]")
+    return canonical_atoms([1.0], xs[spec.index - 1 : spec.index])
 
 
-def apply_rand_med(profile: Profile) -> Lottery:
+def _rand_med(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """x1 with weight 1/4, x2 with 1/4, their midpoint with 1/2.
 
     Agents beyond the first two never influence the output; when x1 = x2
     the atoms merge into a degenerate lottery.
     """
-    if profile.n < 2:
-        raise ValueError("rand_med needs at least 2 agents")
-    x1, x2 = profile.agent(1), profile.agent(2)
-    mid = Point.from_array((x1.as_array() + x2.as_array()) / 2.0)
-    return Lottery(((0.25, x1), (0.25, x2), (0.5, mid)))
+    _need_agents("rand_med", xs, 2)
+    x1, x2 = xs[0], xs[1]
+    return canonical_atoms([0.25, 0.25, 0.5], [x1, x2, (x1 + x2) / 2.0])
 
 
-def apply_rand_center(profile: Profile) -> Lottery:
+def _rand_center(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """The mean report with weight 1/2, each agent's report with 1/(2n)."""
-    if profile.n < 2:
-        raise ValueError("rand_center needs at least 2 agents")
-    n = profile.n
-    if all(p == profile.points[0] for p in profile.points):
-        return Lottery.degenerate(profile.points[0])  # n*z/n need not round back to z
-    mean = Point.from_array(profile.as_array.mean(axis=0))
-    atoms = [(0.5, mean)] + [(0.5 / n, p) for p in profile.points]
-    return Lottery(tuple(atoms))
+    _need_agents("rand_center", xs, 2)
+    n = xs.shape[0]
+    if (xs == xs[0]).all():
+        return canonical_atoms([1.0], xs[:1])  # n*z/n need not round back to z
+    return canonical_atoms([0.5] + [0.5 / n] * n, [xs.mean(axis=0), *xs])
 
 
-def apply_separate_2dictator(profile: Profile, norm: Norm, a: float) -> Lottery:
+def _sep2d(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """Two-thirds on x1, one-third on a capped point along x1x2 or x1x3.
 
     With r the first raw coordinate of x1: for r >= a the companion point
@@ -180,29 +208,26 @@ def apply_separate_2dictator(profile: Profile, norm: Norm, a: float) -> Lottery:
     The branch constant makes the mechanism sensitive to translations along
     the first coordinate.
     """
-    if profile.n < 3:
-        raise ValueError("sep2d needs at least 3 agents")
-    x1 = profile.agent(1)
-    r = x1.coords[0]
-    partner = profile.agent(2) if r >= a else profile.agent(3)
-    gap = norm.distance(x1, partner)
-    target = min(abs(r - a), gap)
+    _need_agents("sep2d", xs, 3)
+    x1 = xs[0]
+    r = float(x1[0])
+    partner = xs[1] if r >= spec.a else xs[2]
+    gap = norm(x1 - partner)
+    target = min(abs(r - spec.a), gap)
     if target <= 0.0 or gap <= 1e-12:  # collapsed segment: companion is x1 itself
         companion = x1
     else:
-        companion = point_on_segment_at_distance(x1, partner, target, norm)
-    return Lottery(((2.0 / 3.0, x1), (1.0 / 3.0, companion)))
+        companion = segment_point_at_distance(x1, partner, target, norm)
+    return canonical_atoms([2.0 / 3.0, 1.0 / 3.0], [x1, companion])
 
 
-def apply_coordinate_median(profile: Profile) -> Lottery:
+def _coord_median(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """Degenerate lottery at the coordinate-wise median.
 
     For even n the lower median is taken in each coordinate, which keeps
     the output deterministic and independent of agent order.
     """
-    arr = np.sort(profile.as_array, axis=0)
-    med = arr[(profile.n - 1) // 2]
-    return Lottery.degenerate(Point.from_array(med))
+    return canonical_atoms([1.0], np.sort(xs, axis=0)[(xs.shape[0] - 1) // 2][None])
 
 
 # -- the registry: claimed outcomes other than pass, then one entry per kind --
@@ -234,30 +259,30 @@ def _coord_median_claims(n: int, d: int, norm: Norm) -> dict[str, str]:
 
 REGISTRY: dict[str, MechanismEntry] = {
     "dictator": MechanismEntry(
-        kernel=lambda spec, profile, norm: apply_dictator(profile, spec.index),
+        kernel=_dictator,
         min_agents=1,
         param="index",
         bounds={"mc": lambda n: 2.0, "sc": lambda n: float(n - 1)},
     ),
     "rand_med": MechanismEntry(
-        kernel=lambda spec, profile, norm: apply_rand_med(profile),
+        kernel=_rand_med,
         min_agents=2,
         bounds={"mc": lambda n: 1.5 if n == 2 else 2.0, "sc": lambda n: n / 2.0},
     ),
     "rand_center": MechanismEntry(
-        kernel=lambda spec, profile, norm: apply_rand_center(profile),
+        kernel=_rand_center,
         min_agents=2,
         bounds={"mc": lambda n: 2.0 - 1.0 / n},
         claims=_rand_center_claims,
     ),
     "sep2d": MechanismEntry(
-        kernel=lambda spec, profile, norm: apply_separate_2dictator(profile, norm, spec.a),
+        kernel=_sep2d,
         min_agents=3,
         param="a",
         claims=_sep2d_claims,
     ),
     "coord_median": MechanismEntry(
-        kernel=lambda spec, profile, norm: apply_coordinate_median(profile),
+        kernel=_coord_median,
         min_agents=1,
         claims=_coord_median_claims,
     ),

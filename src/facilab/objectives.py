@@ -90,30 +90,34 @@ def _distance_matrix(points: np.ndarray, xs: np.ndarray, norm: Norm) -> np.ndarr
     return norm.eval_many(diffs.reshape(m * n, d)).reshape(m, n)
 
 
-def cost_mc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected maximum cost: expectation over atoms of the per-atom max.
+def cost_xs(
+    objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
+) -> float:
+    """Expected cost of the lottery (weights, points) to the reports xs.
 
-    This is the expectation of the maximum, not the maximum of per-agent
-    expectations.
+    Max cost is the expectation over atoms of the per-atom max, not the
+    maximum of per-agent expectations; social cost is the expectation of
+    the per-atom sum.
     """
-    if lot.dim != profile.d:
-        raise DimensionMismatch("lottery and profile dimensions differ")
-    dist = _distance_matrix(lot.points_array, profile.as_array, norm)
-    return float(lot.weights_array @ dist.max(axis=1))
-
-
-def cost_sc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected social cost: expectation over atoms of the per-atom sum."""
-    if lot.dim != profile.d:
-        raise DimensionMismatch("lottery and profile dimensions differ")
-    dist = _distance_matrix(lot.points_array, profile.as_array, norm)
-    return float(lot.weights_array @ dist.sum(axis=1))
+    dist = _distance_matrix(points, xs, norm)
+    per_atom = dist.max(axis=1) if objective is Objective.MAX_COST else dist.sum(axis=1)
+    return float(weights @ per_atom)
 
 
 def cost(objective: Objective, lot: Lottery, profile: Profile, norm: Norm) -> float:
-    if objective is Objective.MAX_COST:
-        return cost_mc(lot, profile, norm)
-    return cost_sc(lot, profile, norm)
+    if lot.dim != profile.d:
+        raise DimensionMismatch("lottery and profile dimensions differ")
+    return cost_xs(objective, lot.weights_array, lot.points_array, profile.as_array, norm)
+
+
+def cost_mc(lot: Lottery, profile: Profile, norm: Norm) -> float:
+    """Expected maximum cost (see :func:`cost_xs`)."""
+    return cost(Objective.MAX_COST, lot, profile, norm)
+
+
+def cost_sc(lot: Lottery, profile: Profile, norm: Norm) -> float:
+    """Expected social cost (see :func:`cost_xs`)."""
+    return cost(Objective.SOCIAL_COST, lot, profile, norm)
 
 
 def point_cost(objective: Objective, y: Point, profile: Profile, norm: Norm) -> float:
@@ -631,7 +635,11 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
     scored against it never exceed the true ratio.  Used to steer searches;
     reported results are re-certified with the full optimizers.
     """
-    xs = profile.as_array
+    return opt_value_upper_xs(objective, profile.as_array, norm)
+
+
+def opt_value_upper_xs(objective: Objective, xs: np.ndarray, norm: Norm) -> float:
+    """:func:`opt_value_upper` on an (n, d) report array."""
     distinct = _distinct_rows(xs)
     if distinct.shape[0] == 1:
         return 0.0

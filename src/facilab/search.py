@@ -2,8 +2,13 @@
 
 All randomness flows from a single 64-bit seed through a counter-based
 Philox generator; restart r uses the stream ``Philox(key=seed).jumped(r)``,
-so results are reproducible and independent of worker count, and enlarging
-the budget only extends the candidate stream (best-so-far is retained).
+so results are reproducible, and enlarging the budget only extends the
+candidate stream (best-so-far is retained).
+
+Candidates are scored on arrays: the mechanism's array kernel
+(:func:`~facilab.mechanisms.kernel_of`) and the array cost cores.  Only a
+candidate that beats the margin becomes a ``Point``/``Profile`` again, to be
+re-validated by the checkers in :mod:`facilab.properties`.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -26,16 +31,15 @@ from .geometry import (
     Norm,
     Point,
     Profile,
-    centroid,
-    expected_distance,
+    expected_distance_xs,
 )
-from .mechanisms import MechanismLike, resolve
+from .mechanisms import MechanismLike, kernel_of
 from .objectives import (
     Objective,
     OptResult,
     approx_ratio,
-    cost,
-    opt_value_upper,
+    cost_xs,
+    opt_value_upper_xs,
 )
 from .properties import (
     Witness,
@@ -160,48 +164,47 @@ def _pattern_minimize(fn, start: np.ndarray, scale: float, max_sweeps: int, lo, 
 
 
 def _sp_candidates(
-    profile: Profile,
+    xs: np.ndarray,
     agent: int,
-    norm: Norm,
-    mech_fn,
+    scale: float,
+    truth: tuple[np.ndarray, np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    xi = profile.agent(agent).as_array()
-    xs = profile.as_array
-    scale = _scale(profile, norm)
-    truth_lot = mech_fn(profile, norm)
+    n, d = xs.shape
+    xi = xs[agent - 1]
+    weights, points = truth
     out: list[np.ndarray] = []
     # axis steps
     for h in (0.5, 0.1, 0.02):
-        for k in range(profile.d):
-            off = np.zeros(profile.d)
+        for k in range(d):
+            off = np.zeros(d)
             off[k] = h * scale
             out.append(xi + off)
             out.append(xi - off)
     # common points
-    out.append(centroid(truth_lot).as_array())
+    out.append(weights @ points)
     out.append(xs.mean(axis=0))
     out.append(np.median(xs, axis=0))
-    out.extend(xs[j] for j in range(profile.n) if j != agent - 1)
+    out.extend(xs[j] for j in range(n) if j != agent - 1)
     # gaussian jitter
     for sigma in (0.05, 0.25, 1.0):
-        out.append(xi + sigma * scale * rng.normal(size=profile.d))
+        out.append(xi + sigma * scale * rng.normal(size=d))
     # grid near the support
-    for _, pt in truth_lot.atoms:
-        arr = pt.as_array()
+    for arr in points:
         out.append(arr)
-        for k in range(profile.d):
-            off = np.zeros(profile.d)
+        for k in range(d):
+            off = np.zeros(d)
             off[k] = 0.1 * scale
             out.append(arr + off)
             out.append(arr - off)
     # segment points
-    for j in range(profile.n):
+    for j in range(n):
         if j == agent - 1:
             continue
         for t in (0.25, 0.5, 0.75, 1.0):
             out.append(xi + t * (xs[j] - xi))
-    lo, hi = _clip_box(profile, scale)
     return [np.clip(c, lo, hi) for c in out]
 
 
@@ -216,20 +219,23 @@ def search_sp_violation(
     re-validates through the strategyproofness checker (gain beyond
     IMPROVE_MARGIN) is returned.
     """
-    fn = resolve(mech)
+    kernel = kernel_of(mech)
     for r, profile in _profile_stream(n, d, config):
         rng = _rng(config.rng_seed, r)
+        xs = profile.as_array
         scale = _scale(profile, norm)
         lo, hi = _clip_box(profile, scale)
+        truth = kernel(xs, norm)
         for agent in range(1, n + 1):
-            xi = profile.agent(agent)
-            truth_cost = expected_distance(xi, fn(profile, norm), norm)
+            xi = xs[agent - 1]
+            truth_cost = expected_distance_xs(xi, *truth, norm)
 
             def misreport_cost(z: np.ndarray) -> float:
-                moved = profile.replaced(agent, Point.from_array(z))
-                return expected_distance(xi, fn(moved, norm), norm)
+                moved = xs.copy()
+                moved[agent - 1] = z
+                return expected_distance_xs(xi, *kernel(moved, norm), norm)
 
-            cands = _sp_candidates(profile, agent, norm, fn, rng)
+            cands = _sp_candidates(xs, agent, scale, truth, lo, hi, rng)
             vals = [misreport_cost(c) for c in cands]
             best_idx = int(np.argmin(vals))
             best_x, best_val = cands[best_idx], vals[best_idx]
@@ -250,21 +256,18 @@ def search_sp_violation(
 
 
 def _gsp_common_targets(
-    profile: Profile, coalition: tuple[int, ...], norm: Norm, mech_fn
+    xs: np.ndarray, members: np.ndarray, truth: tuple[np.ndarray, np.ndarray]
 ) -> list[np.ndarray]:
-    xs = profile.as_array
-    members = xs[[i - 1 for i in coalition]]
-    truth_lot = mech_fn(profile, norm)
-    targets = [
-        centroid(truth_lot).as_array(),
+    weights, points = truth
+    return [
+        weights @ points,
         xs.mean(axis=0),
         members.mean(axis=0),
         np.median(xs, axis=0),
         members.min(axis=0),
         members.max(axis=0),
+        *points,
     ]
-    targets.extend(pt.as_array() for _, pt in truth_lot.atoms)
-    return targets
 
 
 def search_gsp_violation(
@@ -275,77 +278,59 @@ def search_gsp_violation(
     Coalitions are enumerated by size then lexicographically.  The main
     generator is the all-members-report-one-point move (output centroid,
     coalition centroid and extremes, atom points), refined by pattern
-    search on the worst member's gain; per-member segment moves and
-    correlated jitter follow.  Witnesses re-validate through the group
+    search on the worst member's gain; per-member segment pulls, correlated
+    jitter and axis shifts follow.  Witnesses re-validate through the group
     checker before being returned.
     """
-    fn = resolve(mech)
+    kernel = kernel_of(mech)
     for r, profile in _profile_stream(n, d, config):
         rng = _rng(config.rng_seed, r)
+        xs = profile.as_array
         scale = _scale(profile, norm)
         lo, hi = _clip_box(profile, scale)
-        truth_lot = fn(profile, norm)
-        before = {
-            i: expected_distance(profile.agent(i), truth_lot, norm)
-            for i in range(1, n + 1)
-        }
+        truth = kernel(xs, norm)
+        before = [expected_distance_xs(x, *truth, norm) for x in xs]
         for size in range(1, n + 1):
             for coalition in itertools.combinations(range(1, n + 1), size):
-                members = [profile.agent(i) for i in coalition]
+                rows = [i - 1 for i in coalition]
+                members = xs[rows]
 
-                def joint_margin(reports: Sequence[Point]) -> float:
-                    moved = profile.replaced_many(coalition, tuple(reports))
-                    lot = fn(moved, norm)
-                    return max(
-                        expected_distance(x, lot, norm) - before[i]
-                        for i, x in zip(coalition, members)
-                    )
+                def joint_margin(reports: np.ndarray) -> float:
+                    moved = xs.copy()
+                    moved[rows] = reports
+                    outcome = kernel(moved, norm)
+                    return max(expected_distance_xs(xs[i], *outcome, norm) - before[i] for i in rows)
 
                 def common_margin(z: np.ndarray) -> float:
-                    pt = Point.from_array(np.clip(z, lo, hi))
-                    return joint_margin([pt] * size)
+                    return joint_margin(np.clip(z, lo, hi))
 
-                targets = _gsp_common_targets(profile, coalition, norm, fn)
+                targets = _gsp_common_targets(xs, members, truth)
                 vals = [common_margin(t) for t in targets]
                 k = int(np.argmin(vals))
                 z, best_margin, _ = _pattern_minimize(
                     common_margin, targets[k], scale, config.local_steps, lo, hi
                 )
-                best_reports = [Point.from_array(np.clip(z, lo, hi))] * size
-                center = np.asarray([m.coords for m in members]).mean(axis=0)
-                for t in (0.5, 1.0):
-                    reports = [
-                        Point.from_array(m.as_array() + t * (center - m.as_array()))
-                        for m in members
-                    ]
-                    val = joint_margin(reports)
-                    if val < best_margin:
-                        best_margin, best_reports = val, reports
+                best_reports = np.tile(np.clip(z, lo, hi), (size, 1))
+                # per-member moves: segment pulls, correlated jitter, axis shifts
+                center = members.mean(axis=0)
+                candidates = [members + t * (center - members) for t in (0.5, 1.0)]
                 for sigma in (0.1, 0.5):
                     for _ in range(2):
                         shift = sigma * scale * rng.normal(size=d)
-                        reports = [
-                            Point.from_array(np.clip(m.as_array() + shift, lo, hi))
-                            for m in members
-                        ]
-                        val = joint_margin(reports)
-                        if val < best_margin:
-                            best_margin, best_reports = val, reports
+                        candidates.append(np.clip(members + shift, lo, hi))
                 for h in (0.5, 0.1):
                     for k in range(d):
                         off = np.zeros(d)
                         off[k] = h * scale
                         for sign in (1.0, -1.0):
-                            reports = [
-                                Point.from_array(np.clip(m.as_array() + sign * off, lo, hi))
-                                for m in members
-                            ]
-                            val = joint_margin(reports)
-                            if val < best_margin:
-                                best_margin, best_reports = val, reports
+                            candidates.append(np.clip(members + sign * off, lo, hi))
+                for reports in candidates:
+                    val = joint_margin(reports)
+                    if val < best_margin:
+                        best_margin, best_reports = val, reports
                 if best_margin < -IMPROVE_MARGIN:
                     verdict = check_group_strategyproof_at(
-                        mech, profile, coalition, best_reports, norm
+                        mech, profile, coalition, [Point.from_array(x) for x in best_reports], norm
                     )
                     if not verdict.passed and not verdict.inconclusive:
                         return verdict.witness
@@ -390,16 +375,15 @@ def search_worst_ratio(
     on the optimum, so scores never exceed true ratios and the best-so-far
     score is monotone in the budget.
     """
-    fn = resolve(mech)
+    kernel = kernel_of(mech)
     evaluations = 0
 
     def score(arr: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        profile = Profile.from_rows(arr.reshape(n, d))
-        upper = opt_value_upper(objective, profile, norm)
-        lot = fn(profile, norm)
-        c = cost(objective, lot, profile, norm)
+        xs = arr.reshape(n, d)
+        upper = opt_value_upper_xs(objective, xs, norm)
+        c = cost_xs(objective, *kernel(xs, norm), xs, norm)
         if upper <= GEOM_TOL * GEOM_TOL:
             return 1.0  # unanimous profile: cost is 0 as well
         return c / upper

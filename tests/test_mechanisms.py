@@ -11,11 +11,6 @@ from facilab.mechanisms import (
     REGISTRY,
     MechanismSpec,
     apply,
-    apply_coordinate_median,
-    apply_dictator,
-    apply_rand_center,
-    apply_rand_med,
-    apply_separate_2dictator,
     format_mechanism,
     parse_mechanism,
     resolve,
@@ -24,6 +19,11 @@ from facilab.mechanisms import (
 from conftest import profile_strategy
 
 N2 = Norm(2.0)
+DICTATOR_2 = MechanismSpec("dictator", index=2)
+RAND_MED = MechanismSpec("rand_med")
+RAND_CENTER = MechanismSpec("rand_center")
+SEP2D = MechanismSpec("sep2d", a=0.0)
+COORD_MEDIAN = MechanismSpec("coord_median")
 
 
 def atoms(lot: Lottery):
@@ -63,36 +63,36 @@ class TestDictator:
 
     def test_ignores_everyone_else(self):
         base = Profile.from_rows([(1, 2), (0, 0), (5, 5)])
-        out = apply_dictator(base, 2)
-        assert apply_dictator(base.replaced(1, point(9, 9)), 2) == out
-        assert apply_dictator(base.replaced(3, point(-7, 3)), 2) == out
+        out = apply(DICTATOR_2, base, N2)
+        assert apply(DICTATOR_2, base.replaced(1, point(9, 9)), N2) == out
+        assert apply(DICTATOR_2, base.replaced(3, point(-7, 3)), N2) == out
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_dictator(Profile.from_rows([(0, 0), (1, 1)]), 3)
+            apply(MechanismSpec("dictator", index=3), Profile.from_rows([(0, 0), (1, 1)]), N2)
 
 
 class TestRandMed:
     def test_three_atom_shape(self):
-        lot = apply_rand_med(Profile.from_rows([(0, 0), (2, 0)]))
+        lot = apply(RAND_MED, Profile.from_rows([(0, 0), (2, 0)]), N2)
         assert atoms(lot) == {(0.0, 0.0): 0.25, (2.0, 0.0): 0.25, (1.0, 0.0): 0.5}
 
     def test_coincident_leaders_merge(self):
-        lot = apply_rand_med(Profile.from_rows([(0, 0), (0, 0), (5, 5)]))
+        lot = apply(RAND_MED, Profile.from_rows([(0, 0), (0, 0), (5, 5)]), N2)
         assert lot == Lottery.degenerate(point(0, 0))
 
     def test_third_agent_ignored(self):
-        lot = apply_rand_med(Profile.from_rows([(1, 1), (3, 1), (99, 99)]))
+        lot = apply(RAND_MED, Profile.from_rows([(1, 1), (3, 1), (99, 99)]), N2)
         assert atoms(lot) == {(1.0, 1.0): 0.25, (3.0, 1.0): 0.25, (2.0, 1.0): 0.5}
 
     def test_needs_two_agents(self):
         with pytest.raises(ValueError):
-            apply_rand_med(Profile.from_rows([(0, 0)]))
+            apply(RAND_MED, Profile.from_rows([(0, 0)]), N2)
 
     @given(prof=profile_strategy(2, min_n=2, max_n=5))
     @settings(max_examples=150)
     def test_support_on_leader_segment(self, prof):
-        lot = apply_rand_med(prof)
+        lot = apply(RAND_MED, prof, N2)
         for _, pt in lot.atoms:
             assert is_on_segment(prof.agent(1), prof.agent(2), pt, N2, tol=1e-7)
 
@@ -100,14 +100,14 @@ class TestRandMed:
 class TestRandCenter:
     def test_unanimous_collapses(self):
         prof = Profile.from_rows([(2, 2), (2, 2), (2, 2)])
-        assert apply_rand_center(prof) == Lottery.degenerate(point(2, 2))
+        assert apply(RAND_CENTER, prof, N2) == Lottery.degenerate(point(2, 2))
 
     def test_two_agents(self):
-        lot = apply_rand_center(Profile.from_rows([(0, 0), (1, 0)]))
+        lot = apply(RAND_CENTER, Profile.from_rows([(0, 0), (1, 0)]), N2)
         assert atoms(lot) == {(0.5, 0.0): 0.5, (0.0, 0.0): 0.25, (1.0, 0.0): 0.25}
 
     def test_mean_merges_with_report(self):
-        lot = apply_rand_center(Profile.from_rows([(0, 0), (1, 0), (2, 0)]))
+        lot = apply(RAND_CENTER, Profile.from_rows([(0, 0), (1, 0), (2, 0)]), N2)
         got = atoms(lot)
         assert got[(1.0, 0.0)] == pytest.approx(0.5 + 1 / 6, abs=1e-12)
         assert got[(0.0, 0.0)] == pytest.approx(1 / 6, abs=1e-12)
@@ -116,7 +116,7 @@ class TestRandCenter:
     @given(prof=profile_strategy(2, min_n=2, max_n=5))
     @settings(max_examples=100)
     def test_support_in_convex_hull(self, prof):
-        lot = apply_rand_center(prof)
+        lot = apply(RAND_CENTER, prof, N2)
         lo, hi = prof.bounding_box()
         for _, pt in lot.atoms:
             arr = pt.as_array()
@@ -126,7 +126,7 @@ class TestRandCenter:
 class TestSeparate2Dictator:
     def test_high_branch_short_segment(self):
         prof = Profile.from_rows([(2, 0), (5, 0), (0, 4)])
-        lot = apply_separate_2dictator(prof, N2, 0.0)
+        lot = apply(SEP2D, prof, N2)
         assert atoms(lot) == {
             (2.0, 0.0): pytest.approx(2 / 3),
             (4.0, 0.0): pytest.approx(1 / 3),
@@ -134,7 +134,7 @@ class TestSeparate2Dictator:
 
     def test_low_branch_uses_third_agent(self):
         prof = Profile.from_rows([(-1, 0), (5, 0), (-3, 4)])
-        lot = apply_separate_2dictator(prof, N2, 0.0)
+        lot = apply(SEP2D, prof, N2)
         got = atoms(lot)
         companion = (-1.4472135954999579, 0.8944271909999159)
         assert got[(-1.0, 0.0)] == pytest.approx(2 / 3)
@@ -143,21 +143,21 @@ class TestSeparate2Dictator:
 
     def test_capped_by_partner_distance(self):
         prof = Profile.from_rows([(2, 0), (3, 0), (0, 4)])
-        lot = apply_separate_2dictator(prof, N2, 0.0)
+        lot = apply(SEP2D, prof, N2)
         assert atoms(lot)[(3.0, 0.0)] == pytest.approx(1 / 3)
 
     def test_unanimous_collapses(self):
         prof = Profile.from_rows([(1, 1), (1, 1), (1, 1)])
-        assert apply_separate_2dictator(prof, N2, 0.0) == Lottery.degenerate(point(1, 1))
+        assert apply(SEP2D, prof, N2) == Lottery.degenerate(point(1, 1))
 
     def test_needs_three_agents(self):
         with pytest.raises(ValueError):
-            apply_separate_2dictator(Profile.from_rows([(0, 0), (1, 0)]), N2, 0.0)
+            apply(SEP2D, Profile.from_rows([(0, 0), (1, 0)]), N2)
 
     @given(prof=profile_strategy(2, min_n=3, max_n=5))
     @settings(max_examples=150)
     def test_leader_weight_and_support(self, prof):
-        lot = apply_separate_2dictator(prof, N2, 0.0)
+        lot = apply(SEP2D, prof, N2)
         got = atoms(lot)
         x1 = prof.agent(1)
         assert got.get(x1.coords, 0.0) >= 2 / 3 - GEOM_TOL
@@ -170,24 +170,24 @@ class TestSeparate2Dictator:
 class TestCoordinateMedian:
     def test_majority_corner(self):
         prof = Profile.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1)])
-        assert apply_coordinate_median(prof) == Lottery.degenerate(point(1, 1, 1))
+        assert apply(COORD_MEDIAN, prof, N2) == Lottery.degenerate(point(1, 1, 1))
 
     def test_majority_origin(self):
         prof = Profile.from_rows([(0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1)])
-        assert apply_coordinate_median(prof) == Lottery.degenerate(point(0, 0, 0))
+        assert apply(COORD_MEDIAN, prof, N2) == Lottery.degenerate(point(0, 0, 0))
 
     def test_single_agent_identity(self):
         prof = Profile((point(4, 2),))
-        assert apply_coordinate_median(prof) == Lottery.degenerate(point(4, 2))
+        assert apply(COORD_MEDIAN, prof, N2) == Lottery.degenerate(point(4, 2))
 
     def test_even_n_takes_lower_median(self):
         prof = Profile.from_rows([(0, 3), (1, 0)])
-        assert apply_coordinate_median(prof) == Lottery.degenerate(point(0, 0))
+        assert apply(COORD_MEDIAN, prof, N2) == Lottery.degenerate(point(0, 0))
 
     def test_order_independent(self):
         rows = [(0, 5), (2, 1), (9, 3)]
-        out = apply_coordinate_median(Profile.from_rows(rows))
-        assert apply_coordinate_median(Profile.from_rows(rows[::-1])) == out
+        out = apply(COORD_MEDIAN, Profile.from_rows(rows), N2)
+        assert apply(COORD_MEDIAN, Profile.from_rows(rows[::-1]), N2) == out
 
 
 MECHS = [
@@ -226,7 +226,7 @@ def test_translation_covariance(spec, prof, shift):
 
 def test_resolve_accepts_strings_and_callables():
     prof = Profile.from_rows([(0, 0), (2, 0)])
-    assert resolve("rand_med")(prof, N2) == apply_rand_med(prof)
+    assert resolve("rand_med")(prof, N2) == apply(RAND_MED, prof, N2)
 
     def custom(profile, norm):
         return Lottery.degenerate(profile.agent(1))
