@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -46,6 +47,7 @@ from .geometry import (
 
 DEFAULT_BUDGET = 60_000
 GAP_REL = 1e-6  # certified_gap target: <= GAP_REL * (1 + value)
+RATIO_ULPS = 4  # rounding of one computed cost or optimum, in ulps of its size
 
 
 class Objective(Enum):
@@ -681,7 +683,14 @@ def approx_ratio(
             return RatioResult(1.0, 1.0, 1.0, mech_cost, opt)
         return RatioResult(math.inf, math.inf, math.inf, mech_cost, opt, True)
     ratio = mech_cost / opt.value
-    lo = mech_cost / (opt.value + opt.certified_gap)
+    # The interval ends are rounded outward: cost and optimum each carry
+    # RATIO_ULPS of arithmetic rounding, and atoms computed from the reports
+    # (means, midpoints) are rounded relative to the reports' size, which
+    # can dwarf the optimum.  A zero gap alone would certify [r, r] for an r
+    # that is only right to rounding.
+    reach = float(norm.eval_many(profile.as_array).max())
+    slack = RATIO_ULPS * (2.0 + profile.n * reach / opt.value) * sys.float_info.epsilon
+    lo = max(0.0, 1.0 - slack) * mech_cost / (opt.value + opt.certified_gap)
     denom = opt.value - opt.certified_gap
-    hi = mech_cost / denom if denom > 0.0 else math.inf
+    hi = (1.0 + slack) * mech_cost / denom if denom > 0.0 else math.inf
     return RatioResult(ratio, lo, hi, mech_cost, opt)
