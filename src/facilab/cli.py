@@ -35,7 +35,7 @@ from .geometry import (
     parse_norm,
     radius,
 )
-from .mechanisms import MechanismSpec, apply, describe, parse_mechanism, resolve
+from .mechanisms import MechanismSpec, apply, describe, parse_mechanism
 from .objectives import (
     Objective,
     approx_ratio,
@@ -234,6 +234,11 @@ def _sp_search_verdict(name: str, witness: Optional[Witness]) -> PropertyVerdict
     return PropertyVerdict(name, False, margin, witness)
 
 
+def _worst(verdicts) -> PropertyVerdict:
+    """The first of the lowest-margin verdicts, in draw order."""
+    return min(verdicts, key=lambda v: v.margin)
+
+
 def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Profile]:
     profiles = structured_profiles(n, d)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(987))
@@ -254,7 +259,6 @@ def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Prof
 def run_check(
     spec: MechanismSpec, norm: Norm, n: int, d: int, seed: int, budget: int
 ) -> tuple[ExperimentReport, int]:
-    fn = resolve(spec)
     restarts = max(8, min(300, budget // 250))
     config = SearchConfig(rng_seed=seed, restarts=restarts, local_steps=20)
     profiles = _check_profiles(spec, n, d, seed)
@@ -274,51 +278,21 @@ def run_check(
         shifts.append(Point.from_array((spec.a - 2.0) * e1))
     verdicts.append(check_translation_invariance(spec, norm, profiles[:8], shifts))
 
-    verdicts.append(
-        _sp_search_verdict(
-            "strategyproof", search_sp_violation(spec, norm, n, d, config)
-        )
-    )
-    verdicts.append(
-        _sp_search_verdict(
-            "group_strategyproof", search_gsp_violation(spec, norm, n, d, config)
-        )
-    )
-
-    support = None
-    for profile in profiles:
-        v = check_support_segment(spec, profile, norm)
-        if support is None or v.margin < support.margin:
-            support = v
-    verdicts.append(
-        PropertyVerdict(
-            "support_segment", support.passed, support.margin, support.witness, note=support.note
-        )
-    )
-
+    sp = search_sp_violation(spec, norm, n, d, config)
+    verdicts.append(_sp_search_verdict("strategyproof", sp))
+    gsp = search_gsp_violation(spec, norm, n, d, config)
+    verdicts.append(_sp_search_verdict("group_strategyproof", gsp))
+    verdicts.append(_worst(check_support_segment(spec, p, norm) for p in profiles))
     verdicts.append(check_2dictatorship(spec, profiles, norm))
 
-    cont_margin = math.inf
-    cont_worst: Optional[PropertyVerdict] = None
-    for profile in profiles[:6]:
-        for agent in range(1, n + 1):
-            base = profile.agent(agent).as_array()
-            perturbations = [
-                Point.from_array(base + step)
-                for step in gen.normal(size=(8, d)) * 0.4
-            ]
-            v = check_cost_continuity(spec, profile, agent, perturbations, norm)
-            if v.margin < cont_margin:
-                cont_margin, cont_worst = v.margin, v
-    verdicts.append(cont_worst)
+    def continuity(profile: Profile, agent: int) -> PropertyVerdict:
+        base = profile.agent(agent).as_array()
+        moves = [Point.from_array(base + step) for step in gen.normal(size=(8, d)) * 0.4]
+        return check_cost_continuity(spec, profile, agent, moves, norm)
 
-    unc = None
+    verdicts.append(_worst(continuity(p, i) for p in profiles[:6] for i in range(1, n + 1)))
     unanimous = Profile(tuple(z_points[0] for _ in range(n)))
-    for profile in [unanimous] + profiles[:5]:
-        v = check_uncompromising(spec, profile, norm)
-        if unc is None or v.margin < unc.margin:
-            unc = v
-    verdicts.append(unc)
+    verdicts.append(_worst(check_uncompromising(spec, p, norm) for p in [unanimous] + profiles[:5]))
 
     expected = expected_outcomes(spec, n, d, norm)
     exit_code = 0 if all(_meets(expected.get(v.name, "info"), v) for v in verdicts) else 1

@@ -1,20 +1,18 @@
-"""Facility-location mechanisms as pure functions of the reports.
+"""Facility-location mechanisms as pure kernels on report arrays.
 
-Every mechanism is deterministic as a function of (spec, reports, norm):
-the returned lottery *is* the randomness.  Each kind is one entry of
+A kernel maps (spec, (n, d) reports, norm) to the canonical (weights,
+points) of the output lottery, which *is* the randomness.  The searches
+call kernels directly (:func:`kernel_of`); :func:`apply` and :func:`resolve`
+wrap them as Profile x Norm -> Lottery.  Every kind takes the norm, used or
+not.  Agent indices are 1-based.  Each kind is one entry of
 :data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
-Its kernel maps an (n, d) report array to the canonical ``(weights,
-points)`` arrays of :func:`~facilab.geometry.canonical_atoms`; the searches
-call kernels directly (:func:`kernel_of`), while :func:`apply` and
-:func:`resolve` wrap them as ``Profile x Norm -> Lottery``.  Mechanisms that
-ignore the norm (dictator, rand_med, rand_center, coord_median) still take
-it so the interface is uniform.  Agent indices are 1-based.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
@@ -140,8 +138,7 @@ def kernel_of(mech: MechanismLike) -> ArrayKernel:
     if isinstance(mech, str):
         mech = parse_mechanism(mech)
     if isinstance(mech, MechanismSpec):
-        spec, kernel = mech, REGISTRY[mech.kind].kernel
-        return lambda xs, norm: kernel(spec, xs, norm)
+        return partial(_run, mech)
 
     def adapted(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
         lot = mech(Profile.from_rows(xs), norm)
@@ -160,22 +157,21 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    weights, points = REGISTRY[spec.kind].kernel(spec, profile.as_array, norm)
+    weights, points = _run(spec, profile.as_array, norm)
     return Lottery(tuple(zip(weights.tolist(), points.tolist())))
+
+
+def _run(spec: MechanismSpec, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    if xs.shape[0] < spec.min_agents:
+        raise ValueError(f"{format_mechanism(spec)} needs at least {spec.min_agents} agents")
+    return REGISTRY[spec.kind].kernel(spec, xs, norm)
 
 
 # -- kernels: (spec, (n, d) reports, norm) -> canonical (weights, points) ------
 
 
-def _need_agents(kind: str, xs: np.ndarray, n: int) -> None:
-    if xs.shape[0] < n:
-        raise ValueError(f"{kind} needs at least {n} agents")
-
-
 def _dictator(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """Always the dictator's own report; everyone else is ignored."""
-    if spec.index > xs.shape[0]:
-        raise ValueError(f"agent index {spec.index} outside [1, {xs.shape[0]}]")
     return canonical_atoms([1.0], xs[spec.index - 1 : spec.index])
 
 
@@ -185,14 +181,12 @@ def _rand_med(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     Agents beyond the first two never influence the output; when x1 = x2
     the atoms merge into a degenerate lottery.
     """
-    _need_agents("rand_med", xs, 2)
     x1, x2 = xs[0], xs[1]
     return canonical_atoms([0.25, 0.25, 0.5], [x1, x2, (x1 + x2) / 2.0])
 
 
 def _rand_center(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """The mean report with weight 1/2, each agent's report with 1/(2n)."""
-    _need_agents("rand_center", xs, 2)
     n = xs.shape[0]
     if (xs == xs[0]).all():
         return canonical_atoms([1.0], xs[:1])  # n*z/n need not round back to z
@@ -208,7 +202,6 @@ def _sep2d(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     The branch constant makes the mechanism sensitive to translations along
     the first coordinate.
     """
-    _need_agents("sep2d", xs, 3)
     x1 = xs[0]
     r = float(x1[0])
     partner = xs[1] if r >= spec.a else xs[2]

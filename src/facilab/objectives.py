@@ -683,11 +683,9 @@ def approx_ratio(
             return RatioResult(1.0, 1.0, 1.0, mech_cost, opt)
         return RatioResult(math.inf, math.inf, math.inf, mech_cost, opt, True)
     ratio = mech_cost / opt.value
-    # The interval ends are rounded outward: cost and optimum each carry
-    # RATIO_ULPS of arithmetic rounding, and atoms computed from the reports
-    # (means, midpoints) are rounded relative to the reports' size, which
-    # can dwarf the optimum.  A zero gap alone would certify [r, r] for an r
-    # that is only right to rounding.
+    # Round the ends outward, or a zero gap certifies [r, r] for an r that is
+    # only right to rounding: cost and optimum each carry RATIO_ULPS, and atoms
+    # computed from the reports are rounded relative to the reports' size.
     reach = float(norm.eval_many(profile.as_array).max())
     slack = RATIO_ULPS * (2.0 + profile.n * reach / opt.value) * sys.float_info.epsilon
     lo = max(0.0, 1.0 - slack) * mech_cost / (opt.value + opt.certified_gap)

@@ -163,15 +163,7 @@ def _pattern_minimize(fn, start: np.ndarray, scale: float, max_sweeps: int, lo, 
 # -- single-agent misreport search --------------------------------------------
 
 
-def _sp_candidates(
-    xs: np.ndarray,
-    agent: int,
-    scale: float,
-    truth: tuple[np.ndarray, np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
+def _sp_candidates(xs: np.ndarray, agent: int, scale: float, truth, lo, hi, rng) -> list[np.ndarray]:
     n, d = xs.shape
     xi = xs[agent - 1]
     weights, points = truth
@@ -255,21 +247,6 @@ def search_sp_violation(
 # -- coalition misreport search ------------------------------------------------
 
 
-def _gsp_common_targets(
-    xs: np.ndarray, members: np.ndarray, truth: tuple[np.ndarray, np.ndarray]
-) -> list[np.ndarray]:
-    weights, points = truth
-    return [
-        weights @ points,
-        xs.mean(axis=0),
-        members.mean(axis=0),
-        np.median(xs, axis=0),
-        members.min(axis=0),
-        members.max(axis=0),
-        *points,
-    ]
-
-
 def search_gsp_violation(
     mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
 ) -> Optional[Witness]:
@@ -289,6 +266,7 @@ def search_gsp_violation(
         scale = _scale(profile, norm)
         lo, hi = _clip_box(profile, scale)
         truth = kernel(xs, norm)
+        weights, points = truth
         before = [expected_distance_xs(x, *truth, norm) for x in xs]
         for size in range(1, n + 1):
             for coalition in itertools.combinations(range(1, n + 1), size):
@@ -298,13 +276,21 @@ def search_gsp_violation(
                 def joint_margin(reports: np.ndarray) -> float:
                     moved = xs.copy()
                     moved[rows] = reports
-                    outcome = kernel(moved, norm)
-                    return max(expected_distance_xs(xs[i], *outcome, norm) - before[i] for i in rows)
+                    lot = kernel(moved, norm)
+                    return max(expected_distance_xs(xs[i], *lot, norm) - before[i] for i in rows)
 
                 def common_margin(z: np.ndarray) -> float:
                     return joint_margin(np.clip(z, lo, hi))
 
-                targets = _gsp_common_targets(xs, members, truth)
+                targets = [
+                    weights @ points,
+                    xs.mean(axis=0),
+                    members.mean(axis=0),
+                    np.median(xs, axis=0),
+                    members.min(axis=0),
+                    members.max(axis=0),
+                    *points,
+                ]
                 vals = [common_margin(t) for t in targets]
                 k = int(np.argmin(vals))
                 z, best_margin, _ = _pattern_minimize(

@@ -1,20 +1,35 @@
 """Mechanism definitions: worked examples plus structural invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facilab.geometry import GEOM_TOL, Lottery, Norm, Point, Profile, is_on_segment, lotteries_match, point
+from facilab.geometry import (
+    GEOM_TOL,
+    Lottery,
+    Norm,
+    Point,
+    Profile,
+    expected_distance,
+    expected_distance_xs,
+    is_on_segment,
+    lotteries_match,
+    point,
+)
 from facilab.mechanisms import (
     KINDS,
     REGISTRY,
     MechanismSpec,
     apply,
     format_mechanism,
+    kernel_of,
     parse_mechanism,
     resolve,
 )
+from facilab.objectives import Objective, cost_mc, cost_sc, cost_xs
 
 from conftest import profile_strategy
 
@@ -238,3 +253,47 @@ def test_apply_is_deterministic():
     prof = Profile.from_rows([(0.1, 0.7), (2.3, -1.1), (0.5, 0.9)])
     for spec in MECHS:
         assert apply(spec, prof, N2) == apply(spec, prof, N2)
+
+
+# -- array kernels against the Profile/Lottery boundary -----------------------
+
+EQUIV_NORMS = [Norm(1.0), N2, Norm(3.0), Norm(math.inf)]
+SPECS = [
+    MechanismSpec(kind, **{None: {}, "index": {"index": 2}, "a": {"a": 0.0}}[REGISTRY[kind].param])
+    for kind in KINDS
+]
+special = st.sampled_from([0.0, -0.0, 1.0, -1.5])
+
+
+@st.composite
+def reports_with_ties(draw):
+    """Profiles drawn from a small pool of points: duplicate reports, -0.0
+    coordinates, and (pool of one) unanimous profiles."""
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(special, st.floats(-10, 10, allow_nan=False))
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=4))
+    return Profile.from_rows(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=5)))
+
+
+def bitwise(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mean_report(profile, norm):
+    return Lottery.degenerate(Point.from_array(profile.as_array.mean(axis=0)))
+
+
+@given(prof=reports_with_ties())
+@settings(max_examples=150, deadline=None)
+def test_array_kernels_match_apply_bitwise(prof):
+    xs = prof.as_array
+    for mech in SPECS + [mean_report]:
+        for norm in EQUIV_NORMS:
+            weights, points = kernel_of(mech)(xs, norm)
+            lot = resolve(mech)(prof, norm)
+            assert bitwise(weights, lot.weights_array) and bitwise(points, lot.points_array)
+            for x in prof.points:
+                assert bitwise(expected_distance_xs(x.as_array(), weights, points, norm), expected_distance(x, lot, norm))
+            assert bitwise(cost_xs(Objective.MAX_COST, weights, points, xs, norm), cost_mc(lot, prof, norm))
+            assert bitwise(cost_xs(Objective.SOCIAL_COST, weights, points, xs, norm), cost_sc(lot, prof, norm))
