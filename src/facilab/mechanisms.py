@@ -157,8 +157,7 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    weights, points = _run(spec, profile.as_array, norm)
-    return Lottery(tuple(zip(weights.tolist(), points.tolist())))
+    return Lottery.from_canonical(*_run(spec, profile.as_array, norm))
 
 
 def _run(spec: MechanismSpec, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:

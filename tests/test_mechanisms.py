@@ -293,6 +293,8 @@ def test_array_kernels_match_apply_bitwise(prof):
             weights, points = kernel_of(mech)(xs, norm)
             lot = resolve(mech)(prof, norm)
             assert bitwise(weights, lot.weights_array) and bitwise(points, lot.points_array)
+            again = Lottery(lot.atoms)  # the kernel's arrays are already canonical
+            assert bitwise(weights, again.weights_array) and bitwise(points, again.points_array)
             for x in prof.points:
                 assert bitwise(expected_distance_xs(x.as_array(), weights, points, norm), expected_distance(x, lot, norm))
             assert bitwise(cost_xs(Objective.MAX_COST, weights, points, xs, norm), cost_mc(lot, prof, norm))
