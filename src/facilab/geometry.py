@@ -288,16 +288,7 @@ class Lottery:
         pts = [pt if isinstance(pt, Point) else Point(tuple(pt)) for _, pt in self.atoms]
         if any(pt.dim != pts[0].dim for pt in pts):
             raise DimensionMismatch("lottery atoms live in different dimensions")
-        self._hold(*canonical_atoms([w for w, _ in self.atoms], [pt.coords for pt in pts]))
-
-    @classmethod
-    def from_canonical(cls, weights: np.ndarray, points: np.ndarray) -> "Lottery":
-        """The lottery of arrays that :func:`canonical_atoms` returned, not redone."""
-        lot = object.__new__(cls)
-        lot._hold(weights, points)
-        return lot
-
-    def _hold(self, weights: np.ndarray, points: np.ndarray) -> None:
+        weights, points = canonical_atoms([w for w, _ in self.atoms], [pt.coords for pt in pts])
         atoms = tuple(zip(weights.tolist(), (Point(tuple(row)) for row in points.tolist())))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights_array", weights)

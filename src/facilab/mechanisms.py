@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 import numpy as np
 
 from .geometry import (
+    DimensionMismatch,
     Lottery,
     Norm,
     Profile,
@@ -142,6 +143,8 @@ def kernel_of(mech: MechanismLike) -> ArrayKernel:
 
     def adapted(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
         lot = mech(Profile.from_rows(xs), norm)
+        if lot.dim != xs.shape[1]:
+            raise DimensionMismatch("mechanism output and reports differ in dimension")
         return lot.weights_array, lot.points_array
 
     return adapted
@@ -157,7 +160,8 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    return Lottery.from_canonical(*_run(spec, profile.as_array, norm))
+    weights, points = _run(spec, profile.as_array, norm)
+    return Lottery(tuple(zip(weights.tolist(), map(tuple, points.tolist()))))
 
 
 def _run(spec: MechanismSpec, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:

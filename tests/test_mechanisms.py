@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from facilab.geometry import (
     GEOM_TOL,
+    DimensionMismatch,
     Lottery,
     Norm,
     Point,
@@ -247,6 +248,14 @@ def test_resolve_accepts_strings_and_callables():
         return Lottery.degenerate(profile.agent(1))
 
     assert resolve(custom)(prof, N2) == Lottery.degenerate(point(0, 0))
+
+
+def test_kernel_of_callable_checks_output_dimension():
+    def flat(profile, norm):
+        return Lottery.degenerate(point(0))
+
+    with pytest.raises(DimensionMismatch):
+        kernel_of(flat)(np.zeros((3, 2)), N2)
 
 
 def test_apply_is_deterministic():
