@@ -685,8 +685,10 @@ def approx_ratio(
     ratio = mech_cost / opt.value
     # Round the ends outward, or a zero gap certifies [r, r] for an r that is
     # only right to rounding: cost and optimum each carry RATIO_ULPS, and atoms
-    # computed from the reports are rounded relative to the reports' size.
-    reach = float(norm.eval_many(profile.as_array).max())
+    # and working coordinates computed from the reports are rounded per
+    # coordinate, an error the norm maps by at most sum_k |x_k| * ||e_k||.
+    xs = profile.as_array
+    reach = float((np.abs(xs) @ norm.eval_many(np.eye(profile.d))).max())
     slack = RATIO_ULPS * (2.0 + profile.n * reach / opt.value) * sys.float_info.epsilon
     lo = max(0.0, 1.0 - slack) * mech_cost / (opt.value + opt.certified_gap)
     denom = opt.value - opt.certified_gap

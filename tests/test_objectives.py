@@ -285,31 +285,41 @@ class TestApproxRatio:
 
     def test_exact_ratio_inside_zero_gap_interval(self):
         # two distinct integer locations: the mc optimum is their midpoint
-        # (gap 0), and under lp:1;w=1,3 cost and optimum are both rational
-        weights = (1, 3)
-        norm = parse_norm("lp:1;w=1,3")
-
-        def dist(u, v):
-            return sum(w * abs(a - b) for w, a, b in zip(weights, u, v))
-
+        # (gap 0), and under lp:1 with float weights or transform, cost and
+        # optimum are both rational; the transformed case is ill-conditioned,
+        # with reports far from the origin relative to their spread
+        cases = [("lp:1;w=1,3", (0, 0)), ("lp:1;A=1,-1,0,1e-3", (10**6, 10**6))]
         rng = np.random.default_rng(7)
-        checked = 0
-        for n in (2, 3, 4, 5):
-            for _ in range(50):
-                a, b = (tuple(int(c) for c in rng.integers(-6, 7, size=2)) for _ in range(2))
-                if a == b:
-                    continue
-                rows = [a, b] + [a if flip else b for flip in rng.integers(0, 2, size=n - 2)]
-                pts = [tuple(Fraction(c) for c in row) for row in rows]
-                mean = tuple(sum(c) / n for c in zip(*pts))
-                atoms = [(Fraction(1, 2), mean)] + [(Fraction(1, 2 * n), p) for p in pts]
-                cost = sum(w * max(dist(x, p) for p in pts) for w, x in atoms)
-                exact = cost / (dist(a, b) / 2)
-                rr = approx_ratio(MechanismSpec("rand_center"), Profile.from_rows(rows), norm, MC)
-                assert rr.opt.certified_gap == 0.0
-                assert Fraction(rr.lo) <= exact <= Fraction(rr.hi), (rows, rr.lo, rr.hi)
-                checked += 1
-        assert checked > 150
+        for text, base in cases:
+            norm = parse_norm(text)
+            rows_a = [tuple(Fraction(c) for c in row) for row in norm.transform or ((1, 0), (0, 1))]
+            scales = [Fraction(w) for w in norm.weights or (1, 1)]
+
+            def dist(u, v):
+                diff = [a - b for a, b in zip(u, v)]
+                return sum(w * abs(sum(r * c for r, c in zip(row, diff)))
+                           for w, row in zip(scales, rows_a))
+
+            checked = 0
+            for n in (2, 3, 4, 5):
+                for _ in range(50):
+                    a, b = (tuple(int(o + c) for o, c in zip(base, rng.integers(-6, 7, size=2)))
+                            for _ in range(2))
+                    if a == b:
+                        continue
+                    rows = [a, b] + [a if flip else b for flip in rng.integers(0, 2, size=n - 2)]
+                    pts = [tuple(Fraction(c) for c in row) for row in rows]
+                    mean = tuple(sum(c) / n for c in zip(*pts))
+                    atoms = [(Fraction(1, 2), mean)] + [(Fraction(1, 2 * n), p) for p in pts]
+                    cost = sum(w * max(dist(x, p) for p in pts) for w, x in atoms)
+                    exact = cost / (dist(a, b) / 2)
+                    rr = approx_ratio(
+                        MechanismSpec("rand_center"), Profile.from_rows(rows), norm, MC
+                    )
+                    assert rr.opt.certified_gap == 0.0
+                    assert Fraction(rr.lo) <= exact <= Fraction(rr.hi), (text, rows, rr.lo, rr.hi)
+                    checked += 1
+            assert checked > 150
 
 
 def _scalar_norm(norm, vec):
