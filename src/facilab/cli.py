@@ -290,9 +290,13 @@ def run_check(
         moves = [Point.from_array(base + step) for step in gen.normal(size=(8, d)) * 0.4]
         return check_cost_continuity(spec, profile, agent, moves, norm)
 
-    verdicts.append(_worst(continuity(p, i) for p in profiles[:6] for i in range(1, n + 1)))
+    verdicts.append(
+        _worst(continuity(p, i) for p in profiles[:6] for i in range(1, n + 1))
+    )
     unanimous = Profile(tuple(z_points[0] for _ in range(n)))
-    verdicts.append(_worst(check_uncompromising(spec, p, norm) for p in [unanimous] + profiles[:5]))
+    verdicts.append(
+        _worst(check_uncompromising(spec, p, norm) for p in [unanimous] + profiles[:5])
+    )
 
     expected = expected_outcomes(spec, n, d, norm)
     exit_code = 0 if all(_meets(expected.get(v.name, "info"), v) for v in verdicts) else 1

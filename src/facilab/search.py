@@ -163,7 +163,15 @@ def _pattern_minimize(fn, start: np.ndarray, scale: float, max_sweeps: int, lo, 
 # -- single-agent misreport search --------------------------------------------
 
 
-def _sp_candidates(xs: np.ndarray, agent: int, scale: float, truth, lo, hi, rng) -> list[np.ndarray]:
+def _sp_candidates(
+    xs: np.ndarray,
+    agent: int,
+    scale: float,
+    truth: tuple[np.ndarray, np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
     n, d = xs.shape
     xi = xs[agent - 1]
     weights, points = truth
@@ -277,7 +285,9 @@ def search_gsp_violation(
                     moved = xs.copy()
                     moved[rows] = reports
                     lot = kernel(moved, norm)
-                    return max(expected_distance_xs(xs[i], *lot, norm) - before[i] for i in rows)
+                    return max(
+                        expected_distance_xs(xs[i], *lot, norm) - before[i] for i in rows
+                    )
 
                 def common_margin(z: np.ndarray) -> float:
                     return joint_margin(np.clip(z, lo, hi))
@@ -316,7 +326,11 @@ def search_gsp_violation(
                         best_margin, best_reports = val, reports
                 if best_margin < -IMPROVE_MARGIN:
                     verdict = check_group_strategyproof_at(
-                        mech, profile, coalition, [Point.from_array(x) for x in best_reports], norm
+                        mech,
+                        profile,
+                        coalition,
+                        [Point.from_array(x) for x in best_reports],
+                        norm,
                     )
                     if not verdict.passed and not verdict.inconclusive:
                         return verdict.witness
