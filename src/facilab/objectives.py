@@ -10,14 +10,26 @@ Both optimizers work in coordinates z = M x, where M is the norm's
 transform with the weights folded in as a row scaling.  There the norm is
 the plain p-norm of coordinate differences.
 
-Certification routes:
+Certification routes, chosen from the exponent p, the dimension d and the
+objective in working coordinates:
 
-* social cost under any p = 2 norm (Euclidean in the working coordinates):
-  Weiszfeld iteration with a coincidence guard, gap certified from the
-  gradient norm times the hull radius;
-* anything else: Lipschitz branch-and-bound over the working bounding box
-  (the objectives are n- resp. 1-Lipschitz per unit axis step), which
-  keeps a sound global lower bound even across flat valleys.
+* closed forms, gap 0: L1 social cost is the coordinate-wise median, Linf
+  max cost the center of the bounding box; in d = 2 the rotation
+  (z1 + z2, z1 - z2) carries L1 max cost and Linf social cost onto those
+  two, and in d = 1 both apply for every p;
+* social cost under the other p = 2 norms: Kuhn's optimality test at the
+  reports, then Weiszfeld iteration with a coincidence guard, gap
+  certified from the gradient norm times the hull radius;
+* anything else: one certified search.  The best seed is polished (damped
+  Newton for social cost, min-norm subgradient steps for max cost) and
+  certified before any tiling: social cost by its gradient and by Kuhn's
+  condition at the reports, max cost by its active set.  Only when that
+  misses the gap target does a Lipschitz branch-and-bound over the working
+  bounding box (the objectives are n- resp. 1-Lipschitz per unit axis
+  step) continue from the incumbent, polishing and certifying again
+  whenever the incumbent improves and stopping once the gap meets the
+  target.  For L1 max cost and Linf social cost in d >= 3 there is no
+  certificate, and the tiling's global lower bound does all the work.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -155,6 +167,10 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
     return np.unique(arr, axis=0)
 
 
+def _meets_target(gap: float, value: float) -> bool:
+    return gap <= GAP_REL * (1.0 + value)
+
+
 # -- Weiszfeld ----------------------------------------------------------------
 
 
@@ -175,8 +191,7 @@ def _weiszfeld(zs: np.ndarray, budget: int):
     # fallback certificate only: the optimum is at least the diameter
     # (n >= 2); folding this into the running bound would cut iteration
     # short of the exact data-point snap on collinear profiles
-    pair_diffs = zs[:, None, :] - zs[None, :, :]
-    diam = float(np.linalg.norm(pair_diffs, axis=2).max())
+    diam = _diameter(zs, Norm(2.0))
     opt_lb = -math.inf
     evals = 0
     iterations = max(2, budget // max(n, 1))
@@ -201,7 +216,7 @@ def _weiszfeld(zs: np.ndarray, budget: int):
                 # subgradient condition holds: the data point is optimal
                 return anchor, value, 0.0, evals, ""
             gap = max(0.0, best_val - opt_lb)
-            if gap <= GAP_REL * (1.0 + best_val):
+            if _meets_target(gap, best_val):
                 return best_m, best_val, gap, evals, ""
             # escape the singularity with an explicit descent step
             inv_sum = float((1.0 / d_exact[away]).sum())
@@ -215,16 +230,44 @@ def _weiszfeld(zs: np.ndarray, budget: int):
         if value < best_val:
             best_val, best_m = value, m.copy()
         gap = max(0.0, best_val - opt_lb)
-        if gap <= GAP_REL * (1.0 + best_val):
+        if _meets_target(gap, best_val):
             return best_m, best_val, gap, evals, ""
         w = 1.0 / dist
         m = (zs * w[:, None]).sum(axis=0) / w.sum()
     note = "budget exhausted before gap target"
     opt_lb = max(opt_lb, diam)
     gap = max(0.0, best_val - opt_lb) if math.isfinite(best_val) else math.inf
-    if gap <= GAP_REL * (1.0 + best_val):
+    if _meets_target(gap, best_val):
         note = ""
     return best_m, best_val, gap, evals, note
+
+
+# -- closed forms ----------------------------------------------------------------
+#
+# The polyhedral residuals are separable: sum_k |u_k| is minimized one
+# coordinate at a time by a median, and the maximum over reports of
+# max_k |u_k| by the center of their bounding box.  In d = 2 the map
+# (u, v) = (z1 + z2, z1 - z2) turns |a| + |b| into max(|u|, |v|) and
+# max(|a|, |b|) into (|u| + |v|) / 2, which swaps the two cases; in d = 1
+# every p-norm is |.|, so both apply for every p.
+
+_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]])  # symmetric; its inverse is itself / 2
+
+
+def _exact_point(objective: Objective, zs: np.ndarray, p: float):
+    """Exact minimizer in working coordinates, or None without a closed form."""
+    if objective is Objective.MAX_COST:
+        center = lambda a: (a.min(axis=0) + a.max(axis=0)) / 2.0
+        native, swapped = math.inf, 1.0
+    else:
+        center = lambda a: np.median(a, axis=0)
+        native, swapped = 1.0, math.inf
+    d = zs.shape[1]
+    if d == 1 or p == native:
+        return center(zs)
+    if d == 2 and p == swapped:
+        return center(zs @ _ROTATION) @ _ROTATION / 2.0
+    return None
 
 
 # -- Lipschitz branch-and-bound ------------------------------------------------
@@ -237,33 +280,44 @@ def _branch_bound(
     axis_rate: np.ndarray,
     budget: int,
     seeds: np.ndarray,
+    polish: Callable,
+    certify: Callable[[np.ndarray, float], float],
 ):
     """Certified minimization of a Lipschitz function over a box.
 
     ``fn`` is batched ((m, d) -> (m,)); ``axis_rate[j]`` bounds the
     objective change per unit move along axis j, so a cell with half-widths
-    h has the sound lower bound f(center) - h . axis_rate.  Cells that
-    cannot beat the incumbent are pruned; surviving cells split 3x per
-    active axis.  Returns (best_point, best_value, lower_bound, evals, note).
+    h has the sound lower bound f(center) - h . axis_rate.
+    ``polish(y, value, budget)`` refines an incumbent locally and returns
+    (y, value, evals); ``certify(y, value)`` returns a sound lower bound on
+    the minimum.  The best seed is polished and certified before the first
+    tiling, and so is every incumbent a tiling improves; the search returns
+    as soon as the gap meets its target.  Otherwise cells that cannot beat
+    the incumbent are pruned and surviving cells split 3x per active axis.
+    Returns (best_point, best_value, gap, evals, note).
     """
     d = lo.size
     span = hi - lo
     active = span > 1e-15 * (1.0 + np.abs(hi).max())
     note = ""
-    evals = 0
+    seeds = np.clip(seeds, lo, hi)
+    vals = fn(seeds)
+    evals = seeds.shape[0]
+    k = int(np.argmin(vals))
 
-    best_val = math.inf
-    best_pt = (lo + hi) / 2.0
-    if seeds.size:
-        seeds = np.clip(seeds, lo, hi)
-        vals = fn(seeds)
-        evals += seeds.shape[0]
-        k = int(np.argmin(vals))
-        best_val, best_pt = float(vals[k]), seeds[k].copy()
+    def settle(y, value):
+        nonlocal evals
+        y, value, spent = polish(y, value, budget - evals)
+        evals += spent
+        return y, value, certify(y, value)
 
+    best_pt, best_val, cert = settle(seeds[k].copy(), float(vals[k]))
+    if _meets_target(best_val - cert, best_val):
+        return best_pt, best_val, max(0.0, best_val - cert), evals, note
     if not active.any():
         # box is numerically a point; charge its full extent to the bound
-        return best_pt, best_val, best_val - float(span @ axis_rate), evals, note
+        gap = best_val - max(cert, best_val - float(span @ axis_rate))
+        return best_pt, best_val, gap, evals, "" if _meets_target(gap, best_val) else "gap target missed"
 
     # initial tiling of the box
     splits = np.where(active, {1: 24, 2: 14, 3: 8}.get(int(active.sum()), 6), 1)
@@ -275,7 +329,7 @@ def _branch_bound(
     halves = span / splits / 2.0
 
     dropped_lower = math.inf
-    lower = -math.inf
+    lower = cert
     cell_cap = 30_000
     split_budget = budget - min(2000, budget // 5)  # reserve room for the polish
     for _generation in range(64):
@@ -283,18 +337,18 @@ def _branch_bound(
         evals += centers.shape[0]
         k = int(np.argmin(vals))
         if float(vals[k]) < best_val:
-            best_val, best_pt = float(vals[k]), centers[k].copy()
+            best_pt, best_val, new_cert = settle(centers[k].copy(), float(vals[k]))
+            cert = max(cert, new_cert)
         radius = float(halves @ axis_rate)
         bounds = vals - radius
-        lower = min(float(bounds.min()), dropped_lower, best_val)
-        gap = best_val - lower
-        if gap <= GAP_REL * (1.0 + best_val):
-            break
+        lower = max(cert, min(float(bounds.min()), dropped_lower, best_val))
+        if _meets_target(best_val - lower, best_val):
+            return best_pt, best_val, max(0.0, best_val - lower), evals, note
         keep = bounds < best_val
         if not keep.any():
             # bound-pruned cells cannot beat the incumbent, but cells dropped
             # earlier to the budget cap still might
-            lower = min(best_val, dropped_lower)
+            lower = max(cert, min(best_val, dropped_lower))
             break
         survivors = centers[keep]
         order = np.argsort(bounds[keep], kind="stable")
@@ -324,27 +378,51 @@ def _branch_bound(
     else:
         note = "generation cap reached"
 
-    # pattern-search polish: can only lower the incumbent value
-    step = float(halves.max())
-    scale = 1.0 + float(np.abs(hi).max())
-    dirs = [np.eye(d)[j] for j in range(d) if active[j]]
-    if dirs:
-        dirs.append(np.where(active, 1.0, 0.0) / math.sqrt(max(1, int(active.sum()))))
-    while step > 1e-12 * scale and evals < budget and dirs:
-        improved = False
-        for direction in dirs:
-            for sign in (1.0, -1.0):
-                cand = np.clip(best_pt + sign * step * direction, lo, hi)
-                val = float(fn(cand[None, :])[0])
-                evals += 1
-                if val < best_val - 1e-15:
-                    best_val, best_pt = val, cand
-                    improved = True
-        if not improved:
-            step *= 0.5
+    # the polishes can only lower the incumbent value
+    best_pt, best_val, spent = _compass_polish(
+        fn, best_pt, best_val, lo, hi, float(halves.max()), budget - evals
+    )
+    evals += spent
+    best_pt, best_val, new_cert = settle(best_pt, best_val)
+    lower = max(lower, new_cert)
+    gap = best_val - min(lower, best_val)
+    if _meets_target(gap, best_val):
+        note = ""
+    elif not note:
+        note = "gap target missed"
+    return best_pt, best_val, gap, evals, note
 
-    lower = min(lower, best_val)
-    return best_pt, best_val, max(lower, -math.inf), evals, note
+
+def _compass_polish(
+    fn: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
+    value: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    step: float,
+    budget: int,
+):
+    """Pattern search from y: poll +-step along each free axis and the
+    diagonal in one batch, move to the best poll that lowers the value,
+    halve the step when none does.  Returns (y, value, evals)."""
+    active = hi > lo
+    dirs = np.eye(lo.size)[active]
+    if not dirs.size:
+        return y, value, 0
+    dirs = np.vstack([dirs, active / math.sqrt(dirs.shape[0])])
+    polls = np.vstack([dirs, -dirs])
+    scale = 1.0 + float(np.abs(hi).max())
+    evals = 0
+    while step > 1e-12 * scale and evals + polls.shape[0] <= budget:
+        cands = np.clip(y + step * polls, lo, hi)
+        vals = fn(cands)
+        evals += polls.shape[0]
+        k = int(np.argmin(vals))
+        if float(vals[k]) < value - 1e-15:
+            y, value = cands[k], float(vals[k])
+        else:
+            step *= 0.5
+    return y, value, evals
 
 
 def _objective_fn(
@@ -400,6 +478,19 @@ def _term_gradients(zs: np.ndarray, p: float, y: np.ndarray, dists: np.ndarray):
     return grads / np.where(dual > 1.0 + 1e-9, dual, 1.0)[:, None]
 
 
+def _reach(residual: Norm, y: np.ndarray, zs: np.ndarray) -> float:
+    """Distance from y to the farthest corner of the reports' bounding box.
+
+    Clamping onto that box never increases either objective, so a
+    minimizer lies within this distance of y.
+    """
+    lo, hi = zs.min(axis=0), zs.max(axis=0)
+    corners = np.stack(
+        np.meshgrid(*[(lo[j], hi[j]) for j in range(lo.size)], indexing="ij"), axis=-1
+    ).reshape(-1, lo.size)
+    return float(residual.eval_many(corners - y[None, :]).max())
+
+
 def _min_norm_point(grads: np.ndarray) -> np.ndarray:
     """Shortest vector in the convex hull of the given rows.
 
@@ -431,6 +522,7 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
 
 
 def _mc_steepest_polish(
+    fn: Callable[[np.ndarray], np.ndarray],
     zs: np.ndarray,
     residual: Norm,
     y: np.ndarray,
@@ -443,17 +535,15 @@ def _mc_steepest_polish(
     Compass search stalls at kink points of a max-of-distances function;
     the steepest-descent direction there is the shortest vector in the
     convex hull of the band-active term gradients.  Needed so the
-    active-set certificate sees balanced terms.
+    active-set certificate sees balanced terms.  Returns (y, value, evals).
     """
-    if not 1.0 < residual.p < math.inf:
-        return y, value, 0
     evals = 0
     tau = 1e-2 * (1.0 + value)
-    for _ in range(80):
+    for _ in range(200):
         if tau < 1e-11 * (1.0 + value):
             break
         dists = residual.eval_many(y[None, :] - zs)
-        evals += zs.shape[0]
+        evals += 1
         value = float(dists.max())
         scale = 1.0 + float(np.abs(zs).max())
         active = dists >= value - tau
@@ -465,47 +555,32 @@ def _mc_steepest_polish(
         if gnorm < 1e-14:
             tau /= 4.0
             continue
-        direction = -combo / gnorm
-        improved = False
-        step = tau / gnorm
-        for _halving in range(12):
-            cand = np.clip(y + step * direction, lo, hi)
-            cand_val = float(residual.eval_many(cand[None, :] - zs).max())
-            evals += zs.shape[0]
-            if cand_val < value - 1e-15:
-                y, value = cand, cand_val
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
+        # the step tau / |combo| halved 0..11 times, scored in one batch
+        steps = (tau / gnorm) * 0.5 ** np.arange(12.0)
+        cands = np.clip(y[None, :] - steps[:, None] * (combo / gnorm)[None, :], lo, hi)
+        vals = fn(cands)
+        evals += steps.size
+        better = np.flatnonzero(vals < value - 1e-15)
+        if better.size:
+            y, value = cands[better[0]], float(vals[better[0]])
+        else:
             tau /= 4.0
     return y, value, evals
 
 
 def _mc_subgradient_lower_bound(
-    zs: np.ndarray,
-    residual: Norm,
-    y: np.ndarray,
-    value: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    zs: np.ndarray, residual: Norm, y: np.ndarray, value: float
 ) -> float:
     """Active-set certificate for the minimax center (a kink point).
 
     For any weights lam over terms within eps of the max, every x satisfies
     mc(x) >= mc(y) - eps + (sum lam_i grad_i) . (x - y), so the optimum is
-    bounded below by value - eps - ||sum lam grad||_dual * D with D the
-    farthest box corner.  Several eps levels are tried; each is valid.
+    bounded below by value - eps - ||sum lam grad||_dual * R with R the
+    reach of the bounding box.  Several eps levels are tried; each is valid.
     """
-    if not 1.0 < residual.p < math.inf:
-        return -math.inf
-    diffs = y[None, :] - zs
-    dists = residual.eval_many(diffs)
+    dists = residual.eval_many(y[None, :] - zs)
     scale = 1.0 + float(np.abs(zs).max())
-    corners = np.stack(
-        np.meshgrid(*[(lo[j], hi[j]) for j in range(lo.size)], indexing="ij"), axis=-1
-    ).reshape(-1, lo.size)
-    reach = float(residual.eval_many(corners - y[None, :]).max())
+    reach = _reach(residual, y, zs)
     best = -math.inf
     for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
         eps = eps_rel * (1.0 + value)
@@ -518,10 +593,70 @@ def _mc_subgradient_lower_bound(
     return best
 
 
+def _sc_newton(
+    fn: Callable[[np.ndarray], np.ndarray],
+    zs: np.ndarray,
+    residual: Norm,
+    y: np.ndarray,
+    value: float,
+    budget: int,
+):
+    """Damped Newton descent on sum_i ||y - z_i||_p for 1 < p < inf.
+
+    The Hessian of ||u||_p is (p-1)/||u|| (diag(r^(p-2)) - g g^T) with
+    r = |u|/||u|| and g the gradient.  At a report, where that term has no
+    gradient, the step follows the steepest descent direction of the sum
+    instead, and the descent stops when Kuhn's condition says the report
+    is optimal.  Each step is scored halved 0..20 times in one batch and
+    the best is taken; the descent stops when none lowers the value.
+    Returns (y, value, evals).
+    """
+    p = residual.p
+    q = p / (p - 1.0)
+    shrink = 0.5 ** np.arange(21.0)
+    scale = 1.0 + float(np.abs(zs).max())
+    evals = 0
+    for _ in range(30):
+        if evals + shrink.size > budget:
+            break
+        diffs = y[None, :] - zs
+        dists = residual.eval_many(diffs)
+        at = dists < 1e-12 * scale
+        grads = _term_gradients(zs[~at], p, y, dists[~at])
+        if at.any():
+            grad = grads.sum(axis=0)
+            gnorm = _dual_norm(p, grad)
+            if gnorm <= at.sum():
+                break
+            # along -h for the unit h with grad . h = gnorm, out to the nearest other report
+            step = -np.sign(grad) * (np.abs(grad) / gnorm) ** (q - 1.0) * float(dists[~at].min())
+        else:
+            ratios = np.maximum(np.abs(diffs) / dists[:, None], 1e-12)
+            curv = (p - 1.0) / dists
+            hess = np.diag((curv[:, None] * ratios ** (p - 2.0)).sum(axis=0))
+            hess -= np.einsum("i,ij,ik->jk", curv, grads, grads)
+            hess += 1e-12 * float(np.trace(hess)) * np.eye(y.size)
+            try:
+                step = np.linalg.solve(hess, -grads.sum(axis=0))
+            except np.linalg.LinAlgError:
+                break
+        if not np.all(np.isfinite(step)):
+            break
+        cands = y[None, :] + shrink[:, None] * step[None, :]
+        vals = fn(cands)
+        evals += shrink.size
+        k = int(np.argmin(vals))
+        if not float(vals[k]) < value:
+            break
+        y, value = cands[k], float(vals[k])
+    return y, value, evals
+
+
 def _sc_gradient_lower_bound(
     zs: np.ndarray, residual: Norm, y: np.ndarray, value: float
 ) -> float:
-    """Convexity certificate: sc(opt) >= sc(y) - ||grad||_dual * hull radius.
+    """Convexity certificate: sc(opt) >= sc(y) - ||grad||_dual * R, with R
+    the reach of the bounding box.
 
     Valid for differentiable residual norms (1 < p < inf) whenever y avoids
     the data points; returns -inf when it does not apply.
@@ -533,7 +668,37 @@ def _sc_gradient_lower_bound(
     if float(dists.min()) < 1e-12 * scale:
         return -math.inf
     grad = _term_gradients(zs, residual.p, y, dists).sum(axis=0)
-    return value - _dual_norm(residual.p, grad) * float(dists.max())
+    return value - _dual_norm(residual.p, grad) * _reach(residual, y, zs)
+
+
+def _sc_report_bound(zs: np.ndarray, residual: Norm):
+    """Kuhn's optimality condition at the reports, as a lower bound.
+
+    At a report z_k of multiplicity m the coincident terms contribute any
+    m s with ||s||_dual <= 1 to the subgradient, and the others the sum g
+    of their gradients, so sc >= sc(z_k) - max(0, ||g||_dual - m) * R_k
+    (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).  Returns
+    (bound, z_k, sc(z_k)) for the report with the best bound, or
+    (-inf, None, inf) unless 1 < p < inf.
+    """
+    best = (-math.inf, None, math.inf)
+    if not residual.strictly_convex:
+        return best
+    for zk in _distinct_rows(zs):
+        dists = residual.eval_many(zk[None, :] - zs)
+        away = dists > 0.0
+        grad = _term_gradients(zs[away], residual.p, zk, dists[away]).sum(axis=0)
+        excess = max(0.0, _dual_norm(residual.p, grad) - float((~away).sum()))
+        value = float(dists.sum())
+        lower = value - excess * _reach(residual, zk, zs)
+        if lower > best[0]:
+            best = (lower, zk, value)
+    return best
+
+
+def _diameter(zs: np.ndarray, residual: Norm) -> float:
+    diffs = zs[:, None, :] - zs[None, :, :]
+    return float(residual.eval_many(diffs.reshape(-1, zs.shape[1])).max())
 
 
 def opt_social_cost(
@@ -544,9 +709,11 @@ def opt_social_cost(
 ) -> OptResult:
     """Certified geometric-median benchmark (social-cost optimum).
 
-    method: "auto" picks Weiszfeld for every p = 2 norm and
-    branch-and-bound otherwise; "weiszfeld" / "grid" force a route (the
-    two stay independent so they can cross-check each other).
+    method: "auto" takes the closed form where one exists (L1, Linf in
+    d = 2, every p in d = 1; route "exact", gap 0), Weiszfeld for the
+    other p = 2 norms and the certified branch-and-bound otherwise;
+    "weiszfeld" / "grid" force a route (the two stay independent of each
+    other and of the closed forms, so they can cross-check them).
     """
     xs = profile.as_array
     distinct = _distinct_rows(xs)
@@ -563,22 +730,31 @@ def opt_social_cost(
         raise ValueError("weiszfeld route requires a Euclidean-reducible norm")
 
     zs, residual, inv = _working_space(profile, norm)
-    if norm.p == 2.0 and method != "grid":
+    fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
+    exact = _exact_point(Objective.SOCIAL_COST, zs, norm.p) if method == "auto" else None
+    if exact is not None:
+        route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
+        value = float(fn(exact[None, :])[0])
+    elif norm.p == 2.0 and method != "grid":
         route = "weiszfeld"
-        z, value, gap, evals, note = _weiszfeld(zs, budget)
+        lower, z, value = _sc_report_bound(zs, residual)
+        if method == "auto" and _meets_target(value - lower, value):
+            gap, evals, note = value - lower, profile.n, ""
+        else:
+            z, value, gap, evals, note = _weiszfeld(zs, budget)
     else:
         route = "grid"
-        fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
-        rates = np.full(profile.d, float(profile.n))
-        z, value, lower, evals, note = _branch_bound(
-            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs)
-        )
         # the sum of distances is at least the profile diameter (n >= 2)
-        diam = profile.diameter(norm)
-        lower = max(lower, diam, _sc_gradient_lower_bound(zs, residual, z, value))
-        gap = max(0.0, value - lower)
-        if gap <= GAP_REL * (1.0 + value):
-            note = ""
+        floor = max(_diameter(zs, residual), _sc_report_bound(zs, residual)[0])
+        if residual.strictly_convex:
+            polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
+        else:
+            polish = lambda y, v, b: (y, v, 0)
+        certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
+        rates = np.full(profile.d, float(profile.n))
+        z, value, gap, evals, note = _branch_bound(
+            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs), polish, certify
+        )
     pt = Point.from_array(z if inv is None else z @ inv.T)
     return OptResult(pt, value, gap, route, evals, note)
 
@@ -589,9 +765,11 @@ def opt_max_cost(
     """Certified minimax-center benchmark (maximum-cost optimum).
 
     Two distinct support points: their midpoint halves the diameter and is
-    exactly optimal under any norm (gap 0).  General case: Lipschitz
-    branch-and-bound, with half the profile diameter as an extra certified
-    lower bound.
+    exactly optimal under any norm (gap 0).  Linf, L1 in d = 2 and every p
+    in d = 1 have the bounding-box center as a closed form (route "exact",
+    gap 0).  Otherwise: the certified branch-and-bound, polished along
+    min-norm subgradients and certified by the active set, with half the
+    profile diameter as an extra lower bound.
     """
     xs = profile.as_array
     distinct = _distinct_rows(xs)
@@ -606,20 +784,24 @@ def opt_max_cost(
     zs, residual, inv = _working_space(profile, norm)
     lo, hi = zs.min(axis=0), zs.max(axis=0)
     fn = _objective_fn(Objective.MAX_COST, zs, residual)
-    z, value, lower, evals, note = _branch_bound(
-        fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs)
-    )
-    z, value, polish_evals = _mc_steepest_polish(zs, residual, z, value, lo, hi)
-    evals += polish_evals
-    half_diam = profile.diameter(norm) / 2.0
-    lower = max(
-        lower, half_diam, _mc_subgradient_lower_bound(zs, residual, z, value, lo, hi)
-    )
-    gap = max(0.0, value - lower)
-    if gap <= GAP_REL * (1.0 + value):
-        note = ""
+    exact = _exact_point(Objective.MAX_COST, zs, norm.p)
+    if exact is not None:
+        route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
+        value = float(fn(exact[None, :])[0])
+    else:
+        route = "grid"
+        half_diam = _diameter(zs, residual) / 2.0
+        if residual.strictly_convex:
+            polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
+            certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
+        else:
+            polish = lambda y, v, b: (y, v, 0)
+            certify = lambda y, v: half_diam
+        z, value, gap, evals, note = _branch_bound(
+            fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify
+        )
     pt = Point.from_array(z if inv is None else z @ inv.T)
-    return OptResult(pt, value, gap, "grid", evals, note)
+    return OptResult(pt, value, gap, route, evals, note)
 
 
 def opt_cost(

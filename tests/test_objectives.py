@@ -284,42 +284,101 @@ class TestApproxRatio:
             assert rr.lo - 1e-12 <= rr.ratio <= rr.hi + 1e-12
 
     def test_exact_ratio_inside_zero_gap_interval(self):
-        # two distinct integer locations: the mc optimum is their midpoint
-        # (gap 0), and under lp:1 with float weights or transform, cost and
-        # optimum are both rational; the transformed case is ill-conditioned,
-        # with reports far from the origin relative to their spread
-        cases = [("lp:1;w=1,3", (0, 0)), ("lp:1;A=1,-1,0,1e-3", (10**6, 10**6))]
+        # every closed-form route certifies gap 0; with integer reports and
+        # float weights or transform, rand_center's cost and the optimum are
+        # both rational.  The transformed cases are ill-conditioned, with
+        # reports far from the origin relative to their spread.  Two
+        # locations take the midpoint route, three or more the median and
+        # box-center routes (in d = 2 also after the 45-degree rotation).
+        far2, far3 = (10**6, 10**6), (10**6, 10**6, 10**6)
+        ill2, ill3 = "A=1,-1,0,1e-3", "A=1,-1,0,0,1e-3,0,0,0,1"
+        cases = [
+            (MC, "lp:1;w=1,3", (0, 0), 2),
+            (MC, "lp:1;" + ill2, far2, 2),
+            (SC, "lp:1;w=1,3", (0, 0), 3),
+            (SC, "lp:1;" + ill2, far2, 3),
+            (SC, "lp:1;w=1,3,2", (0, 0, 0), 3),
+            (SC, "lp:1;" + ill3, far3, 3),
+            (MC, "lp:inf;w=1,3", (0, 0), 3),
+            (MC, "lp:inf;" + ill2, far2, 3),
+            (MC, "lp:inf;w=1,3,2", (0, 0, 0), 3),
+            (MC, "lp:inf;" + ill3, far3, 3),
+            (MC, "lp:1;w=1,3", (0, 0), 3),
+            (MC, "lp:1;" + ill2, far2, 3),
+            (SC, "lp:inf;w=1,3", (0, 0), 3),
+            (SC, "lp:inf;" + ill2, far2, 3),
+        ]
         rng = np.random.default_rng(7)
-        for text, base in cases:
+        for objective, text, base, locations in cases:
             norm = parse_norm(text)
-            rows_a = [tuple(Fraction(c) for c in row) for row in norm.transform or ((1, 0), (0, 1))]
-            scales = [Fraction(w) for w in norm.weights or (1, 1)]
+            d = len(base)
+            rows_a = [tuple(Fraction(c) for c in row) for row in norm.transform or np.eye(d)]
+            scales = [Fraction(w) for w in norm.weights or (1,) * d]
+
+            def working(u):
+                # working coordinates: the weights scale the transformed rows
+                return [w * sum(r * c for r, c in zip(row, u)) for w, row in zip(scales, rows_a)]
 
             def dist(u, v):
-                diff = [a - b for a, b in zip(u, v)]
-                return sum(w * abs(sum(r * c for r, c in zip(row, diff)))
-                           for w, row in zip(scales, rows_a))
+                z = [abs(c) for c in working([a - b for a, b in zip(u, v)])]
+                return sum(z) if norm.p == 1 else max(z)
 
             checked = 0
-            for n in (2, 3, 4, 5):
-                for _ in range(50):
-                    a, b = (tuple(int(o + c) for o, c in zip(base, rng.integers(-6, 7, size=2)))
-                            for _ in range(2))
-                    if a == b:
+            for n in (locations, locations + 1, locations + 2, 6):
+                for _ in range(50 if locations == 2 else 20):
+                    spots = {tuple(int(o + c) for o, c in zip(base, rng.integers(-6, 7, size=d)))
+                             for _ in range(locations)}
+                    if len(spots) < locations:
                         continue
-                    rows = [a, b] + [a if flip else b for flip in rng.integers(0, 2, size=n - 2)]
+                    spots = sorted(spots)
+                    rows = spots + [spots[k] for k in rng.integers(0, locations, size=n - locations)]
                     pts = [tuple(Fraction(c) for c in row) for row in rows]
                     mean = tuple(sum(c) / n for c in zip(*pts))
                     atoms = [(Fraction(1, 2), mean)] + [(Fraction(1, 2 * n), p) for p in pts]
-                    cost = sum(w * max(dist(x, p) for p in pts) for w, x in atoms)
-                    exact = cost / (dist(a, b) / 2)
+                    agg = max if objective is MC else sum
+                    cost = sum(w * agg(dist(x, p) for p in pts) for w, x in atoms)
+                    exact = cost / _exact_polyhedral_optimum(objective, norm.p, [working(p) for p in pts])
                     rr = approx_ratio(
-                        MechanismSpec("rand_center"), Profile.from_rows(rows), norm, MC
+                        MechanismSpec("rand_center"), Profile.from_rows(rows), norm, objective
                     )
-                    assert rr.opt.certified_gap == 0.0
+                    assert rr.opt.certified_gap == 0.0, (text, rows)
                     assert Fraction(rr.lo) <= exact <= Fraction(rr.hi), (text, rows, rr.lo, rr.hi)
                     checked += 1
-            assert checked > 150
+            assert checked > (150 if locations == 2 else 60), (text, checked)
+
+    def test_l1_social_cost_ratio_is_exact(self):
+        # the coordinate median is the exact L1 social-cost optimum (3.8, so
+        # the ratio is 4.4 / 3.8); branch-and-bound used to spend its budget
+        # and certify only [1.1529, 1.1629]
+        prof = Profile.from_rows([(0.2, 0.1), (1.3, -0.4), (0.7, 0.9), (-0.5, 0.3)])
+        rr = approx_ratio(MechanismSpec("rand_center"), prof, Norm(1.0), SC)
+        assert rr.opt.certified_gap == 0.0
+        assert Fraction(rr.lo) <= Fraction(22, 19) <= Fraction(rr.hi)
+        assert rr.hi - rr.lo < 1e-12
+
+
+def _exact_polyhedral_optimum(objective, p, zs):
+    """Closed-form optimum on exact working coordinates zs (p = 1 or inf).
+
+    L1 social cost is a sum of per-coordinate median deviations and Linf max
+    cost the largest half-range; in d = 2, (u, v) = (z1 + z2, z1 - z2) maps
+    L1 max cost and Linf social cost onto those two.
+    """
+    def deviation(col):
+        med = sorted(col)[(len(col) - 1) // 2]
+        return sum(abs(c - med) for c in col)
+
+    def half_range(col):
+        return (max(col) - min(col)) / 2
+
+    if (objective is SC) == (p == 1):
+        cols = list(zip(*zs))
+    else:
+        cols = [[a + b for a, b in zs], [a - b for a, b in zs]]
+    if objective is SC:
+        total = sum(deviation(col) for col in cols)
+        return total if p == 1 else total / 2
+    return max(half_range(col) for col in cols)
 
 
 def _scalar_norm(norm, vec):
@@ -439,3 +498,23 @@ def test_gradient_certificate_sound_at_coordinate_tie():
     for p in (1e15, 1e300):
         lower = _sc_gradient_lower_bound(zs, Norm(p), np.zeros(2), 3.0)
         assert lower <= opt_social_cost(prof, Norm(p)).value
+
+
+@pytest.mark.parametrize(
+    "p, rows",
+    [
+        (1.5, [(-1, -2), (2, -4), (3, -2), (4, -2), (1, -3), (3, -2)]),
+        (3.0, [(0, -3), (-1, -1), (-4, 2), (-2, 2)]),
+        (3.0, [(4, -3), (-1, 3), (4, -3), (-1, 0)]),
+    ],
+)
+def test_data_point_certificate_against_grid(p, rows):
+    # the social-cost optimum is a report, where the gradient certificate
+    # does not apply; branch-and-bound alone missed the target on all three
+    prof = Profile.from_rows(rows)
+    norm = Norm(p)
+    res = opt_social_cost(prof, norm)
+    assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+    lo, hi = prof.bounding_box()
+    grid_min, _ = brute_force_minimize(lambda x: brute_social_cost(prof, norm, x), lo, hi)
+    assert res.value - res.certified_gap <= grid_min + 1e-9
