@@ -58,7 +58,7 @@ from .geometry import (
 )
 
 DEFAULT_BUDGET = 60_000
-GAP_REL = 1e-6  # certified_gap target: <= GAP_REL * (1 + value)
+GAP_REL = 1e-6  # certified_gap target: <= GAP_REL * (min(1, extent) + value)
 RATIO_ULPS = 4  # rounding of one computed cost or optimum, in ulps of its size
 
 
@@ -141,46 +141,68 @@ def point_cost(objective: Objective, y: Point, profile: Profile, norm: Norm) -> 
 
 # -- working coordinates -----------------------------------------------------
 #
-# Optimization always runs in coordinates z = M x.  M is the norm's
-# transform with the weights folded in as a row scaling (w**(1/p), or w for
-# p = inf), so distances equal plain p-norms of z-differences.  That residual
-# is coordinate-monotone, which makes the bounding box rigorous, moves by at
-# most one per unit axis step, and is Euclidean whenever p = 2.
+# Optimization always runs in coordinates z = (M x - c) / s.  M is the
+# norm's transform with the weights folded in as a row scaling (w**(1/p), or
+# w for p = inf), so distances equal s times plain p-norms of z-differences.
+# That residual is coordinate-monotone, which makes the bounding box
+# rigorous, moves by at most one per unit axis step, and is Euclidean
+# whenever p = 2.  Translating by the centroid c and dividing by the extent s
+# gives every working profile unit extent, so tolerances, powers and the gap
+# target mean the same at 1e-300 as at 1e200.
 
 
 def _working_space(profile: Profile, norm: Norm):
-    """Mapped reports, the plain residual p-norm, and inv(M) (None for M = I)."""
+    """Working reports, the plain residual p-norm, the extent s, and the map back.
+
+    ``to_x(z)`` maps a working point to report coordinates; a working
+    report maps to its report exactly.
+    """
     xs = profile.as_array
-    residual = Norm(norm.p)
-    if norm.weights is None and norm.transform is None:
-        return xs, residual, None
-    if norm.dim != profile.d:
-        raise DimensionMismatch(f"norm expects dimension {norm.dim}, got {profile.d}")
-    mat = np.eye(profile.d) if norm.transform is None else np.asarray(norm.transform, dtype=float)
-    if norm.weights is not None:
-        w = np.asarray(norm.weights, dtype=float)
-        mat = (w if norm.p == math.inf else w ** (1.0 / norm.p))[:, None] * mat
-    return xs @ mat.T, residual, np.linalg.inv(mat)
+    mapped, inv = xs, None
+    if norm.weights is not None or norm.transform is not None:
+        if norm.dim != profile.d:
+            raise DimensionMismatch(f"norm expects dimension {norm.dim}, got {profile.d}")
+        mat = np.eye(profile.d) if norm.transform is None else np.asarray(norm.transform, dtype=float)
+        if norm.weights is not None:
+            w = np.asarray(norm.weights, dtype=float)
+            mat = (w if norm.p == math.inf else w ** (1.0 / norm.p))[:, None] * mat
+        mapped, inv = xs @ mat.T, np.linalg.inv(mat)
+    center = mapped.mean(axis=0)
+    extent = float(np.abs(mapped - center).max()) or 1.0
+    zs = (mapped - center) / extent
+
+    def to_x(z: np.ndarray) -> np.ndarray:
+        hit = np.flatnonzero((zs == z).all(axis=1))
+        if hit.size:
+            return xs[hit[0]]
+        y = z * extent + center
+        return y if inv is None else y @ inv.T
+
+    return zs, Norm(norm.p), extent, to_x
 
 
 def _distinct_rows(arr: np.ndarray) -> np.ndarray:
     return np.unique(arr, axis=0)
 
 
-def _meets_target(gap: float, value: float) -> bool:
-    return gap <= GAP_REL * (1.0 + value)
+def _meets_target(gap: float, value: float, unit: float) -> bool:
+    """The gap target in working coordinates, where ``unit`` is min(1, 1/s):
+    GAP_REL * (1 + value) in report coordinates, but relative to the extent
+    for a profile smaller than 1."""
+    return gap <= GAP_REL * (unit + value)
 
 
 # -- Weiszfeld ----------------------------------------------------------------
 
 
-def _weiszfeld(zs: np.ndarray, budget: int):
+def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
     """Geometric median of rows of zs under the plain Euclidean norm.
 
     Returns (point array, value, gap, evals, note).  The coincidence guard tests
     the subgradient optimality condition whenever an iterate lands on a
     data point; if it holds the point is exactly optimal (gap 0), otherwise
-    a finite descent step escapes the singularity.
+    a finite descent step escapes the singularity.  ``unit`` scales the gap
+    target (see :func:`_meets_target`).
     """
     n = zs.shape[0]
     scale = 1.0 + float(np.abs(zs).max())
@@ -216,7 +238,7 @@ def _weiszfeld(zs: np.ndarray, budget: int):
                 # subgradient condition holds: the data point is optimal
                 return anchor, value, 0.0, evals, ""
             gap = max(0.0, best_val - opt_lb)
-            if _meets_target(gap, best_val):
+            if _meets_target(gap, best_val, unit):
                 return best_m, best_val, gap, evals, ""
             # escape the singularity with an explicit descent step
             inv_sum = float((1.0 / d_exact[away]).sum())
@@ -230,14 +252,14 @@ def _weiszfeld(zs: np.ndarray, budget: int):
         if value < best_val:
             best_val, best_m = value, m.copy()
         gap = max(0.0, best_val - opt_lb)
-        if _meets_target(gap, best_val):
+        if _meets_target(gap, best_val, unit):
             return best_m, best_val, gap, evals, ""
         w = 1.0 / dist
         m = (zs * w[:, None]).sum(axis=0) / w.sum()
     note = "budget exhausted before gap target"
     opt_lb = max(opt_lb, diam)
     gap = max(0.0, best_val - opt_lb) if math.isfinite(best_val) else math.inf
-    if _meets_target(gap, best_val):
+    if _meets_target(gap, best_val, unit):
         note = ""
     return best_m, best_val, gap, evals, note
 
@@ -282,6 +304,7 @@ def _branch_bound(
     seeds: np.ndarray,
     polish: Callable,
     certify: Callable[[np.ndarray, float], float],
+    unit: float,
 ):
     """Certified minimization of a Lipschitz function over a box.
 
@@ -294,6 +317,7 @@ def _branch_bound(
     tiling, and so is every incumbent a tiling improves; the search returns
     as soon as the gap meets its target.  Otherwise cells that cannot beat
     the incumbent are pruned and surviving cells split 3x per active axis.
+    ``unit`` scales the gap target (see :func:`_meets_target`).
     Returns (best_point, best_value, gap, evals, note).
     """
     d = lo.size
@@ -312,12 +336,12 @@ def _branch_bound(
         return y, value, certify(y, value)
 
     best_pt, best_val, cert = settle(seeds[k].copy(), float(vals[k]))
-    if _meets_target(best_val - cert, best_val):
+    if _meets_target(best_val - cert, best_val, unit):
         return best_pt, best_val, max(0.0, best_val - cert), evals, note
     if not active.any():
         # box is numerically a point; charge its full extent to the bound
         gap = best_val - max(cert, best_val - float(span @ axis_rate))
-        return best_pt, best_val, gap, evals, "" if _meets_target(gap, best_val) else "gap target missed"
+        return best_pt, best_val, gap, evals, "" if _meets_target(gap, best_val, unit) else "gap target missed"
 
     # initial tiling of the box
     splits = np.where(active, {1: 24, 2: 14, 3: 8}.get(int(active.sum()), 6), 1)
@@ -342,7 +366,7 @@ def _branch_bound(
         radius = float(halves @ axis_rate)
         bounds = vals - radius
         lower = max(cert, min(float(bounds.min()), dropped_lower, best_val))
-        if _meets_target(best_val - lower, best_val):
+        if _meets_target(best_val - lower, best_val, unit):
             return best_pt, best_val, max(0.0, best_val - lower), evals, note
         keep = bounds < best_val
         if not keep.any():
@@ -386,7 +410,7 @@ def _branch_bound(
     best_pt, best_val, new_cert = settle(best_pt, best_val)
     lower = max(lower, new_cert)
     gap = best_val - min(lower, best_val)
-    if _meets_target(gap, best_val):
+    if _meets_target(gap, best_val, unit):
         note = ""
     elif not note:
         note = "gap target missed"
@@ -729,19 +753,19 @@ def opt_social_cost(
     if method == "weiszfeld" and norm.p != 2.0:
         raise ValueError("weiszfeld route requires a Euclidean-reducible norm")
 
-    zs, residual, inv = _working_space(profile, norm)
+    zs, residual, extent, to_x = _working_space(profile, norm)
+    unit = min(1.0, 1.0 / extent)
     fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
     exact = _exact_point(Objective.SOCIAL_COST, zs, norm.p) if method == "auto" else None
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
-        value = float(fn(exact[None, :])[0])
     elif norm.p == 2.0 and method != "grid":
         route = "weiszfeld"
         lower, z, value = _sc_report_bound(zs, residual)
-        if method == "auto" and _meets_target(value - lower, value):
+        if method == "auto" and _meets_target(value - lower, value, unit):
             gap, evals, note = value - lower, profile.n, ""
         else:
-            z, value, gap, evals, note = _weiszfeld(zs, budget)
+            z, value, gap, evals, note = _weiszfeld(zs, budget, unit)
     else:
         route = "grid"
         # the sum of distances is at least the profile diameter (n >= 2)
@@ -753,10 +777,9 @@ def opt_social_cost(
         certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
         rates = np.full(profile.d, float(profile.n))
         z, value, gap, evals, note = _branch_bound(
-            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs), polish, certify
+            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs), polish, certify, unit
         )
-    pt = Point.from_array(z if inv is None else z @ inv.T)
-    return OptResult(pt, value, gap, route, evals, note)
+    return _result(Objective.SOCIAL_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
 
 
 def opt_max_cost(
@@ -781,13 +804,13 @@ def opt_max_cost(
         value = norm((a - b) / 2.0)
         return OptResult(mid, value, 0.0, "exact-two-point", 0)
 
-    zs, residual, inv = _working_space(profile, norm)
+    zs, residual, extent, to_x = _working_space(profile, norm)
+    unit = min(1.0, 1.0 / extent)
     lo, hi = zs.min(axis=0), zs.max(axis=0)
     fn = _objective_fn(Objective.MAX_COST, zs, residual)
     exact = _exact_point(Objective.MAX_COST, zs, norm.p)
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
-        value = float(fn(exact[None, :])[0])
     else:
         route = "grid"
         half_diam = _diameter(zs, residual) / 2.0
@@ -798,10 +821,15 @@ def opt_max_cost(
             polish = lambda y, v, b: (y, v, 0)
             certify = lambda y, v: half_diam
         z, value, gap, evals, note = _branch_bound(
-            fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify
+            fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
         )
-    pt = Point.from_array(z if inv is None else z @ inv.T)
-    return OptResult(pt, value, gap, route, evals, note)
+    return _result(Objective.MAX_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
+
+
+def _result(objective, profile, norm, x, gap, route, evals, note) -> OptResult:
+    """The optimizer's point in report coordinates, with its value there."""
+    value = float(_objective_fn(objective, profile.as_array, norm)(x[None, :])[0])
+    return OptResult(Point.from_array(x), value, gap, route, evals, note)
 
 
 def opt_cost(

@@ -467,6 +467,26 @@ def test_weighted_transformed_optima_against_dense_grid(text, objective):
     assert res.value <= grid_min + res.certified_gap + prof.n * h
 
 
+SCALE_PROFILE = ((0.2, 0.1), (1.3, -0.4), (0.7, 0.9), (-0.5, 0.3))
+
+
+@pytest.mark.parametrize("objective", [MC, SC], ids=["mc", "sc"])
+@pytest.mark.parametrize("text", ["lp:1", "lp:2", "lp:3", "lp:inf"])
+def test_ratio_interval_does_not_depend_on_scale(text, objective):
+    # ratios are scale-invariant, and so must be the certified intervals and
+    # their tightness; at 1e-300 the absolute part of the gap target used to
+    # pass loose gaps as met, and at 1e200 Weiszfeld overflowed to a ratio of
+    # 0 with interval [0, inf]
+    norm = parse_norm(text)
+    spec = MechanismSpec("rand_center")
+    unit = approx_ratio(spec, Profile.from_rows(SCALE_PROFILE), norm, objective).ratio
+    for factor in (1e-300, 1e200):
+        scaled = Profile.from_rows(np.array(SCALE_PROFILE) * factor)
+        rr = approx_ratio(spec, scaled, norm, objective)
+        assert rr.lo <= unit <= rr.hi, (factor, rr.lo, rr.ratio, rr.hi)
+        assert rr.hi - rr.lo <= 1e-5 * unit, (factor, rr.lo, rr.ratio, rr.hi)
+
+
 @pytest.mark.parametrize("text", ["lp:3;w=1,2", "lp:2;w=1,2", "lp:1.5;A=1,0.5,0,1"])
 def test_pinned_norm_dimension_checked(text):
     prof = Profile.from_rows([(0, 0, 0), (1, 0, 2), (0, 1, 1)])
