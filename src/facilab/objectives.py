@@ -6,9 +6,11 @@ return a feasible point together with a certified optimality gap, so
 approximation ratios can be reported as intervals instead of overclaimed
 point estimates.
 
-Both optimizers work in coordinates z = M x, where M is the norm's
-transform with the weights folded in as a row scaling.  There the norm is
-the plain p-norm of coordinate differences.
+Both optimizers work in coordinates z = (M x - c) / s, where M is the
+norm's transform with the weights folded in as a row scaling, and c and s
+are the centroid and extent of the mapped reports.  There the norm is s
+times the plain p-norm of coordinate differences, and every profile has
+unit extent whatever its scale.
 
 Certification routes, chosen from the exponent p, the dimension d and the
 objective in working coordinates:
@@ -148,7 +150,8 @@ def point_cost(objective: Objective, y: Point, profile: Profile, norm: Norm) -> 
 # rigorous, moves by at most one per unit axis step, and is Euclidean
 # whenever p = 2.  Translating by the centroid c and dividing by the extent s
 # gives every working profile unit extent, so tolerances, powers and the gap
-# target mean the same at 1e-300 as at 1e200.
+# target mean the same at 1e-300 as at 1e200; the tolerances below are
+# absolute in these coordinates.
 
 
 def _working_space(profile: Profile, norm: Norm):
@@ -205,8 +208,6 @@ def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
     target (see :func:`_meets_target`).
     """
     n = zs.shape[0]
-    scale = 1.0 + float(np.abs(zs).max())
-    snap_eps = GEOM_TOL * scale
     m = zs.mean(axis=0)
     best_val = math.inf
     best_m = m
@@ -222,7 +223,7 @@ def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
         dist = np.linalg.norm(diff, axis=1)
         evals += n
         nearest = int(np.argmin(dist))
-        if dist[nearest] < snap_eps:
+        if dist[nearest] < GEOM_TOL:
             anchor = zs[nearest]
             d_exact = np.linalg.norm(zs - anchor, axis=1)
             away = d_exact > 0.0
@@ -322,7 +323,7 @@ def _branch_bound(
     """
     d = lo.size
     span = hi - lo
-    active = span > 1e-15 * (1.0 + np.abs(hi).max())
+    active = span > 1e-15
     note = ""
     seeds = np.clip(seeds, lo, hi)
     vals = fn(seeds)
@@ -397,7 +398,7 @@ def _branch_bound(
         grid = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, d)
         centers = (survivors[:, None, :] + grid[None, :, :]).reshape(-1, d)
         halves = np.where(active, halves / 3.0, halves)
-        if float(halves.max()) < 1e-13 * (1.0 + np.abs(hi).max()):
+        if float(halves.max()) < 1e-13:
             break
     else:
         note = "generation cap reached"
@@ -435,9 +436,8 @@ def _compass_polish(
         return y, value, 0
     dirs = np.vstack([dirs, active / math.sqrt(dirs.shape[0])])
     polls = np.vstack([dirs, -dirs])
-    scale = 1.0 + float(np.abs(hi).max())
     evals = 0
-    while step > 1e-12 * scale and evals + polls.shape[0] <= budget:
+    while step > 1e-12 and evals + polls.shape[0] <= budget:
         cands = np.clip(y + step * polls, lo, hi)
         vals = fn(cands)
         evals += polls.shape[0]
@@ -569,9 +569,8 @@ def _mc_steepest_polish(
         dists = residual.eval_many(y[None, :] - zs)
         evals += 1
         value = float(dists.max())
-        scale = 1.0 + float(np.abs(zs).max())
         active = dists >= value - tau
-        if float(dists[active].min()) < 1e-12 * scale:
+        if float(dists[active].min()) < 1e-12:
             break  # at a data point; nothing to balance
         grads = _term_gradients(zs[active], residual.p, y, dists[active])
         combo = _min_norm_point(grads)
@@ -603,13 +602,12 @@ def _mc_subgradient_lower_bound(
     reach of the bounding box.  Several eps levels are tried; each is valid.
     """
     dists = residual.eval_many(y[None, :] - zs)
-    scale = 1.0 + float(np.abs(zs).max())
     reach = _reach(residual, y, zs)
     best = -math.inf
     for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
         eps = eps_rel * (1.0 + value)
         active = dists >= value - eps
-        if not active.any() or float(dists[active].min()) < 1e-12 * scale:
+        if not active.any() or float(dists[active].min()) < 1e-12:
             continue
         grads = _term_gradients(zs[active], residual.p, y, dists[active])
         combo = _min_norm_point(grads)
@@ -638,14 +636,13 @@ def _sc_newton(
     p = residual.p
     q = p / (p - 1.0)
     shrink = 0.5 ** np.arange(21.0)
-    scale = 1.0 + float(np.abs(zs).max())
     evals = 0
     for _ in range(30):
         if evals + shrink.size > budget:
             break
         diffs = y[None, :] - zs
         dists = residual.eval_many(diffs)
-        at = dists < 1e-12 * scale
+        at = dists < 1e-12
         grads = _term_gradients(zs[~at], p, y, dists[~at])
         if at.any():
             grad = grads.sum(axis=0)
@@ -688,8 +685,7 @@ def _sc_gradient_lower_bound(
     if not 1.0 < residual.p < math.inf:
         return -math.inf
     dists = residual.eval_many(y[None, :] - zs)
-    scale = 1.0 + float(np.abs(zs).max())
-    if float(dists.min()) < 1e-12 * scale:
+    if float(dists.min()) < 1e-12:
         return -math.inf
     grad = _term_gradients(zs, residual.p, y, dists).sum(axis=0)
     return value - _dual_norm(residual.p, grad) * _reach(residual, y, zs)
