@@ -467,52 +467,48 @@ def _seed_points(zs: np.ndarray) -> np.ndarray:
     return np.vstack(seeds)
 
 
-def _dual_norm(p: float, u: np.ndarray) -> float:
-    """Dual of the plain p-norm, for Hoelder bounds on subgradients.
+def _dual_norm(p: float, u: np.ndarray):
+    """Dual of the plain p-norm (1 < p < inf) over the last axis, for
+    Hoelder bounds on subgradients.
 
     Max-factored so huge conjugate exponents (p near 1) cannot overflow;
     a small safety factor keeps the result an upper bound, which is the
     side certificates need.
     """
-    if p == 1.0:
-        return float(np.max(np.abs(u)))
-    if p == math.inf:
-        return float(np.sum(np.abs(u)))
     q = p / (p - 1.0)
     a = np.abs(u)
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    value = peak * float(((a / peak) ** q).sum() ** (1.0 / q))
-    return value * (1.0 + 1e-12)
+    peak = a.max(axis=-1, keepdims=True)
+    ratios = a / np.where(peak > 0.0, peak, 1.0)
+    return peak[..., 0] * (ratios**q).sum(axis=-1) ** (1.0 / q) * (1.0 + 1e-12)
 
 
-def _term_gradients(zs: np.ndarray, p: float, y: np.ndarray, dists: np.ndarray):
-    """Gradients of y -> ||y - z_i||_p for 1 < p < inf, given those distances.
+def _term_gradients(diffs: np.ndarray, p: float, dists: np.ndarray) -> np.ndarray:
+    """Gradients of y -> ||y - z_i||_p for 1 < p < inf at diffs = y - z_i,
+    given those distances (a zero difference with distance 1 gives 0).
 
     Each ratio |u_k| / ||u||_p is at most 1, so the power cannot overflow
     even for huge p.  Once p is so large that ||u||_p rounds to max |u_k|,
     a k-way tie yields k unit entries; such rows are scaled back to dual
     norm 1, which keeps them subgradients.
     """
-    diffs = y[None, :] - zs
-    grads = np.sign(diffs) * (np.abs(diffs) / dists[:, None]) ** (p - 1.0)
+    grads = np.sign(diffs) * (np.abs(diffs) / dists[..., None]) ** (p - 1.0)
     q = p / (p - 1.0)
-    dual = (np.abs(grads) ** q).sum(axis=1) ** (1.0 / q)
-    return grads / np.where(dual > 1.0 + 1e-9, dual, 1.0)[:, None]
+    dual = (np.abs(grads) ** q).sum(axis=-1) ** (1.0 / q)
+    return grads / np.where(dual > 1.0 + 1e-9, dual, 1.0)[..., None]
 
 
-def _reach(residual: Norm, y: np.ndarray, zs: np.ndarray) -> float:
-    """Distance from y to the farthest corner of the reports' bounding box.
+def _reach(residual: Norm, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Distance from each row of ys to the farthest corner of the reports'
+    bounding box.
 
     Clamping onto that box never increases either objective, so a
-    minimizer lies within this distance of y.
+    minimizer lies within this distance of every row.
     """
+    d = zs.shape[1]
     lo, hi = zs.min(axis=0), zs.max(axis=0)
-    corners = np.stack(
-        np.meshgrid(*[(lo[j], hi[j]) for j in range(lo.size)], indexing="ij"), axis=-1
-    ).reshape(-1, lo.size)
-    return float(residual.eval_many(corners - y[None, :]).max())
+    corners = np.stack(np.meshgrid(*[(lo[j], hi[j]) for j in range(d)], indexing="ij"), axis=-1)
+    offsets = corners.reshape(1, -1, d) - ys[:, None, :]
+    return residual.eval_many(offsets.reshape(-1, d)).reshape(ys.shape[0], -1).max(axis=1)
 
 
 def _min_norm_point(grads: np.ndarray) -> np.ndarray:
@@ -572,7 +568,7 @@ def _mc_steepest_polish(
         active = dists >= value - tau
         if float(dists[active].min()) < 1e-12:
             break  # at a data point; nothing to balance
-        grads = _term_gradients(zs[active], residual.p, y, dists[active])
+        grads = _term_gradients(y - zs[active], residual.p, dists[active])
         combo = _min_norm_point(grads)
         gnorm = float(np.linalg.norm(combo))
         if gnorm < 1e-14:
@@ -602,16 +598,16 @@ def _mc_subgradient_lower_bound(
     reach of the bounding box.  Several eps levels are tried; each is valid.
     """
     dists = residual.eval_many(y[None, :] - zs)
-    reach = _reach(residual, y, zs)
+    reach = float(_reach(residual, y[None, :], zs)[0])
     best = -math.inf
     for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
         eps = eps_rel * (1.0 + value)
         active = dists >= value - eps
         if not active.any() or float(dists[active].min()) < 1e-12:
             continue
-        grads = _term_gradients(zs[active], residual.p, y, dists[active])
+        grads = _term_gradients(y - zs[active], residual.p, dists[active])
         combo = _min_norm_point(grads)
-        best = max(best, value - eps - _dual_norm(residual.p, combo) * reach)
+        best = max(best, value - eps - float(_dual_norm(residual.p, combo)) * reach)
     return best
 
 
@@ -643,10 +639,10 @@ def _sc_newton(
         diffs = y[None, :] - zs
         dists = residual.eval_many(diffs)
         at = dists < 1e-12
-        grads = _term_gradients(zs[~at], p, y, dists[~at])
+        grads = _term_gradients(diffs[~at], p, dists[~at])
         if at.any():
             grad = grads.sum(axis=0)
-            gnorm = _dual_norm(p, grad)
+            gnorm = float(_dual_norm(p, grad))
             if gnorm <= at.sum():
                 break
             # along -h for the unit h with grad . h = gnorm, out to the nearest other report
@@ -687,8 +683,8 @@ def _sc_gradient_lower_bound(
     dists = residual.eval_many(y[None, :] - zs)
     if float(dists.min()) < 1e-12:
         return -math.inf
-    grad = _term_gradients(zs, residual.p, y, dists).sum(axis=0)
-    return value - _dual_norm(residual.p, grad) * _reach(residual, y, zs)
+    grad = _term_gradients(y - zs, residual.p, dists).sum(axis=0)
+    return value - float(_dual_norm(residual.p, grad) * _reach(residual, y[None, :], zs)[0])
 
 
 def _sc_report_bound(zs: np.ndarray, residual: Norm):
@@ -698,22 +694,21 @@ def _sc_report_bound(zs: np.ndarray, residual: Norm):
     m s with ||s||_dual <= 1 to the subgradient, and the others the sum g
     of their gradients, so sc >= sc(z_k) - max(0, ||g||_dual - m) * R_k
     (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).  Returns
-    (bound, z_k, sc(z_k)) for the report with the best bound, or
+    (bound, z_k, sc(z_k)) for the first report with the best bound, or
     (-inf, None, inf) unless 1 < p < inf.
     """
-    best = (-math.inf, None, math.inf)
     if not residual.strictly_convex:
-        return best
-    for zk in _distinct_rows(zs):
-        dists = residual.eval_many(zk[None, :] - zs)
-        away = dists > 0.0
-        grad = _term_gradients(zs[away], residual.p, zk, dists[away]).sum(axis=0)
-        excess = max(0.0, _dual_norm(residual.p, grad) - float((~away).sum()))
-        value = float(dists.sum())
-        lower = value - excess * _reach(residual, zk, zs)
-        if lower > best[0]:
-            best = (lower, zk, value)
-    return best
+        return -math.inf, None, math.inf
+    n, d = zs.shape
+    diffs = zs[:, None, :] - zs[None, :, :]
+    dists = residual.eval_many(diffs.reshape(-1, d)).reshape(n, n)
+    away = dists > 0.0
+    grads = _term_gradients(diffs, residual.p, np.where(away, dists, 1.0)).sum(axis=1)
+    excess = np.maximum(0.0, _dual_norm(residual.p, grads) - (~away).sum(axis=1))
+    values = dists.sum(axis=1)
+    lower = values - excess * _reach(residual, zs, zs)
+    best = int(np.argmax(lower))
+    return float(lower[best]), zs[best], float(values[best])
 
 
 def _diameter(zs: np.ndarray, residual: Norm) -> float:
