@@ -68,7 +68,8 @@ def main() -> int:
             norm = random_norm(p, VARIANTS[i % len(VARIANTS)], rng)
             profile = Profile.from_rows(xs)
             grid_mc, grid_sc = grid_minimum(xs, norm, args.grid)
-            for name, opt, grid_min in (("mc", opt_max_cost, grid_mc), ("sc", opt_social_cost, grid_sc)):
+            cases = (("mc", opt_max_cost, grid_mc), ("sc", opt_social_cost, grid_sc))
+            for name, opt, grid_min in cases:
                 started = time.perf_counter()
                 res = opt(profile, norm)
                 row = rows[name]

@@ -201,22 +201,25 @@ def _meets_target(gap: float, value: float, unit: float) -> bool:
 def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
     """Geometric median of rows of zs under the plain Euclidean norm.
 
-    Returns (point array, value, gap, evals, note).  The coincidence guard tests
-    the subgradient optimality condition whenever an iterate lands on a
-    data point; if it holds the point is exactly optimal (gap 0), otherwise
-    a finite descent step escapes the singularity.  ``unit`` scales the gap
-    target (see :func:`_meets_target`).
+    Returns (point array, value, gap, evals, note).  Kuhn's condition at
+    the reports comes first: the best report is the starting incumbent and
+    its bound the starting floor, so an optimal report returns at once
+    instead of being approached sublinearly.  The coincidence guard tests
+    the same condition whenever an iterate lands on a data point; if it
+    holds the point is exactly optimal (gap 0), otherwise a finite descent
+    step escapes the singularity.  ``unit`` scales the gap target (see
+    :func:`_meets_target`).
     """
     n = zs.shape[0]
     m = zs.mean(axis=0)
-    best_val = math.inf
-    best_m = m
+    opt_lb, best_m, best_val = _sc_report_bound(zs, Norm(2.0))
+    evals = n
+    if _meets_target(best_val - opt_lb, best_val, unit):
+        return best_m, best_val, best_val - opt_lb, evals, ""
     # fallback certificate only: the optimum is at least the diameter
     # (n >= 2); folding this into the running bound would cut iteration
     # short of the exact data-point snap on collinear profiles
     diam = _diameter(zs, Norm(2.0))
-    opt_lb = -math.inf
-    evals = 0
     iterations = max(2, budget // max(n, 1))
     for _ in range(iterations):
         diff = zs - m
@@ -342,7 +345,8 @@ def _branch_bound(
     if not active.any():
         # box is numerically a point; charge its full extent to the bound
         gap = best_val - max(cert, best_val - float(span @ axis_rate))
-        return best_pt, best_val, gap, evals, "" if _meets_target(gap, best_val, unit) else "gap target missed"
+        note = "" if _meets_target(gap, best_val, unit) else "gap target missed"
+        return best_pt, best_val, gap, evals, note
 
     # initial tiling of the box
     splits = np.where(active, {1: 24, 2: 14, 3: 8}.get(int(active.sum()), 6), 1)
@@ -752,11 +756,7 @@ def opt_social_cost(
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
     elif norm.p == 2.0 and method != "grid":
         route = "weiszfeld"
-        lower, z, value = _sc_report_bound(zs, residual)
-        if method == "auto" and _meets_target(value - lower, value, unit):
-            gap, evals, note = value - lower, profile.n, ""
-        else:
-            z, value, gap, evals, note = _weiszfeld(zs, budget, unit)
+        z, value, gap, evals, note = _weiszfeld(zs, budget, unit)
     else:
         route = "grid"
         # the sum of distances is at least the profile diameter (n >= 2)
@@ -767,8 +767,9 @@ def opt_social_cost(
             polish = lambda y, v, b: (y, v, 0)
         certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
         rates = np.full(profile.d, float(profile.n))
+        lo, hi = zs.min(axis=0), zs.max(axis=0)
         z, value, gap, evals, note = _branch_bound(
-            fn, zs.min(axis=0), zs.max(axis=0), rates, budget, _seed_points(zs), polish, certify, unit
+            fn, lo, hi, rates, budget, _seed_points(zs), polish, certify, unit
         )
     return _result(Objective.SOCIAL_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
 
@@ -817,7 +818,16 @@ def opt_max_cost(
     return _result(Objective.MAX_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
 
 
-def _result(objective, profile, norm, x, gap, route, evals, note) -> OptResult:
+def _result(
+    objective: Objective,
+    profile: Profile,
+    norm: Norm,
+    x: np.ndarray,
+    gap: float,
+    route: str,
+    evals: int,
+    note: str,
+) -> OptResult:
     """The optimizer's point in report coordinates, with its value there."""
     value = float(_objective_fn(objective, profile.as_array, norm)(x[None, :])[0])
     return OptResult(Point.from_array(x), value, gap, route, evals, note)

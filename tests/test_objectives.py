@@ -337,7 +337,8 @@ class TestApproxRatio:
                     atoms = [(Fraction(1, 2), mean)] + [(Fraction(1, 2 * n), p) for p in pts]
                     agg = max if objective is MC else sum
                     cost = sum(w * agg(dist(x, p) for p in pts) for w, x in atoms)
-                    exact = cost / _exact_polyhedral_optimum(objective, norm.p, [working(p) for p in pts])
+                    opt = _exact_polyhedral_optimum(objective, norm.p, [working(p) for p in pts])
+                    exact = cost / opt
                     rr = approx_ratio(
                         MechanismSpec("rand_center"), Profile.from_rows(rows), norm, objective
                     )
