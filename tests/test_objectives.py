@@ -324,7 +324,7 @@ class TestApproxRatio:
                 return sum(z) if norm.p == 1 else max(z)
 
             checked = 0
-            for n in (locations, locations + 1, locations + 2, 6):
+            for n in range(locations, locations + 4):
                 for _ in range(50 if locations == 2 else 20):
                     spots = {tuple(int(o + c) for o, c in zip(base, rng.integers(-6, 7, size=d)))
                              for _ in range(locations)}
