@@ -750,15 +750,15 @@ def opt_social_cost(
 
     zs, residual, extent, to_x = _working_space(profile, norm)
     unit = min(1.0, 1.0 / extent)
-    fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
     exact = _exact_point(Objective.SOCIAL_COST, zs, norm.p) if method == "auto" else None
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
     elif norm.p == 2.0 and method != "grid":
         route = "weiszfeld"
-        z, value, gap, evals, note = _weiszfeld(zs, budget, unit)
+        z, _, gap, evals, note = _weiszfeld(zs, budget, unit)
     else:
         route = "grid"
+        fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
         # the sum of distances is at least the profile diameter (n >= 2)
         floor = max(_diameter(zs, residual), _sc_report_bound(zs, residual)[0])
         if residual.strictly_convex:
@@ -768,7 +768,7 @@ def opt_social_cost(
         certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
         rates = np.full(profile.d, float(profile.n))
         lo, hi = zs.min(axis=0), zs.max(axis=0)
-        z, value, gap, evals, note = _branch_bound(
+        z, _, gap, evals, note = _branch_bound(
             fn, lo, hi, rates, budget, _seed_points(zs), polish, certify, unit
         )
     return _result(Objective.SOCIAL_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
@@ -798,13 +798,13 @@ def opt_max_cost(
 
     zs, residual, extent, to_x = _working_space(profile, norm)
     unit = min(1.0, 1.0 / extent)
-    lo, hi = zs.min(axis=0), zs.max(axis=0)
-    fn = _objective_fn(Objective.MAX_COST, zs, residual)
     exact = _exact_point(Objective.MAX_COST, zs, norm.p)
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
     else:
         route = "grid"
+        lo, hi = zs.min(axis=0), zs.max(axis=0)
+        fn = _objective_fn(Objective.MAX_COST, zs, residual)
         half_diam = _diameter(zs, residual) / 2.0
         if residual.strictly_convex:
             polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
@@ -812,7 +812,7 @@ def opt_max_cost(
         else:
             polish = lambda y, v, b: (y, v, 0)
             certify = lambda y, v: half_diam
-        z, value, gap, evals, note = _branch_bound(
+        z, _, gap, evals, note = _branch_bound(
             fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
         )
     return _result(Objective.MAX_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
