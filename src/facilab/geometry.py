@@ -4,7 +4,9 @@ Everything downstream (mechanisms, objectives, property checks) consumes
 these types.  All types are immutable after construction and every
 operation is pure.  The searches skip the types and work on the arrays
 underneath: :func:`canonical_atoms` is the one canonical form of a
-lottery, and :class:`Lottery` is built on it.
+lottery, :class:`Lottery` is built on it, and :func:`canonical_stack` and
+:func:`expected_distance_stack` apply it and the expected distance to whole
+stacks of lotteries at once.
 
 Tolerance ledger, shared across the package:
 
@@ -153,15 +155,19 @@ class Norm:
             raise DimensionMismatch(f"norm expects dimension {pinned}, got {d}")
 
     def eval_many(self, vs: np.ndarray) -> np.ndarray:
-        """Evaluate the norm on each row of an (m, d) array.
+        """Evaluate the norm on each row of an (m, d) array, or of a
+        (g, r, d) stack, which returns (g, r).
 
-        The p-th powers are taken on max-factored coordinates so large
-        exponents cannot overflow (ratios stay in [0, 1]).
+        A transform maps a stack block by block, as g calls on (r, d)
+        arrays would: one-row blocks keep the matrix-vector rounding of a
+        one-row call.  The p-th powers are taken on max-factored
+        coordinates so large exponents cannot overflow (ratios stay in
+        [0, 1]).
         """
         vs = np.asarray(vs, dtype=float)
         if vs.ndim == 1:
             vs = vs[None, :]
-        self._check_dim(vs.shape[1])
+        self._check_dim(vs.shape[-1])
         if self._matrix is not None:
             vs = vs @ self._matrix.T
         u = np.abs(vs)
@@ -169,17 +175,17 @@ class Norm:
         if self.p == math.inf:
             if w is not None:
                 u = u * w
-            return u.max(axis=1)
+            return u.max(axis=-1)
         if self.p == 1.0:
             if w is not None:
                 u = u * w
-            return u.sum(axis=1)
+            return u.sum(axis=-1)
         if w is not None:
             u = u * w ** (1.0 / self.p)
-        peak = u.max(axis=1)
+        peak = u.max(axis=-1)
         safe = np.where(peak > 0.0, peak, 1.0)
-        ratios = u / safe[:, None]
-        return peak * (ratios**self.p).sum(axis=1) ** (1.0 / self.p)
+        ratios = u / safe[..., None]
+        return peak * (ratios**self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def __call__(self, v) -> float:
         if isinstance(v, Point):
@@ -272,6 +278,61 @@ def canonical_atoms(weights, points) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray([merged[k] for k in keys], dtype=float), np.asarray(keys, dtype=float)
 
 
+def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`canonical_atoms` on every row of an (m, k, d) stack of atoms.
+
+    ``weights`` is one (k,) list shared by all rows.  Returns zero-padded
+    (m, K) weights and (m, K, d) points, K the largest atom count: row i
+    holds ``canonical_atoms(weights, points[i])`` bit for bit in its first
+    ``(out_weights[i] > 0).sum()`` entries.  Duplicates (``-0.0 == 0.0``)
+    merge onto their first occurrence with the ``fsum`` of their weights,
+    which does not depend on the order of the terms: one ``fsum`` per
+    distinct set of merged positions.  A stack of one row, or one that
+    :func:`canonical_atoms` might reject (weights not positive and finite
+    or more than half of ``WEIGHT_TOL`` off a total of 1, non-finite
+    points), goes through :func:`canonical_atoms` row by row.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        raise ValueError("a stack of lotteries needs (m, k, d) points")
+    m, k, d = pts.shape
+    w = np.asarray(weights, dtype=float)
+    if m == 1:
+        one_w, one_p = canonical_atoms(w, pts[0])
+        return one_w[None], one_p[None]
+    regular = ((w > 0.0) & (w < math.inf)).all() and abs(math.fsum(w) - 1.0) <= WEIGHT_TOL / 2
+    if k > 60 or not regular or not np.isfinite(pts).all():
+        return _pad_rows([canonical_atoms(w, p) for p in pts], d)
+    if k == 1:  # a lone atom carries the whole unit mass exactly
+        return np.ones((m, 1)), pts.copy()
+    same = (pts[:, :, None, :] == pts[:, None, :, :]).all(axis=-1)
+    lead = same.argmax(axis=1) == np.arange(k)  # first of its duplicates
+    out_w = np.where(lead, w, 0.0)
+    width = k
+    if not lead.all():
+        masks = (same << np.arange(k)).sum(axis=-1)  # positions merged onto each atom
+        multi = lead & (masks & (masks - 1) != 0)
+        for mask in set(masks[multi].tolist()):
+            out_w[multi & (masks == mask)] = math.fsum(w[[j for j in range(k) if mask >> j & 1]])
+        counts = lead.sum(axis=1)
+        out_w[counts == 1] = lead[counts == 1]  # a full merge carries exactly 1.0
+        width = counts.max()
+    order = np.lexsort([*np.moveaxis(pts[..., ::-1], -1, 0), ~lead], axis=-1)[:, :width]
+    rows = np.arange(m)[:, None]
+    out_w, out_p = out_w[rows, order], pts[rows, order]
+    out_p[out_w == 0.0] = 0.0
+    return out_w, out_p
+
+
+def _pad_rows(rows, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (weights, points) rows of different atom counts, zero-padded."""
+    width = max(len(w) for w, _ in rows)
+    weights, points = np.zeros((len(rows), width)), np.zeros((len(rows), width, d))
+    for i, (w, p) in enumerate(rows):
+        weights[i, : len(w)], points[i, : len(w)] = w, p
+    return weights, points
+
+
 @dataclass(frozen=True)
 class Lottery:
     """Finite discrete probability distribution over points.
@@ -326,6 +387,26 @@ def expected_distance_xs(
 ) -> float:
     """:func:`expected_distance` from the coordinates x to the atoms (weights, points)."""
     return float(weights @ norm.eval_many(points - x))
+
+
+def expected_distance_stack(
+    xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
+) -> np.ndarray:
+    """:func:`expected_distance_xs` from each row of the (p, d) xs to its
+    zero-padded lottery (weights[i], points[i]), bit for bit.
+
+    Rows are grouped by atom count k, so each group needs one norm call
+    (one-row blocks stay one-row blocks under a transform) and one batched
+    (1, k) @ (k, 1) product, which is the same dot product as ``w @ dists``.
+    """
+    counts = (weights > 0.0).sum(axis=1)
+    out = np.empty(len(xs))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        diffs = points[rows, :k] - xs[rows, None, :]
+        dists = norm.eval_many(diffs if k == 1 else diffs.reshape(-1, diffs.shape[-1]))
+        out[rows] = np.matmul(weights[rows, None, :k], dists.reshape(len(rows), k, 1))[:, 0, 0]
+    return out
 
 
 def centroid(lot: Lottery) -> Point:

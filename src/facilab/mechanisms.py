@@ -1,9 +1,11 @@
 """Facility-location mechanisms as pure kernels on report arrays.
 
-A kernel maps (spec, (n, d) reports, norm) to the canonical (weights,
-points) of the output lottery, which *is* the randomness.  The searches
-call kernels directly (:func:`kernel_of`); :func:`apply` and :func:`resolve`
-wrap them as Profile x Norm -> Lottery.  Every kind takes the norm, used or
+A kernel maps (spec, (m, n, d) stack of reports, norm) to the canonical
+(weights, points) of each row's output lottery, which *is* the randomness,
+zero-padded to one width (:func:`~facilab.geometry.canonical_stack`).  The
+searches score whole candidate stacks through :func:`kernel_of`; an (n, d)
+report array is the m = 1 case, and :func:`apply` and :func:`resolve` wrap
+it as Profile x Norm -> Lottery.  Every kind takes the norm, used or
 not.  Agent indices are 1-based.  Each kind is one entry of
 :data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
 """
@@ -22,15 +24,15 @@ from .geometry import (
     Lottery,
     Norm,
     Profile,
-    canonical_atoms,
-    segment_point_at_distance,
+    _pad_rows,
+    canonical_stack,
 )
 
 if TYPE_CHECKING:
     from .objectives import Objective
 
 MechanismFn = Callable[[Profile, Norm], Lottery]
-# (n, d) reports x norm -> canonical (weights, points)
+# (m, n, d) report stack x norm -> padded canonical (weights, points); see kernel_of
 ArrayKernel = Callable[[np.ndarray, Norm], tuple[np.ndarray, np.ndarray]]
 
 
@@ -134,20 +136,34 @@ def resolve(mech: MechanismLike) -> MechanismFn:
 
 
 def kernel_of(mech: MechanismLike) -> ArrayKernel:
-    """The mechanism as an array kernel; a bare callable is adapted through
-    one Profile and one Lottery per call."""
+    """The mechanism as an array kernel.
+
+    The kernel maps an (m, n, d) stack of report arrays to zero-padded
+    (m, k) weights and (m, k, d) points, and one (n, d) array to that
+    lottery's unpadded (weights, points).  A bare callable is mapped row by
+    row, through one Profile and one Lottery per row.
+    """
     if isinstance(mech, str):
         mech = parse_mechanism(mech)
     if isinstance(mech, MechanismSpec):
-        return partial(_run, mech)
+        stacked = partial(_run, mech)
+    else:
+        stacked = partial(_adapted, mech)
 
-    def adapted(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-        lot = mech(Profile.from_rows(xs), norm)
-        if lot.dim != xs.shape[1]:
-            raise DimensionMismatch("mechanism output and reports differ in dimension")
-        return lot.weights_array, lot.points_array
+    def kernel(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+        if xs.ndim == 2:
+            weights, points = stacked(xs[None], norm)
+            return weights[0], points[0]  # one row comes back unpadded
+        return stacked(xs, norm)
 
-    return adapted
+    return kernel
+
+
+def _adapted(mech: MechanismFn, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    lots = [mech(Profile.from_rows(row), norm) for row in xs]
+    if any(lot.dim != xs.shape[2] for lot in lots):
+        raise DimensionMismatch("mechanism output and reports differ in dimension")
+    return _pad_rows([(lot.weights_array, lot.points_array) for lot in lots], xs.shape[2])
 
 
 def describe(mech: MechanismLike) -> str:
@@ -160,22 +176,22 @@ def describe(mech: MechanismLike) -> str:
 
 def apply(spec: MechanismSpec, profile: Profile, norm: Norm) -> Lottery:
     """Run the mechanism; output is a canonical lottery."""
-    weights, points = _run(spec, profile.as_array, norm)
-    return Lottery(tuple(zip(weights.tolist(), map(tuple, points.tolist()))))
+    weights, points = _run(spec, profile.as_array[None], norm)
+    return Lottery(tuple(zip(weights[0].tolist(), map(tuple, points[0].tolist()))))
 
 
 def _run(spec: MechanismSpec, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-    if xs.shape[0] < spec.min_agents:
+    if xs.shape[1] < spec.min_agents:
         raise ValueError(f"{format_mechanism(spec)} needs at least {spec.min_agents} agents")
     return REGISTRY[spec.kind].kernel(spec, xs, norm)
 
 
-# -- kernels: (spec, (n, d) reports, norm) -> canonical (weights, points) ------
+# -- kernels: (spec, (m, n, d) report stack, norm) -> canonical_stack output --
 
 
 def _dictator(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """Always the dictator's own report; everyone else is ignored."""
-    return canonical_atoms([1.0], xs[spec.index - 1 : spec.index])
+    return canonical_stack([1.0], xs[:, spec.index - 1 : spec.index])
 
 
 def _rand_med(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
@@ -184,16 +200,18 @@ def _rand_med(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     Agents beyond the first two never influence the output; when x1 = x2
     the atoms merge into a degenerate lottery.
     """
-    x1, x2 = xs[0], xs[1]
-    return canonical_atoms([0.25, 0.25, 0.5], [x1, x2, (x1 + x2) / 2.0])
+    midpoint = (xs[:, :1] + xs[:, 1:2]) / 2.0
+    return canonical_stack([0.25, 0.25, 0.5], np.concatenate([xs[:, :2], midpoint], axis=1))
 
 
 def _rand_center(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     """The mean report with weight 1/2, each agent's report with 1/(2n)."""
-    n = xs.shape[0]
-    if (xs == xs[0]).all():
-        return canonical_atoms([1.0], xs[:1])  # n*z/n need not round back to z
-    return canonical_atoms([0.5] + [0.5 / n] * n, [xs.mean(axis=0), *xs])
+    n = xs.shape[1]
+    atoms = np.concatenate([xs.mean(axis=1)[:, None], xs], axis=1)
+    # n*z/n need not round back to z: a unanimous row merges onto its report
+    unanimous = (xs == xs[:, :1]).all(axis=(1, 2))
+    atoms[unanimous, 0] = xs[unanimous, 0]
+    return canonical_stack([0.5] + [0.5 / n] * n, atoms)
 
 
 def _sep2d(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
@@ -205,16 +223,16 @@ def _sep2d(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     The branch constant makes the mechanism sensitive to translations along
     the first coordinate.
     """
-    x1 = xs[0]
-    r = float(x1[0])
-    partner = xs[1] if r >= spec.a else xs[2]
-    gap = norm(x1 - partner)
-    target = min(abs(r - spec.a), gap)
-    if target <= 0.0 or gap <= 1e-12:  # collapsed segment: companion is x1 itself
-        companion = x1
-    else:
-        companion = segment_point_at_distance(x1, partner, target, norm)
-    return canonical_atoms([2.0 / 3.0, 1.0 / 3.0], [x1, companion])
+    x1 = xs[:, 0]
+    r = x1[:, 0]
+    partner = np.where((r >= spec.a)[:, None], xs[:, 1], xs[:, 2])
+    gap = norm.eval_many((x1 - partner)[:, None, :])[:, 0]  # one-row norm calls
+    target = np.minimum(np.abs(r - spec.a), gap)
+    # a collapsed segment leaves the companion on x1 itself
+    moved = (target > 0.0) & (gap > 1e-12)
+    t = np.minimum(target / np.where(moved, gap, 1.0), 1.0)
+    companion = np.where(moved[:, None], x1 + t[:, None] * (partner - x1), x1)
+    return canonical_stack([2.0 / 3.0, 1.0 / 3.0], np.stack([x1, companion], axis=1))
 
 
 def _coord_median(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
@@ -223,7 +241,7 @@ def _coord_median(spec: MechanismSpec, xs: np.ndarray, norm: Norm):
     For even n the lower median is taken in each coordinate, which keeps
     the output deterministic and independent of agent order.
     """
-    return canonical_atoms([1.0], np.sort(xs, axis=0)[(xs.shape[0] - 1) // 2][None])
+    return canonical_stack([1.0], np.sort(xs, axis=1)[:, (xs.shape[1] - 1) // 2, None])
 
 
 # -- the registry: claimed outcomes other than pass, then one entry per kind --

@@ -99,11 +99,13 @@ class OptResult:
 
 
 def _distance_matrix(points: np.ndarray, xs: np.ndarray, norm: Norm) -> np.ndarray:
-    """Pairwise distances, rows = points, columns = profile agents."""
-    m, d = points.shape
-    n = xs.shape[0]
-    diffs = points[:, None, :] - xs[None, :, :]
-    return norm.eval_many(diffs.reshape(m * n, d)).reshape(m, n)
+    """Pairwise distances, rows = points, columns = profile agents; on
+    (m, k, d) and (m, n, d) stacks one (k, n) matrix per row.  A matrix of
+    one distance stays a one-row norm call."""
+    diffs = points[..., :, None, :] - xs[..., None, :, :]
+    single = diffs.shape[-3] * diffs.shape[-2] == 1
+    flat = diffs.reshape(-1, 1, diffs.shape[-1]) if single else diffs.reshape(-1, diffs.shape[-1])
+    return norm.eval_many(flat).reshape(diffs.shape[:-1])
 
 
 def cost_xs(
@@ -118,6 +120,23 @@ def cost_xs(
     dist = _distance_matrix(points, xs, norm)
     per_atom = dist.max(axis=1) if objective is Objective.MAX_COST else dist.sum(axis=1)
     return float(weights @ per_atom)
+
+
+def cost_stack(
+    objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
+) -> np.ndarray:
+    """:func:`cost_xs` of each zero-padded lottery (weights[i], points[i]) to
+    the reports xs[i] of an (m, n, d) stack, bit for bit: rows are grouped by
+    atom count k, each group makes one norm call and one batched
+    (1, k) @ (k, 1) product."""
+    counts = (weights > 0.0).sum(axis=1)
+    out = np.empty(len(xs))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        dist = _distance_matrix(points[rows, :k], xs[rows], norm)
+        per_atom = dist.max(axis=-1) if objective is Objective.MAX_COST else dist.sum(axis=-1)
+        out[rows] = np.matmul(weights[rows, None, :k], per_atom[:, :, None])[:, 0, 0]
+    return out
 
 
 def cost(objective: Objective, lot: Lottery, profile: Profile, norm: Norm) -> float:
@@ -456,19 +475,19 @@ def _compass_polish(
 def _objective_fn(
     objective: Objective, zs: np.ndarray, norm: Norm
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched objective over the rows zs: one value per candidate row."""
+    """Batched objective over the rows zs: one value per candidate row (per
+    row of a stack of reports and of candidates)."""
     if objective is Objective.MAX_COST:
-        return lambda points: _distance_matrix(points, zs, norm).max(axis=1)
-    return lambda points: _distance_matrix(points, zs, norm).sum(axis=1)
+        return lambda points: _distance_matrix(points, zs, norm).max(axis=-1)
+    return lambda points: _distance_matrix(points, zs, norm).sum(axis=-1)
 
 
 def _seed_points(zs: np.ndarray) -> np.ndarray:
-    n = zs.shape[0]
-    seeds = [zs, zs.mean(axis=0, keepdims=True), np.median(zs, axis=0, keepdims=True)]
-    mids = [(zs[i] + zs[j]) / 2.0 for i in range(n) for j in range(i + 1, n)]
-    if mids:
-        seeds.append(np.asarray(mids))
-    return np.vstack(seeds)
+    """The reports, their mean and median and every pairwise midpoint, for
+    (n, d) reports or per row of an (m, n, d) stack."""
+    i, j = np.triu_indices(zs.shape[-2], 1)
+    centers = [zs.mean(axis=-2, keepdims=True), np.median(zs, axis=-2, keepdims=True)]
+    return np.concatenate([zs, *centers, (zs[..., i, :] + zs[..., j, :]) / 2.0], axis=-2)
 
 
 def _dual_norm(p: float, u: np.ndarray):
@@ -853,13 +872,25 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
 
 def opt_value_upper_xs(objective: Objective, xs: np.ndarray, norm: Norm) -> float:
     """:func:`opt_value_upper` on an (n, d) report array."""
-    distinct = _distinct_rows(xs)
-    if distinct.shape[0] == 1:
-        return 0.0
-    if distinct.shape[0] == 2 and objective is Objective.MAX_COST:
-        # midpoint halves the diameter regardless of multiplicities
-        return norm((distinct[0] - distinct[1]) / 2.0)
-    return float(_objective_fn(objective, xs, norm)(_seed_points(xs)).min())
+    return float(opt_value_upper_stack(objective, xs[None], norm)[0])
+
+
+def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> np.ndarray:
+    """:func:`opt_value_upper` of each row of an (m, n, d) report stack:
+    0 for a unanimous row, half the diameter for a max cost over two
+    distinct reports, and otherwise the best seed point."""
+    same = (xs[:, :, None, :] == xs[:, None, :, :]).all(axis=-1)
+    lead = same.argmax(axis=1) == np.arange(xs.shape[1])  # first of its duplicates
+    distinct = lead.sum(axis=1)
+    out = np.zeros(len(xs))
+    if objective is Objective.MAX_COST:
+        # the midpoint halves the diameter regardless of multiplicities
+        two = np.flatnonzero(distinct == 2)
+        half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
+        out[two] = norm.eval_many(half[:, None, :])[:, 0]
+    rest = np.flatnonzero(distinct > (2 if objective is Objective.MAX_COST else 1))
+    out[rest] = _objective_fn(objective, xs[rest], norm)(_seed_points(xs[rest])).min(axis=-1)
+    return out
 
 
 @dataclass(frozen=True)

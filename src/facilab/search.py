@@ -31,6 +31,7 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    expected_distance_stack,
     expected_distance_xs,
 )
 from .mechanisms import MechanismLike, kernel_of
@@ -38,8 +39,8 @@ from .objectives import (
     Objective,
     OptResult,
     approx_ratio,
-    cost_xs,
-    opt_value_upper_xs,
+    cost_stack,
+    opt_value_upper_stack,
 )
 from .properties import (
     Witness,
@@ -131,33 +132,61 @@ def _clip_box(profile: Profile, scale: float):
     return lo - pad, hi + pad
 
 
-def _pattern_minimize(fn, start: np.ndarray, scale: float, max_sweeps: int, lo, hi):
-    """Coordinate pattern search: geometric step decay x0.5 from scale/4.
+def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
+    """Coordinate pattern searches from the rows of ``starts``, in lockstep.
 
-    Directions are axis-aligned plus the all-ones diagonal; candidates are
-    clipped to [lo, hi].  Returns (best_x, best_value, evals).
+    Each search polls the axis directions and the all-ones diagonal, + then
+    -, with geometric step decay x0.5 from scale/4 (``scale`` is shared or
+    one per search); candidates are clipped to [lo, hi].  ``fn(cands,
+    owners)`` scores an (m, dim) stack of candidates, row j for search
+    ``owners[j]``.  Every round polls each search's remaining directions
+    from its current point as one stack.  A search takes its first
+    improving poll in order and re-polls the rest from there, so it makes
+    exactly the moves of polling one direction at a time, and counts only
+    those polls.  Returns (best points, best values, evaluations), one row
+    per search.
     """
-    d = start.size
-    x = np.clip(start, lo, hi)
-    best = fn(x)
-    evals = 1
-    step = scale / 4.0
-    dirs = list(np.eye(d)) + [np.ones(d) / math.sqrt(d)]
-    sweeps = 0
-    while step > 1e-7 * scale and sweeps < max_sweeps:
-        improved = False
-        for direction in dirs:
-            for sign in (1.0, -1.0):
-                cand = np.clip(x + sign * step * direction, lo, hi)
-                val = fn(cand)
-                evals += 1
-                if val < best - 1e-15:
-                    best, x = val, cand
-                    improved = True
-        sweeps += 1
-        if not improved:
-            step *= 0.5
+    count, dim = starts.shape
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), (count,))
+    dirs = np.repeat(np.vstack([np.eye(dim), np.ones(dim) / math.sqrt(dim)]), 2, axis=0)
+    signs = np.tile([1.0, -1.0], dim + 1)
+    polls = len(dirs)
+    x = np.clip(starts, lo, hi)
+    best = fn(x, np.arange(count))
+    evals = np.ones(count, dtype=int)
+    step = scales / 4.0
+    sweeps = np.zeros(count, dtype=int)
+    done = np.zeros(count, dtype=int)  # polls already made in the current sweep
+    improved = np.zeros(count, dtype=bool)
+    live = np.flatnonzero((step > 1e-7 * scales) & (max_sweeps > 0))
+    while live.size:
+        left = polls - done[live]
+        owners = np.repeat(live, left)
+        first = np.repeat(np.cumsum(left) - left, left)  # where each search's polls start
+        which = done[owners] + np.arange(len(owners)) - first
+        cands = np.clip(x[owners] + (signs[which] * step[owners])[:, None] * dirs[which], lo, hi)
+        vals = fn(cands, owners)
+        hits = np.flatnonzero(vals < best[owners] - 1e-15)
+        movers, at = np.unique(owners[hits], return_index=True)
+        at = hits[at]  # each improving search's first improving poll
+        best[movers], x[movers], improved[movers] = vals[at], cands[at], True
+        taken = left.copy()
+        taken[np.searchsorted(live, movers)] = at - first[at] + 1
+        evals[live] += taken
+        done[live] += taken
+        swept = live[done[live] == polls]
+        sweeps[swept] += 1
+        step[swept[~improved[swept]]] *= 0.5
+        done[swept], improved[swept] = 0, False
+        live = live[(step[live] > 1e-7 * scales[live]) & (sweeps[live] < max_sweeps)]
     return x, best, evals
+
+
+def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, agents: np.ndarray, xs: np.ndarray):
+    """Expected distance from each true report xs[agents[j]] to the lottery
+    the mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
+    weights, points = kernel(moved, norm)
+    return expected_distance_stack(xs[agents], weights[owners], points[owners], norm)
 
 
 # -- single-agent misreport search --------------------------------------------
@@ -217,7 +246,9 @@ def search_sp_violation(
     output support, segment points) are drawn per agent and refined by
     pattern search on the agent's cost; the first candidate that
     re-validates through the strategyproofness checker (gain beyond
-    IMPROVE_MARGIN) is returned.
+    IMPROVE_MARGIN) is returned.  All agents of one restart are scored as
+    one stack and their pattern searches run in lockstep; the results are
+    then walked in agent order.
     """
     kernel = kernel_of(mech)
     for r, profile in _profile_stream(n, d, config):
@@ -226,26 +257,36 @@ def search_sp_violation(
         scale = _scale(profile, norm)
         lo, hi = _clip_box(profile, scale)
         truth = kernel(xs, norm)
-        for agent in range(1, n + 1):
-            xi = xs[agent - 1]
-            truth_cost = expected_distance_xs(xi, *truth, norm)
+        truth_cost = [expected_distance_xs(x, *truth, norm) for x in xs]
 
-            def misreport_cost(z: np.ndarray) -> float:
-                moved = xs.copy()
-                moved[agent - 1] = z
-                return expected_distance_xs(xi, *kernel(moved, norm), norm)
+        def misreport_costs(z: np.ndarray, agents: np.ndarray) -> np.ndarray:
+            moved = np.repeat(xs[None], len(z), axis=0)
+            moved[np.arange(len(z)), agents] = z
+            return _costs(kernel, norm, moved, np.arange(len(z)), agents, xs)
 
-            cands = _sp_candidates(xs, agent, scale, truth, lo, hi, rng)
-            vals = [misreport_cost(c) for c in cands]
-            best_idx = int(np.argmin(vals))
-            best_x, best_val = cands[best_idx], vals[best_idx]
-            if best_val < truth_cost + 0.25 * scale:
-                best_x, best_val, _ = _pattern_minimize(
-                    misreport_cost, best_x, scale, config.local_steps, lo, hi
-                )
-            if best_val < truth_cost - IMPROVE_MARGIN:
+        cands = [np.array(_sp_candidates(xs, agent, scale, truth, lo, hi, rng)) for agent in range(1, n + 1)]
+        vals = misreport_costs(np.concatenate(cands), np.repeat(np.arange(n), [len(c) for c in cands]))
+        best_x, best_val = [], []
+        for c, v in zip(cands, np.split(vals, np.cumsum([len(c) for c in cands])[:-1])):
+            k = int(np.argmin(v))
+            best_x.append(c[k])
+            best_val.append(v[k])
+        refine = [i for i in range(n) if best_val[i] < truth_cost[i] + 0.25 * scale]
+        if refine:
+            found = _pattern_minimize(
+                lambda z, owners: misreport_costs(z, np.asarray(refine)[owners]),
+                np.array([best_x[i] for i in refine]),
+                scale,
+                config.local_steps,
+                lo,
+                hi,
+            )
+            for i, x, val in zip(refine, found[0], found[1]):
+                best_x[i], best_val[i] = x, val
+        for i in range(n):
+            if best_val[i] < truth_cost[i] - IMPROVE_MARGIN:
                 verdict = check_strategyproof_at(
-                    mech, profile, agent, Point.from_array(best_x), norm
+                    mech, profile, i + 1, Point.from_array(best_x[i]), norm
                 )
                 if not verdict.passed and not verdict.inconclusive:
                     return verdict.witness
@@ -264,8 +305,10 @@ def search_gsp_violation(
     generator is the all-members-report-one-point move (output centroid,
     coalition centroid and extremes, atom points), refined by pattern
     search on the worst member's gain; per-member segment pulls, correlated
-    jitter and axis shifts follow.  Witnesses re-validate through the group
-    checker before being returned.
+    jitter and axis shifts follow.  All coalitions of one restart are
+    scored as stacks and their pattern searches run in lockstep; witnesses
+    re-validate through the group checker, in coalition order, before being
+    returned.
     """
     kernel = kernel_of(mech)
     for r, profile in _profile_stream(n, d, config):
@@ -275,65 +318,77 @@ def search_gsp_violation(
         lo, hi = _clip_box(profile, scale)
         truth = kernel(xs, norm)
         weights, points = truth
-        before = [expected_distance_xs(x, *truth, norm) for x in xs]
-        for size in range(1, n + 1):
-            for coalition in itertools.combinations(range(1, n + 1), size):
-                rows = [i - 1 for i in coalition]
-                members = xs[rows]
+        before = np.array([expected_distance_xs(x, *truth, norm) for x in xs])
+        coalitions = [
+            c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)
+        ]
+        sizes = np.array([len(c) for c in coalitions])
+        members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
+        at = np.cumsum(sizes) - sizes
 
-                def joint_margin(reports: np.ndarray) -> float:
-                    moved = xs.copy()
-                    moved[rows] = reports
-                    lot = kernel(moved, norm)
-                    return max(
-                        expected_distance_xs(xs[i], *lot, norm) - before[i] for i in rows
-                    )
+        def joint_margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
+            """Worst member gain of each coalition which[j] making its members
+            report the next sizes[which[j]] rows of reports."""
+            counts = sizes[which]
+            owners = np.repeat(np.arange(len(which)), counts)
+            starts = np.cumsum(counts) - counts
+            agents = members_of[np.repeat(at[which] - starts, counts) + np.arange(len(owners))]
+            moved = np.repeat(xs[None], len(which), axis=0)
+            moved[owners, agents] = reports
+            margins = _costs(kernel, norm, moved, owners, agents, xs) - before[agents]
+            return np.maximum.reduceat(margins, starts)
 
-                def common_margin(z: np.ndarray) -> float:
-                    return joint_margin(np.clip(z, lo, hi))
+        def common_margins(z: np.ndarray, which: np.ndarray) -> np.ndarray:
+            return joint_margins(np.repeat(np.clip(z, lo, hi), sizes[which], axis=0), which)
 
-                targets = [
-                    weights @ points,
-                    xs.mean(axis=0),
-                    members.mean(axis=0),
-                    np.median(xs, axis=0),
-                    members.min(axis=0),
-                    members.max(axis=0),
-                    *points,
-                ]
-                vals = [common_margin(t) for t in targets]
-                k = int(np.argmin(vals))
-                z, best_margin, _ = _pattern_minimize(
-                    common_margin, targets[k], scale, config.local_steps, lo, hi
+        targets, moves = [], []
+        for rows in coalitions:
+            members = xs[list(rows)]
+            targets.append([
+                weights @ points,
+                xs.mean(axis=0),
+                members.mean(axis=0),
+                np.median(xs, axis=0),
+                members.min(axis=0),
+                members.max(axis=0),
+                *points,
+            ])
+            # per-member moves: segment pulls, correlated jitter, axis shifts
+            center = members.mean(axis=0)
+            candidates = [members + t * (center - members) for t in (0.5, 1.0)]
+            for sigma in (0.1, 0.5):
+                for _ in range(2):
+                    shift = sigma * scale * rng.normal(size=d)
+                    candidates.append(np.clip(members + shift, lo, hi))
+            for h in (0.5, 0.1):
+                for k in range(d):
+                    off = np.zeros(d)
+                    off[k] = h * scale
+                    for sign in (1.0, -1.0):
+                        candidates.append(np.clip(members + sign * off, lo, hi))
+            moves.append(candidates)
+        owner = np.repeat(np.arange(len(coalitions)), [len(t) for t in targets])
+        vals = np.split(common_margins(np.concatenate(targets), owner), np.cumsum([len(t) for t in targets])[:-1])
+        starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
+        zs, best_margin, _ = _pattern_minimize(common_margins, starts, scale, config.local_steps, lo, hi)
+        owner = np.repeat(np.arange(len(coalitions)), [len(m) for m in moves])
+        flat = np.concatenate([reports for m in moves for reports in m])
+        vals = np.split(joint_margins(flat, owner), np.cumsum([len(m) for m in moves])[:-1])
+        for c, rows in enumerate(coalitions):
+            best_reports = np.tile(np.clip(zs[c], lo, hi), (len(rows), 1))
+            k = int(np.argmin(vals[c]))
+            if vals[c][k] < best_margin[c]:
+                best_margin[c], best_reports = vals[c][k], moves[c][k]
+            if best_margin[c] < -IMPROVE_MARGIN:
+                verdict = check_group_strategyproof_at(
+                    mech,
+                    profile,
+                    [i + 1 for i in rows],
+                    [Point.from_array(x) for x in best_reports],
+                    norm,
                 )
-                best_reports = np.tile(np.clip(z, lo, hi), (size, 1))
-                # per-member moves: segment pulls, correlated jitter, axis shifts
-                center = members.mean(axis=0)
-                candidates = [members + t * (center - members) for t in (0.5, 1.0)]
-                for sigma in (0.1, 0.5):
-                    for _ in range(2):
-                        shift = sigma * scale * rng.normal(size=d)
-                        candidates.append(np.clip(members + shift, lo, hi))
-                for h in (0.5, 0.1):
-                    for k in range(d):
-                        off = np.zeros(d)
-                        off[k] = h * scale
-                        for sign in (1.0, -1.0):
-                            candidates.append(np.clip(members + sign * off, lo, hi))
-                for reports in candidates:
-                    val = joint_margin(reports)
-                    if val < best_margin:
-                        best_margin, best_reports = val, reports
-                if best_margin < -IMPROVE_MARGIN:
-                    verdict = check_group_strategyproof_at(
-                        mech,
-                        profile,
-                        coalition,
-                        [Point.from_array(x) for x in best_reports],
-                        norm,
-                    )
-                    if not verdict.passed and not verdict.inconclusive:
-                        return verdict.witness
+                if not verdict.passed and not verdict.inconclusive:
+                    return verdict.witness
     return None
 
 
@@ -371,34 +426,37 @@ def search_worst_ratio(
 
     Structured families run first, then random restarts; each profile is
     hill-climbed in profile space (per-agent axis directions plus per-agent
-    diagonals, geometric step decay).  Scoring uses a feasible upper bound
+    diagonals, geometric step decay), all restarts in lockstep, with the
+    mechanism and its cost run on each round's stack of polls.  Scoring uses a feasible upper bound
     on the optimum, so scores never exceed true ratios and the best-so-far
     score is monotone in the budget.
     """
     kernel = kernel_of(mech)
-    evaluations = 0
 
-    def score(arr: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        xs = arr.reshape(n, d)
-        upper = opt_value_upper_xs(objective, xs, norm)
-        c = cost_xs(objective, *kernel(xs, norm), xs, norm)
-        if upper <= GEOM_TOL * GEOM_TOL:
-            return 1.0  # unanimous profile: cost is 0 as well
-        return c / upper
+    def scores(arrs: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Negated cost / (cheap optimum upper bound) of each flattened profile."""
+        stack = arrs.reshape(-1, n, d)
+        upper = opt_value_upper_stack(objective, stack, norm)
+        costs = cost_stack(objective, *kernel(stack, norm), stack, norm)
+        # a unanimous profile has cost 0 as well
+        unanimous = upper <= GEOM_TOL * GEOM_TOL
+        return np.where(unanimous, -1.0, -(costs / np.where(unanimous, 1.0, upper)))
 
-    best_score = -math.inf
-    best_profile: Optional[Profile] = None
     box = 8.0  # profiles confined to [-box, box]^d; ratios are scale-invariant
     lo = np.full(n * d, -box)
     hi = np.full(n * d, box)
-    for r, profile in _profile_stream(n, d, config):
-        start = np.clip(profile.as_array.reshape(-1), lo, hi)
-        climb_scale = max(1.0, profile.diameter(norm))
-        x, val, _ = _pattern_minimize(
-            lambda arr: -score(arr), start, climb_scale, config.local_steps, lo, hi
-        )
+    profiles = [profile for _, profile in _profile_stream(n, d, config)]
+    found, values, evals = _pattern_minimize(
+        scores,
+        np.array([np.clip(p.as_array.reshape(-1), lo, hi) for p in profiles]),
+        [max(1.0, p.diameter(norm)) for p in profiles],
+        config.local_steps,
+        lo,
+        hi,
+    )
+    best_score = -math.inf
+    best_profile: Optional[Profile] = None
+    for x, val in zip(found, values.tolist()):
         if -val > best_score:
             best_score = -val
             best_profile = Profile.from_rows(x.reshape(n, d))
@@ -411,5 +469,5 @@ def search_worst_ratio(
         hi=certified.hi,
         cost=certified.cost,
         opt=certified.opt,
-        evaluations=evaluations,
+        evaluations=int(evals.sum()),
     )

@@ -14,9 +14,13 @@ from facilab.geometry import (
     Norm,
     Point,
     Profile,
+    canonical_atoms,
+    canonical_stack,
     expected_distance,
+    expected_distance_stack,
     expected_distance_xs,
     is_on_segment,
+    parse_norm,
     lotteries_match,
     point,
 )
@@ -30,7 +34,7 @@ from facilab.mechanisms import (
     parse_mechanism,
     resolve,
 )
-from facilab.objectives import Objective, cost_mc, cost_sc, cost_xs
+from facilab.objectives import Objective, cost_mc, cost_sc, cost_stack, cost_xs, opt_value_upper_stack
 
 from conftest import profile_strategy
 
@@ -308,3 +312,109 @@ def test_array_kernels_match_apply_bitwise(prof):
                 assert bitwise(expected_distance_xs(x.as_array(), weights, points, norm), expected_distance(x, lot, norm))
             assert bitwise(cost_xs(Objective.MAX_COST, weights, points, xs, norm), cost_mc(lot, prof, norm))
             assert bitwise(cost_xs(Objective.SOCIAL_COST, weights, points, xs, norm), cost_sc(lot, prof, norm))
+
+
+# -- stacked kernels against per-row calls ------------------------------------
+
+STACK_NORMS = ["lp:2", "lp:1", "lp:inf", "lp:3;w=1,2", "lp:2;A=1,0.5,0,1"]
+
+
+@st.composite
+def report_stacks(draw):
+    """(m, n, d) stacks drawn from a small pool of points: duplicate reports,
+    -0.0 coordinates, unanimous rows, and rows that differ in one agent."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 5))
+    coord = st.one_of(special, st.floats(-10, 10, allow_nan=False))
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=2, max_size=6))
+    return np.array(rows, dtype=float).reshape(len(rows), n, d)
+
+
+def unpadded(weights, points):
+    k = int((weights > 0.0).sum())
+    return weights[:k], points[:k]
+
+
+@given(stack=report_stacks())
+@settings(max_examples=120, deadline=None)
+def test_stacked_kernels_match_per_row_bitwise(stack):
+    m, n, d = stack.shape
+    norms = [parse_norm(t) for t in STACK_NORMS if d == 2 or ";" not in t]
+    for norm in norms:
+        lotteries = []  # every kind's rows, one-atom and merged ones mixed
+        for mech in SPECS + [mean_report]:
+            weights, points = kernel_of(mech)(stack, norm)
+            assert weights.shape[0] == m and points.shape[:2] == weights.shape
+            for i in range(m):
+                lot = resolve(mech)(Profile.from_rows(stack[i]), norm)
+                w, p = unpadded(weights[i], points[i])
+                assert bitwise(w, lot.weights_array) and bitwise(p, lot.points_array)
+                assert not weights[i, len(w) :].any()
+                lotteries.append((w, p, i))
+            for objective in Objective:
+                costs = cost_stack(objective, weights, points, stack, norm)
+                for i in range(m):
+                    assert bitwise(costs[i], cost_xs(objective, *unpadded(weights[i], points[i]), stack[i], norm))
+        width = max(len(w) for w, _, _ in lotteries)
+        pad_w, pad_p = np.zeros((len(lotteries), width)), np.zeros((len(lotteries), width, d))
+        for j, (w, p, _) in enumerate(lotteries):
+            pad_w[j, : len(w)], pad_p[j, : len(w)] = w, p
+        for agent in range(n):
+            xq = stack[[i for _, _, i in lotteries], agent]
+            dists = expected_distance_stack(xq, pad_w, pad_p, norm)
+            for j, (w, p, _) in enumerate(lotteries):
+                assert bitwise(dists[j], expected_distance_xs(xq[j], w, p, norm))
+
+
+def reference_upper(objective, xs, norm):
+    """The cheap optimum upper bound as written before it was stacked."""
+    distinct = np.unique(xs, axis=0)
+    if len(distinct) == 1:
+        return 0.0
+    if len(distinct) == 2 and objective is Objective.MAX_COST:
+        return norm((distinct[0] - distinct[1]) / 2.0)
+    n = len(xs)
+    mids = [(xs[i] + xs[j]) / 2.0 for i in range(n) for j in range(i + 1, n)]
+    seeds = np.vstack([xs, xs.mean(axis=0, keepdims=True), np.median(xs, axis=0, keepdims=True), mids])
+    dist = norm.eval_many((seeds[:, None, :] - xs[None]).reshape(-1, xs.shape[1])).reshape(len(seeds), n)
+    return float((dist.max(axis=1) if objective is Objective.MAX_COST else dist.sum(axis=1)).min())
+
+
+@given(stack=report_stacks())
+@settings(max_examples=120, deadline=None)
+def test_stacked_upper_bound_matches_reference(stack):
+    for text in STACK_NORMS:
+        if stack.shape[2] != 2 and ";" in text:
+            continue
+        norm = parse_norm(text)
+        for objective in Objective:
+            upper = opt_value_upper_stack(objective, stack, norm)
+            for i in range(len(stack)):
+                assert bitwise(upper[i], reference_upper(objective, stack[i], norm))
+
+
+@given(
+    stack=report_stacks(),
+    weights=st.lists(st.sampled_from([0.25, 0.5, 0.125, 1 / 3, 1 / 6, 0.0]), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_canonical_stack_matches_canonical_atoms(stack, weights):
+    atoms = stack[:, : len(weights)]
+    k = atoms.shape[1]
+    w = np.asarray(weights[:k]) / math.fsum(weights[:k]) if math.fsum(weights[:k]) > 0 else np.ones(k) / k
+    out_w, out_p = canonical_stack(w, atoms)
+    for i in range(len(atoms)):
+        ref_w, ref_p = canonical_atoms(w, atoms[i])
+        row_w, row_p = unpadded(out_w[i], out_p[i])
+        assert bitwise(row_w, ref_w) and bitwise(row_p, ref_p)
+
+
+def test_canonical_stack_rejects_like_canonical_atoms():
+    atoms = np.zeros((2, 2, 2))
+    atoms[1, 1] = 1.0
+    with pytest.raises(ValueError, match="sum to"):
+        canonical_stack([0.5, 0.6], atoms)
+    atoms[1, 1, 0] = math.inf
+    with pytest.raises(ValueError, match="finite points"):
+        canonical_stack([0.5, 0.5], atoms)

@@ -5,15 +5,29 @@ negative controls (mechanisms with proved guarantees) must yield none.
 Fixture outcomes for the open cases record what the oracle run found.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from facilab.geometry import IMPROVE_MARGIN, Norm, point
-from facilab.mechanisms import MechanismSpec
-from facilab.objectives import Objective
-from facilab.properties import check_group_strategyproof_at, check_strategyproof_at
+from facilab.geometry import (
+    GEOM_TOL,
+    IMPROVE_MARGIN,
+    Norm,
+    Point,
+    Profile,
+    expected_distance_stack,
+    expected_distance_xs,
+    parse_norm,
+    point,
+)
+from facilab.mechanisms import MechanismSpec, kernel_of
+from facilab.objectives import Objective, cost_stack, cost_xs, opt_value_upper_xs
+from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
 from facilab.search import (
     DISCUSSION_PROFILE,
     SearchConfig,
+    _pattern_minimize,
     search_gsp_violation,
     search_sp_violation,
     search_worst_ratio,
@@ -153,3 +167,110 @@ class TestConfig:
     def test_rejects_bad_restarts(self):
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+
+
+# -- the batched pattern search against a one-poll-at-a-time loop -------------
+
+
+def reference_pattern_minimize(fn, start, scale, max_sweeps, lo, hi):
+    """The pattern search polling one direction at a time, as it was written
+    before polls were batched: the oracle for the batched version."""
+    d = start.size
+    x = np.clip(start, lo, hi)
+    best = fn(x)
+    evals = 1
+    step = scale / 4.0
+    dirs = list(np.eye(d)) + [np.ones(d) / math.sqrt(d)]
+    sweeps = 0
+    while step > 1e-7 * scale and sweeps < max_sweeps:
+        improved = False
+        for direction in dirs:
+            for sign in (1.0, -1.0):
+                cand = np.clip(x + sign * step * direction, lo, hi)
+                val = fn(cand)
+                evals += 1
+                if val < best - 1e-15:
+                    best, x = val, cand
+                    improved = True
+        sweeps += 1
+        if not improved:
+            step *= 0.5
+    return x, best, evals
+
+
+XS = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.9], [1.1, 1.4]])
+
+
+@pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
+@pytest.mark.parametrize("norm_text", ["lp:2", "lp:inf", "lp:2;A=1,0.5,0,1"])
+def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
+    norm, kernel = parse_norm(norm_text), kernel_of(mech)
+    lo, hi = XS.min(axis=0) - 4.0, XS.max(axis=0) + 4.0
+    agents = np.array([0, 1, 2, 3])
+
+    def margin(z, agent):
+        moved = XS.copy()
+        moved[agent] = z
+        return expected_distance_xs(XS[agent], *kernel(moved, norm), norm)
+
+    def margins(zs, owners):
+        moved = np.repeat(XS[None], len(zs), axis=0)
+        moved[np.arange(len(zs)), agents[owners]] = zs
+        weights, points = kernel(moved, norm)
+        return expected_distance_stack(XS[agents[owners]], weights, points, norm)
+
+    starts = XS + 0.37
+    found = _pattern_minimize(margins, starts, 1.7, 30, lo, hi)
+    for s, agent in enumerate(agents):
+        x, val, evals = reference_pattern_minimize(lambda z: margin(z, agent), starts[s], 1.7, 30, lo, hi)
+        assert found[0][s].tobytes() == x.tobytes()
+        assert found[1][s] == val and found[2][s] == evals
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_batched_poll_matches_reference_on_hunt_score(objective):
+    n, d = 3, 2
+    norm, kernel = Norm(2.0), kernel_of("rand_center")
+    lo, hi = np.full(n * d, -8.0), np.full(n * d, 8.0)
+
+    def score(arr):
+        xs = arr.reshape(n, d)
+        upper = opt_value_upper_xs(objective, xs, norm)
+        c = cost_xs(objective, *kernel(xs, norm), xs, norm)
+        return -1.0 if upper <= GEOM_TOL * GEOM_TOL else -(c / upper)
+
+    def scores(arrs, owners):
+        stack = arrs.reshape(-1, n, d)
+        costs = cost_stack(objective, *kernel(stack, norm), stack, norm)
+        uppers = [opt_value_upper_xs(objective, xs, norm) for xs in stack]
+        return np.array([-1.0 if u <= GEOM_TOL * GEOM_TOL else -(c / u) for c, u in zip(costs, uppers)])
+
+    starts = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.2, -1.0, 1.5, 0.3, -0.4, 2.2]])
+    scales = [1.0, 3.2]
+    found = _pattern_minimize(scores, starts, scales, 16, lo, hi)
+    for s in range(len(starts)):
+        x, val, evals = reference_pattern_minimize(score, starts[s], scales[s], 16, lo, hi)
+        assert found[0][s].tobytes() == x.tobytes()
+        assert found[1][s] == val and found[2][s] == evals
+
+
+def test_worst_ratio_evaluations_pinned():
+    # values produced by the one-poll-at-a-time search
+    config = SearchConfig(rng_seed=2, restarts=14, local_steps=40)
+    res = search_worst_ratio(RAND_MED, N2, Objective.SOCIAL_COST, 3, 2, config)
+    assert (res.evaluations, res.ratio) == (6412, 1.5)
+    res = search_worst_ratio(RAND_CENTER, N1, Objective.MAX_COST, 3, 2, config)
+    assert (res.evaluations, res.ratio) == (6202, 1.6666666666666667)
+    assert res.profile == Profile.from_rows([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+
+
+def test_gsp_witness_pinned():
+    # the witness produced by the one-coalition-at-a-time search
+    witness = search_gsp_violation(RAND_CENTER, N2, 3, 2, small_config())
+    move = Point((0.599609375, 0.599609375))
+    assert witness == Witness(
+        profile=Profile.from_rows([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
+        coalition=(1, 2),
+        misreports=(move, move),
+        per_agent_delta=((1, 0.7750469233121475, 0.7675919922845482), (2, 0.7750469233121475, 0.7675919922845482)),
+    )
