@@ -223,10 +223,10 @@ def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
     Returns (point array, value, gap, evals, note).  Kuhn's condition at
     the reports comes first: the best report is the starting incumbent and
     its bound the starting floor, so an optimal report returns at once
-    instead of being approached sublinearly.  The coincidence guard tests
-    the same condition whenever an iterate lands on a data point; if it
-    holds the point is exactly optimal (gap 0), otherwise a finite descent
-    step escapes the singularity.  ``unit`` scales the gap target (see
+    instead of being approached sublinearly.  The coincidence guard applies
+    the same bound (:func:`_kuhn_bounds`) whenever an iterate lands on a
+    data point; unless that meets the target, a finite descent step escapes
+    the singularity.  ``unit`` scales the gap target (see
     :func:`_meets_target`).
     """
     n = zs.shape[0]
@@ -247,25 +247,18 @@ def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
         nearest = int(np.argmin(dist))
         if dist[nearest] < GEOM_TOL:
             anchor = zs[nearest]
-            d_exact = np.linalg.norm(zs - anchor, axis=1)
-            away = d_exact > 0.0
-            if not away.any():
-                return anchor, 0.0, 0.0, evals, ""
+            lower, d_exact, g = (a[0] for a in _kuhn_bounds(zs, Norm(2.0), [nearest]))
             value = float(d_exact.sum())
             if value < best_val:
                 best_val, best_m = value, anchor.copy()
-            g = ((anchor - zs[away]) / d_exact[away, None]).sum(axis=0)
-            gnorm = float(np.linalg.norm(g))
-            coincident = int((~away).sum())  # multiplicity of the anchor
-            if gnorm <= coincident + 1e-12:
-                # subgradient condition holds: the data point is optimal
-                return anchor, value, 0.0, evals, ""
+            opt_lb = max(opt_lb, float(lower))
             gap = max(0.0, best_val - opt_lb)
             if _meets_target(gap, best_val, unit):
                 return best_m, best_val, gap, evals, ""
             # escape the singularity with an explicit descent step
-            inv_sum = float((1.0 / d_exact[away]).sum())
-            step = (gnorm - coincident) / inv_sum
+            away = d_exact > 0.0
+            gnorm = float(np.linalg.norm(g))
+            step = (gnorm - int((~away).sum())) / float((1.0 / d_exact[away]).sum())
             m = anchor - step * g / gnorm
             continue
         value = float(dist.sum())
@@ -713,25 +706,31 @@ def _sc_gradient_lower_bound(
 def _sc_report_bound(zs: np.ndarray, residual: Norm):
     """Kuhn's optimality condition at the reports, as a lower bound.
 
+    Returns (bound, z_k, sc(z_k)) for the first report with the best bound
+    of :func:`_kuhn_bounds`, or (-inf, None, inf) unless 1 < p < inf.
+    """
+    if not residual.strictly_convex:
+        return -math.inf, None, math.inf
+    lower, dists, _ = _kuhn_bounds(zs, residual, np.arange(len(zs)))
+    best = int(np.argmax(lower))
+    return float(lower[best]), zs[best], float(dists[best].sum())
+
+
+def _kuhn_bounds(zs: np.ndarray, residual: Norm, rows):
+    """Kuhn's condition at the reports zs[rows] (1 < p < inf).
+
     At a report z_k of multiplicity m the coincident terms contribute any
     m s with ||s||_dual <= 1 to the subgradient, and the others the sum g
     of their gradients, so sc >= sc(z_k) - max(0, ||g||_dual - m) * R_k
     (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).  Returns
-    (bound, z_k, sc(z_k)) for the first report with the best bound, or
-    (-inf, None, inf) unless 1 < p < inf.
+    per row the bound, the distances to all reports and g.
     """
-    if not residual.strictly_convex:
-        return -math.inf, None, math.inf
-    n, d = zs.shape
-    diffs = zs[:, None, :] - zs[None, :, :]
-    dists = residual.eval_many(diffs.reshape(-1, d)).reshape(n, n)
+    diffs = zs[rows][:, None, :] - zs[None, :, :]
+    dists = residual.eval_many(diffs.reshape(-1, zs.shape[1])).reshape(len(diffs), len(zs))
     away = dists > 0.0
     grads = _term_gradients(diffs, residual.p, np.where(away, dists, 1.0)).sum(axis=1)
     excess = np.maximum(0.0, _dual_norm(residual.p, grads) - (~away).sum(axis=1))
-    values = dists.sum(axis=1)
-    lower = values - excess * _reach(residual, zs, zs)
-    best = int(np.argmax(lower))
-    return float(lower[best]), zs[best], float(values[best])
+    return dists.sum(axis=1) - excess * _reach(residual, zs[rows], zs), dists, grads
 
 
 def _diameter(zs: np.ndarray, residual: Norm) -> float:

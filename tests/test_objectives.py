@@ -435,6 +435,29 @@ def test_weiszfeld_agrees_with_grid_oracle(prof):
     assert brute_val <= res.value + res.certified_gap + slack + 1e-9
 
 
+def test_weiszfeld_iterate_landing_on_a_report(monkeypatch):
+    # Weiszfeld starts at the mean, which is the report (0, 0).  No report is
+    # optimal, so the coincidence guard must bound that report with Kuhn's
+    # condition (as the pre-test does) and step away from it.
+    from facilab import objectives
+
+    rows = []
+    kuhn = objectives._kuhn_bounds
+    monkeypatch.setattr(objectives, "_kuhn_bounds", lambda zs, res, r: rows.append(list(r)) or kuhn(zs, res, r))
+    prof = Profile.from_rows([(0, 0), (-1, 1), (-1, -1), (-1, 0.5), (3, -0.5)])
+    res = opt_social_cost(prof, N2, method="weiszfeld")
+    assert [0] in rows
+    assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+    xs = prof.as_array
+    y = np.array([-0.3, 0.1])
+    for _ in range(5000):  # plain Weiszfeld: the optimum is no report
+        w = 1.0 / np.linalg.norm(xs - y, axis=1)
+        y = (xs * w[:, None]).sum(axis=0) / w.sum()
+    optimum = float(np.linalg.norm(xs - y, axis=1).sum())
+    assert res.value - res.certified_gap <= optimum + 1e-12
+    assert optimum <= res.value + 1e-12
+
+
 GRID_PROFILE = Profile.from_rows([(0, 0), (2, 0.5), (0.7, 1.9), (1.6, -0.8)])
 
 
