@@ -302,7 +302,7 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
         return one_w[None], one_p[None]
     regular = ((w > 0.0) & (w < math.inf)).all() and abs(math.fsum(w) - 1.0) <= WEIGHT_TOL / 2
     if k > 60 or not regular or not np.isfinite(pts).all():
-        return _pad_rows([canonical_atoms(w, p) for p in pts], d)
+        return stack_lotteries([canonical_atoms(w, p) for p in pts], d)
     if k == 1:  # a lone atom carries the whole unit mass exactly
         return np.ones((m, 1)), pts.copy()
     same = (pts[:, :, None, :] == pts[:, None, :, :]).all(axis=-1)
@@ -324,7 +324,7 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     return out_w, out_p
 
 
-def _pad_rows(rows, d: int) -> tuple[np.ndarray, np.ndarray]:
+def stack_lotteries(rows, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack (weights, points) rows of different atom counts, zero-padded."""
     width = max(len(w) for w, _ in rows)
     weights, points = np.zeros((len(rows), width)), np.zeros((len(rows), width, d))
@@ -386,18 +386,18 @@ def expected_distance_xs(
     x: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
 ) -> float:
     """:func:`expected_distance` from the coordinates x to the atoms (weights, points)."""
-    return float(weights @ norm.eval_many(points - x))
+    return float(expected_distance_stack(x[None], weights[None], points[None], norm)[0])
 
 
 def expected_distance_stack(
     xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
 ) -> np.ndarray:
-    """:func:`expected_distance_xs` from each row of the (p, d) xs to its
-    zero-padded lottery (weights[i], points[i]), bit for bit.
+    """Expected distance from each row of the (p, d) xs to its zero-padded
+    lottery (weights[i], points[i]).
 
     Rows are grouped by atom count k, so each group needs one norm call
     (one-row blocks stay one-row blocks under a transform) and one batched
-    (1, k) @ (k, 1) product, which is the same dot product as ``w @ dists``.
+    (1, k) @ (k, 1) product, which rounds as ``w @ dists`` on the row alone.
     """
     counts = (weights > 0.0).sum(axis=1)
     out = np.empty(len(xs))
@@ -551,29 +551,25 @@ def strict_convexity_witness(
     return None
 
 
-def segment_point_at_distance(a: np.ndarray, b: np.ndarray, dist: float, norm: Norm) -> np.ndarray:
-    """The point on segment ab (coordinate arrays) at norm-distance ``dist`` from a.
+def point_on_segment_at_distance(a: Point, b: Point, dist: float, norm: Norm) -> Point:
+    """The point on segment ab at norm-distance ``dist`` from a.
 
     Relies on absolute homogeneity: the point a + t(b-a) with
     t = dist / ||b-a|| sits exactly at distance ``dist`` from a.
     """
+    _same_dim(a, b)
     if dist < -GEOM_TOL:
         raise ValueError(f"distance must be nonnegative, got {dist}")
     if dist <= 0.0:
         return a
-    length = norm(a - b)
+    av, bv = a.as_array(), b.as_array()
+    length = norm(av - bv)
     if length <= WEIGHT_TOL:
         raise ValueError("segment endpoints coincide but distance is positive")
     if dist > length + GEOM_TOL:
         raise ValueError(f"distance {dist} exceeds segment length {length}")
     t = min(dist / length, 1.0)
-    return a + t * (b - a)
-
-
-def point_on_segment_at_distance(a: Point, b: Point, dist: float, norm: Norm) -> Point:
-    """:func:`segment_point_at_distance` on points."""
-    _same_dim(a, b)
-    return Point.from_array(segment_point_at_distance(a.as_array(), b.as_array(), dist, norm))
+    return Point.from_array(av + t * (bv - av))
 
 
 def is_on_segment(

@@ -24,8 +24,8 @@ from .geometry import (
     Lottery,
     Norm,
     Profile,
-    _pad_rows,
     canonical_stack,
+    stack_lotteries,
 )
 
 if TYPE_CHECKING:
@@ -163,7 +163,7 @@ def _adapted(mech: MechanismFn, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray,
     lots = [mech(Profile.from_rows(row), norm) for row in xs]
     if any(lot.dim != xs.shape[2] for lot in lots):
         raise DimensionMismatch("mechanism output and reports differ in dimension")
-    return _pad_rows([(lot.weights_array, lot.points_array) for lot in lots], xs.shape[2])
+    return stack_lotteries([(lot.weights_array, lot.points_array) for lot in lots], xs.shape[2])
 
 
 def describe(mech: MechanismLike) -> str:

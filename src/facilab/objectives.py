@@ -117,18 +117,16 @@ def cost_xs(
     maximum of per-agent expectations; social cost is the expectation of
     the per-atom sum.
     """
-    dist = _distance_matrix(points, xs, norm)
-    per_atom = dist.max(axis=1) if objective is Objective.MAX_COST else dist.sum(axis=1)
-    return float(weights @ per_atom)
+    return float(cost_stack(objective, weights[None], points[None], xs[None], norm)[0])
 
 
 def cost_stack(
     objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
 ) -> np.ndarray:
     """:func:`cost_xs` of each zero-padded lottery (weights[i], points[i]) to
-    the reports xs[i] of an (m, n, d) stack, bit for bit: rows are grouped by
-    atom count k, each group makes one norm call and one batched
-    (1, k) @ (k, 1) product."""
+    the reports xs[i] of an (m, n, d) stack: rows are grouped by atom count
+    k, each group makes one norm call and one batched (1, k) @ (k, 1)
+    product, which rounds as ``w @ per_atom`` on the row alone."""
     counts = (weights > 0.0).sum(axis=1)
     out = np.empty(len(xs))
     for k in np.unique(counts).tolist():

@@ -316,7 +316,9 @@ def test_array_kernels_match_apply_bitwise(prof):
 
 # -- stacked kernels against per-row calls ------------------------------------
 
-STACK_NORMS = ["lp:2", "lp:1", "lp:inf", "lp:3;w=1,2", "lp:2;A=1,0.5,0,1"]
+# the second transform has entries whose products round, so one-row
+# (matrix-vector) and blocked (matrix-matrix) products of it can differ
+STACK_NORMS = ["lp:2", "lp:1", "lp:inf", "lp:3;w=1,2", "lp:2;A=1,0.5,0,1", "lp:2;A=0.3,-1.2,0.8,0.5"]
 
 
 @st.composite
@@ -329,6 +331,18 @@ def report_stacks(draw):
     pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=4))
     rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=2, max_size=6))
     return np.array(rows, dtype=float).reshape(len(rows), n, d)
+
+
+def reference_distance(x, weights, points, norm):
+    """The expected distance as computed before lotteries were stacked."""
+    return float(weights @ norm.eval_many(points - x))
+
+
+def reference_cost(objective, weights, points, xs, norm):
+    """The lottery cost as computed before lotteries were stacked."""
+    diffs = points[:, None, :] - xs[None, :, :]
+    dist = norm.eval_many(diffs.reshape(-1, xs.shape[1])).reshape(len(points), len(xs))
+    return float(weights @ (dist.max(axis=1) if objective is Objective.MAX_COST else dist.sum(axis=1)))
 
 
 def unpadded(weights, points):
@@ -354,8 +368,13 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
                 lotteries.append((w, p, i))
             for objective in Objective:
                 costs = cost_stack(objective, weights, points, stack, norm)
+                # to the first agent alone, a one-atom lottery is a single distance
+                alone = cost_stack(objective, weights, points, stack[:, :1], norm)
                 for i in range(m):
-                    assert bitwise(costs[i], cost_xs(objective, *unpadded(weights[i], points[i]), stack[i], norm))
+                    row = unpadded(weights[i], points[i])
+                    assert bitwise(costs[i], reference_cost(objective, *row, stack[i], norm))
+                    assert bitwise(costs[i], cost_xs(objective, *row, stack[i], norm))
+                    assert bitwise(alone[i], reference_cost(objective, *row, stack[i, :1], norm))
         width = max(len(w) for w, _, _ in lotteries)
         pad_w, pad_p = np.zeros((len(lotteries), width)), np.zeros((len(lotteries), width, d))
         for j, (w, p, _) in enumerate(lotteries):
@@ -364,6 +383,7 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
             xq = stack[[i for _, _, i in lotteries], agent]
             dists = expected_distance_stack(xq, pad_w, pad_p, norm)
             for j, (w, p, _) in enumerate(lotteries):
+                assert bitwise(dists[j], reference_distance(xq[j], w, p, norm))
                 assert bitwise(dists[j], expected_distance_xs(xq[j], w, p, norm))
 
 
