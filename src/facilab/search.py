@@ -265,23 +265,21 @@ def search_sp_violation(
             return _costs(kernel, norm, moved, np.arange(len(z)), agents, xs)
 
         cands = [np.array(_sp_candidates(xs, agent, scale, truth, lo, hi, rng)) for agent in range(1, n + 1)]
-        vals = misreport_costs(np.concatenate(cands), np.repeat(np.arange(n), [len(c) for c in cands]))
-        best_x, best_val = [], []
-        for c, v in zip(cands, np.split(vals, np.cumsum([len(c) for c in cands])[:-1])):
-            k = int(np.argmin(v))
-            best_x.append(c[k])
-            best_val.append(v[k])
-        refine = [i for i in range(n) if best_val[i] < truth_cost[i] + 0.25 * scale]
-        if refine:
+        sizes = [len(c) for c in cands]
+        vals = np.split(misreport_costs(np.concatenate(cands), np.repeat(np.arange(n), sizes)), np.cumsum(sizes)[:-1])
+        best_x = [c[int(np.argmin(v))] for c, v in zip(cands, vals)]
+        best_val = [v.min() for v in vals]
+        refine = np.flatnonzero(np.array(best_val) < np.array(truth_cost) + 0.25 * scale)
+        if refine.size:
             found = _pattern_minimize(
-                lambda z, owners: misreport_costs(z, np.asarray(refine)[owners]),
+                lambda z, owners: misreport_costs(z, refine[owners]),
                 np.array([best_x[i] for i in refine]),
                 scale,
                 config.local_steps,
                 lo,
                 hi,
             )
-            for i, x, val in zip(refine, found[0], found[1]):
+            for i, x, val in zip(refine, *found[:2]):
                 best_x[i], best_val[i] = x, val
         for i in range(n):
             if best_val[i] < truth_cost[i] - IMPROVE_MARGIN:
@@ -367,13 +365,13 @@ def search_gsp_violation(
                     for sign in (1.0, -1.0):
                         candidates.append(np.clip(members + sign * off, lo, hi))
             moves.append(candidates)
-        owner = np.repeat(np.arange(len(coalitions)), [len(t) for t in targets])
-        vals = np.split(common_margins(np.concatenate(targets), owner), np.cumsum([len(t) for t in targets])[:-1])
+        counts = [len(t) for t in targets]
+        vals = np.split(common_margins(np.concatenate(targets), np.repeat(np.arange(len(coalitions)), counts)), np.cumsum(counts)[:-1])
         starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
         zs, best_margin, _ = _pattern_minimize(common_margins, starts, scale, config.local_steps, lo, hi)
-        owner = np.repeat(np.arange(len(coalitions)), [len(m) for m in moves])
+        counts = [len(m) for m in moves]
         flat = np.concatenate([reports for m in moves for reports in m])
-        vals = np.split(joint_margins(flat, owner), np.cumsum([len(m) for m in moves])[:-1])
+        vals = np.split(joint_margins(flat, np.repeat(np.arange(len(coalitions)), counts)), np.cumsum(counts)[:-1])
         for c, rows in enumerate(coalitions):
             best_reports = np.tile(np.clip(zs[c], lo, hi), (len(rows), 1))
             k = int(np.argmin(vals[c]))
