@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Write the fixed equivalence set of canonical reports into one directory.
+
+Two trees are equivalent when their outputs are byte-identical:
+
+    PYTHONPATH=src python scripts/oracle_reports.py --out /tmp/before   # old tree
+    PYTHONPATH=src python scripts/oracle_reports.py --out /tmp/after    # new tree
+    diff -r /tmp/before /tmp/after
+
+The set is 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
+lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
+20 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
+lp:2, lp:1) and ``scripts/run_repro_suite.py --seed 0 --budget 2000``.
+Every command's exit code and console output go to ``console.txt``, with
+the output directory written as ``<out>`` and wall times as ``<ms>``.  ``--budget`` and ``--limit``
+shrink the set for a smoke run; the full set is the default.
+"""
+
+import argparse
+import contextlib
+import io
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from facilab.cli import main as facilab_main
+
+CHECK_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "sep2d:a=0.5", "coord_median")
+RATIO_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "coord_median")
+SHAPES = ((3, 2), (4, 2), (5, 3))
+
+
+def slug(*parts) -> str:
+    text = "-".join(str(p) for p in parts)
+    return text.replace(":", "").replace(";", "_").replace("=", "").replace(",", "_")
+
+
+def commands(budget):
+    """(name, argv) of every CLI run in the set, without --out."""
+    for mech in CHECK_MECHS:
+        for norm in ("lp:2", "lp:1", "lp:inf", "lp:3;w=1,2"):
+            for n, d in SHAPES:
+                if norm.startswith("lp:3;w") and d != 2:
+                    continue
+                argv = ["check", "--mech", mech, "--norm", norm, "--n", str(n), "--d", str(d)]
+                yield slug("check", mech, norm, n, d), argv + ["--seed", "3", "--budget", str(budget or 300)]
+    for mech in RATIO_MECHS:
+        for obj in ("mc", "sc"):
+            for norm in ("lp:2", "lp:1"):
+                argv = ["ratio", "--mech", mech, "--norm", norm, "--obj", obj, "--n", "4"]
+                yield slug("ratio", mech, obj, norm), argv + ["--seed", "1", "--budget", str(budget or 2000)]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="directory for the reports")
+    parser.add_argument("--budget", type=int, default=None, help="one budget for every run (smoke runs)")
+    parser.add_argument("--limit", type=int, default=None, help="run only the first N CLI commands (smoke runs)")
+    args = parser.parse_args()
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    console = []
+    for name, argv in list(commands(args.budget))[: args.limit]:
+        path = out / f"{name}.json"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = facilab_main(argv + ["--out", str(path)])
+        console.append(f"$ facilab {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+    repro = out / "repro"
+    script = Path(__file__).resolve().parent / "run_repro_suite.py"
+    budget = str(args.budget or 2000)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seed", "0", "--budget", budget, "--outdir", str(repro)],
+        capture_output=True,
+        text=True,
+    )
+    console.append(f"$ run_repro_suite.py --seed 0 --budget {budget}\nexit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    text = "\n".join(console).replace(str(out), "<out>")
+    (out / "console.txt").write_text(re.sub(r"runtime \d+ ms", "runtime <ms>", text))
+    print(f"{len(console)} commands written to {out}/")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,3 +37,14 @@ def test_cert_fuzz_reports_every_cell():
     assert cells == {(p, obj) for p in ("1", "1.2", "2", "3", "8", "inf") for obj in ("mc", "sc")}
     assert all(line.split()[2] == "3" for line in lines[1:-1])
     assert lines[-1].startswith("total unsound 0 ")
+
+
+def test_oracle_reports_smoke(tmp_path):
+    out = tmp_path / "oracle"
+    proc = _run("oracle_reports.py", "--out", str(out), "--budget", "20", "--limit", "2")
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names == ["check-dictator1-lp2-3-2.json", "check-dictator1-lp2-4-2.json"]
+    assert (out / "repro" / "table1.csv").exists()
+    console = (out / "console.txt").read_text()
+    assert console.count("\nexit 0\n") == 3 and "runtime <ms>" in console and str(out) not in console
