@@ -170,22 +170,22 @@ class Norm:
         self._check_dim(vs.shape[-1])
         if self._matrix is not None:
             vs = vs @ self._matrix.T
-        u = np.abs(vs)
+        u = np.abs(vs)  # a fresh array: the steps below work in place
         w = self._weight_arr
         if self.p == math.inf:
             if w is not None:
-                u = u * w
+                u *= w
             return u.max(axis=-1)
         if self.p == 1.0:
             if w is not None:
-                u = u * w
+                u *= w
             return u.sum(axis=-1)
         if w is not None:
-            u = u * w ** (1.0 / self.p)
+            u *= w ** (1.0 / self.p)
         peak = u.max(axis=-1)
-        safe = np.where(peak > 0.0, peak, 1.0)
-        ratios = u / safe[..., None]
-        return peak * (ratios**self.p).sum(axis=-1) ** (1.0 / self.p)
+        u /= np.where(peak > 0.0, peak, 1.0)[..., None]
+        u **= self.p
+        return peak * u.sum(axis=-1) ** (1.0 / self.p)
 
     def __call__(self, v) -> float:
         if isinstance(v, Point):

@@ -49,6 +49,10 @@ from .properties import (
 )
 
 BOUNDING_SCALE = 4.0  # misreports stay within this many diameters of the profile box
+# Lockstep stacks grow with the restart count (hunts) and with the number of
+# coalitions (2**n - 1); these caps bound the memory of one array call.
+SCORE_DISTANCES = 2**13  # hunt: profiles per call times n**3
+COALITION_BLOCK = 64  # gsp: coalitions searched in lockstep at a time
 
 
 @dataclass(frozen=True)
@@ -303,10 +307,10 @@ def search_gsp_violation(
     generator is the all-members-report-one-point move (output centroid,
     coalition centroid and extremes, atom points), refined by pattern
     search on the worst member's gain; per-member segment pulls, correlated
-    jitter and axis shifts follow.  All coalitions of one restart are
-    scored as stacks and their pattern searches run in lockstep; witnesses
-    re-validate through the group checker, in coalition order, before being
-    returned.
+    jitter and axis shifts follow.  The coalitions of one restart (in
+    blocks of ``COALITION_BLOCK``) are scored as stacks and their pattern
+    searches run in lockstep; witnesses re-validate through the group
+    checker, in coalition order, before being returned.
     """
     kernel = kernel_of(mech)
     for r, profile in _profile_stream(n, d, config):
@@ -339,54 +343,58 @@ def search_gsp_violation(
         def common_margins(z: np.ndarray, which: np.ndarray) -> np.ndarray:
             return joint_margins(np.repeat(np.clip(z, lo, hi), sizes[which], axis=0), which)
 
-        targets, moves = [], []
-        for rows in coalitions:
-            members = xs[list(rows)]
-            targets.append([
-                weights @ points,
-                xs.mean(axis=0),
-                members.mean(axis=0),
-                np.median(xs, axis=0),
-                members.min(axis=0),
-                members.max(axis=0),
-                *points,
-            ])
-            # per-member moves: segment pulls, correlated jitter, axis shifts
-            center = members.mean(axis=0)
-            candidates = [members + t * (center - members) for t in (0.5, 1.0)]
-            for sigma in (0.1, 0.5):
-                for _ in range(2):
-                    shift = sigma * scale * rng.normal(size=d)
-                    candidates.append(np.clip(members + shift, lo, hi))
-            for h in (0.5, 0.1):
-                for k in range(d):
-                    off = np.zeros(d)
-                    off[k] = h * scale
-                    for sign in (1.0, -1.0):
-                        candidates.append(np.clip(members + sign * off, lo, hi))
-            moves.append(candidates)
-        counts = [len(t) for t in targets]
-        vals = np.split(common_margins(np.concatenate(targets), np.repeat(np.arange(len(coalitions)), counts)), np.cumsum(counts)[:-1])
-        starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
-        zs, best_margin, _ = _pattern_minimize(common_margins, starts, scale, config.local_steps, lo, hi)
-        counts = [len(m) for m in moves]
-        flat = np.concatenate([reports for m in moves for reports in m])
-        vals = np.split(joint_margins(flat, np.repeat(np.arange(len(coalitions)), counts)), np.cumsum(counts)[:-1])
-        for c, rows in enumerate(coalitions):
-            best_reports = np.tile(np.clip(zs[c], lo, hi), (len(rows), 1))
-            k = int(np.argmin(vals[c]))
-            if vals[c][k] < best_margin[c]:
-                best_margin[c], best_reports = vals[c][k], moves[c][k]
-            if best_margin[c] < -IMPROVE_MARGIN:
-                verdict = check_group_strategyproof_at(
-                    mech,
-                    profile,
-                    [i + 1 for i in rows],
-                    [Point.from_array(x) for x in best_reports],
-                    norm,
-                )
-                if not verdict.passed and not verdict.inconclusive:
-                    return verdict.witness
+        for first in range(0, len(coalitions), COALITION_BLOCK):
+            block = np.arange(first, min(first + COALITION_BLOCK, len(coalitions)))
+            targets, moves = [], []
+            for c in block:
+                members = xs[list(coalitions[c])]
+                targets.append([
+                    weights @ points,
+                    xs.mean(axis=0),
+                    members.mean(axis=0),
+                    np.median(xs, axis=0),
+                    members.min(axis=0),
+                    members.max(axis=0),
+                    *points,
+                ])
+                # per-member moves: segment pulls, correlated jitter, axis shifts
+                center = members.mean(axis=0)
+                candidates = [members + t * (center - members) for t in (0.5, 1.0)]
+                for sigma in (0.1, 0.5):
+                    for _ in range(2):
+                        shift = sigma * scale * rng.normal(size=d)
+                        candidates.append(np.clip(members + shift, lo, hi))
+                for h in (0.5, 0.1):
+                    for k in range(d):
+                        off = np.zeros(d)
+                        off[k] = h * scale
+                        for sign in (1.0, -1.0):
+                            candidates.append(np.clip(members + sign * off, lo, hi))
+                moves.append(candidates)
+            counts = [len(t) for t in targets]
+            vals = np.split(common_margins(np.concatenate(targets), np.repeat(block, counts)), np.cumsum(counts)[:-1])
+            starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
+            zs, best_margin, _ = _pattern_minimize(
+                lambda z, owners: common_margins(z, block[owners]), starts, scale, config.local_steps, lo, hi
+            )
+            counts = [len(m) for m in moves]
+            flat = np.concatenate([reports for m in moves for reports in m])
+            vals = np.split(joint_margins(flat, np.repeat(block, counts)), np.cumsum(counts)[:-1])
+            for j, c in enumerate(block):
+                best_reports = np.tile(np.clip(zs[j], lo, hi), (sizes[c], 1))
+                k = int(np.argmin(vals[j]))
+                if vals[j][k] < best_margin[j]:
+                    best_margin[j], best_reports = vals[j][k], moves[j][k]
+                if best_margin[j] < -IMPROVE_MARGIN:
+                    verdict = check_group_strategyproof_at(
+                        mech,
+                        profile,
+                        [i + 1 for i in coalitions[c]],
+                        [Point.from_array(x) for x in best_reports],
+                        norm,
+                    )
+                    if not verdict.passed and not verdict.inconclusive:
+                        return verdict.witness
     return None
 
 
@@ -425,13 +433,16 @@ def search_worst_ratio(
     Structured families run first, then random restarts; each profile is
     hill-climbed in profile space (per-agent axis directions plus per-agent
     diagonals, geometric step decay), all restarts in lockstep, with the
-    mechanism and its cost run on each round's stack of polls.  Scoring uses a feasible upper bound
-    on the optimum, so scores never exceed true ratios and the best-so-far
-    score is monotone in the budget.
+    mechanism, its cost and the bound run on each round's stack of polls.
+    Scoring uses a feasible upper bound on the optimum, so scores never
+    exceed true ratios and the best-so-far score is monotone in the budget.
     """
     kernel = kernel_of(mech)
+    # the cheap bound measures about n**3 / 2 distances per profile; blocks of
+    # this many profiles keep a round's arrays small at any restart count
+    block = max(1, SCORE_DISTANCES // n**3)
 
-    def scores(arrs: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    def score(arrs: np.ndarray) -> np.ndarray:
         """Negated cost / (cheap optimum upper bound) of each flattened profile."""
         stack = arrs.reshape(-1, n, d)
         upper = opt_value_upper_stack(objective, stack, norm)
@@ -439,6 +450,9 @@ def search_worst_ratio(
         # a unanimous profile has cost 0 as well
         unanimous = upper <= GEOM_TOL * GEOM_TOL
         return np.where(unanimous, -1.0, -(costs / np.where(unanimous, 1.0, upper)))
+
+    def scores(arrs: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        return np.concatenate([score(arrs[i : i + block]) for i in range(0, len(arrs), block)])
 
     box = 8.0  # profiles confined to [-box, box]^d; ratios are scale-invariant
     lo = np.full(n * d, -box)

@@ -24,6 +24,7 @@ from facilab.geometry import (
 from facilab.mechanisms import MechanismSpec, kernel_of
 from facilab.objectives import Objective, cost_stack, cost_xs, opt_value_upper_xs
 from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
+from facilab import search
 from facilab.search import (
     DISCUSSION_PROFILE,
     SearchConfig,
@@ -254,8 +255,11 @@ def test_batched_poll_matches_reference_on_hunt_score(objective):
         assert found[1][s] == val and found[2][s] == evals
 
 
-def test_worst_ratio_evaluations_pinned():
-    # values produced by the one-poll-at-a-time search
+@pytest.mark.parametrize("distances", [search.SCORE_DISTANCES, 200])
+def test_worst_ratio_evaluations_pinned(distances, monkeypatch):
+    # values produced by the one-poll-at-a-time search, with each round's
+    # polls scored in one block or in blocks of seven profiles
+    monkeypatch.setattr(search, "SCORE_DISTANCES", distances)
     config = SearchConfig(rng_seed=2, restarts=14, local_steps=40)
     res = search_worst_ratio(RAND_MED, N2, Objective.SOCIAL_COST, 3, 2, config)
     assert (res.evaluations, res.ratio) == (6412, 1.5)
@@ -264,8 +268,11 @@ def test_worst_ratio_evaluations_pinned():
     assert res.profile == Profile.from_rows([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
 
 
-def test_gsp_witness_pinned():
-    # the witness produced by the one-coalition-at-a-time search
+@pytest.mark.parametrize("block", [64, 3])
+def test_gsp_witness_pinned(block, monkeypatch):
+    # the witness produced by the one-coalition-at-a-time search, with the
+    # seven coalitions in one lockstep block or in blocks of three
+    monkeypatch.setattr(search, "COALITION_BLOCK", block)
     witness = search_gsp_violation(RAND_CENTER, N2, 3, 2, small_config())
     move = Point((0.599609375, 0.599609375))
     assert witness == Witness(
