@@ -438,3 +438,15 @@ def test_canonical_stack_rejects_like_canonical_atoms():
     atoms[1, 1, 0] = math.inf
     with pytest.raises(ValueError, match="finite points"):
         canonical_stack([0.5, 0.5], atoms)
+
+
+def test_stacked_kernel_with_more_atoms_than_a_merge_mask_holds():
+    # rand_center on 70 agents has 71 atoms, more positions than a 64-bit
+    # merge mask holds, so the stack goes through canonical_atoms per row
+    rng = np.random.default_rng(3)
+    stack = rng.integers(-2, 3, size=(3, 70, 2)).astype(float)
+    weights, points = kernel_of(RAND_CENTER)(stack, N2)
+    for i in range(len(stack)):
+        lot = apply(RAND_CENTER, Profile.from_rows(stack[i]), N2)
+        w, p = unpadded(weights[i], points[i])
+        assert bitwise(w, lot.weights_array) and bitwise(p, lot.points_array)
