@@ -22,6 +22,9 @@ objective in working coordinates:
 * social cost under the other p = 2 norms: Kuhn's optimality test at the
   reports, then Weiszfeld iteration with a coincidence guard, gap
   certified from the gradient norm times the hull radius;
+* Linf social cost and L1 max cost in d >= 3: a dense linear program
+  (two-phase tableau simplex), its point from the active rows of the final
+  basis and its gap from weak duality on the final multipliers;
 * anything else: one certified search.  The best seed is polished (damped
   Newton for social cost, min-norm subgradient steps for max cost) and
   certified before any tiling: social cost by its gradient and by Kuhn's
@@ -30,8 +33,7 @@ objective in working coordinates:
   bounding box (the objectives are n- resp. 1-Lipschitz per unit axis
   step) continue from the incumbent, polishing and certifying again
   whenever the incumbent improves and stopping once the gap meets the
-  target.  For L1 max cost and Linf social cost in d >= 3 there is no
-  certificate, and the tiling's global lower bound does all the work.
+  target.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -304,6 +306,152 @@ def _exact_point(objective: Objective, zs: np.ndarray, p: float):
     if d == 2 and p == swapped:
         return center(zs @ _ROTATION) @ _ROTATION / 2.0
     return None
+
+
+# -- dense LP for the other polyhedral cases -----------------------------------
+#
+# Without a closed form (d >= 3), Linf social cost and L1 max cost are small
+# linear programs min c.v s.t. A v <= b over v = (x, t):
+#   Linf sc: min sum_i t_i  s.t.  +-(x_k - z_ik) <= t_i   (d + n variables, 2nd rows)
+#   L1 mc:   min t          s.t.  s.(x - z_i) <= t        (d + 1 variables, 2^d n rows,
+#                                                          s in {-1, 1}^d)
+# Each row g.(x - z_i) <= t_j is a linear minorant of the term ||x - z_i||
+# (||g||_dual = 1).  The simplex runs on the dual, min b.mu s.t. A^T mu = -c,
+# mu >= 0, whose final basis names the active rows (the point) and whose
+# values are the multipliers (the certificate).
+
+LP_PIVOT_CAP = 500  # simplex pivots per LP, both phases together
+LP_TOL = 1e-9  # pivot tolerance; the dual's constraint matrix has entries 0, +-1
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= factors[:, None] * tab[row][None, :]
+    basis[row] = col
+
+
+def _pivot_loop(tab: np.ndarray, basis: np.ndarray, cols: int, cap: int) -> int:
+    """Primal simplex pivots with Bland's rule (no cycling) over the first
+    ``cols`` columns until optimal, unbounded or ``cap``; returns the count."""
+    done = 0
+    while done < cap:
+        entering = np.flatnonzero(tab[-1, :cols] < -LP_TOL)
+        if not entering.size:
+            break
+        col = int(entering[0])
+        rows = np.flatnonzero(tab[:-1, col] > LP_TOL)
+        if not rows.size:
+            break
+        ratios = np.maximum(tab[rows, -1], 0.0) / tab[rows, col]
+        ties = rows[ratios <= ratios.min() + LP_TOL]
+        _pivot(tab, basis, int(ties[np.argmin(basis[ties])]), col)
+        done += 1
+    return done
+
+
+def _simplex(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray):
+    """Two-phase tableau simplex for min cost.mu s.t. eq @ mu = rhs >= 0, mu >= 0.
+
+    Returns (mu, basis, pivots).  ``basis`` holds the final basic columns;
+    an index >= eq.shape[1] is an artificial left in by an unfinished phase
+    1.  At most LP_PIVOT_CAP pivots run; mu is the last basic solution
+    either way, so it may be infeasible or suboptimal and callers must
+    certify what they use.
+    """
+    m, k = eq.shape
+    tab = np.zeros((m + 1, k + m + 1))
+    tab[:m, :k] = eq
+    tab[:m, k : k + m] = np.eye(m)
+    tab[:m, -1] = rhs
+    tab[m, :k] = -eq.sum(axis=0)  # phase 1: minimize the artificials' sum
+    tab[m, -1] = -rhs.sum()
+    basis = np.arange(k, k + m)
+    pivots = _pivot_loop(tab, basis, k, LP_PIVOT_CAP)
+    for row in np.flatnonzero(basis >= k):  # artificials left at level zero
+        nonzero = np.flatnonzero(np.abs(tab[row, :k]) > LP_TOL)
+        if nonzero.size and pivots < LP_PIVOT_CAP:
+            _pivot(tab, basis, int(row), int(nonzero[0]))
+            pivots += 1
+    real = basis < k
+    tab[m] = 0.0
+    tab[m, :k] = cost
+    tab[m] -= cost[basis[real]] @ tab[:m][real]
+    pivots += _pivot_loop(tab, basis, k, LP_PIVOT_CAP - pivots)
+    mu = np.zeros(k)
+    mu[basis[real]] = tab[:m, -1][real]
+    return mu, basis, pivots
+
+
+def _lp_rows(objective: Objective, zs: np.ndarray):
+    """The rows g_j.(x - z_i) <= t of the LP above as (g, i, t) arrays."""
+    n, d = zs.shape
+    if objective is Objective.SOCIAL_COST:
+        signs = np.concatenate([np.eye(d), -np.eye(d)])
+        group = np.repeat(np.arange(n), len(signs))
+    else:
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+        group = np.zeros(n * len(signs), dtype=int)
+    return np.tile(signs, (n, 1)), np.repeat(np.arange(n), len(signs)), group
+
+
+def _dual_bound(rows, zs: np.ndarray, residual: Norm, y: np.ndarray, mu: np.ndarray) -> float:
+    """Weak duality: a lower bound on the objective over the box from any
+    multipliers mu of the rows of :func:`_lp_rows`.
+
+    mu is clipped to >= 0 and renormalized to lam with sum 1 per t (0 where
+    a t has none).  Each row is a minorant of its term, so with r the
+    residual sum_j lam_j g_j every x in the box satisfies
+    f(x) >= sum_j lam_j g_j.(y - z_i) - ||r||_dual R, R the box reach from
+    y.  A few ulps per row and coordinate cover the bound's own arithmetic.
+    """
+    grads, owner, group = rows
+    terms = int(group.max()) + 1
+    lam = np.maximum(mu, 0.0)
+    sums = np.bincount(group, lam, minlength=terms)
+    lam = lam / np.where(sums > 0.0, sums, 1.0)[group]
+    r = lam @ grads
+    slopes = grads * (y - zs[owner])
+    minorant = float(lam @ slopes.sum(axis=1))
+    rnorm = float(np.abs(r).sum() if residual.p == math.inf else np.abs(r).max())
+    reach = float(_reach(residual, y[None, :], zs)[0])
+    size = float(lam @ np.abs(slopes).sum(axis=1)) + abs(minorant) + (rnorm + terms) * reach
+    ulps = 2.0 * (len(grads) + y.size + 4) * sys.float_info.epsilon
+    return minorant - rnorm * reach - ulps * size
+
+
+def _polyhedral_lp(objective: Objective, zs: np.ndarray, residual: Norm, unit: float):
+    """Linf social cost or L1 max cost in working coordinates, by the LP above.
+
+    The point solves the active rows of the final basis, clamped onto the
+    box; the gap is :func:`_dual_bound` on the final multipliers.  That
+    bound holds for any multipliers, so a capped or stuck simplex still
+    returns a sound gap, noted as missing its target.
+    Returns (point, gap, pivots, note).
+    """
+    d = zs.shape[1]
+    rows = _lp_rows(objective, zs)
+    grads, owner, group = rows
+    ts = np.zeros((len(grads), int(group.max()) + 1))
+    ts[np.arange(len(grads)), group] = -1.0
+    b_vec = (grads * zs[owner]).sum(axis=1)
+    # the dual: x-rows sum_j mu_j g_j = 0, t-rows sum_{j in t} mu_j = 1
+    mu, basis, pivots = _simplex(b_vec, np.vstack([grads.T, -ts.T]), np.r_[np.zeros(d), np.ones(ts.shape[1])])
+
+    lo, hi = zs.min(axis=0), zs.max(axis=0)
+    y = None
+    if (basis < len(grads)).all():
+        try:
+            y = np.linalg.solve(np.hstack([grads, ts])[basis], b_vec[basis])[:d]
+        except np.linalg.LinAlgError:
+            pass
+    if y is None or not np.isfinite(y).all():
+        y = (lo + hi) / 2.0
+    y = np.clip(y, lo, hi)  # clamping onto the box never raises the objective
+    value = float(_objective_fn(objective, zs, residual)(y[None, :])[0])
+    gap = max(0.0, value - _dual_bound(rows, zs, residual, y, mu))
+    return y, gap, pivots, "" if _meets_target(gap, value, unit) else "gap target missed"
 
 
 # -- Lipschitz branch-and-bound ------------------------------------------------
@@ -745,10 +893,11 @@ def opt_social_cost(
     """Certified geometric-median benchmark (social-cost optimum).
 
     method: "auto" takes the closed form where one exists (L1, Linf in
-    d = 2, every p in d = 1; route "exact", gap 0), Weiszfeld for the
-    other p = 2 norms and the certified branch-and-bound otherwise;
-    "weiszfeld" / "grid" force a route (the two stay independent of each
-    other and of the closed forms, so they can cross-check them).
+    d = 2, every p in d = 1; route "exact", gap 0), the LP for Linf in
+    d >= 3 (route "lp", gap from its dual), Weiszfeld for the other p = 2
+    norms and the certified branch-and-bound otherwise; "weiszfeld" /
+    "grid" force a route (the two stay independent of each other, of the
+    closed forms and of the LP, so they can cross-check them).
     """
     xs = profile.as_array
     distinct = _distinct_rows(xs)
@@ -772,6 +921,9 @@ def opt_social_cost(
     elif norm.p == 2.0 and method != "grid":
         route = "weiszfeld"
         z, _, gap, evals, note = _weiszfeld(zs, budget, unit)
+    elif norm.p == math.inf and method == "auto":
+        route = "lp"
+        z, gap, evals, note = _polyhedral_lp(Objective.SOCIAL_COST, zs, residual, unit)
     else:
         route = "grid"
         fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
@@ -798,9 +950,10 @@ def opt_max_cost(
     Two distinct support points: their midpoint halves the diameter and is
     exactly optimal under any norm (gap 0).  Linf, L1 in d = 2 and every p
     in d = 1 have the bounding-box center as a closed form (route "exact",
-    gap 0).  Otherwise: the certified branch-and-bound, polished along
-    min-norm subgradients and certified by the active set, with half the
-    profile diameter as an extra lower bound.
+    gap 0), and L1 in d >= 3 the LP (route "lp", gap from its dual).
+    Otherwise: the certified branch-and-bound, polished along min-norm
+    subgradients and certified by the active set, with half the profile
+    diameter as an extra lower bound.
     """
     xs = profile.as_array
     distinct = _distinct_rows(xs)
@@ -817,17 +970,16 @@ def opt_max_cost(
     exact = _exact_point(Objective.MAX_COST, zs, norm.p)
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
+    elif norm.p == 1.0:
+        route = "lp"
+        z, gap, evals, note = _polyhedral_lp(Objective.MAX_COST, zs, residual, unit)
     else:
         route = "grid"
         lo, hi = zs.min(axis=0), zs.max(axis=0)
         fn = _objective_fn(Objective.MAX_COST, zs, residual)
         half_diam = _diameter(zs, residual) / 2.0
-        if residual.strictly_convex:
-            polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
-            certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
-        else:
-            polish = lambda y, v, b: (y, v, 0)
-            certify = lambda y, v: half_diam
+        polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
+        certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
         z, _, gap, evals, note = _branch_bound(
             fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
         )

@@ -6,6 +6,7 @@ grid oracle.  Expected constants were derived with that oracle (or closed
 forms confirmed by it) and then frozen.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -347,6 +348,54 @@ class TestApproxRatio:
                     checked += 1
             assert checked > (150 if locations == 2 else 60), (text, checked)
 
+    def test_exact_ratio_inside_lp_interval(self):
+        # Linf social cost and L1 max cost in d = 3 take the LP route, whose
+        # gap is a dual bound a few ulps wide, not 0.  The exact optimum is a
+        # rational primal/dual pair in working coordinates, checked exactly
+        # for feasibility and equal objective values.
+        far = (10**6, 10**6, 10**6)
+        ill = "A=1,-1,0,0,1e-3,0,0,0,1"
+        cases = [
+            (SC, "lp:inf", (0, 0, 0)),
+            (SC, "lp:inf;w=1,3,2", (0, 0, 0)),
+            (SC, "lp:inf;" + ill, far),
+            (MC, "lp:1", (0, 0, 0)),
+            (MC, "lp:1;w=1,3,2", (0, 0, 0)),
+            (MC, "lp:1;" + ill, far),
+        ]
+        rng = np.random.default_rng(11)
+        for objective, text, base in cases:
+            norm = parse_norm(text)
+            rows_a = [tuple(Fraction(c) for c in row) for row in norm.transform or np.eye(3)]
+            scales = [Fraction(w) for w in norm.weights or (1, 1, 1)]
+
+            def working(u):
+                return [w * sum(r * c for r, c in zip(row, u)) for w, row in zip(scales, rows_a)]
+
+            def dist(u, v):
+                z = [abs(c) for c in working([a - b for a, b in zip(u, v)])]
+                return sum(z) if norm.p == 1 else max(z)
+
+            for n in (3, 4, 5, 6):
+                for _ in range(3):
+                    rows = [tuple(int(o + c) for o, c in zip(base, rng.integers(-3, 4, size=3)))
+                            for _ in range(n)]
+                    if len(set(rows)) < 3:
+                        continue
+                    pts = [tuple(Fraction(c) for c in row) for row in rows]
+                    mean = tuple(sum(c) / n for c in zip(*pts))
+                    atoms = [(Fraction(1, 2), mean)] + [(Fraction(1, 2 * n), p) for p in pts]
+                    agg = max if objective is MC else sum
+                    cost = sum(w * agg(dist(x, p) for p in pts) for w, x in atoms)
+                    a, b, c = _polyhedral_lp_rows(objective, norm.p, [working(p) for p in pts])
+                    opt = _exact_lp_optimum(a, b, c)
+                    rr = approx_ratio(
+                        MechanismSpec("rand_center"), Profile.from_rows(rows), norm, objective
+                    )
+                    assert rr.opt.method == "lp", (text, rows)
+                    assert rr.opt.note == "" and rr.opt.certified_gap <= GAP_REL * (1.0 + rr.opt.value)
+                    assert Fraction(rr.lo) <= cost / opt <= Fraction(rr.hi), (text, rows, rr.lo, rr.hi)
+
     def test_l1_social_cost_ratio_is_exact(self):
         # the coordinate median is the exact L1 social-cost optimum (3.8, so
         # the ratio is 4.4 / 3.8); branch-and-bound used to spend its budget
@@ -380,6 +429,81 @@ def _exact_polyhedral_optimum(objective, p, zs):
         total = sum(deviation(col) for col in cols)
         return total if p == 1 else total / 2
     return max(half_range(col) for col in cols)
+
+
+def _polyhedral_lp_rows(objective, p, zs):
+    """min c.v s.t. a v <= b over v = (x, t) for Linf social cost or L1 max
+    cost of the plain norm at the points zs (any number type): one row
+    g.(x - z_i) <= t per report and g in {+-e_k} (Linf) or {-1, 1}^d (L1),
+    with one t per report (sc) or one shared t (mc)."""
+    d = len(zs[0])
+    if p == 1:
+        grads = list(itertools.product((1, -1), repeat=d))
+    else:
+        grads = [tuple(s * int(j == k) for j in range(d)) for k in range(d) for s in (1, -1)]
+    terms = len(zs) if objective is SC else 1
+    a, b = [], []
+    for i, z in enumerate(zs):
+        for g in grads:
+            a.append(list(g) + [-int(j == (i if objective is SC else 0)) for j in range(terms)])
+            b.append(sum(gk * zk for gk, zk in zip(g, z)))
+    return a, b, [0] * d + [1] * terms
+
+
+def _exact_lp_optimum(a, b, c):
+    """Exact optimum of min c.v s.t. a v <= b (v free), as a Fraction.
+
+    A two-phase tableau simplex with Bland's rule runs in exact arithmetic
+    on the dual min b.mu s.t. a^T mu = -c, mu >= 0; the primal v is read
+    from the final basis inverse.  The pair is then checked exactly: v
+    feasible, mu feasible and c.v = -b.mu, which by weak duality makes c.v
+    the optimum.
+    """
+    k, m = len(a), len(c)
+    sign = [-1 if cj > 0 else 1 for cj in c]  # rows scaled so that rhs = -sign c >= 0
+    tab = [
+        [Fraction(sign[j] * a[i][j]) for i in range(k)]
+        + [Fraction(int(r == j)) for r in range(m)]
+        + [Fraction(-sign[j] * c[j])]
+        for j in range(m)
+    ]
+    basis = list(range(k, k + m))
+
+    def pivot(row, col):
+        piv = tab[row][col]
+        tab[row] = [v / piv for v in tab[row]]
+        for r in range(m):
+            if r != row and tab[r][col] != 0:
+                f = tab[r][col]
+                tab[r] = [v - f * w for v, w in zip(tab[r], tab[row])]
+        basis[row] = col
+
+    def run(cost):
+        while True:
+            reduced = [cost[j] - sum(cost[basis[r]] * tab[r][j] for r in range(m)) for j in range(k)]
+            entering = next((j for j in range(k) if reduced[j] < 0), None)
+            if entering is None:
+                return
+            ratios = [(tab[r][-1] / tab[r][entering], basis[r], r) for r in range(m) if tab[r][entering] > 0]
+            pivot(min(ratios)[2], entering)
+
+    run([0] * k + [1] * m)
+    for row in range(m):
+        if basis[row] >= k:
+            pivot(row, next(j for j in range(k) if tab[row][j] != 0))
+    cost = [Fraction(v) for v in b] + [Fraction(0)] * m
+    run(cost)
+    mu = [Fraction(0)] * k
+    for r in range(m):
+        mu[basis[r]] = tab[r][-1]
+    pi = [sum(cost[basis[r]] * tab[r][k + j] for r in range(m)) for j in range(m)]
+    v = [s * x for s, x in zip(sign, pi)]
+    assert all(sum(aij * vj for aij, vj in zip(row, v)) <= bi for row, bi in zip(a, b))
+    assert all(x >= 0 for x in mu)
+    assert all(sum(a[i][j] * mu[i] for i in range(k)) == -c[j] for j in range(m))
+    value = sum(cj * vj for cj, vj in zip(c, v))
+    assert value == -sum(bi * x for bi, x in zip(b, mu))
+    return value
 
 
 def _scalar_norm(norm, vec):
@@ -492,20 +616,28 @@ def test_weighted_transformed_optima_against_dense_grid(text, objective):
 
 
 SCALE_PROFILE = ((0.2, 0.1), (1.3, -0.4), (0.7, 0.9), (-0.5, 0.3))
+SCALE_PROFILE_3D = (
+    (-1.7, -0.1, 0.3), (-0.8, -0.7, -0.2), (0.7, -0.5, 1.8), (0.3, -0.1, 1.4), (0.6, 0.4, -0.3), (1.8, 0.8, -0.2)
+)
 
 
 @pytest.mark.parametrize("objective", [MC, SC], ids=["mc", "sc"])
-@pytest.mark.parametrize("text", ["lp:1", "lp:2", "lp:3", "lp:inf"])
-def test_ratio_interval_does_not_depend_on_scale(text, objective):
+@pytest.mark.parametrize(
+    "text, rows",
+    [pytest.param(t, SCALE_PROFILE, id=t) for t in ("lp:1", "lp:2", "lp:3", "lp:inf")]
+    + [pytest.param(t, SCALE_PROFILE_3D, id=t + "-3d") for t in ("lp:1", "lp:inf")],
+)
+def test_ratio_interval_does_not_depend_on_scale(text, rows, objective):
     # ratios are scale-invariant, and so must be the certified intervals and
     # their tightness; at 1e-300 the absolute part of the gap target used to
-    # pass loose gaps as met, and at 1e200 Weiszfeld overflowed to a ratio of
-    # 0 with interval [0, inf]
+    # pass loose gaps as met, at 1e200 Weiszfeld overflowed to a ratio of 0
+    # with interval [0, inf], and in 3-D branch-and-bound stopped Linf social
+    # cost and L1 max cost at incumbents that moved with the scale
     norm = parse_norm(text)
     spec = MechanismSpec("rand_center")
-    unit = approx_ratio(spec, Profile.from_rows(SCALE_PROFILE), norm, objective).ratio
+    unit = approx_ratio(spec, Profile.from_rows(rows), norm, objective).ratio
     for factor in (1e-300, 1e200):
-        scaled = Profile.from_rows(np.array(SCALE_PROFILE) * factor)
+        scaled = Profile.from_rows(np.array(rows) * factor)
         rr = approx_ratio(spec, scaled, norm, objective)
         assert rr.lo <= unit <= rr.hi, (factor, rr.lo, rr.ratio, rr.hi)
         assert rr.hi - rr.lo <= 1e-5 * unit, (factor, rr.lo, rr.ratio, rr.hi)
@@ -562,3 +694,128 @@ def test_data_point_certificate_against_grid(p, rows):
     lo, hi = prof.bounding_box()
     grid_min, _ = brute_force_minimize(lambda x: brute_social_cost(prof, norm, x), lo, hi)
     assert res.value - res.certified_gap <= grid_min + 1e-9
+
+
+def _highs_optimum(objective, xs, norm):
+    """Optimum of Linf social cost or L1 max cost from scipy's HiGHS, in
+    report coordinates: the rows of :func:`_polyhedral_lp_rows` applied to
+    M (x - x_i), with M the transform scaled by the weights."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, d = xs.shape
+    mat = np.eye(d) if norm.transform is None else np.asarray(norm.transform, dtype=float)
+    if norm.weights is not None:
+        mat = np.asarray(norm.weights, dtype=float)[:, None] * mat
+    a, b, c = _polyhedral_lp_rows(objective, norm.p, list(xs @ mat.T))
+    a = np.asarray(a, dtype=float)
+    a[:, :d] = a[:, :d] @ mat
+    res = linprog(
+        c, A_ub=a, b_ub=np.asarray(b, dtype=float), bounds=[(None, None)] * len(c), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _degenerate_profile(kind, n, d, rng):
+    if kind == "integer":  # ties and duplicates on a small grid
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    if kind == "duplicates":
+        rows = rng.normal(size=(max(2, n // 2), d))
+        return rows[rng.integers(0, len(rows), size=n)]
+    if kind == "coplanar":
+        return rng.normal(size=d) + rng.normal(size=(n, 2)) @ rng.normal(size=(2, d))
+    if kind == "rank1":
+        return rng.normal(size=d) + rng.normal(size=(n, 1)) * rng.normal(size=(1, d))
+    xs = rng.normal(size=(n, d)) * 2.0
+    if kind == "flat-axis":
+        xs[:, int(rng.integers(0, d))] = 0.7
+    return xs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_route_robust_against_highs(seed):
+    # degenerate reports under plain, weighted and transformed polyhedral
+    # norms in d = 3..4: the LP's certificate stays sound against HiGHS, meets
+    # its target, and its social-cost interval overlaps branch-and-bound's
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(seed)
+    kinds = ("generic", "integer", "duplicates", "coplanar", "rank1", "flat-axis")
+    for i, kind in enumerate(kinds * 2):
+        d = 3 + i % 2
+        xs = _degenerate_profile(kind, int(rng.integers(3, 8)), d, rng)
+        weights = tuple(rng.uniform(0.5, 3.0, size=d)) if i % 3 else None
+        transform = None
+        if i % 3 == 2:
+            transform = tuple(map(tuple, np.eye(d) + rng.uniform(-0.6, 0.6, size=(d, d))))
+        prof = Profile.from_rows(xs)
+        for objective, p in ((SC, math.inf), (MC, 1.0)):
+            norm = Norm(p, weights=weights, transform=transform)
+            res = (opt_max_cost if objective is MC else opt_social_cost)(prof, norm)
+            if res.method.startswith("exact"):  # unanimous, or two locations for mc
+                continue
+            assert res.method == "lp", (kind, res)
+            opt = _highs_optimum(objective, xs, norm)
+            tol = 1e-9 * (1.0 + abs(opt))
+            assert res.value - res.certified_gap <= opt + tol, (kind, objective, res, opt)
+            assert res.value >= opt - tol, (kind, objective, res, opt)
+            assert res.note == "" and res.certified_gap <= GAP_REL * (1.0 + res.value), (kind, res)
+            if objective is SC:
+                grid = opt_social_cost(prof, norm, budget=4000, method="grid")
+                assert max(res.value - res.certified_gap, grid.value - grid.certified_gap) <= min(
+                    res.value, grid.value
+                ) + tol, (kind, res, grid)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 6])
+def test_lp_certificate_sound_when_pivots_run_out(monkeypatch, cap):
+    # the dual bound holds for the multipliers of any basis, so a simplex
+    # stopped early (phase 1 included) still returns a sound gap and says
+    # that it missed its target
+    from facilab import objectives
+
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(objectives, "LP_PIVOT_CAP", cap)
+    rng = np.random.default_rng(cap)
+    for i in range(6):
+        d = 3 + i % 2
+        xs = rng.normal(size=(int(rng.integers(4, 8)), d))
+        for objective, p in ((SC, math.inf), (MC, 1.0)):
+            norm = Norm(p, weights=tuple(rng.uniform(0.5, 3.0, size=d)))
+            res = (opt_max_cost if objective is MC else opt_social_cost)(Profile.from_rows(xs), norm)
+            opt = _highs_optimum(objective, xs, norm)
+            assert res.method == "lp"
+            assert res.value - res.certified_gap <= opt + 1e-9 * (1.0 + opt), (cap, res, opt)
+            met = res.certified_gap <= GAP_REL * (1.0 + res.value)
+            assert res.note == ("" if met else "gap target missed"), (cap, res)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dual_bound_sound_for_any_multipliers(seed):
+    # the bound must hold for multipliers of any basis, not only an optimal
+    # one: the subgradient of the objective at a point y off the optimum
+    # gives a minorant equal to f(y) there, which only the residual charge
+    # brings below the optimum; noise on top must not break it either
+    from facilab import objectives
+
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(seed)
+    for i in range(8):
+        d = 3 + i % 2
+        zs = rng.normal(size=(int(rng.integers(3, 7)), d))
+        lo, hi = zs.min(axis=0), zs.max(axis=0)
+        for objective, p in ((SC, math.inf), (MC, 1.0)):
+            rows = objectives._lp_rows(objective, zs)
+            grads, owner, group = rows
+            opt = _highs_optimum(objective, zs, Norm(p))
+            for _ in range(5):
+                y = lo + rng.uniform(size=d) * (hi - lo)
+                scores = (grads * (y - zs[owner])).sum(axis=1)
+                if objective is MC:
+                    scores = np.where(owner == np.argmax(Norm(p).eval_many(y - zs)), scores, -np.inf)
+                mu = np.zeros(len(grads))
+                for g in np.unique(group):
+                    members = np.flatnonzero(group == g)
+                    mu[members[np.argmax(scores[members])]] = 1.0
+                for noise in (0.0, 0.3):
+                    lower = objectives._dual_bound(rows, zs, Norm(p), y, mu + noise * rng.uniform(-1, 1, size=mu.size))
+                    assert lower <= opt + 1e-9 * (1.0 + opt), (objective, y, lower, opt)

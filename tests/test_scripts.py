@@ -39,6 +39,16 @@ def test_cert_fuzz_reports_every_cell():
     assert lines[-1].startswith("total unsound 0 ")
 
 
+def test_cert_fuzz_3d_reports_every_cell():
+    proc = _run("cert_fuzz.py", "--d", "3", "--profiles", "3", "--grid", "9")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    cells = {tuple(line.split()[:2]) for line in lines[1:-1]}
+    assert cells == {(p, obj) for p in ("1", "1.2", "2", "3", "8", "inf") for obj in ("mc", "sc")}
+    assert all(line.split()[2] == "3" for line in lines[1:-1])
+    assert lines[-1] == "total unsound 0 misses 0"
+
+
 def test_oracle_reports_smoke(tmp_path):
     out = tmp_path / "oracle"
     proc = _run("oracle_reports.py", "--out", str(out), "--budget", "20", "--limit", "2")
