@@ -680,11 +680,14 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
     of at most d+1 vertices (Caratheodory), so subsets up to that size are
     enumerated and the origin is projected onto each affine hull by least
     squares on the edge matrix (stable even for nearly opposite rows);
-    projections with negative barycentric weights are discarded.
+    projections with barycentric weights below -1e-12 are discarded.  The
+    best weights are clipped to >= 0 and renormalized, and the vector is
+    their combination, so it lies in the hull up to rounding.
     """
     k, d = grads.shape
     norms_sq = (grads * grads).sum(axis=1)
-    best = grads[int(np.argmin(norms_sq))].copy()
+    best = np.zeros(k)
+    best[int(np.argmin(norms_sq))] = 1.0
     best_val = float(norms_sq.min())
     max_support = min(k, d + 1)
     for size in range(2, max_support + 1):
@@ -692,15 +695,17 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
             base = grads[idx[0]]
             edges = grads[list(idx[1:])] - base
             t, *_ = np.linalg.lstsq(edges.T, -base, rcond=None)
-            lam_rest = t
-            lam0 = 1.0 - float(lam_rest.sum())
-            if lam0 < -1e-12 or lam_rest.min() < -1e-12:
+            lam0 = 1.0 - float(t.sum())
+            if lam0 < -1e-12 or t.min() < -1e-12:
                 continue
             candidate = base + edges.T @ t
             val = float(candidate @ candidate)
             if val < best_val:
-                best_val, best = val, candidate
-    return best
+                best_val = val
+                best = np.zeros(k)
+                best[list(idx)] = np.r_[lam0, t]
+    best = np.maximum(best, 0.0)
+    return (best / best.sum()) @ grads
 
 
 def _mc_steepest_polish(
