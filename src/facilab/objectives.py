@@ -680,15 +680,16 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
     of at most d+1 vertices (Caratheodory), so subsets up to that size are
     enumerated and the origin is projected onto each affine hull by least
     squares on the edge matrix (stable even for nearly opposite rows);
-    projections with barycentric weights below -1e-12 are discarded.  The
-    best weights are clipped to >= 0 and renormalized, and the vector is
-    their combination, so it lies in the hull up to rounding.
+    projections with barycentric weights below -1e-12 are discarded.  When
+    the best one has a weight below 0, the weights are clipped to >= 0 and
+    renormalized and the vector is their combination, so it lies in the
+    hull up to rounding.
     """
     k, d = grads.shape
     norms_sq = (grads * grads).sum(axis=1)
-    best = np.zeros(k)
-    best[int(np.argmin(norms_sq))] = 1.0
+    best = grads[int(np.argmin(norms_sq))].copy()
     best_val = float(norms_sq.min())
+    best_lam = None
     max_support = min(k, d + 1)
     for size in range(2, max_support + 1):
         for idx in itertools.combinations(range(k), size):
@@ -701,11 +702,12 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
             candidate = base + edges.T @ t
             val = float(candidate @ candidate)
             if val < best_val:
-                best_val = val
-                best = np.zeros(k)
-                best[list(idx)] = np.r_[lam0, t]
-    best = np.maximum(best, 0.0)
-    return (best / best.sum()) @ grads
+                best_val, best, best_lam = val, candidate, (idx, lam0, t)
+    if best_lam is not None and min(best_lam[1], float(best_lam[2].min())) < 0.0:
+        idx, lam0, t = best_lam
+        lam = np.maximum(np.concatenate(([lam0], t)), 0.0)
+        best = (lam / lam.sum()) @ grads[list(idx)]
+    return best
 
 
 def _mc_steepest_polish(
