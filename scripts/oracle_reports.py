@@ -10,7 +10,11 @@ Two trees are equivalent when their outputs are byte-identical:
 The set is 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
 lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
 20 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
-lp:2, lp:1) and ``scripts/run_repro_suite.py --seed 0 --budget 2000``.
+lp:2, lp:1), 4 ``check --seed 0`` runs at the CLI default budget of
+20,000 (80 restarts, so the searches cross their lockstep blocks:
+rand_center, coord_median and sep2d:a=0 under lp:2 at (n, d) = (3, 2), and
+rand_med at (4, 2), whose gsp search finds nothing and runs every
+restart) and ``scripts/run_repro_suite.py --seed 0 --budget 2000``.
 Every command's exit code and console output go to ``console.txt``, with
 the output directory written as ``<out>`` and wall times as ``<ms>``.  ``--budget`` and ``--limit``
 shrink the set for a smoke run; the full set is the default.
@@ -29,6 +33,7 @@ from facilab.cli import main as facilab_main
 CHECK_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "sep2d:a=0.5", "coord_median")
 RATIO_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "coord_median")
 SHAPES = ((3, 2), (4, 2), (5, 3))
+DEFAULT_BUDGET_CHECKS = (("rand_center", 3), ("coord_median", 3), ("sep2d:a=0", 3), ("rand_med", 4))
 
 
 def slug(*parts) -> str:
@@ -50,6 +55,9 @@ def commands(budget):
             for norm in ("lp:2", "lp:1"):
                 argv = ["ratio", "--mech", mech, "--norm", norm, "--obj", obj, "--n", "4"]
                 yield slug("ratio", mech, obj, norm), argv + ["--seed", "1", "--budget", str(budget or 2000)]
+    for mech, n in DEFAULT_BUDGET_CHECKS:
+        argv = ["check", "--mech", mech, "--norm", "lp:2", "--n", str(n), "--d", "2"]
+        yield slug("check-default", mech, "lp:2", n, 2), argv + ["--seed", "0", "--budget", str(budget or 20_000)]
 
 
 def main() -> int:

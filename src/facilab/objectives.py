@@ -728,20 +728,28 @@ def _mc_steepest_polish(
     """
     evals = 0
     tau = 1e-2 * (1.0 + value)
-    for _ in range(200):
-        if tau < 1e-11 * (1.0 + value):
-            break
+    rounds = 0
+    while rounds < 200 and tau >= 1e-11 * (1.0 + value):
+        rounds += 1
         dists = residual.eval_many(y[None, :] - zs)
         evals += 1
         value = float(dists.max())
         active = dists >= value - tau
-        if float(dists[active].min()) < 1e-12:
+        floor = float(dists[active].min())
+        if floor < 1e-12:
             break  # at a data point; nothing to balance
         grads = _term_gradients(y - zs[active], residual.p, dists[active])
         combo = _min_norm_point(grads)
         gnorm = float(np.linalg.norm(combo))
         if gnorm < 1e-14:
+            # y stays put, so the next rounds would see these distances and
+            # this zero min-norm point again until tau drops a term from the
+            # band: count them, one evaluation each, without redoing them
             tau /= 4.0
+            while rounds < 200 and tau >= 1e-11 * (1.0 + value) and floor >= value - tau:
+                rounds += 1
+                evals += 1
+                tau /= 4.0
             continue
         # the step tau / |combo| halved 0..11 times, scored in one batch
         steps = (tau / gnorm) * 0.5 ** np.arange(12.0)
@@ -769,14 +777,17 @@ def _mc_subgradient_lower_bound(
     dists = residual.eval_many(y[None, :] - zs)
     reach = float(_reach(residual, y[None, :], zs)[0])
     best = -math.inf
+    slopes: dict[bytes, float] = {}  # dual norm of the min-norm point, per active set
     for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
         eps = eps_rel * (1.0 + value)
         active = dists >= value - eps
         if not active.any() or float(dists[active].min()) < 1e-12:
             continue
-        grads = _term_gradients(y - zs[active], residual.p, dists[active])
-        combo = _min_norm_point(grads)
-        best = max(best, value - eps - float(_dual_norm(residual.p, combo)) * reach)
+        key = active.tobytes()
+        if key not in slopes:
+            grads = _term_gradients(y - zs[active], residual.p, dists[active])
+            slopes[key] = float(_dual_norm(residual.p, _min_norm_point(grads)))
+        best = max(best, value - eps - slopes[key] * reach)
     return best
 
 

@@ -10,6 +10,12 @@ Candidates are scored on arrays: the mechanism's array kernel
 candidate that beats the margin becomes a ``Point``/``Profile`` again, to be
 re-validated by the checkers in :mod:`facilab.properties`.
 
+The misreport searches run their restarts in lockstep: the (restart, agent)
+or (restart, coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``,
+and each block is scored and refined as one stack, with every restart's own
+reports, scale, box and stream.  Witnesses are then validated in restart
+order, so the witness returned is the one a restart-at-a-time search finds.
+
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
 random sampling, so extremal profiles are hit deterministically at any
@@ -49,10 +55,12 @@ from .properties import (
 )
 
 BOUNDING_SCALE = 4.0  # misreports stay within this many diameters of the profile box
-# Lockstep stacks grow with the restart count (hunts) and with the number of
+# Lockstep stacks grow with the restart count and with the number of
 # coalitions (2**n - 1); these caps bound the memory of one array call.
 SCORE_DISTANCES = 2**13  # hunt: profiles per call times n**3
-COALITION_BLOCK = 64  # gsp: coalitions searched in lockstep at a time
+# sp and gsp: (restart, agent or coalition) searches run in lockstep at a
+# time; a block also bounds the work left over after an early witness
+LOCKSTEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -141,17 +149,20 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
 
     Each search polls the axis directions and the all-ones diagonal, + then
     -, with geometric step decay x0.5 from scale/4 (``scale`` is shared or
-    one per search); candidates are clipped to [lo, hi].  ``fn(cands,
-    owners)`` scores an (m, dim) stack of candidates, row j for search
-    ``owners[j]``.  Every round polls each search's remaining directions
-    from its current point as one stack.  A search takes its first
-    improving poll in order and re-polls the rest from there, so it makes
-    exactly the moves of polling one direction at a time, and counts only
-    those polls.  Returns (best points, best values, evaluations), one row
-    per search.
+    one per search); candidates are clipped to the search's box [lo, hi]
+    (one shared box, or one row of an (count, dim) ``lo``/``hi`` per
+    search).  ``fn(cands, owners)`` scores an (m, dim) stack of candidates,
+    row j for search ``owners[j]``.  Every round polls each search's
+    remaining directions from its current point as one stack.  A search
+    takes its first improving poll in order and re-polls the rest from
+    there, so it makes exactly the moves of polling one direction at a
+    time, and counts only those polls.  Returns (best points, best values,
+    evaluations), one row per search.
     """
     count, dim = starts.shape
     scales = np.broadcast_to(np.asarray(scale, dtype=float), (count,))
+    lo = np.broadcast_to(lo, (count, dim))
+    hi = np.broadcast_to(hi, (count, dim))
     dirs = np.repeat(np.vstack([np.eye(dim), np.ones(dim) / math.sqrt(dim)]), 2, axis=0)
     signs = np.tile([1.0, -1.0], dim + 1)
     polls = len(dirs)
@@ -168,7 +179,8 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
         owners = np.repeat(live, left)
         first = np.repeat(np.cumsum(left) - left, left)  # where each search's polls start
         which = done[owners] + np.arange(len(owners)) - first
-        cands = np.clip(x[owners] + (signs[which] * step[owners])[:, None] * dirs[which], lo, hi)
+        moves = x[owners] + (signs[which] * step[owners])[:, None] * dirs[which]
+        cands = np.clip(moves, lo[owners], hi[owners])
         vals = fn(cands, owners)
         hits = np.flatnonzero(vals < best[owners] - 1e-15)
         movers, at = np.unique(owners[hits], return_index=True)
@@ -186,59 +198,89 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     return x, best, evals
 
 
-def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, agents: np.ndarray, xs: np.ndarray):
-    """Expected distance from each true report xs[agents[j]] to the lottery
-    the mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
+# -- restarts in lockstep blocks ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Restart:
+    """One restart of a misreport search: its profile, truthful lottery and
+    costs, pattern-search scale and box, and candidate stream."""
+
+    profile: Profile
+    xs: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
+    before: np.ndarray  # each agent's expected cost under truthful reports
+    common: np.ndarray  # output centroid, report mean and coordinate median
+    scale: float
+    lo: np.ndarray
+    hi: np.ndarray
+    rng: np.random.Generator
+
+
+def _restarts(kernel, norm: Norm, n: int, d: int, config: SearchConfig) -> Iterator[_Restart]:
+    for r, profile in _profile_stream(n, d, config):
+        xs = profile.as_array
+        scale = _scale(profile, norm)
+        weights, points = kernel(xs, norm)
+        before = np.array([expected_distance_xs(x, weights, points, norm) for x in xs])
+        common = np.array([weights @ points, xs.mean(axis=0), np.median(xs, axis=0)])
+        box = _clip_box(profile, scale)
+        yield _Restart(profile, xs, weights, points, before, common, scale, *box, _rng(config.rng_seed, r))
+
+
+def _lockstep_blocks(restarts: Iterator[_Restart], searches: int) -> Iterator[list[tuple[_Restart, int]]]:
+    """(restart, search) pairs in restart order, then search order, cut into
+    blocks of ``LOCKSTEP_BLOCK``; a restart is made only when a block needs it."""
+    pairs = ((restart, k) for restart in restarts for k in range(searches))
+    while block := list(itertools.islice(pairs, LOCKSTEP_BLOCK)):
+        yield block
+
+
+class _Block:
+    """The per-search arrays of one lockstep block, one row per pair."""
+
+    def __init__(self, block: list[tuple[_Restart, int]]):
+        runs = [restart for restart, _ in block]
+        self.xs = np.array([r.xs for r in runs])  # (searches, n, d)
+        self.before = np.array([r.before for r in runs])
+        self.scales = np.array([r.scale for r in runs])
+        self.lo = np.array([r.lo for r in runs])
+        self.hi = np.array([r.hi for r in runs])
+
+
+def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.ndarray):
+    """Expected distance from each true report truth[j] to the lottery the
+    mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
     weights, points = kernel(moved, norm)
-    return expected_distance_stack(xs[agents], weights[owners], points[owners], norm)
+    return expected_distance_stack(truth, weights[owners], points[owners], norm)
 
 
 # -- single-agent misreport search --------------------------------------------
 
 
-def _sp_candidates(
-    xs: np.ndarray,
-    agent: int,
-    scale: float,
-    truth: tuple[np.ndarray, np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    n, d = xs.shape
-    xi = xs[agent - 1]
-    weights, points = truth
-    out: list[np.ndarray] = []
-    # axis steps
-    for h in (0.5, 0.1, 0.02):
-        for k in range(d):
-            off = np.zeros(d)
-            off[k] = h * scale
-            out.append(xi + off)
-            out.append(xi - off)
-    # common points
-    out.append(weights @ points)
-    out.append(xs.mean(axis=0))
-    out.append(np.median(xs, axis=0))
-    out.extend(xs[j] for j in range(n) if j != agent - 1)
-    # gaussian jitter
-    for sigma in (0.05, 0.25, 1.0):
-        out.append(xi + sigma * scale * rng.normal(size=d))
-    # grid near the support
-    for arr in points:
-        out.append(arr)
-        for k in range(d):
-            off = np.zeros(d)
-            off[k] = 0.1 * scale
-            out.append(arr + off)
-            out.append(arr - off)
-    # segment points
-    for j in range(n):
-        if j == agent - 1:
-            continue
-        for t in (0.25, 0.5, 0.75, 1.0):
-            out.append(xi + t * (xs[j] - xi))
-    return [np.clip(c, lo, hi) for c in out]
+def _sp_candidates(restart: _Restart, agent: int) -> np.ndarray:
+    """Candidate misreports of agent (0-based): axis steps, common points,
+    the other reports, gaussian jitter, a grid near the output support and
+    points on the segments to the other reports, clipped to the box."""
+    xs, scale = restart.xs, restart.scale
+    d = xs.shape[1]
+    xi = xs[agent]
+    others = np.delete(xs, agent, axis=0)
+    axis = (np.array([0.5, 0.1, 0.02]) * scale)[:, None, None] * np.eye(d)
+    jitter = (np.array([0.05, 0.25, 1.0]) * scale)[:, None] * restart.rng.normal(size=(3, d))
+    grid = 0.1 * scale * np.eye(d)
+    near = restart.points[:, None, :]
+    around = np.stack([near + grid, near - grid], axis=2).reshape(len(near), -1, d)
+    out = np.concatenate([
+        np.stack([xi + axis, xi - axis], axis=2).reshape(-1, d),
+        restart.common,
+        others,
+        xi + jitter,
+        np.concatenate([near, around], axis=1).reshape(-1, d),
+        (xi + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi)[:, None, :]).reshape(-1, d),
+    ])
+    return np.clip(out, restart.lo, restart.hi)
 
 
 def search_sp_violation(
@@ -250,48 +292,47 @@ def search_sp_violation(
     output support, segment points) are drawn per agent and refined by
     pattern search on the agent's cost; the first candidate that
     re-validates through the strategyproofness checker (gain beyond
-    IMPROVE_MARGIN) is returned.  All agents of one restart are scored as
-    one stack and their pattern searches run in lockstep; the results are
-    then walked in agent order.
+    IMPROVE_MARGIN) is returned.  The (restart, agent) searches run in
+    lockstep blocks of ``LOCKSTEP_BLOCK``: a block's candidates are scored
+    as one stack, with each restart's own reports, scale, box and random
+    stream, and its pattern searches run together; the results are then
+    walked in restart order, then agent order, so the witness is the one a
+    search of one agent at a time would return.
     """
     kernel = kernel_of(mech)
-    for r, profile in _profile_stream(n, d, config):
-        rng = _rng(config.rng_seed, r)
-        xs = profile.as_array
-        scale = _scale(profile, norm)
-        lo, hi = _clip_box(profile, scale)
-        truth = kernel(xs, norm)
-        truth_cost = [expected_distance_xs(x, *truth, norm) for x in xs]
+    for block in _lockstep_blocks(_restarts(kernel, norm, n, d, config), n):
+        arrays = _Block(block)
+        agents = np.array([i for _, i in block])
+        truth = arrays.xs[np.arange(len(block)), agents]
+        before = arrays.before[np.arange(len(block)), agents]
 
-        def misreport_costs(z: np.ndarray, agents: np.ndarray) -> np.ndarray:
-            moved = np.repeat(xs[None], len(z), axis=0)
-            moved[np.arange(len(z)), agents] = z
-            return _costs(kernel, norm, moved, np.arange(len(z)), agents, xs)
+        def misreport_costs(z: np.ndarray, which: np.ndarray) -> np.ndarray:
+            moved = arrays.xs[which]
+            moved[np.arange(len(z)), agents[which]] = z
+            return _costs(kernel, norm, moved, np.arange(len(z)), truth[which])
 
-        cands = [np.array(_sp_candidates(xs, agent, scale, truth, lo, hi, rng)) for agent in range(1, n + 1)]
+        cands = [_sp_candidates(restart, i) for restart, i in block]
         sizes = [len(c) for c in cands]
-        vals = np.split(misreport_costs(np.concatenate(cands), np.repeat(np.arange(n), sizes)), np.cumsum(sizes)[:-1])
-        best_x = [c[int(np.argmin(v))] for c, v in zip(cands, vals)]
-        best_val = [v.min() for v in vals]
-        refine = np.flatnonzero(np.array(best_val) < np.array(truth_cost) + 0.25 * scale)
+        vals = np.split(
+            misreport_costs(np.concatenate(cands), np.repeat(np.arange(len(block)), sizes)), np.cumsum(sizes)[:-1]
+        )
+        best_x = np.array([c[int(np.argmin(v))] for c, v in zip(cands, vals)])
+        best_val = np.array([v.min() for v in vals])
+        refine = np.flatnonzero(best_val < before + 0.25 * arrays.scales)
         if refine.size:
-            found = _pattern_minimize(
+            best_x[refine], best_val[refine], _ = _pattern_minimize(
                 lambda z, owners: misreport_costs(z, refine[owners]),
-                np.array([best_x[i] for i in refine]),
-                scale,
+                best_x[refine],
+                arrays.scales[refine],
                 config.local_steps,
-                lo,
-                hi,
+                arrays.lo[refine],
+                arrays.hi[refine],
             )
-            for i, x, val in zip(refine, *found[:2]):
-                best_x[i], best_val[i] = x, val
-        for i in range(n):
-            if best_val[i] < truth_cost[i] - IMPROVE_MARGIN:
-                verdict = check_strategyproof_at(
-                    mech, profile, i + 1, Point.from_array(best_x[i]), norm
-                )
-                if not verdict.passed and not verdict.inconclusive:
-                    return verdict.witness
+        for j in np.flatnonzero(best_val < before - IMPROVE_MARGIN).tolist():
+            restart, i = block[j]
+            verdict = check_strategyproof_at(mech, restart.profile, i + 1, Point.from_array(best_x[j]), norm)
+            if not verdict.passed and not verdict.inconclusive:
+                return verdict.witness
     return None
 
 
@@ -307,94 +348,75 @@ def search_gsp_violation(
     generator is the all-members-report-one-point move (output centroid,
     coalition centroid and extremes, atom points), refined by pattern
     search on the worst member's gain; per-member segment pulls, correlated
-    jitter and axis shifts follow.  The coalitions of one restart (in
-    blocks of ``COALITION_BLOCK``) are scored as stacks and their pattern
-    searches run in lockstep; witnesses re-validate through the group
-    checker, in coalition order, before being returned.
+    jitter and axis shifts follow.  The (restart, coalition) searches run
+    in lockstep blocks of ``LOCKSTEP_BLOCK``: a block is scored as stacks,
+    with each restart's own reports, scale, box and random stream, and its
+    pattern searches run together; witnesses re-validate through the group
+    checker in restart order, then coalition order, before being returned.
     """
     kernel = kernel_of(mech)
-    for r, profile in _profile_stream(n, d, config):
-        rng = _rng(config.rng_seed, r)
-        xs = profile.as_array
-        scale = _scale(profile, norm)
-        lo, hi = _clip_box(profile, scale)
-        truth = kernel(xs, norm)
-        weights, points = truth
-        before = np.array([expected_distance_xs(x, *truth, norm) for x in xs])
-        coalitions = [
-            c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)
-        ]
-        sizes = np.array([len(c) for c in coalitions])
-        members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
-        at = np.cumsum(sizes) - sizes
+    coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    sizes = np.array([len(c) for c in coalitions])
+    members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
+    at = np.cumsum(sizes) - sizes
+    for block in _lockstep_blocks(_restarts(kernel, norm, n, d, config), len(coalitions)):
+        arrays = _Block(block)
+        coalition = np.array([c for _, c in block])
 
         def joint_margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
-            """Worst member gain of each coalition which[j] making its members
-            report the next sizes[which[j]] rows of reports."""
-            counts = sizes[which]
+            """Worst member gain of each search which[j] making its coalition's
+            members report the next sizes[coalition[which[j]]] rows of reports."""
+            counts = sizes[coalition[which]]
             owners = np.repeat(np.arange(len(which)), counts)
             starts = np.cumsum(counts) - counts
-            agents = members_of[np.repeat(at[which] - starts, counts) + np.arange(len(owners))]
-            moved = np.repeat(xs[None], len(which), axis=0)
+            agents = members_of[np.repeat(at[coalition[which]] - starts, counts) + np.arange(len(owners))]
+            moved = arrays.xs[which]
             moved[owners, agents] = reports
-            margins = _costs(kernel, norm, moved, owners, agents, xs) - before[agents]
+            rows = which[owners]
+            margins = _costs(kernel, norm, moved, owners, arrays.xs[rows, agents]) - arrays.before[rows, agents]
             return np.maximum.reduceat(margins, starts)
 
         def common_margins(z: np.ndarray, which: np.ndarray) -> np.ndarray:
-            return joint_margins(np.repeat(np.clip(z, lo, hi), sizes[which], axis=0), which)
+            z = np.clip(z, arrays.lo[which], arrays.hi[which])
+            return joint_margins(np.repeat(z, sizes[coalition[which]], axis=0), which)
 
-        for first in range(0, len(coalitions), COALITION_BLOCK):
-            block = np.arange(first, min(first + COALITION_BLOCK, len(coalitions)))
-            targets, moves = [], []
-            for c in block:
-                members = xs[list(coalitions[c])]
-                targets.append([
-                    weights @ points,
-                    xs.mean(axis=0),
-                    members.mean(axis=0),
-                    np.median(xs, axis=0),
-                    members.min(axis=0),
-                    members.max(axis=0),
-                    *points,
-                ])
-                # per-member moves: segment pulls, correlated jitter, axis shifts
-                center = members.mean(axis=0)
-                candidates = [members + t * (center - members) for t in (0.5, 1.0)]
-                for sigma in (0.1, 0.5):
-                    for _ in range(2):
-                        shift = sigma * scale * rng.normal(size=d)
-                        candidates.append(np.clip(members + shift, lo, hi))
-                for h in (0.5, 0.1):
-                    for k in range(d):
-                        off = np.zeros(d)
-                        off[k] = h * scale
-                        for sign in (1.0, -1.0):
-                            candidates.append(np.clip(members + sign * off, lo, hi))
-                moves.append(candidates)
-            counts = [len(t) for t in targets]
-            vals = np.split(common_margins(np.concatenate(targets), np.repeat(block, counts)), np.cumsum(counts)[:-1])
-            starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
-            zs, best_margin, _ = _pattern_minimize(
-                lambda z, owners: common_margins(z, block[owners]), starts, scale, config.local_steps, lo, hi
-            )
-            counts = [len(m) for m in moves]
-            flat = np.concatenate([reports for m in moves for reports in m])
-            vals = np.split(joint_margins(flat, np.repeat(block, counts)), np.cumsum(counts)[:-1])
-            for j, c in enumerate(block):
-                best_reports = np.tile(np.clip(zs[j], lo, hi), (sizes[c], 1))
-                k = int(np.argmin(vals[j]))
-                if vals[j][k] < best_margin[j]:
-                    best_margin[j], best_reports = vals[j][k], moves[j][k]
-                if best_margin[j] < -IMPROVE_MARGIN:
-                    verdict = check_group_strategyproof_at(
-                        mech,
-                        profile,
-                        [i + 1 for i in coalitions[c]],
-                        [Point.from_array(x) for x in best_reports],
-                        norm,
-                    )
-                    if not verdict.passed and not verdict.inconclusive:
-                        return verdict.witness
+        targets, moves = [], []
+        for restart, c in block:
+            members = restart.xs[list(coalitions[c])]
+            center = members.mean(axis=0)
+            extremes = [members.min(axis=0), members.max(axis=0)]
+            targets.append(np.vstack([restart.common[:2], center, restart.common[2], *extremes, restart.points]))
+            # per-member moves: segment pulls, correlated jitter, axis shifts
+            pulls = members + np.array([0.5, 1.0])[:, None, None] * (center - members)
+            jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * restart.scale)[:, None] * restart.rng.normal(size=(4, d))
+            axis = (np.array([0.5, 0.1]) * restart.scale)[:, None, None] * np.eye(d)
+            shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=2).reshape(-1, d)])
+            moves.append(np.concatenate([pulls, np.clip(members + shifts[:, None, :], restart.lo, restart.hi)]))
+        every = np.arange(len(block))
+        counts = [len(t) for t in targets]
+        vals = np.split(common_margins(np.concatenate(targets), np.repeat(every, counts)), np.cumsum(counts)[:-1])
+        starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
+        zs, best_margin, _ = _pattern_minimize(
+            common_margins, starts, arrays.scales, config.local_steps, arrays.lo, arrays.hi
+        )
+        counts = [len(m) for m in moves]
+        flat = np.concatenate([m.reshape(-1, d) for m in moves])
+        vals = np.split(joint_margins(flat, np.repeat(every, counts)), np.cumsum(counts)[:-1])
+        for j, (restart, c) in enumerate(block):
+            best_reports = np.tile(np.clip(zs[j], arrays.lo[j], arrays.hi[j]), (sizes[c], 1))
+            k = int(np.argmin(vals[j]))
+            if vals[j][k] < best_margin[j]:
+                best_margin[j], best_reports = vals[j][k], moves[j][k]
+            if best_margin[j] < -IMPROVE_MARGIN:
+                verdict = check_group_strategyproof_at(
+                    mech,
+                    restart.profile,
+                    [i + 1 for i in coalitions[c]],
+                    [Point.from_array(x) for x in best_reports],
+                    norm,
+                )
+                if not verdict.passed and not verdict.inconclusive:
+                    return verdict.witness
     return None
 
 

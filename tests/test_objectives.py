@@ -824,3 +824,96 @@ def test_dual_bound_sound_for_any_multipliers(seed):
                     noisy = mu + noise * rng.uniform(-1.0, 1.0, size=mu.size)
                     lower = objectives._dual_bound(rows, zs, Norm(p), y, noisy)
                     assert lower <= opt + 1e-9 * (1.0 + opt), (objective, y, lower, opt)
+
+
+# -- the max-cost polish and active-set bound against their plain loops -------
+
+
+def _reference_polish(fn, zs, residual, y, value, lo, hi):
+    """The steepest polish as written before rounds with a zero min-norm
+    point were counted without being redone: the oracle for the skip."""
+    from facilab import objectives
+
+    evals = 0
+    tau = 1e-2 * (1.0 + value)
+    for _ in range(200):
+        if tau < 1e-11 * (1.0 + value):
+            break
+        dists = residual.eval_many(y[None, :] - zs)
+        evals += 1
+        value = float(dists.max())
+        active = dists >= value - tau
+        if float(dists[active].min()) < 1e-12:
+            break
+        grads = objectives._term_gradients(y - zs[active], residual.p, dists[active])
+        combo = objectives._min_norm_point(grads)
+        gnorm = float(np.linalg.norm(combo))
+        if gnorm < 1e-14:
+            tau /= 4.0
+            continue
+        steps = (tau / gnorm) * 0.5 ** np.arange(12.0)
+        cands = np.clip(y[None, :] - steps[:, None] * (combo / gnorm)[None, :], lo, hi)
+        vals = fn(cands)
+        evals += steps.size
+        better = np.flatnonzero(vals < value - 1e-15)
+        if better.size:
+            y, value = cands[better[0]], float(vals[better[0]])
+        else:
+            tau /= 4.0
+    return y, value, evals
+
+
+def _reference_mc_lower_bound(zs, residual, y, value):
+    """The active-set bound with one min-norm point per eps level."""
+    from facilab import objectives
+
+    dists = residual.eval_many(y[None, :] - zs)
+    reach = float(objectives._reach(residual, y[None, :], zs)[0])
+    best = -math.inf
+    for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
+        eps = eps_rel * (1.0 + value)
+        active = dists >= value - eps
+        if not active.any() or float(dists[active].min()) < 1e-12:
+            continue
+        grads = objectives._term_gradients(y - zs[active], residual.p, dists[active])
+        combo = objectives._min_norm_point(grads)
+        best = max(best, value - eps - float(objectives._dual_norm(residual.p, combo)) * reach)
+    return best
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mc_polish_and_bound_match_plain_loops(d, monkeypatch):
+    # polishing again from a polished point sits at a kink whose min-norm
+    # point is zero, which is where the polish counts rounds without
+    # redoing them; the results, evaluations included, must not change
+    from facilab import objectives
+
+    calls = {"new": 0, "old": 0}
+    side = ["old"]
+    min_norm_point = objectives._min_norm_point
+
+    def counted(grads):
+        calls[side[0]] += 1
+        return min_norm_point(grads)
+
+    monkeypatch.setattr(objectives, "_min_norm_point", counted)
+    for p in (1.5, 2.0, 3.0, 8.0):
+        rng = np.random.default_rng([d, int(p * 10)])
+        residual = Norm(p)
+        for _ in range(8):
+            zs = rng.normal(size=(int(rng.integers(3, 7)), d))
+            lo, hi = zs.min(axis=0), zs.max(axis=0)
+            fn = objectives._objective_fn(MC, zs, residual)
+            mean = zs.mean(axis=0)
+            side[0] = "old"
+            kink = _reference_polish(fn, zs, residual, mean, float(fn(mean[None])[0]), lo, hi)[0]
+            for y in (mean, kink):
+                value = float(fn(y[None])[0])
+                side[0] = "old"
+                want = _reference_polish(fn, zs, residual, y, value, lo, hi)
+                bound = _reference_mc_lower_bound(zs, residual, *want[:2])
+                side[0] = "new"
+                got = objectives._mc_steepest_polish(fn, zs, residual, y, value, lo, hi)
+                assert (got[0].tobytes(), got[1], got[2]) == (want[0].tobytes(), want[1], want[2]), (p, zs, y)
+                assert objectives._mc_subgradient_lower_bound(zs, residual, *got[:2]) == bound
+    assert calls["new"] < calls["old"] - 8 * 4  # the skipped rounds and the shared eps levels

@@ -13,6 +13,7 @@ import pytest
 from facilab.geometry import (
     GEOM_TOL,
     IMPROVE_MARGIN,
+    Lottery,
     Norm,
     Point,
     Profile,
@@ -268,11 +269,12 @@ def test_worst_ratio_evaluations_pinned(distances, monkeypatch):
     assert res.profile == Profile.from_rows([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
 
 
-@pytest.mark.parametrize("block", [64, 3])
+@pytest.mark.parametrize("block", [64, 3, 2])
 def test_gsp_witness_pinned(block, monkeypatch):
-    # the witness produced by the one-coalition-at-a-time search, with the
-    # seven coalitions in one lockstep block or in blocks of three
-    monkeypatch.setattr(search, "COALITION_BLOCK", block)
+    # the witness produced by the one-coalition-at-a-time search, at
+    # restart 2: the 70 (restart, coalition) searches run in one lockstep
+    # block, or in blocks of three or two that split restarts
+    monkeypatch.setattr(search, "LOCKSTEP_BLOCK", block)
     witness = search_gsp_violation(RAND_CENTER, N2, 3, 2, small_config())
     move = Point((0.599609375, 0.599609375))
     assert witness == Witness(
@@ -280,4 +282,55 @@ def test_gsp_witness_pinned(block, monkeypatch):
         coalition=(1, 2),
         misreports=(move, move),
         per_agent_delta=((1, 0.7750469233121475, 0.7675919922845482), (2, 0.7750469233121475, 0.7675919922845482)),
+    )
+
+
+def test_batched_poll_matches_reference_with_a_box_per_search():
+    # each search clips to its own box, some tight enough to bind
+    norm, kernel = Norm(2.0), kernel_of("rand_center")
+    agents = np.array([0, 1, 2, 3, 1, 2])
+    pads = np.array([4.0, 0.3, 1.0, 0.05, 2.0, 0.6])
+    lo = XS.min(axis=0) - pads[:, None]
+    hi = XS.max(axis=0) + pads[:, None] * np.array([1.0, 0.5])
+
+    def margin(z, agent):
+        moved = XS.copy()
+        moved[agent] = z
+        return expected_distance_xs(XS[agent], *kernel(moved, norm), norm)
+
+    def margins(zs, owners):
+        moved = np.repeat(XS[None], len(zs), axis=0)
+        moved[np.arange(len(zs)), agents[owners]] = zs
+        weights, points = kernel(moved, norm)
+        return expected_distance_stack(XS[agents[owners]], weights, points, norm)
+
+    starts = XS[agents] + np.array([0.37, -0.52])
+    scales = np.array([1.7, 0.9, 2.5, 1.7, 0.4, 3.0])
+    found = _pattern_minimize(margins, starts, scales, 30, lo, hi)
+    for s, agent in enumerate(agents):
+        x, val, evals = reference_pattern_minimize(lambda z: margin(z, agent), starts[s], scales[s], 30, lo[s], hi[s])
+        assert found[0][s].tobytes() == x.tobytes()
+        assert found[1][s] == val and found[2][s] == evals
+
+
+def median_mean(profile, norm):
+    """Coordinate median in x, mean in y: strategyproof on profiles whose
+    reports share one y, manipulable in y elsewhere."""
+    xs = profile.as_array
+    return Lottery.degenerate(Point((float(np.median(xs[:, 0])), float(xs[:, 1].mean()))))
+
+
+@pytest.mark.parametrize("block", [64, 2])
+def test_sp_witness_pinned(block, monkeypatch):
+    # the witness produced by the one-restart-at-a-time search: the first
+    # two structured profiles lie on the x axis, so the first witness is
+    # agent 1 at restart 2 (the triangle), and agent 2 there has one too;
+    # the 30 (restart, agent) searches run in one block or in blocks of two
+    monkeypatch.setattr(search, "LOCKSTEP_BLOCK", block)
+    witness = search_sp_violation(median_mean, N2, 3, 2, small_config())
+    assert witness == Witness(
+        profile=Profile.from_rows([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
+        coalition=(1,),
+        misreports=(Point((1.03125, -1.0017888131397217)),),
+        per_agent_delta=((1, 1.0540925533894598, 1.0000001777695646),),
     )
