@@ -150,8 +150,8 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     Each search polls the axis directions and the all-ones diagonal, + then
     -, with geometric step decay x0.5 from scale/4 (``scale`` is shared or
     one per search); candidates are clipped to the search's box [lo, hi]
-    (one shared box, or one row of an (count, dim) ``lo``/``hi`` per
-    search).  ``fn(cands, owners)`` scores an (m, dim) stack of candidates,
+    (``lo``/``hi`` are one shared box of shape (dim,), or (count, dim)
+    with one box per search).  ``fn(cands, owners)`` scores an (m, dim) stack of candidates,
     row j for search ``owners[j]``.  Every round polls each search's
     remaining directions from its current point as one stack.  A search
     takes its first improving poll in order and re-polls the rest from
@@ -161,8 +161,8 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     """
     count, dim = starts.shape
     scales = np.broadcast_to(np.asarray(scale, dtype=float), (count,))
-    lo = np.broadcast_to(lo, (count, dim))
-    hi = np.broadcast_to(hi, (count, dim))
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    shared = lo.ndim == 1  # one box for all: clip without gathering rows
     dirs = np.repeat(np.vstack([np.eye(dim), np.ones(dim) / math.sqrt(dim)]), 2, axis=0)
     signs = np.tile([1.0, -1.0], dim + 1)
     polls = len(dirs)
@@ -180,7 +180,7 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
         first = np.repeat(np.cumsum(left) - left, left)  # where each search's polls start
         which = done[owners] + np.arange(len(owners)) - first
         moves = x[owners] + (signs[which] * step[owners])[:, None] * dirs[which]
-        cands = np.clip(moves, lo[owners], hi[owners])
+        cands = np.clip(moves, lo if shared else lo[owners], hi if shared else hi[owners])
         vals = fn(cands, owners)
         hits = np.flatnonzero(vals < best[owners] - 1e-15)
         movers, at = np.unique(owners[hits], return_index=True)

@@ -203,12 +203,9 @@ def reference_pattern_minimize(fn, start, scale, max_sweeps, lo, hi):
 XS = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.9], [1.1, 1.4]])
 
 
-@pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
-@pytest.mark.parametrize("norm_text", ["lp:2", "lp:inf", "lp:2;A=1,0.5,0,1"])
-def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
-    norm, kernel = parse_norm(norm_text), kernel_of(mech)
-    lo, hi = XS.min(axis=0) - 4.0, XS.max(axis=0) + 4.0
-    agents = np.array([0, 1, 2, 3])
+def misreport_margins(kernel, norm, agents):
+    """An agent's cost after misreporting z in XS, one z at a time and as
+    the batched ``fn(zs, owners)`` of search owners[j] moving agents[owners[j]]."""
 
     def margin(z, agent):
         moved = XS.copy()
@@ -221,6 +218,15 @@ def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
         weights, points = kernel(moved, norm)
         return expected_distance_stack(XS[agents[owners]], weights, points, norm)
 
+    return margin, margins
+
+
+@pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
+@pytest.mark.parametrize("norm_text", ["lp:2", "lp:inf", "lp:2;A=1,0.5,0,1"])
+def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
+    lo, hi = XS.min(axis=0) - 4.0, XS.max(axis=0) + 4.0
+    agents = np.array([0, 1, 2, 3])
+    margin, margins = misreport_margins(kernel_of(mech), parse_norm(norm_text), agents)
     starts = XS + 0.37
     found = _pattern_minimize(margins, starts, 1.7, 30, lo, hi)
     for s, agent in enumerate(agents):
@@ -287,23 +293,11 @@ def test_gsp_witness_pinned(block, monkeypatch):
 
 def test_batched_poll_matches_reference_with_a_box_per_search():
     # each search clips to its own box, some tight enough to bind
-    norm, kernel = Norm(2.0), kernel_of("rand_center")
     agents = np.array([0, 1, 2, 3, 1, 2])
     pads = np.array([4.0, 0.3, 1.0, 0.05, 2.0, 0.6])
     lo = XS.min(axis=0) - pads[:, None]
     hi = XS.max(axis=0) + pads[:, None] * np.array([1.0, 0.5])
-
-    def margin(z, agent):
-        moved = XS.copy()
-        moved[agent] = z
-        return expected_distance_xs(XS[agent], *kernel(moved, norm), norm)
-
-    def margins(zs, owners):
-        moved = np.repeat(XS[None], len(zs), axis=0)
-        moved[np.arange(len(zs)), agents[owners]] = zs
-        weights, points = kernel(moved, norm)
-        return expected_distance_stack(XS[agents[owners]], weights, points, norm)
-
+    margin, margins = misreport_margins(kernel_of("rand_center"), Norm(2.0), agents)
     starts = XS[agents] + np.array([0.37, -0.52])
     scales = np.array([1.7, 0.9, 2.5, 1.7, 0.4, 3.0])
     found = _pattern_minimize(margins, starts, scales, 30, lo, hi)
