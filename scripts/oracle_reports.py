@@ -14,7 +14,12 @@ lp:2, lp:1), 4 ``check --seed 0`` runs at the CLI default budget of
 20,000 (80 restarts, so the searches cross their lockstep blocks:
 rand_center, coord_median and sep2d:a=0 under lp:2 at (n, d) = (3, 2), and
 rand_med at (4, 2), whose gsp search finds nothing and runs every
-restart) and ``scripts/run_repro_suite.py --seed 0 --budget 2000``.
+restart), 4 ``check --seed 3 --budget 300`` runs under transform norms
+at (3, 2) (rand_center and sep2d:a=0 under lp:2;A=1,0.5,0,1 and under
+lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products tell a one-row (gemv)
+norm call from a stacked one, so the checkers' one-row rounding under a
+transform is byte-checked) and ``scripts/run_repro_suite.py --seed 0
+--budget 2000``.
 Every command's exit code and console output go to ``console.txt``, with
 the output directory written as ``<out>`` and wall times as ``<ms>``.  ``--budget`` and ``--limit``
 shrink the set for a smoke run; the full set is the default.
@@ -34,6 +39,8 @@ CHECK_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "sep2d:a=0.
 RATIO_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "coord_median")
 SHAPES = ((3, 2), (4, 2), (5, 3))
 DEFAULT_BUDGET_CHECKS = (("rand_center", 3), ("coord_median", 3), ("sep2d:a=0", 3), ("rand_med", 4))
+TRANSFORMS = ("lp:2;A=1,0.5,0,1", "lp:2;A=1.1,0.3,-0.2,0.9")
+TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0")
 
 
 def slug(*parts) -> str:
@@ -58,6 +65,10 @@ def commands(budget):
     for mech, n in DEFAULT_BUDGET_CHECKS:
         argv = ["check", "--mech", mech, "--norm", "lp:2", "--n", str(n), "--d", "2"]
         yield slug("check-default", mech, "lp:2", n, 2), argv + ["--seed", "0", "--budget", str(budget or 20_000)]
+    for norm in TRANSFORMS:
+        for mech in TRANSFORM_CHECKS:
+            argv = ["check", "--mech", mech, "--norm", norm, "--n", "3", "--d", "2"]
+            yield slug("check", mech, norm, 3, 2), argv + ["--seed", "3", "--budget", str(budget or 300)]
 
 
 def main() -> int:

@@ -2,11 +2,12 @@
 
 Everything downstream (mechanisms, objectives, property checks) consumes
 these types.  All types are immutable after construction and every
-operation is pure.  The searches skip the types and work on the arrays
-underneath: :func:`canonical_atoms` is the one canonical form of a
-lottery, :class:`Lottery` is built on it, and :func:`canonical_stack` and
-:func:`expected_distance_stack` apply it and the expected distance to whole
-stacks of lotteries at once.
+operation is pure.  The searches and the property checkers skip the types
+and work on the arrays underneath: :func:`canonical_atoms` is the one
+canonical form of a lottery, :class:`Lottery` is built on it, and
+:func:`canonical_stack`, :func:`expected_distance_stack` and
+:func:`mass_gap_stack` apply it, the expected distance and the lottery
+comparison to whole stacks of lotteries at once.
 
 Tolerance ledger, shared across the package:
 
@@ -588,32 +589,32 @@ def lotteries_match(
 ) -> tuple[bool, float]:
     """Compare two lotteries as measures, tolerating near-duplicate atoms.
 
-    Atoms from both sides are clustered greedily (coordinates within
-    ``tol``), then per-cluster weights are compared.  Returns (match,
-    worst weight deviation).  Clustering makes the comparison robust to
-    one side having merged exact duplicates that the other side kept a
-    hair apart.
+    Returns (match, worst weight deviation) from :func:`mass_gap_stack`.
+    Clustering makes the comparison robust to one side having merged exact
+    duplicates that the other side kept a hair apart.
     """
     if lhs.dim != rhs.dim:
         raise DimensionMismatch("lottery dimensions differ")
-    tagged = [(pt.as_array(), w, 0) for w, pt in lhs.atoms]
-    tagged += [(pt.as_array(), w, 1) for w, pt in rhs.atoms]
-    m = len(tagged)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.max(np.abs(tagged[i][0] - tagged[j][0])) <= tol:
-                parent[find(i)] = find(j)
-    sums: dict[int, list[float]] = {}
-    for i, (_, w, side) in enumerate(tagged):
-        root = find(i)
-        sums.setdefault(root, [0.0, 0.0])[side] += w
-    worst = max(abs(a - b) for a, b in sums.values())
+    sides = (lhs.weights_array[None], lhs.points_array[None], rhs.weights_array[None], rhs.points_array[None])
+    worst = float(mass_gap_stack(*sides, tol)[0])
     return worst <= tol, worst
+
+
+def mass_gap_stack(lw, lp, rw, rp, tol: float = GEOM_TOL) -> np.ndarray:
+    """Worst per-cluster weight deviation between each pair of zero-padded
+    lotteries (lw[i], lp[i]) and (rw[i], rp[i]).
+
+    The atoms of both sides are chained into clusters wherever coordinates
+    lie within ``tol`` (single linkage, so order does not matter); each
+    side's weight in a cluster is summed in atom order, one term at a time.
+    """
+    w = np.concatenate([lw, rw], axis=1)
+    p = np.concatenate([lp, rp], axis=1)
+    live = w > 0.0
+    reach = (np.abs(p[:, :, None] - p[:, None]).max(axis=-1) <= tol) & live[:, :, None] & live[:, None]
+    for _ in range(w.shape[1].bit_length()):  # transitive closure by squaring
+        reach = reach @ reach
+    k = lw.shape[1]
+    left = np.where(reach[..., :k], lw[:, None], 0.0).cumsum(axis=-1)[..., -1]
+    right = np.where(reach[..., k:], rw[:, None], 0.0).cumsum(axis=-1)[..., -1]
+    return np.abs(left - right).max(axis=1)

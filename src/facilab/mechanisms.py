@@ -123,16 +123,9 @@ MechanismLike = Union[MechanismSpec, str, MechanismFn]
 
 def resolve(mech: MechanismLike) -> MechanismFn:
     """Turn a spec, spec string, or callable into a Profile x Norm -> Lottery."""
-    if callable(mech) and not isinstance(mech, MechanismSpec):
-        return mech
     if isinstance(mech, str):
         mech = parse_mechanism(mech)
-    spec = mech
-
-    def run(profile: Profile, norm: Norm) -> Lottery:
-        return apply(spec, profile, norm)
-
-    return run
+    return partial(apply, mech) if isinstance(mech, MechanismSpec) else mech
 
 
 def kernel_of(mech: MechanismLike) -> ArrayKernel:

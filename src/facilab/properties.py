@@ -16,27 +16,38 @@ Margin conventions:
   uncompromising, support segment, 2-dictatorship): margin is minus the
   worst deviation, and there is no inconclusive band.
 
+Every checker runs on an array core: it stacks all of its probe report
+arrays into one (m, n, d) stack, makes one call of the mechanism's kernel
+(:func:`~facilab.mechanisms.kernel_of`) on it, and scores agent costs with
+one :func:`~facilab.geometry.expected_distance_stack` and distances with
+one ``Norm.eval_many`` on one-row blocks, which round as the one-row
+``Norm.distance`` does.  ``Profile`` and ``Point`` stay at the API, and a
+:class:`Witness` is built only for the verdict returned.
+
 Agent indices are 1-based everywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .geometry import (
     EUCLIDEAN,
     GEOM_TOL,
     IMPROVE_MARGIN,
+    DimensionMismatch,
     Norm,
     Point,
     Profile,
-    expected_distance,
-    lotteries_match,
+    canonical_atoms,
+    expected_distance_stack,
+    mass_gap_stack,
 )
-from .mechanisms import MechanismLike, MechanismSpec, parse_mechanism, resolve
+from .mechanisms import MechanismLike, MechanismSpec, kernel_of, parse_mechanism
 
 
 @dataclass(frozen=True)
@@ -95,36 +106,66 @@ def _equality_verdict(
     return PropertyVerdict(name, False, margin, witness, note=note)
 
 
+# -- array helpers ---------------------------------------------------------------
+
+
+def _dist(norm: Norm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b|| over the last axis of the broadcast rows, as one-row norm
+    calls: each value rounds as ``norm.distance`` on that pair does, and
+    ||b - a|| rounds the same, since a - b is exactly -(b - a)."""
+    diff = a - b
+    return norm.eval_many(diff.reshape(-1, 1, diff.shape[-1])).reshape(diff.shape[:-1])
+
+
+def _by_shape(arrays: Sequence[np.ndarray]):
+    """(indices, stack) of each group of same-shape arrays, so differently
+    sized inputs still cost one kernel call per shape."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, arr in enumerate(arrays):
+        groups.setdefault(arr.shape, []).append(k)
+    for rows in groups.values():
+        yield np.array(rows), np.stack([arrays[k] for k in rows])
+
+
+def _strays(norm: Norm, weights: np.ndarray, points: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each padded lottery row's farthest atom distance from its point y[i]."""
+    return np.where(weights > 0.0, _dist(norm, points, y[:, None]), 0.0).max(axis=1)
+
+
+def _worst_verdict(name: str, devs: np.ndarray, witness_at) -> PropertyVerdict:
+    """Equality verdict on the first largest positive deviation in devs
+    (flat order); ``witness_at(k, dev)`` builds the witness of a failure."""
+    k = int(np.argmax(devs)) if devs.size else 0
+    dev = float(devs.flat[k]) if devs.size and devs.flat[k] > 0.0 else 0.0
+    return _equality_verdict(name, dev, witness_at(k, dev) if dev > GEOM_TOL else None)
+
+
+def _coalition_costs(mech: MechanismLike, profile: Profile, coalition, misreports, norm: Norm):
+    """Each member's expected cost before and after the joint misreport,
+    from one 2-row kernel call and one cost call."""
+    xs = np.stack([profile.as_array, profile.replaced_many(coalition, misreports).as_array])
+    weights, points = kernel_of(mech)(xs, norm)
+    size = len(coalition)
+    members = np.tile(xs[0, [i - 1 for i in coalition]], (2, 1))
+    costs = expected_distance_stack(members, np.repeat(weights, size, axis=0), np.repeat(points, size, axis=0), norm)
+    return costs[:size], costs[size:]
+
+
+# -- checkers --------------------------------------------------------------------
+
+
 def check_strategyproof_at(
-    mech: MechanismLike,
-    profile: Profile,
-    agent: int,
-    misreport: Point,
-    norm: Norm,
+    mech: MechanismLike, profile: Profile, agent: int, misreport: Point, norm: Norm
 ) -> PropertyVerdict:
     """Does this single misreport strictly reduce the agent's expected cost?"""
-    fn = resolve(mech)
-    xi = profile.agent(agent)
-    cost_truth = expected_distance(xi, fn(profile, norm), norm)
-    cost_mis = expected_distance(
-        xi, fn(profile.replaced(agent, misreport), norm), norm
-    )
-    margin = cost_mis - cost_truth
-    witness = Witness(
-        profile,
-        coalition=(agent,),
-        misreports=(misreport,),
-        per_agent_delta=((agent, cost_truth, cost_mis),),
-    )
-    return _inequality_verdict("strategyproof", margin, witness)
+    before, after = _coalition_costs(mech, profile, (agent,), (misreport,), norm)
+    truth, mis = float(before[0]), float(after[0])
+    witness = Witness(profile, (agent,), (misreport,), ((agent, truth, mis),))
+    return _inequality_verdict("strategyproof", mis - truth, witness)
 
 
 def check_group_strategyproof_at(
-    mech: MechanismLike,
-    profile: Profile,
-    coalition: Sequence[int],
-    misreports: Sequence[Point],
-    norm: Norm,
+    mech: MechanismLike, profile: Profile, coalition: Sequence[int], misreports: Sequence[Point], norm: Norm
 ) -> PropertyVerdict:
     """Does this joint misreport strictly improve every coalition member?
 
@@ -137,24 +178,9 @@ def check_group_strategyproof_at(
         raise ValueError("coalition must be nonempty")
     if len(coalition) != len(misreports):
         raise ValueError("coalition and misreports must align")
-    fn = resolve(mech)
-    truth_lot = fn(profile, norm)
-    new_lot = fn(profile.replaced_many(coalition, misreports), norm)
-    deltas = []
-    margin = -math.inf
-    for i in coalition:
-        xi = profile.agent(i)
-        before = expected_distance(xi, truth_lot, norm)
-        after = expected_distance(xi, new_lot, norm)
-        deltas.append((i, before, after))
-        margin = max(margin, after - before)
-    witness = Witness(
-        profile,
-        coalition=coalition,
-        misreports=misreports,
-        per_agent_delta=tuple(deltas),
-    )
-    return _inequality_verdict("group_strategyproof", margin, witness)
+    before, after = _coalition_costs(mech, profile, coalition, misreports, norm)
+    witness = Witness(profile, coalition, misreports, tuple(zip(coalition, before.tolist(), after.tolist())))
+    return _inequality_verdict("group_strategyproof", float((after - before).max()), witness)
 
 
 def _default_arity(mech: MechanismLike) -> int:
@@ -166,141 +192,137 @@ def _default_arity(mech: MechanismLike) -> int:
 
 
 def check_unanimity(
-    mech: MechanismLike,
-    norm: Norm,
-    points: Sequence[Point],
-    n: Optional[int] = None,
+    mech: MechanismLike, norm: Norm, points: Sequence[Point], n: Optional[int] = None
 ) -> PropertyVerdict:
     """Identical reports z must force a degenerate output at z."""
-    fn = resolve(mech)
+    kernel = kernel_of(mech)
     n = n if n is not None else _default_arity(mech)
-    worst = 0.0
-    worst_witness: Optional[Witness] = None
-    for z in points:
-        profile = Profile(tuple(z for _ in range(n)))
-        lot = fn(profile, norm)
-        dev = max(norm.distance(pt, z) for _, pt in lot.atoms)
-        if dev > worst:
-            worst = dev
-            worst_witness = Witness(profile, note=f"all-{z.coords} profile output strays by {dev:.3g}")
-    return _equality_verdict("unanimity", worst, worst_witness)
+    devs = np.zeros(len(points))
+    for rows, xs in _by_shape([np.tile(z.as_array(), (n, 1)) for z in points]):
+        devs[rows] = _strays(norm, *kernel(xs, norm), xs[:, 0])
+
+    def witness_at(k: int, dev: float) -> Witness:
+        z = points[k]
+        return Witness(Profile(tuple(z for _ in range(n))), note=f"all-{z.coords} profile output strays by {dev:.3g}")
+
+    return _worst_verdict("unanimity", devs, witness_at)
+
+
+def _translated(weights: np.ndarray, points: np.ndarray, shifts: np.ndarray):
+    """The canonical form of each padded canonical lottery row moved by its
+    shift: the moved atoms, re-canonicalized only in the rows where rounding
+    made the move merge or reorder them."""
+    live = weights > 0.0
+    moved = np.where(live[..., None], points + shifts[:, None], 0.0)
+    a, b = moved[:, :-1], moved[:, 1:]
+    first = (a != b).argmax(axis=-1)[..., None]
+    rising = np.take_along_axis(a < b, first, axis=-1)[..., 0]  # lexicographic a < b
+    weights = weights.copy()
+    for r in np.flatnonzero((live[:, 1:] & ~rising).any(axis=1)).tolist():
+        w, p = canonical_atoms(weights[r], moved[r])
+        weights[r], moved[r] = 0.0, 0.0
+        weights[r, : len(w)], moved[r, : len(w)] = w, p
+    return weights, moved
 
 
 def check_translation_invariance(
-    mech: MechanismLike,
-    norm: Norm,
-    profiles: Sequence[Profile],
-    shifts: Sequence[Point],
+    mech: MechanismLike, norm: Norm, profiles: Sequence[Profile], shifts: Sequence[Point]
 ) -> PropertyVerdict:
-    """Shifting all reports must shift the output lottery atom-by-atom."""
-    fn = resolve(mech)
-    worst = 0.0
-    worst_witness: Optional[Witness] = None
-    for profile in profiles:
-        base = fn(profile, norm)
-        for shift in shifts:
-            if shift.dim != profile.d:
-                continue
-            moved = profile.translate(shift)
-            expected = base.translate(shift)
-            actual = fn(moved, norm)
-            _, dev = lotteries_match(expected, actual)
-            if dev > worst:
-                worst = dev
-                deltas = tuple(
-                    (
-                        i,
-                        expected_distance(moved.agent(i), expected, norm),
-                        expected_distance(moved.agent(i), actual, norm),
-                    )
-                    for i in range(1, profile.n + 1)
-                )
-                worst_witness = Witness(
-                    profile,
-                    coalition=tuple(range(1, profile.n + 1)),
-                    misreports=tuple(moved.points),
-                    per_agent_delta=deltas,
-                    note=f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output",
-                )
-    return _equality_verdict("translation_invariance", worst, worst_witness)
+    """Shifting all reports must shift the output lottery atom-by-atom.
+
+    Every profile and shift run as one stack; a shift of another dimension
+    than a profile's is skipped for it.
+    """
+    kernel = kernel_of(mech)
+    profiles = tuple(profiles)
+    devs = np.full((len(profiles), len(shifts)), -np.inf)  # (profile, shift)
+    for rows, xs in _by_shape([p.as_array for p in profiles]):
+        g, n, d = xs.shape
+        use = [k for k, shift in enumerate(shifts) if shift.dim == d]
+        moves = np.tile(np.array([shifts[k].coords for k in use]).reshape(-1, d), (g, 1))
+        moved = np.repeat(xs, len(use), axis=0) + moves[:, None]
+        weights, points = kernel(np.concatenate([xs, moved]), norm)
+        expected = _translated(np.repeat(weights[:g], len(use), axis=0), np.repeat(points[:g], len(use), axis=0), moves)
+        devs[np.ix_(rows, use)] = mass_gap_stack(*expected, weights[g:], points[g:]).reshape(g, len(use))
+
+    def witness_at(k: int, dev: float) -> Witness:
+        profile, shift = profiles[k // len(shifts)], shifts[k % len(shifts)]
+        moved = profile.translate(shift)
+        weights, points = kernel(np.stack([profile.as_array, moved.as_array]), norm)
+        ew, ep = _translated(weights[:1], points[:1], shift.as_array()[None])
+        n = profile.n
+        rows = np.repeat([0, 1], n)
+        costs = expected_distance_stack(
+            np.tile(moved.as_array, (2, 1)), np.concatenate([ew, weights[1:]])[rows], np.concatenate([ep, points[1:]])[rows], norm
+        )
+        note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
+        deltas = tuple(zip(range(1, n + 1), costs[:n].tolist(), costs[n:].tolist()))
+        return Witness(profile, tuple(range(1, n + 1)), moved.points, deltas, note)
+
+    return _worst_verdict("translation_invariance", devs, witness_at)
 
 
-def check_uncompromising(
-    mech: MechanismLike, profile: Profile, norm: Norm
-) -> PropertyVerdict:
+def check_uncompromising(mech: MechanismLike, profile: Profile, norm: Norm) -> PropertyVerdict:
     """Moving any subset of agents onto a deterministic output keeps it.
 
     Applies only when the output is degenerate; otherwise reported as a
-    vacuous pass with a note.
+    vacuous pass with a note.  All 2**n - 1 subsets run as one stack.
     """
-    fn = resolve(mech)
-    lot = fn(profile, norm)
-    if not lot.is_degenerate:
-        return PropertyVerdict(
-            "uncompromising", True, 0.0, note="skipped: output is randomized"
-        )
-    y = lot.atoms[0][1]
-    worst = 0.0
-    worst_witness: Optional[Witness] = None
+    kernel = kernel_of(mech)
+    xs = profile.as_array
+    weights, points = kernel(xs, norm)
+    if len(weights) > 1:
+        return PropertyVerdict("uncompromising", True, 0.0, note="skipped: output is randomized")
+    y = points[0]
     agents = range(1, profile.n + 1)
-    for size in range(1, profile.n + 1):
-        for subset in itertools.combinations(agents, size):
-            moved = profile.replaced_many(subset, tuple(y for _ in subset))
-            out = fn(moved, norm)
-            dev = max(norm.distance(pt, y) for _, pt in out.atoms)
-            if dev > worst:
-                worst = dev
-                worst_witness = Witness(
-                    profile,
-                    coalition=subset,
-                    misreports=tuple(y for _ in subset),
-                    note=f"moving agents {subset} onto the output moves it by {dev:.3g}",
-                )
-    return _equality_verdict("uncompromising", worst, worst_witness)
+    subsets = [c for size in agents for c in itertools.combinations(agents, size)]
+    onto = np.array([[i in subset for i in agents] for subset in subsets])
+    devs = _strays(norm, *kernel(np.where(onto[..., None], y, xs), norm), y[None])
+
+    def witness_at(k: int, dev: float) -> Witness:
+        note = f"moving agents {subsets[k]} onto the output moves it by {dev:.3g}"
+        return Witness(profile, subsets[k], (Point.from_array(y),) * len(subsets[k]), note=note)
+
+    return _worst_verdict("uncompromising", devs, witness_at)
 
 
 def check_cost_continuity(
-    mech: MechanismLike,
-    profile: Profile,
-    agent: int,
-    perturbations: Sequence[Point],
-    norm: Norm,
+    mech: MechanismLike, profile: Profile, agent: int, perturbations: Sequence[Point], norm: Norm
 ) -> PropertyVerdict:
     """1-Lipschitz bound on the agent's own-cost map under her movement.
 
     mu(z) is the agent's expected distance to the output when she reports
     z; the check compares |mu(x_i) - mu(z)| against ||x_i - z|| for each
     sampled z.  Reported as an empirical margin even for mechanisms with
-    no strategyproofness claim.
+    no strategyproofness claim.  The truth and every z run as one stack.
     """
-    fn = resolve(mech)
-    xi = profile.agent(agent)
-    mu_base = expected_distance(xi, fn(profile, norm), norm)
-    margin = math.inf
-    worst_witness: Optional[Witness] = None
-    for z in perturbations:
-        mu_z = expected_distance(z, fn(profile.replaced(agent, z), norm), norm)
-        slack = norm.distance(xi, z) - abs(mu_z - mu_base)
-        if slack < margin:
-            margin = slack
-            worst_witness = Witness(
-                profile,
-                coalition=(agent,),
-                misreports=(z,),
-                per_agent_delta=((agent, mu_base, mu_z),),
-                note="own-cost change exceeds the agent's movement",
-            )
-    if math.isinf(margin):
+    xi = profile.agent(agent).as_array()
+    if any(z.dim != profile.d for z in perturbations):
+        raise DimensionMismatch(f"perturbations must live in dimension {profile.d}")
+    xs = np.repeat(profile.as_array[None], len(perturbations) + 1, axis=0)
+    xs[1:, agent - 1] = np.reshape([z.coords for z in perturbations], (-1, profile.d))
+    mu = expected_distance_stack(xs[:, agent - 1], *kernel_of(mech)(xs, norm), norm)
+    if not perturbations:
         return PropertyVerdict("cost_continuity", True, 0.0, note="no perturbations sampled")
-    witness = worst_witness if margin < -IMPROVE_MARGIN else None
+    slack = _dist(norm, xi, xs[1:, agent - 1]) - np.abs(mu[1:] - mu[0])
+    k = int(np.argmin(slack))
+    margin = float(slack[k])
+    witness = None
+    if margin < -IMPROVE_MARGIN:
+        note = "own-cost change exceeds the agent's movement"
+        witness = Witness(profile, (agent,), (perturbations[k],), ((agent, float(mu[0]), float(mu[k + 1])),), note)
     return _inequality_verdict("cost_continuity", margin, witness)
 
 
-def _segment_excess(
-    a: Point, b: Point, atoms: Sequence[Point], norm: Norm
-) -> float:
-    base = norm.distance(a, b)
-    return max(norm.distance(a, q) + norm.distance(q, b) - base for q in atoms)
+def _segment_excess(xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm, n: int) -> np.ndarray:
+    """Betweenness excess ||a-q|| + ||q-b|| - ||a-b||, maximized over the
+    atoms q, of each pair (a, b) = (x_i, x_j), i <= j among the first n
+    agents in row-major order, of every row of the stack: (m, pairs)."""
+    i, j = np.triu_indices(n)
+    xs = xs[:, :n]
+    near = _dist(norm, xs[:, :, None], points[:, None])  # (m, n, atoms)
+    excess = near[:, i] + near[:, j] - _dist(norm, xs[:, i], xs[:, j])[..., None]
+    return np.where(weights[:, None] > 0.0, excess, -np.inf).max(axis=-1)
 
 
 def _segment_norm(norm: Norm) -> tuple[Norm, str]:
@@ -309,85 +331,52 @@ def _segment_norm(norm: Norm) -> tuple[Norm, str]:
     return EUCLIDEAN, "betweenness downgraded to Euclidean (norm not strictly convex)"
 
 
-def check_support_segment(
-    mech: MechanismLike, profile: Profile, norm: Norm
-) -> PropertyVerdict:
+def check_support_segment(mech: MechanismLike, profile: Profile, norm: Norm) -> PropertyVerdict:
     """Output must be degenerate or supported on a segment x_i x_j.
 
     The betweenness test ||a-q|| + ||q-b|| <= ||a-b|| + tol characterizes
     segment membership only for strictly convex norms; under p in {1, inf}
     it falls back to Euclidean collinearity and notes the downgrade.
     """
-    fn = resolve(mech)
-    lot = fn(profile, norm)
-    if lot.is_degenerate:
+    xs = profile.as_array[None]
+    weights, points = kernel_of(mech)(xs, norm)
+    if weights.shape[1] == 1:
         return PropertyVerdict("support_segment", True, 0.0, note="degenerate output")
     seg_norm, note = _segment_norm(norm)
-    atoms = [pt for _, pt in lot.atoms]
-    best = math.inf
-    for i in range(1, profile.n + 1):
-        for j in range(i, profile.n + 1):
-            best = min(
-                best,
-                _segment_excess(profile.agent(i), profile.agent(j), atoms, seg_norm),
-            )
-    witness = Witness(
-        profile,
-        note="support atoms "
-        + "; ".join(str(pt.coords) for pt in atoms)
-        + " fit no agent segment",
-    )
+    best = float(_segment_excess(xs, weights, points, seg_norm, profile.n).min())
+    atoms = "; ".join(str(tuple(pt)) for pt in points[0].tolist())
+    witness = Witness(profile, note=f"support atoms {atoms} fit no agent segment")
     return _equality_verdict("support_segment", max(best, 0.0), witness, note=note)
 
 
-def check_2dictatorship(
-    mech: MechanismLike, profiles: Sequence[Profile], norm: Norm
-) -> PropertyVerdict:
-    """One fixed agent pair must carry the support across all profiles."""
+def check_2dictatorship(mech: MechanismLike, profiles: Sequence[Profile], norm: Norm) -> PropertyVerdict:
+    """One fixed agent pair must carry the support across all profiles.
+
+    The pairs are those of the first n agents, n the smallest profile size;
+    each profile shape runs as one stack.
+    """
     profiles = tuple(profiles)
     if len(profiles) < 2:
         raise ValueError("2-dictatorship needs at least 2 sampled profiles")
-    fn = resolve(mech)
+    kernel = kernel_of(mech)
     seg_norm, note = _segment_norm(norm)
-    outputs = [fn(p, norm) for p in profiles]
     n = min(p.n for p in profiles)
-    best_excess = math.inf
-    best_pair = None
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            excess = 0.0
-            for profile, lot in zip(profiles, outputs):
-                atoms = [pt for _, pt in lot.atoms]
-                excess = max(
-                    excess,
-                    _segment_excess(profile.agent(i), profile.agent(j), atoms, seg_norm),
-                )
-                if excess > best_excess:
-                    break
-            if excess < best_excess:
-                best_excess = excess
-                best_pair = (i, j)
-    best_excess = max(best_excess, 0.0)
+    excess = np.empty((len(profiles), n * (n + 1) // 2))  # (profile, pair)
+    for rows, xs in _by_shape([p.as_array for p in profiles]):
+        excess[rows] = _segment_excess(xs, *kernel(xs, norm), seg_norm, n)
+    pair_excess = np.maximum(excess.max(axis=0), 0.0)
+    best = int(np.argmin(pair_excess))  # the first pair in order on a tie
+    best_excess = float(pair_excess[best])
     if best_excess <= GEOM_TOL:
-        extra = f"dictator pair {best_pair}"
-        return PropertyVerdict(
-            "2dictatorship", True, -best_excess, note="; ".join(s for s in (note, extra) if s)
-        )
-    worst_profile = max(
-        zip(profiles, outputs),
-        key=lambda po: min(
-            _segment_excess(po[0].agent(i), po[0].agent(j), [pt for _, pt in po[1].atoms], seg_norm)
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-        ),
-    )[0]
+        i, j = np.triu_indices(n)
+        extra = f"dictator pair {(int(i[best]) + 1, int(j[best]) + 1)}"
+        return PropertyVerdict("2dictatorship", True, -best_excess, note="; ".join(s for s in (note, extra) if s))
+    worst_profile = profiles[int(np.argmax(excess.min(axis=1)))]
     witness = Witness(worst_profile, note="no fixed agent pair carries the support")
     return _equality_verdict("2dictatorship", best_excess, witness, note=note)
 
 
-def check_delta_bound(
-    mech: MechanismLike, x1: Point, x2: Point, x2_alt: Point, norm: Norm
-) -> PropertyVerdict:
+def check_delta_bound(mech: MechanismLike, x1: Point, x2: Point, x2_alt: Point, norm: Norm) -> PropertyVerdict:
     """Two-agent displacement bound on the output's distance to agent 1.
 
     With delta the expected distance from agent 1 to the truthful output,
@@ -399,16 +388,9 @@ def check_delta_bound(
     d = norm.distance(x2_alt, x2)
     if d >= r:
         raise ValueError("precondition ||x2'-x2|| < ||x2-x1|| violated")
-    fn = resolve(mech)
-    delta = expected_distance(x1, fn(Profile((x1, x2)), norm), norm)
+    xs = np.array([[x1.coords, x2.coords], [x1.coords, x2_alt.coords]])
+    delta, measured = expected_distance_stack(xs[:, 0], *kernel_of(mech)(xs, norm), norm).tolist()
     bound = delta / (1.0 - d / r)
-    measured = expected_distance(x1, fn(Profile((x1, x2_alt)), norm), norm)
-    margin = bound - measured
-    witness = Witness(
-        Profile((x1, x2)),
-        coalition=(2,),
-        misreports=(x2_alt,),
-        per_agent_delta=((1, delta, measured),),
-        note=f"measured {measured:.6g} exceeds displacement bound {bound:.6g}",
-    )
-    return _inequality_verdict("delta_bound", margin, witness)
+    note = f"measured {measured:.6g} exceeds displacement bound {bound:.6g}"
+    witness = Witness(Profile((x1, x2)), (2,), (x2_alt,), ((1, delta, measured),), note)
+    return _inequality_verdict("delta_bound", bound - measured, witness)

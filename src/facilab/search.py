@@ -38,7 +38,6 @@ from .geometry import (
     Point,
     Profile,
     expected_distance_stack,
-    expected_distance_xs,
 )
 from .mechanisms import MechanismLike, kernel_of
 from .objectives import (
@@ -223,7 +222,7 @@ def _restarts(kernel, norm: Norm, n: int, d: int, config: SearchConfig) -> Itera
         xs = profile.as_array
         scale = _scale(profile, norm)
         weights, points = kernel(xs, norm)
-        before = np.array([expected_distance_xs(x, weights, points, norm) for x in xs])
+        before = expected_distance_stack(xs, np.tile(weights, (n, 1)), np.tile(points, (n, 1, 1)), norm)
         common = np.array([weights @ points, xs.mean(axis=0), np.median(xs, axis=0)])
         box = _clip_box(profile, scale)
         yield _Restart(profile, xs, weights, points, before, common, scale, *box, _rng(config.rng_seed, r))

@@ -18,10 +18,12 @@ from facilab.geometry import (
     format_norm,
     is_on_segment,
     lotteries_match,
+    mass_gap_stack,
     parse_norm,
     point,
     point_on_segment_at_distance,
     radius,
+    stack_lotteries,
     strict_convexity_witness,
 )
 
@@ -267,6 +269,29 @@ class TestLotteriesMatch:
         rhs = Lottery(((0.5, point(0.5 - ulp, -0.7)), (0.5, point(0.5, -1.0))))
         ok, dev = lotteries_match(lhs, rhs)
         assert ok, dev
+
+    def test_chained_atoms_form_one_cluster(self):
+        # a and b lie 1.8e-9 apart, beyond the tolerance, but c links them
+        lhs = Lottery(((0.5, point(0, 0)), (0.5, point(1.8e-9, 0))))
+        rhs = Lottery.degenerate(point(0.9e-9, 0))
+        ok, dev = lotteries_match(lhs, rhs)
+        assert ok and dev == 0.0
+        ok, dev = lotteries_match(rhs, lhs)
+        assert ok and dev == 0.0
+
+    def test_stack_matches_pair_by_pair(self):
+        lots = [
+            Lottery(((0.5, point(0, 0)), (0.5, point(1.8e-9, 0)))),
+            Lottery.degenerate(point(0.9e-9, 0)),
+            Lottery(((0.25, point(1, 0)), (0.75, point(0, 2)))),
+            Lottery(((0.5, point(1, 1e-12)), (0.5, point(0, 2)))),
+        ]
+        pairs = [(a, b) for a in lots for b in lots]
+        lw, lp = stack_lotteries([(a.weights_array, a.points_array) for a, _ in pairs], 2)
+        rw, rp = stack_lotteries([(b.weights_array, b.points_array) for _, b in pairs], 2)
+        gaps = mass_gap_stack(lw, lp, rw, rp)
+        assert gaps.tolist() == [lotteries_match(a, b)[1] for a, b in pairs]
+        assert gaps.reshape(4, 4)[2, 3] == 0.25
 
     def test_detects_mass_mismatch(self):
         lhs = Lottery.degenerate(point(0, 0))

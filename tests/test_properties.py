@@ -1,15 +1,29 @@
 """Property checkers: worked examples, witness plumbing, verdict bands."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from facilab.geometry import GEOM_TOL, Lottery, Norm, Profile, point
-from facilab.mechanisms import MechanismSpec
+from facilab.geometry import (
+    GEOM_TOL,
+    DimensionMismatch,
+    Lottery,
+    Norm,
+    Point,
+    Profile,
+    expected_distance,
+    parse_norm,
+    point,
+)
+from facilab.mechanisms import MechanismSpec, resolve
 from facilab.properties import (
     PropertyVerdict,
+    Witness,
+    _equality_verdict,
+    _inequality_verdict,
     check_2dictatorship,
     check_cost_continuity,
     check_delta_bound,
@@ -20,6 +34,7 @@ from facilab.properties import (
     check_unanimity,
     check_uncompromising,
 )
+from facilab.search import structured_profiles
 
 from conftest import point_strategy
 
@@ -287,3 +302,287 @@ class TestVerdictBands:
         b = check_group_strategyproof_at(RAND_CENTER, prof, (2,), [z], N2)
         assert a.passed == b.passed
         assert a.margin == pytest.approx(b.margin, abs=1e-12)
+
+
+# -- parity with the Profile/Lottery loops the array cores replaced -------------
+#
+# The reference checkers below run one Lottery per probe through ``resolve``
+# and compare lotteries by union-find, as the package did before its array
+# cores; every verdict must come out identical, repr for repr (margins, notes
+# and witnesses bit for bit).
+
+
+def _ref_lotteries_gap(lhs, rhs, tol=GEOM_TOL):
+    tagged = [(pt.as_array(), w, 0) for w, pt in lhs.atoms] + [(pt.as_array(), w, 1) for w, pt in rhs.atoms]
+    parent = list(range(len(tagged)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(tagged)):
+        for j in range(i + 1, len(tagged)):
+            if np.max(np.abs(tagged[i][0] - tagged[j][0])) <= tol:
+                parent[find(i)] = find(j)
+    sums = {}
+    for i, (_, w, side) in enumerate(tagged):
+        sums.setdefault(find(i), [0.0, 0.0])[side] += w
+    return max(abs(a - b) for a, b in sums.values())
+
+
+def _ref_sp(mech, profile, agent, misreport, norm):
+    fn = resolve(mech)
+    xi = profile.agent(agent)
+    truth = expected_distance(xi, fn(profile, norm), norm)
+    mis = expected_distance(xi, fn(profile.replaced(agent, misreport), norm), norm)
+    witness = Witness(profile, (agent,), (misreport,), ((agent, truth, mis),))
+    return _inequality_verdict("strategyproof", mis - truth, witness)
+
+
+def _ref_gsp(mech, profile, coalition, misreports, norm):
+    fn = resolve(mech)
+    truth, new = fn(profile, norm), fn(profile.replaced_many(coalition, misreports), norm)
+    deltas, margin = [], -math.inf
+    for i in coalition:
+        before = expected_distance(profile.agent(i), truth, norm)
+        after = expected_distance(profile.agent(i), new, norm)
+        deltas.append((i, before, after))
+        margin = max(margin, after - before)
+    witness = Witness(profile, tuple(coalition), tuple(misreports), tuple(deltas))
+    return _inequality_verdict("group_strategyproof", margin, witness)
+
+
+def _ref_unanimity(mech, norm, points, n=3):
+    fn = resolve(mech)
+    worst, witness = 0.0, None
+    for z in points:
+        profile = Profile(tuple(z for _ in range(n)))
+        dev = max(norm.distance(pt, z) for _, pt in fn(profile, norm).atoms)
+        if dev > worst:
+            worst, witness = dev, Witness(profile, note=f"all-{z.coords} profile output strays by {dev:.3g}")
+    return _equality_verdict("unanimity", worst, witness)
+
+
+def _ref_translation(mech, norm, profiles, shifts):
+    fn = resolve(mech)
+    worst, witness = 0.0, None
+    for profile in profiles:
+        base = fn(profile, norm)
+        for shift in shifts:
+            if shift.dim != profile.d:
+                continue
+            moved = profile.translate(shift)
+            expected, actual = base.translate(shift), fn(moved, norm)
+            dev = _ref_lotteries_gap(expected, actual)
+            if dev > worst:
+                worst = dev
+                deltas = tuple(
+                    (i, expected_distance(moved.agent(i), expected, norm), expected_distance(moved.agent(i), actual, norm))
+                    for i in range(1, profile.n + 1)
+                )
+                note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
+                witness = Witness(profile, tuple(range(1, profile.n + 1)), tuple(moved.points), deltas, note)
+    return _equality_verdict("translation_invariance", worst, witness)
+
+
+def _ref_uncompromising(mech, profile, norm):
+    fn = resolve(mech)
+    lot = fn(profile, norm)
+    if not lot.is_degenerate:
+        return PropertyVerdict("uncompromising", True, 0.0, note="skipped: output is randomized")
+    y = lot.atoms[0][1]
+    worst, witness = 0.0, None
+    for size in range(1, profile.n + 1):
+        for subset in itertools.combinations(range(1, profile.n + 1), size):
+            out = fn(profile.replaced_many(subset, tuple(y for _ in subset)), norm)
+            dev = max(norm.distance(pt, y) for _, pt in out.atoms)
+            if dev > worst:
+                note = f"moving agents {subset} onto the output moves it by {dev:.3g}"
+                worst, witness = dev, Witness(profile, subset, tuple(y for _ in subset), note=note)
+    return _equality_verdict("uncompromising", worst, witness)
+
+
+def _ref_continuity(mech, profile, agent, perturbations, norm):
+    fn = resolve(mech)
+    xi = profile.agent(agent)
+    mu_base = expected_distance(xi, fn(profile, norm), norm)
+    margin, witness = math.inf, None
+    for z in perturbations:
+        mu_z = expected_distance(z, fn(profile.replaced(agent, z), norm), norm)
+        slack = norm.distance(xi, z) - abs(mu_z - mu_base)
+        if slack < margin:
+            margin = slack
+            note = "own-cost change exceeds the agent's movement"
+            witness = Witness(profile, (agent,), (z,), ((agent, mu_base, mu_z),), note)
+    if math.isinf(margin):
+        return PropertyVerdict("cost_continuity", True, 0.0, note="no perturbations sampled")
+    return _inequality_verdict("cost_continuity", margin, witness if margin < -1e-6 else None)
+
+
+def _ref_excess(a, b, atoms, norm):
+    base = norm.distance(a, b)
+    return max(norm.distance(a, q) + norm.distance(q, b) - base for q in atoms)
+
+
+def _ref_seg_norm(norm):
+    if norm.strictly_convex:
+        return norm, ""
+    return Norm(2.0), "betweenness downgraded to Euclidean (norm not strictly convex)"
+
+
+def _ref_support(mech, profile, norm):
+    lot = resolve(mech)(profile, norm)
+    if lot.is_degenerate:
+        return PropertyVerdict("support_segment", True, 0.0, note="degenerate output")
+    seg, note = _ref_seg_norm(norm)
+    atoms = [pt for _, pt in lot.atoms]
+    pairs = [(i, j) for i in range(1, profile.n + 1) for j in range(i, profile.n + 1)]
+    best = min(_ref_excess(profile.agent(i), profile.agent(j), atoms, seg) for i, j in pairs)
+    text = "; ".join(str(pt.coords) for pt in atoms)
+    witness = Witness(profile, note=f"support atoms {text} fit no agent segment")
+    return _equality_verdict("support_segment", max(best, 0.0), witness, note=note)
+
+
+def _ref_2dictatorship(mech, profiles, norm):
+    fn = resolve(mech)
+    seg, note = _ref_seg_norm(norm)
+    atoms = [[pt for _, pt in fn(p, norm).atoms] for p in profiles]
+    n = min(p.n for p in profiles)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    table = [[_ref_excess(p.agent(i), p.agent(j), a, seg) for i, j in pairs] for p, a in zip(profiles, atoms)]
+    pair_excess = [max([0.0] + [row[k] for row in table]) for k in range(len(pairs))]
+    best = min(range(len(pairs)), key=lambda k: pair_excess[k])
+    if pair_excess[best] <= GEOM_TOL:
+        extra = f"dictator pair {pairs[best]}"
+        return PropertyVerdict("2dictatorship", True, -pair_excess[best], note="; ".join(s for s in (note, extra) if s))
+    worst = max(range(len(profiles)), key=lambda k: min(table[k]))
+    witness = Witness(profiles[worst], note="no fixed agent pair carries the support")
+    return _equality_verdict("2dictatorship", pair_excess[best], witness, note=note)
+
+
+def _ref_delta_bound(mech, x1, x2, x2_alt, norm):
+    fn = resolve(mech)
+    r, d = norm.distance(x2, x1), norm.distance(x2_alt, x2)
+    delta = expected_distance(x1, fn(Profile((x1, x2)), norm), norm)
+    bound = delta / (1.0 - d / r)
+    measured = expected_distance(x1, fn(Profile((x1, x2_alt)), norm), norm)
+    note = f"measured {measured:.6g} exceeds displacement bound {bound:.6g}"
+    witness = Witness(Profile((x1, x2)), (2,), (x2_alt,), ((1, delta, measured),), note)
+    return _inequality_verdict("delta_bound", bound - measured, witness)
+
+
+def _lean(profile, norm):
+    """Bare callable: half on the mean report, half on agent 1 (manipulable,
+    off every agent segment)."""
+    mean = Point.from_array(profile.as_array.mean(axis=0))
+    return Lottery(((0.5, mean), (0.5, profile.agent(1))))
+
+
+def _drift(profile, norm):
+    """Bare callable: the mean report moved by a tenth of agent 1's report
+    (deterministic, not unanimous, compromising)."""
+    return Lottery.degenerate(Point.from_array(profile.as_array.mean(axis=0) + 0.1 * profile.as_array[0]))
+
+
+PARITY_MECHS = {
+    "dictator": DICTATOR,
+    "rand_med": RAND_MED,
+    "rand_center": RAND_CENTER,
+    "sep2d": SEP2D,
+    "coord_median": COORD_MEDIAN,
+    "lean": _lean,
+    "drift": _drift,
+}
+# the transform path twice: A=1,0.5,0,1 has exact products, so only the
+# rough matrices tell one-row (gemv) rounding from a stacked gemm's
+PARITY_NORMS = [("lp:2", 2), ("lp:1", 2), ("lp:inf", 2), ("lp:3;w=1,2", 2), ("lp:2;A=1,0.5,0,1", 2)]
+PARITY_NORMS += [("lp:2;A=1.1,0.3,-0.2,0.9", 2), ("lp:1.5;A=0.9,0.1,0.3,-0.2,1.3,0.7,0.4,0.6,1.1", 3)]
+PARITY_NORMS += [("lp:2", 3), ("lp:1", 3), ("lp:inf", 3)]
+
+
+@pytest.mark.parametrize("norm_text,d", PARITY_NORMS, ids=[f"{t}-d{d}" for t, d in PARITY_NORMS])
+@pytest.mark.parametrize("name", list(PARITY_MECHS))
+def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
+    mech, norm = PARITY_MECHS[name], parse_norm(norm_text)
+    gen = np.random.Generator(np.random.Philox(key=20 + d))
+    draw = lambda *shape: gen.normal(size=shape)  # noqa: E731
+    profiles = structured_profiles(3, d)[:7] + [Profile.from_rows(draw(3, d) * 1.5) for _ in range(3)]
+    # rand_med's first two agents coincide: a degenerate output from a randomized mechanism
+    profiles.append(Profile.from_rows([draw(d)] * 2 + [draw(d)]))
+    pts = [Point.from_array(row) for row in draw(6, d)]
+    shifts = [Point.from_array(row) for row in draw(3, d)] + [Point.from_array(1.5 * np.eye(d)[0]), point(1.0, 2.0, 3.0, 4.0)]
+
+    def same(new, old):
+        assert repr(new) == repr(old)
+        assert new.margin.hex() == old.margin.hex()
+
+    same(check_unanimity(mech, norm, pts), _ref_unanimity(mech, norm, pts))
+    same(check_unanimity(mech, norm, [], n=4), _ref_unanimity(mech, norm, [], n=4))
+    same(check_translation_invariance(mech, norm, profiles[:8], shifts), _ref_translation(mech, norm, profiles[:8], shifts))
+    same(check_translation_invariance(mech, norm, profiles[:2], []), _ref_translation(mech, norm, profiles[:2], []))
+    mixed = profiles[:6] + [Profile.from_rows(draw(4, d))]
+    same(check_2dictatorship(mech, mixed, norm), _ref_2dictatorship(mech, mixed, norm))
+    same(check_2dictatorship(mech, profiles, norm), _ref_2dictatorship(mech, profiles, norm))
+    unanimous = Profile(tuple(pts[0] for _ in range(3)))
+    for profile in [unanimous] + profiles:
+        same(check_support_segment(mech, profile, norm), _ref_support(mech, profile, norm))
+        same(check_uncompromising(mech, profile, norm), _ref_uncompromising(mech, profile, norm))
+    for profile in profiles[6:9]:
+        for agent in (1, 2, 3):
+            moves = [Point.from_array(profile.agent(agent).as_array() + step) for step in draw(5, d) * 0.4]
+            same(
+                check_cost_continuity(mech, profile, agent, moves, norm),
+                _ref_continuity(mech, profile, agent, moves, norm),
+            )
+            same(check_strategyproof_at(mech, profile, agent, moves[0], norm), _ref_sp(mech, profile, agent, moves[0], norm))
+        same(check_cost_continuity(mech, profile, 2, [], norm), _ref_continuity(mech, profile, 2, [], norm))
+        for coalition in ((1, 2), (3,), (1, 2, 3)):
+            reports = [Point.from_array(row) for row in draw(len(coalition), d)]
+            same(
+                check_group_strategyproof_at(mech, profile, coalition, reports, norm),
+                _ref_gsp(mech, profile, coalition, reports, norm),
+            )
+    if name != "sep2d":  # sep2d needs 3 agents
+        x1, x2 = Point.from_array(draw(d)), Point.from_array(draw(d) + 2.0)
+        x2_alt = Point.from_array(x2.as_array() + 0.1 * draw(d))
+        same(check_delta_bound(mech, x1, x2, x2_alt, norm), _ref_delta_bound(mech, x1, x2, x2_alt, norm))
+
+
+class TestErrorPaths:
+    PROF = Profile.from_rows([(0, 0), (2, 0), (1, 3)])
+
+    def test_wrong_dimension_points_raise_dimension_mismatch(self):
+        bad = point(1, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            check_cost_continuity(RAND_CENTER, self.PROF, 1, [point(0.1, 0), bad], N2)
+        with pytest.raises(DimensionMismatch):
+            check_strategyproof_at(RAND_CENTER, self.PROF, 1, bad, N2)
+        with pytest.raises(DimensionMismatch):
+            check_group_strategyproof_at(RAND_CENTER, self.PROF, (1, 2), [point(0, 0), bad], N2)
+
+    def test_shift_of_another_dimension_is_skipped(self):
+        base = check_translation_invariance(SEP2D, N2, [self.PROF], [point(-3, 0)])
+        mixed = check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3), point(-3, 0)])
+        assert repr(mixed) == repr(base) and not base.passed
+        assert check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3)]).passed
+
+    def test_2dictatorship_needs_two_profiles(self):
+        for few in ([], [self.PROF]):
+            with pytest.raises(ValueError, match="at least 2"):
+                check_2dictatorship(RAND_MED, few, N2)
+
+
+def test_translation_recanonicalizes_atoms_that_rounding_merges():
+    # x1 and x1 + 1e-17 e1 are distinct atoms at x1 = 0 but one atom after a
+    # unit shift; the witness's costs must use the merged translated lottery
+    def collide(profile, norm):
+        x = profile.agent(1).as_array()
+        return Lottery(((0.28, x), (0.22, x + [1e-17, 0.0]), (0.5, point(7.0, 7.0))))
+
+    profiles = [Profile.from_rows([(0, 0), (-1.2, 0.5), (0.2, 3.3)])]
+    shifts = [point(1.0, 0.0), point(-3.0, 0.5)]
+    new = check_translation_invariance(collide, N2, profiles, shifts)
+    assert not new.passed and new.witness.misreports[0] == point(1.0, 0.0)
+    assert repr(new) == repr(_ref_translation(collide, N2, profiles, shifts))
