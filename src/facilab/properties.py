@@ -196,6 +196,7 @@ def check_unanimity(
 ) -> PropertyVerdict:
     """Identical reports z must force a degenerate output at z."""
     kernel = kernel_of(mech)
+    points = tuple(points)
     n = n if n is not None else _default_arity(mech)
     devs = np.zeros(len(points))
     for rows, xs in _by_shape([np.tile(z.as_array(), (n, 1)) for z in points]):
@@ -234,7 +235,7 @@ def check_translation_invariance(
     than a profile's is skipped for it.
     """
     kernel = kernel_of(mech)
-    profiles = tuple(profiles)
+    profiles, shifts = tuple(profiles), tuple(shifts)
     devs = np.full((len(profiles), len(shifts)), -np.inf)  # (profile, shift)
     for rows, xs in _by_shape([p.as_array for p in profiles]):
         g, n, d = xs.shape
@@ -251,10 +252,9 @@ def check_translation_invariance(
         weights, points = kernel(np.stack([profile.as_array, moved.as_array]), norm)
         ew, ep = _translated(weights[:1], points[:1], shift.as_array()[None])
         n = profile.n
-        rows = np.repeat([0, 1], n)
-        costs = expected_distance_stack(
-            np.tile(moved.as_array, (2, 1)), np.concatenate([ew, weights[1:]])[rows], np.concatenate([ep, points[1:]])[rows], norm
-        )
+        rows = np.repeat([0, 1], n)  # each agent under the expected, then the actual output
+        both = np.concatenate([ew, weights[1:]])[rows], np.concatenate([ep, points[1:]])[rows]
+        costs = expected_distance_stack(np.tile(moved.as_array, (2, 1)), *both, norm)
         note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
         deltas = tuple(zip(range(1, n + 1), costs[:n].tolist(), costs[n:].tolist()))
         return Witness(profile, tuple(range(1, n + 1)), moved.points, deltas, note)
@@ -297,6 +297,7 @@ def check_cost_continuity(
     no strategyproofness claim.  The truth and every z run as one stack.
     """
     xi = profile.agent(agent).as_array()
+    perturbations = tuple(perturbations)
     if any(z.dim != profile.d for z in perturbations):
         raise DimensionMismatch(f"perturbations must live in dimension {profile.d}")
     xs = np.repeat(profile.as_array[None], len(perturbations) + 1, axis=0)

@@ -378,10 +378,8 @@ def _ref_translation(mech, norm, profiles, shifts):
             dev = _ref_lotteries_gap(expected, actual)
             if dev > worst:
                 worst = dev
-                deltas = tuple(
-                    (i, expected_distance(moved.agent(i), expected, norm), expected_distance(moved.agent(i), actual, norm))
-                    for i in range(1, profile.n + 1)
-                )
+                costs = [[expected_distance(x, lot, norm) for lot in (expected, actual)] for x in moved.points]
+                deltas = tuple((i, *c) for i, c in enumerate(costs, 1))
                 note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
                 witness = Witness(profile, tuple(range(1, profile.n + 1)), tuple(moved.points), deltas, note)
     return _equality_verdict("translation_invariance", worst, witness)
@@ -512,7 +510,8 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
     # rand_med's first two agents coincide: a degenerate output from a randomized mechanism
     profiles.append(Profile.from_rows([draw(d)] * 2 + [draw(d)]))
     pts = [Point.from_array(row) for row in draw(6, d)]
-    shifts = [Point.from_array(row) for row in draw(3, d)] + [Point.from_array(1.5 * np.eye(d)[0]), point(1.0, 2.0, 3.0, 4.0)]
+    shifts = [Point.from_array(row) for row in draw(3, d)] + [Point.from_array(1.5 * np.eye(d)[0])]
+    shifts.append(point(1.0, 2.0, 3.0, 4.0))  # another dimension: skipped
 
     def same(new, old):
         assert repr(new) == repr(old)
@@ -520,7 +519,9 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
 
     same(check_unanimity(mech, norm, pts), _ref_unanimity(mech, norm, pts))
     same(check_unanimity(mech, norm, [], n=4), _ref_unanimity(mech, norm, [], n=4))
-    same(check_translation_invariance(mech, norm, profiles[:8], shifts), _ref_translation(mech, norm, profiles[:8], shifts))
+    same(
+        check_translation_invariance(mech, norm, profiles[:8], shifts), _ref_translation(mech, norm, profiles[:8], shifts)
+    )
     same(check_translation_invariance(mech, norm, profiles[:2], []), _ref_translation(mech, norm, profiles[:2], []))
     mixed = profiles[:6] + [Profile.from_rows(draw(4, d))]
     same(check_2dictatorship(mech, mixed, norm), _ref_2dictatorship(mech, mixed, norm))
@@ -536,7 +537,9 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
                 check_cost_continuity(mech, profile, agent, moves, norm),
                 _ref_continuity(mech, profile, agent, moves, norm),
             )
-            same(check_strategyproof_at(mech, profile, agent, moves[0], norm), _ref_sp(mech, profile, agent, moves[0], norm))
+            same(
+                check_strategyproof_at(mech, profile, agent, moves[0], norm), _ref_sp(mech, profile, agent, moves[0], norm)
+            )
         same(check_cost_continuity(mech, profile, 2, [], norm), _ref_continuity(mech, profile, 2, [], norm))
         for coalition in ((1, 2), (3,), (1, 2, 3)):
             reports = [Point.from_array(row) for row in draw(len(coalition), d)]
