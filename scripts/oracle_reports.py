@@ -9,8 +9,10 @@ Two trees are equivalent when their outputs are byte-identical:
 
 The set is 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
 lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
-20 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
-lp:2, lp:1), 4 ``check --seed 0`` runs at the CLI default budget of
+26 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
+lp:2, lp:1, and rand_center x mc/sc under lp:inf, lp:3;w=1,2 and
+lp:2;A=1.1,0.3,-0.2,0.9, so the hunt's p = inf, weighted and transformed
+norm evaluations are byte-checked too), 4 ``check --seed 0`` runs at the CLI default budget of
 20,000 (80 restarts, so the searches cross their lockstep blocks:
 rand_center, coord_median and sep2d:a=0 under lp:2 at (n, d) = (3, 2), and
 rand_med at (4, 2), whose gsp search finds nothing and runs every
@@ -41,6 +43,7 @@ SHAPES = ((3, 2), (4, 2), (5, 3))
 DEFAULT_BUDGET_CHECKS = (("rand_center", 3), ("coord_median", 3), ("sep2d:a=0", 3), ("rand_med", 4))
 TRANSFORMS = ("lp:2;A=1,0.5,0,1", "lp:2;A=1.1,0.3,-0.2,0.9")
 TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0")
+RATIO_NORMS = ("lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9")
 
 
 def slug(*parts) -> str:
@@ -57,11 +60,11 @@ def commands(budget):
                     continue
                 argv = ["check", "--mech", mech, "--norm", norm, "--n", str(n), "--d", str(d)]
                 yield slug("check", mech, norm, n, d), argv + ["--seed", "3", "--budget", str(budget or 300)]
-    for mech in RATIO_MECHS:
-        for obj in ("mc", "sc"):
-            for norm in ("lp:2", "lp:1"):
-                argv = ["ratio", "--mech", mech, "--norm", norm, "--obj", obj, "--n", "4"]
-                yield slug("ratio", mech, obj, norm), argv + ["--seed", "1", "--budget", str(budget or 2000)]
+    ratios = [(mech, obj, norm) for mech in RATIO_MECHS for obj in ("mc", "sc") for norm in ("lp:2", "lp:1")]
+    ratios += [("rand_center", obj, norm) for norm in RATIO_NORMS for obj in ("mc", "sc")]
+    for mech, obj, norm in ratios:
+        argv = ["ratio", "--mech", mech, "--norm", norm, "--obj", obj, "--n", "4"]
+        yield slug("ratio", mech, obj, norm), argv + ["--seed", "1", "--budget", str(budget or 2000)]
     for mech, n in DEFAULT_BUDGET_CHECKS:
         argv = ["check", "--mech", mech, "--norm", "lp:2", "--n", str(n), "--d", "2"]
         yield slug("check-default", mech, "lp:2", n, 2), argv + ["--seed", "0", "--budget", str(budget or 20_000)]

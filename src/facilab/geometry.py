@@ -7,7 +7,9 @@ and work on the arrays underneath: :func:`canonical_atoms` is the one
 canonical form of a lottery, :class:`Lottery` is built on it, and
 :func:`canonical_stack`, :func:`expected_distance_stack` and
 :func:`mass_gap_stack` apply it, the expected distance and the lottery
-comparison to whole stacks of lotteries at once.
+comparison to whole stacks of lotteries at once.  :func:`fold` reduces a
+short last axis (coordinates, agents) column by column, bit for bit as
+numpy does and faster on tall arrays.
 
 Tolerance ledger, shared across the package:
 
@@ -84,6 +86,30 @@ def point(*coords: float) -> Point:
 def _same_dim(a: Point, b: Point) -> None:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, bit for bit, as one elementwise call per
+    column of a short last axis, which is several times faster on tall arrays.
+
+    numpy adds fewer than 8 terms one at a time, left to right from +0.0 (a
+    lone -0.0 sums to +0.0), and so does this; from 8 terms on it sums
+    pairwise, so longer (and empty) axes go to ``ufunc.reduce`` itself.
+    ``maximum``, ``minimum`` and ``logical_and`` give the same in any order,
+    except that their reduction drops the sign of a negative NaN.
+    """
+    k = a.shape[-1]
+    if not 0 < k < 8:
+        return ufunc.reduce(a, axis=-1)
+    if ufunc is np.add:
+        out, start = a[..., 0] + 0.0, 1
+    elif k == 1:
+        return a[..., 0].copy()
+    else:
+        out, start = ufunc(a[..., 0], a[..., 1]), 2
+    for j in range(start, k):
+        ufunc(out, a[..., j], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,17 +202,17 @@ class Norm:
         if self.p == math.inf:
             if w is not None:
                 u *= w
-            return u.max(axis=-1)
+            return fold(np.maximum, u)
         if self.p == 1.0:
             if w is not None:
                 u *= w
-            return u.sum(axis=-1)
+            return fold(np.add, u)
         if w is not None:
             u *= w ** (1.0 / self.p)
-        peak = u.max(axis=-1)
+        peak = fold(np.maximum, u)
         u /= np.where(peak > 0.0, peak, 1.0)[..., None]
         u **= self.p
-        return peak * u.sum(axis=-1) ** (1.0 / self.p)
+        return peak * fold(np.add, u) ** (1.0 / self.p)
 
     def __call__(self, v) -> float:
         if isinstance(v, Point):
@@ -306,7 +332,7 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
         return stack_lotteries([canonical_atoms(w, p) for p in pts], d)
     if k == 1:  # a lone atom carries the whole unit mass exactly
         return np.ones((m, 1)), pts.copy()
-    same = (pts[:, :, None, :] == pts[:, None, :, :]).all(axis=-1)
+    same = fold(np.logical_and, pts[:, :, None, :] == pts[:, None, :, :])
     lead = same.argmax(axis=1) == np.arange(k)  # first of its duplicates
     out_w = np.where(lead, w, 0.0)
     width = k

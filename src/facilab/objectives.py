@@ -42,6 +42,7 @@ the optimum provably lies inside the searched box for every supported norm.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -59,6 +60,7 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    fold,
 )
 
 DEFAULT_BUDGET = 60_000
@@ -134,7 +136,7 @@ def cost_stack(
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)
         dist = _distance_matrix(points[rows, :k], xs[rows], norm)
-        per_atom = dist.max(axis=-1) if objective is Objective.MAX_COST else dist.sum(axis=-1)
+        per_atom = fold(np.maximum if objective is Objective.MAX_COST else np.add, dist)
         out[rows] = np.matmul(weights[rows, None, :k], per_atom[:, :, None])[:, 0, 0]
     return out
 
@@ -616,16 +618,31 @@ def _objective_fn(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batched objective over the rows zs: one value per candidate row (per
     row of a stack of reports and of candidates)."""
-    if objective is Objective.MAX_COST:
-        return lambda points: _distance_matrix(points, zs, norm).max(axis=-1)
-    return lambda points: _distance_matrix(points, zs, norm).sum(axis=-1)
+    ufunc = np.maximum if objective is Objective.MAX_COST else np.add
+    return lambda points: fold(ufunc, _distance_matrix(points, zs, norm))
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n reports, read-only, since callers share them."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _seed_points(zs: np.ndarray) -> np.ndarray:
     """The reports, their mean and median and every pairwise midpoint, for
-    (n, d) reports or per row of an (m, n, d) stack."""
-    i, j = np.triu_indices(zs.shape[-2], 1)
-    centers = [zs.mean(axis=-2, keepdims=True), np.median(zs, axis=-2, keepdims=True)]
+    (n, d) reports or per row of an (m, n, d) stack.  The median is
+    ``np.median``'s bit for bit: the mean of the middle one or two sorted
+    reports, summed from +0.0."""
+    n = zs.shape[-2]
+    i, j = _pairs(n)
+    s, m = np.sort(zs, axis=-2), n // 2
+    if n % 2:
+        median = 0.0 + s[..., m : m + 1, :]
+    else:
+        median = (0.0 + s[..., m - 1 : m, :] + s[..., m : m + 1, :]) / 2.0
+    centers = [zs.mean(axis=-2, keepdims=True), median]
     return np.concatenate([zs, *centers, (zs[..., i, :] + zs[..., j, :]) / 2.0], axis=-2)
 
 
@@ -1046,7 +1063,7 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
     """:func:`opt_value_upper` of each row of an (m, n, d) report stack:
     0 for a unanimous row, half the diameter for a max cost over two
     distinct reports, and otherwise the best seed point."""
-    same = (xs[:, :, None, :] == xs[:, None, :, :]).all(axis=-1)
+    same = fold(np.logical_and, xs[:, :, None, :] == xs[:, None, :, :])
     lead = same.argmax(axis=1) == np.arange(xs.shape[1])  # first of its duplicates
     distinct = lead.sum(axis=1)
     out = np.zeros(len(xs))
@@ -1056,7 +1073,7 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
         half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
         out[two] = norm.eval_many(half[:, None, :])[:, 0]
     rest = np.flatnonzero(distinct > (2 if objective is Objective.MAX_COST else 1))
-    out[rest] = _objective_fn(objective, xs[rest], norm)(_seed_points(xs[rest])).min(axis=-1)
+    out[rest] = fold(np.minimum, _objective_fn(objective, xs[rest], norm)(_seed_points(xs[rest])))
     return out
 
 

@@ -15,6 +15,7 @@ from facilab.geometry import (
     Profile,
     centroid,
     expected_distance,
+    fold,
     format_norm,
     is_on_segment,
     lotteries_match,
@@ -75,6 +76,70 @@ class TestNormEval:
     def test_zero_vector_any_exponent(self):
         for p in (1.0, 1.0001, 2.0, 500.0, math.inf):
             assert Norm(p)(point(0, 0)) == 0.0
+
+
+def _reduce_eval_many(norm: Norm, vs: np.ndarray) -> np.ndarray:
+    """``Norm.eval_many`` as written with ``ufunc.reduce`` over the last axis."""
+    if norm._matrix is not None:
+        vs = vs @ norm._matrix.T
+    u, w = np.abs(vs), norm._weight_arr
+    if norm.p == math.inf:
+        return (u if w is None else u * w).max(axis=-1)
+    if norm.p == 1.0:
+        return (u if w is None else u * w).sum(axis=-1)
+    if w is not None:
+        u = u * w ** (1.0 / norm.p)
+    peak = u.max(axis=-1)
+    u = (u / np.where(peak > 0.0, peak, 1.0)[..., None]) ** norm.p
+    return peak * u.sum(axis=-1) ** (1.0 / norm.p)
+
+
+def _wide_floats(rng, shape):
+    """Normals scaled across +-30 decades, with a quarter of the entries
+    replaced by signed zeros, NaN, infinities and ties at +-1."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, shape)
+    special = rng.random(shape) < 0.25
+    x[special] = rng.choice([-0.0, 0.0, math.nan, math.inf, -math.inf, 1.0, -1.0], special.sum())
+    return x
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum, np.logical_and])
+def test_fold_matches_reduce_bit_for_bit(ufunc):
+    # numpy adds fewer than 8 terms left to right from +0.0 and pairwise from
+    # 8 on; a numpy that changes either order must fail here
+    rng = np.random.default_rng(17)
+    for k in range(1, 10):
+        for shape in [(301, k), (13, 23, k)]:
+            x = _wide_floats(rng, shape[:-1] + (2 * k,))
+            if ufunc is np.logical_and:
+                x = x > 0.0
+            base = x[..., :k]
+            for a in (np.ascontiguousarray(base), base, x[..., ::2], x[::2, ..., :k], np.asfortranarray(base)):
+                with np.errstate(invalid="ignore"):
+                    want, got = ufunc.reduce(a, axis=-1), fold(ufunc, a)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (ufunc.__name__, k, a.shape, a.strides)
+
+
+def test_fold_sums_lone_negative_zeros_to_positive_zero():
+    for k in range(1, 8):
+        assert math.copysign(1.0, fold(np.add, np.full((1, k), -0.0))[0]) == 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
+def test_eval_many_matches_reduce_formula_bit_for_bit(p):
+    rng = np.random.default_rng(int(p) if p < math.inf else 99)
+    for d in range(1, 10):
+        weights = tuple(rng.uniform(0.2, 3.0, d).tolist())
+        transform = tuple(map(tuple, (np.eye(d) + 0.3 * rng.standard_normal((d, d))).tolist()))
+        for norm in (Norm(p), Norm(p, weights=weights), Norm(p, weights=weights, transform=transform)):
+            flat = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-8, 9, (40, 1))
+            flat[::7] = 0.0  # all-zero rows take the peak == 0 path
+            flat[3, 0] = -0.0
+            stack = flat.reshape(8, 5, d)
+            for vs in (flat, stack, stack[:, :1], flat[:1], stack[:, ::2]):
+                want = _reduce_eval_many(norm, vs)
+                assert norm.eval_many(vs).tobytes() == want.tobytes(), (format_norm(norm), vs.shape)
 
 
 @given(v=point_strategy(3), c=st.floats(-5, 5, allow_nan=False))

@@ -917,3 +917,20 @@ def test_mc_polish_and_bound_match_plain_loops(d, monkeypatch):
                 assert (got[0].tobytes(), got[1], got[2]) == (want[0].tobytes(), want[1], want[2]), (p, zs, y)
                 assert objectives._mc_subgradient_lower_bound(zs, residual, *got[:2]) == bound
     assert calls["new"] < calls["old"] - 8 * 4  # the skipped rounds and the shared eps levels
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_seed_points_match_numpy_median_bit_for_bit(n):
+    # ties, signed zeros and exponents across +-30 decades, as (n, d)
+    # reports and as an (m, n, d) stack
+    from facilab import objectives
+
+    rng = np.random.default_rng(n)
+    zs = rng.standard_normal((400, n, 3)) * 10.0 ** rng.integers(-30, 31, (400, n, 3))
+    tie = rng.random(zs.shape) < 0.4
+    zs[tie] = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], tie.sum())
+    i, j = np.triu_indices(n, 1)
+    for reports in (zs, zs[5]):
+        centers = [reports.mean(axis=-2, keepdims=True), np.median(reports, axis=-2, keepdims=True)]
+        want = np.concatenate([reports, *centers, (reports[..., i, :] + reports[..., j, :]) / 2.0], axis=-2)
+        assert objectives._seed_points(reports).tobytes() == want.tobytes()
