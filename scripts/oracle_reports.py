@@ -12,11 +12,11 @@ lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
 26 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
 lp:2, lp:1, and rand_center x mc/sc under lp:inf, lp:3;w=1,2 and
 lp:2;A=1.1,0.3,-0.2,0.9, so the hunt's p = inf, weighted and transformed
-norm evaluations are byte-checked too), 4 ``check --seed 0`` runs at the CLI default budget of
-20,000 (80 restarts, so the searches cross their lockstep blocks:
-rand_center, coord_median and sep2d:a=0 under lp:2 at (n, d) = (3, 2), and
-rand_med at (4, 2), whose gsp search finds nothing and runs every
-restart), 4 ``check --seed 3 --budget 300`` runs under transform norms
+norm evaluations are byte-checked too), 4 ``check --seed 0`` runs at the
+CLI default budget of 20,000 (80 restarts, so the searches cross their
+lockstep blocks: rand_center, coord_median and sep2d:a=0 under lp:2 at
+(n, d) = (3, 2), and rand_med at (4, 2), whose gsp search finds nothing
+and runs every restart), 4 ``check --seed 3 --budget 300`` runs under transform norms
 at (3, 2) (rand_center and sep2d:a=0 under lp:2;A=1,0.5,0,1 and under
 lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products tell a one-row (gemv)
 norm call from a stacked one, so the checkers' one-row rounding under a
