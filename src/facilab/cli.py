@@ -198,14 +198,27 @@ def load_profile(path: str) -> Profile:
     if not isinstance(points, list) or not points:
         raise ValueError(f"profile file {path}: 'points' must be a nonempty list")
     d = raw.get("d")
+    if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 1):
+        raise ValueError(f"profile file {path}: 'd' must be a positive integer, got {d!r}")
     rows = []
     for idx, row in enumerate(points):
-        if not isinstance(row, list) or (d is not None and len(row) != d):
-            raise ValueError(
-                f"profile file {path}: point {idx} must be a list of {d} reals"
-            )
-        rows.append([float(x) for x in row])
+        coords = [_real(x) for x in row] if isinstance(row, list) else None
+        if coords is None or None in coords or (d is not None and len(coords) != d):
+            shape = "reals" if d is None else f"{d} reals"
+            raise ValueError(f"profile file {path}: point {idx} must be a list of {shape}")
+        rows.append(coords)
     return Profile.from_rows(rows)
+
+
+def _real(x) -> Optional[float]:
+    """A JSON number as a finite float, or None (booleans are not numbers)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
 
 
 # -- property suite ------------------------------------------------------------

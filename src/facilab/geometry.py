@@ -406,14 +406,8 @@ def expected_distance(x: Point, lot: Lottery, norm: Norm) -> float:
     """Expected norm distance between a fixed point and the lottery."""
     if x.dim != lot.dim:
         raise DimensionMismatch("point and lottery dimensions differ")
-    return expected_distance_xs(x.as_array(), lot.weights_array, lot.points_array, norm)
-
-
-def expected_distance_xs(
-    x: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
-) -> float:
-    """:func:`expected_distance` from the coordinates x to the atoms (weights, points)."""
-    return float(expected_distance_stack(x[None], weights[None], points[None], norm)[0])
+    atoms = lot.weights_array[None], lot.points_array[None]
+    return float(expected_distance_stack(x.as_array()[None], *atoms, norm)[0])
 
 
 def expected_distance_stack(
@@ -449,7 +443,7 @@ def radius(lot: Lottery, norm: Norm) -> float:
     if lot.is_degenerate:
         return 0.0
     c = lot.weights_array @ lot.points_array
-    return expected_distance_xs(c, lot.weights_array, lot.points_array, norm)
+    return float(expected_distance_stack(c[None], lot.weights_array[None], lot.points_array[None], norm)[0])
 
 
 @dataclass(frozen=True)
@@ -517,15 +511,6 @@ class Profile:
 
     def translate(self, shift: Point) -> "Profile":
         return Profile(tuple(p + shift for p in self.points))
-
-    def diameter(self, norm: Norm) -> float:
-        arr = self.as_array
-        diffs = arr[:, None, :] - arr[None, :, :]
-        return float(norm.eval_many(diffs.reshape(-1, self.d)).max())
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = self.as_array
-        return arr.min(axis=0), arr.max(axis=0)
 
 
 def strict_convexity_witness(

@@ -3,9 +3,9 @@
 A kernel maps (spec, (m, n, d) stack of reports, norm) to the canonical
 (weights, points) of each row's output lottery, which *is* the randomness,
 zero-padded to one width (:func:`~facilab.geometry.canonical_stack`).  The
-searches score whole candidate stacks through :func:`kernel_of`; an (n, d)
-report array is the m = 1 case, and :func:`apply` and :func:`resolve` wrap
-it as Profile x Norm -> Lottery.  Every kind takes the norm, used or
+searches score whole candidate stacks through :func:`kernel_of`; one
+profile is the m = 1 case, and :func:`apply` and :func:`resolve` wrap it
+as Profile x Norm -> Lottery.  Every kind takes the norm, used or
 not.  Agent indices are 1-based.  Each kind is one entry of
 :data:`REGISTRY`, which parsing, dispatch and the CLI's expectations read.
 """
@@ -132,24 +132,14 @@ def kernel_of(mech: MechanismLike) -> ArrayKernel:
     """The mechanism as an array kernel.
 
     The kernel maps an (m, n, d) stack of report arrays to zero-padded
-    (m, k) weights and (m, k, d) points, and one (n, d) array to that
-    lottery's unpadded (weights, points).  A bare callable is mapped row by
+    (m, k) weights and (m, k, d) points.  A bare callable is mapped row by
     row, through one Profile and one Lottery per row.
     """
     if isinstance(mech, str):
         mech = parse_mechanism(mech)
     if isinstance(mech, MechanismSpec):
-        stacked = partial(_run, mech)
-    else:
-        stacked = partial(_adapted, mech)
-
-    def kernel(xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-        if xs.ndim == 2:
-            weights, points = stacked(xs[None], norm)
-            return weights[0], points[0]  # one row comes back unpadded
-        return stacked(xs, norm)
-
-    return kernel
+        return partial(_run, mech)
+    return partial(_adapted, mech)
 
 
 def _adapted(mech: MechanismFn, xs: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:

@@ -112,25 +112,18 @@ def _distance_matrix(points: np.ndarray, xs: np.ndarray, norm: Norm) -> np.ndarr
     return norm.eval_many(flat).reshape(diffs.shape[:-1])
 
 
-def cost_xs(
-    objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
-) -> float:
-    """Expected cost of the lottery (weights, points) to the reports xs.
-
-    Max cost is the expectation over atoms of the per-atom max, not the
-    maximum of per-agent expectations; social cost is the expectation of
-    the per-atom sum.
-    """
-    return float(cost_stack(objective, weights[None], points[None], xs[None], norm)[0])
-
-
 def cost_stack(
     objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
 ) -> np.ndarray:
-    """:func:`cost_xs` of each zero-padded lottery (weights[i], points[i]) to
-    the reports xs[i] of an (m, n, d) stack: rows are grouped by atom count
-    k, each group makes one norm call and one batched (1, k) @ (k, 1)
-    product, which rounds as ``w @ per_atom`` on the row alone."""
+    """Expected cost of each zero-padded lottery (weights[i], points[i]) to
+    the reports xs[i] of an (m, n, d) stack.
+
+    Max cost is the expectation over atoms of the per-atom max, not the
+    maximum of per-agent expectations; social cost is the expectation of
+    the per-atom sum.  Rows are grouped by atom count k, each group makes
+    one norm call and one batched (1, k) @ (k, 1) product, which rounds as
+    ``w @ per_atom`` on the row alone.
+    """
     counts = (weights > 0.0).sum(axis=1)
     out = np.empty(len(xs))
     for k in np.unique(counts).tolist():
@@ -144,22 +137,18 @@ def cost_stack(
 def cost(objective: Objective, lot: Lottery, profile: Profile, norm: Norm) -> float:
     if lot.dim != profile.d:
         raise DimensionMismatch("lottery and profile dimensions differ")
-    return cost_xs(objective, lot.weights_array, lot.points_array, profile.as_array, norm)
+    atoms = lot.weights_array[None], lot.points_array[None]
+    return float(cost_stack(objective, *atoms, profile.as_array[None], norm)[0])
 
 
 def cost_mc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected maximum cost (see :func:`cost_xs`)."""
+    """Expected maximum cost (see :func:`cost_stack`)."""
     return cost(Objective.MAX_COST, lot, profile, norm)
 
 
 def cost_sc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected social cost (see :func:`cost_xs`)."""
+    """Expected social cost (see :func:`cost_stack`)."""
     return cost(Objective.SOCIAL_COST, lot, profile, norm)
-
-
-def point_cost(objective: Objective, y: Point, profile: Profile, norm: Norm) -> float:
-    """Deterministic mc/sc of a single facility point."""
-    return cost(objective, Lottery.degenerate(y), profile, norm)
 
 
 # -- working coordinates -----------------------------------------------------
@@ -1051,12 +1040,7 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
     scored against it never exceed the true ratio.  Used to steer searches;
     reported results are re-certified with the full optimizers.
     """
-    return opt_value_upper_xs(objective, profile.as_array, norm)
-
-
-def opt_value_upper_xs(objective: Objective, xs: np.ndarray, norm: Norm) -> float:
-    """:func:`opt_value_upper` on an (n, d) report array."""
-    return float(opt_value_upper_stack(objective, xs[None], norm)[0])
+    return float(opt_value_upper_stack(objective, profile.as_array[None], norm)[0])
 
 
 def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> np.ndarray:

@@ -270,10 +270,10 @@ def check_uncompromising(mech: MechanismLike, profile: Profile, norm: Norm) -> P
     """
     kernel = kernel_of(mech)
     xs = profile.as_array
-    weights, points = kernel(xs, norm)
-    if len(weights) > 1:
+    weights, points = kernel(xs[None], norm)
+    if weights.shape[1] > 1:
         return PropertyVerdict("uncompromising", True, 0.0, note="skipped: output is randomized")
-    y = points[0]
+    y = points[0, 0]
     agents = range(1, profile.n + 1)
     subsets = [c for size in agents for c in itertools.combinations(agents, size)]
     onto = np.array([[i in subset for i in agents] for subset in subsets])

@@ -10,11 +10,16 @@ Candidates are scored on arrays: the mechanism's array kernel
 candidate that beats the margin becomes a ``Point``/``Profile`` again, to be
 re-validated by the checkers in :mod:`facilab.properties`.
 
-The misreport searches run their restarts in lockstep: the (restart, agent)
-or (restart, coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``,
-and each block is scored and refined as one stack, with every restart's own
-reports, scale, box and stream.  Witnesses are then validated in restart
-order, so the witness returned is the one a restart-at-a-time search finds.
+Every restart is built once, as one read-only array plan (:func:`_plan`):
+the stacked reports, their truthful lotteries and costs, common points,
+diameters, scales and boxes, one row per restart.  The sp and gsp searches
+of one check share it, and the hunt starts from its reports.  The misreport
+searches run their restarts in lockstep: the (restart, agent) or (restart,
+coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``, and each
+block is scored and refined as one stack on the plan's rows, each search
+drawing from its restart's stream.  Witnesses are then validated in restart
+order, so the witness returned is the one a restart-at-a-time search finds;
+a ``Profile`` is built only for that validation.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -24,10 +29,11 @@ budget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -121,28 +127,6 @@ def structured_profiles(n: int, d: int) -> list[Profile]:
     return [Profile.from_rows(r) for r in rows]
 
 
-def _profile_stream(n: int, d: int, config: SearchConfig) -> Iterator[tuple[int, Profile]]:
-    """Structured profiles first, then seeded random ones, `restarts` total."""
-    structured = structured_profiles(n, d)
-    for r in range(config.restarts):
-        if r < len(structured):
-            yield r, structured[r]
-        else:
-            gen = _rng(config.rng_seed, r)
-            yield r, Profile.from_rows(gen.normal(size=(n, d)) * 2.0)
-
-
-def _scale(profile: Profile, norm: Norm) -> float:
-    diam = profile.diameter(norm)
-    return diam if diam > GEOM_TOL else 1.0
-
-
-def _clip_box(profile: Profile, scale: float):
-    lo, hi = profile.bounding_box()
-    pad = BOUNDING_SCALE * scale
-    return lo - pad, hi + pad
-
-
 def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     """Coordinate pattern searches from the rows of ``starts``, in lockstep.
 
@@ -197,55 +181,61 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     return x, best, evals
 
 
-# -- restarts in lockstep blocks ----------------------------------------------
+# -- the restart plan, in lockstep blocks --------------------------------------
 
 
-@dataclass(frozen=True)
-class _Restart:
-    """One restart of a misreport search: its profile, truthful lottery and
-    costs, pattern-search scale and box, and candidate stream."""
+class _Plan(NamedTuple):
+    """The restarts of a search, one read-only row per restart."""
 
-    profile: Profile
-    xs: np.ndarray
-    weights: np.ndarray
-    points: np.ndarray
-    before: np.ndarray  # each agent's expected cost under truthful reports
-    common: np.ndarray  # output centroid, report mean and coordinate median
-    scale: float
-    lo: np.ndarray
+    reports: np.ndarray  # (restarts, n, d): structured profiles, then seeded draws
+    weights: np.ndarray  # (restarts, k) truthful lottery, zero-padded
+    points: np.ndarray  # (restarts, k, d)
+    before: np.ndarray  # (restarts, n) each agent's expected cost under truthful reports
+    common: np.ndarray  # (restarts, 3, d) output centroid, report mean and coordinate median
+    diameters: np.ndarray  # (restarts,)
+    scales: np.ndarray  # (restarts,) pattern-search scale: the diameter, or 1 for a point
+    lo: np.ndarray  # (restarts, d) misreport box
     hi: np.ndarray
-    rng: np.random.Generator
 
 
-def _restarts(kernel, norm: Norm, n: int, d: int, config: SearchConfig) -> Iterator[_Restart]:
-    for r, profile in _profile_stream(n, d, config):
-        xs = profile.as_array
-        scale = _scale(profile, norm)
-        weights, points = kernel(xs, norm)
-        before = expected_distance_stack(xs, np.tile(weights, (n, 1)), np.tile(points, (n, 1, 1)), norm)
-        common = np.array([weights @ points, xs.mean(axis=0), np.median(xs, axis=0)])
-        box = _clip_box(profile, scale)
-        yield _Restart(profile, xs, weights, points, before, common, scale, *box, _rng(config.rng_seed, r))
+@functools.lru_cache(maxsize=1)
+def _plan(mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig) -> _Plan:
+    """Every restart of a search, built once: the sp and gsp searches of one
+    check share it.  The plan holds no state; each search makes its own
+    candidate streams (:func:`_streams`).  The cache is keyed on the
+    arguments alone, not on module globals such as ``BOUNDING_SCALE``;
+    whoever changes one must call ``_plan.cache_clear()``."""
+    structured = [p.as_array for p in structured_profiles(n, d)[: config.restarts]]
+    drawn = [_rng(config.rng_seed, r).normal(size=(n, d)) * 2.0 for r in range(len(structured), config.restarts)]
+    reports = np.array(structured + drawn)
+    weights, points = kernel_of(mech)(reports, norm)
+    truth = np.repeat(weights, n, axis=0), np.repeat(points, n, axis=0)  # one row per (restart, agent)
+    before = expected_distance_stack(reports.reshape(-1, d), *truth, norm).reshape(-1, n)
+    centroid = np.matmul(weights[:, None, :], points)[:, 0]
+    common = np.stack([centroid, reports.mean(axis=1), np.median(reports, axis=1)], axis=1)
+    diffs = reports[:, :, None] - reports[:, None]
+    diameters = norm.eval_many(diffs.reshape(len(reports), n * n, d)).max(axis=1)
+    scales = np.where(diameters > GEOM_TOL, diameters, 1.0)
+    pad = BOUNDING_SCALE * scales[:, None]
+    box = reports.min(axis=1) - pad, reports.max(axis=1) + pad
+    plan = _Plan(reports, weights, points, before, common, diameters, scales, *box)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
-def _lockstep_blocks(restarts: Iterator[_Restart], searches: int) -> Iterator[list[tuple[_Restart, int]]]:
-    """(restart, search) pairs in restart order, then search order, cut into
-    blocks of ``LOCKSTEP_BLOCK``; a restart is made only when a block needs it."""
-    pairs = ((restart, k) for restart in restarts for k in range(searches))
-    while block := list(itertools.islice(pairs, LOCKSTEP_BLOCK)):
-        yield block
+def _streams(config: SearchConfig):
+    """Restart r's candidate stream, made the first time a search asks for it:
+    ``_rng(seed, r)``, the very stream restart r's random profile came from."""
+    return functools.cache(functools.partial(_rng, config.rng_seed))
 
 
-class _Block:
-    """The per-search arrays of one lockstep block, one row per pair."""
-
-    def __init__(self, block: list[tuple[_Restart, int]]):
-        runs = [restart for restart, _ in block]
-        self.xs = np.array([r.xs for r in runs])  # (searches, n, d)
-        self.before = np.array([r.before for r in runs])
-        self.scales = np.array([r.scale for r in runs])
-        self.lo = np.array([r.lo for r in runs])
-        self.hi = np.array([r.hi for r in runs])
+def _lockstep_blocks(restarts: int, searches: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(restart, search) index arrays in restart order, then search order,
+    cut into blocks of ``LOCKSTEP_BLOCK``."""
+    pairs = np.arange(restarts * searches)
+    for start in range(0, len(pairs), LOCKSTEP_BLOCK):
+        yield np.divmod(pairs[start : start + LOCKSTEP_BLOCK], searches)
 
 
 def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.ndarray):
@@ -258,28 +248,29 @@ def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.
 # -- single-agent misreport search --------------------------------------------
 
 
-def _sp_candidates(restart: _Restart, agent: int) -> np.ndarray:
-    """Candidate misreports of agent (0-based): axis steps, common points,
-    the other reports, gaussian jitter, a grid near the output support and
-    points on the segments to the other reports, clipped to the box."""
-    xs, scale = restart.xs, restart.scale
+def _sp_candidates(plan: _Plan, r: int, agent: int, rng: np.random.Generator) -> np.ndarray:
+    """Candidate misreports of agent (0-based) at restart r: axis steps,
+    common points, the other reports, gaussian jitter from the restart's
+    stream, a grid near the output support and points on the segments to
+    the other reports, clipped to the box."""
+    xs, scale = plan.reports[r], plan.scales[r]
     d = xs.shape[1]
     xi = xs[agent]
     others = np.delete(xs, agent, axis=0)
     axis = (np.array([0.5, 0.1, 0.02]) * scale)[:, None, None] * np.eye(d)
-    jitter = (np.array([0.05, 0.25, 1.0]) * scale)[:, None] * restart.rng.normal(size=(3, d))
+    jitter = (np.array([0.05, 0.25, 1.0]) * scale)[:, None] * rng.normal(size=(3, d))
     grid = 0.1 * scale * np.eye(d)
-    near = restart.points[:, None, :]
+    near = plan.points[r][plan.weights[r] > 0.0][:, None, :]
     around = np.stack([near + grid, near - grid], axis=2).reshape(len(near), -1, d)
     out = np.concatenate([
         np.stack([xi + axis, xi - axis], axis=2).reshape(-1, d),
-        restart.common,
+        plan.common[r],
         others,
         xi + jitter,
         np.concatenate([near, around], axis=1).reshape(-1, d),
         (xi + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi)[:, None, :]).reshape(-1, d),
     ])
-    return np.clip(out, restart.lo, restart.hi)
+    return np.clip(out, plan.lo[r], plan.hi[r])
 
 
 def search_sp_violation(
@@ -293,43 +284,44 @@ def search_sp_violation(
     re-validates through the strategyproofness checker (gain beyond
     IMPROVE_MARGIN) is returned.  The (restart, agent) searches run in
     lockstep blocks of ``LOCKSTEP_BLOCK``: a block's candidates are scored
-    as one stack, with each restart's own reports, scale, box and random
-    stream, and its pattern searches run together; the results are then
-    walked in restart order, then agent order, so the witness is the one a
-    search of one agent at a time would return.
+    as one stack, on the rows of the restart plan, and its pattern searches
+    run together; the results are then walked in restart order, then agent
+    order, so the witness is the one a search of one agent at a time would
+    return.
     """
     kernel = kernel_of(mech)
-    for block in _lockstep_blocks(_restarts(kernel, norm, n, d, config), n):
-        arrays = _Block(block)
-        agents = np.array([i for _, i in block])
-        truth = arrays.xs[np.arange(len(block)), agents]
-        before = arrays.before[np.arange(len(block)), agents]
+    plan = _plan(mech, norm, n, d, config)
+    stream = _streams(config)
+    for runs, agents in _lockstep_blocks(config.restarts, n):
+        xs, scales = plan.reports[runs], plan.scales[runs]
+        truth = xs[np.arange(len(runs)), agents]
+        before = plan.before[runs, agents]
 
         def misreport_costs(z: np.ndarray, which: np.ndarray) -> np.ndarray:
-            moved = arrays.xs[which]
+            moved = xs[which]
             moved[np.arange(len(z)), agents[which]] = z
             return _costs(kernel, norm, moved, np.arange(len(z)), truth[which])
 
-        cands = [_sp_candidates(restart, i) for restart, i in block]
+        cands = [_sp_candidates(plan, r, i, stream(r)) for r, i in zip(runs.tolist(), agents.tolist())]
         sizes = [len(c) for c in cands]
         vals = np.split(
-            misreport_costs(np.concatenate(cands), np.repeat(np.arange(len(block)), sizes)), np.cumsum(sizes)[:-1]
+            misreport_costs(np.concatenate(cands), np.repeat(np.arange(len(runs)), sizes)), np.cumsum(sizes)[:-1]
         )
         best_x = np.array([c[int(np.argmin(v))] for c, v in zip(cands, vals)])
         best_val = np.array([v.min() for v in vals])
-        refine = np.flatnonzero(best_val < before + 0.25 * arrays.scales)
+        refine = np.flatnonzero(best_val < before + 0.25 * scales)
         if refine.size:
             best_x[refine], best_val[refine], _ = _pattern_minimize(
                 lambda z, owners: misreport_costs(z, refine[owners]),
                 best_x[refine],
-                arrays.scales[refine],
+                scales[refine],
                 config.local_steps,
-                arrays.lo[refine],
-                arrays.hi[refine],
+                plan.lo[runs[refine]],
+                plan.hi[runs[refine]],
             )
         for j in np.flatnonzero(best_val < before - IMPROVE_MARGIN).tolist():
-            restart, i = block[j]
-            verdict = check_strategyproof_at(mech, restart.profile, i + 1, Point.from_array(best_x[j]), norm)
+            profile = Profile.from_rows(plan.reports[runs[j]])
+            verdict = check_strategyproof_at(mech, profile, int(agents[j]) + 1, Point.from_array(best_x[j]), norm)
             if not verdict.passed and not verdict.inconclusive:
                 return verdict.witness
     return None
@@ -349,18 +341,19 @@ def search_gsp_violation(
     search on the worst member's gain; per-member segment pulls, correlated
     jitter and axis shifts follow.  The (restart, coalition) searches run
     in lockstep blocks of ``LOCKSTEP_BLOCK``: a block is scored as stacks,
-    with each restart's own reports, scale, box and random stream, and its
-    pattern searches run together; witnesses re-validate through the group
-    checker in restart order, then coalition order, before being returned.
+    on the rows of the restart plan, and its pattern searches run together;
+    witnesses re-validate through the group checker in restart order, then
+    coalition order, before being returned.
     """
     kernel = kernel_of(mech)
+    plan = _plan(mech, norm, n, d, config)
+    stream = _streams(config)
     coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
     sizes = np.array([len(c) for c in coalitions])
     members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
     at = np.cumsum(sizes) - sizes
-    for block in _lockstep_blocks(_restarts(kernel, norm, n, d, config), len(coalitions)):
-        arrays = _Block(block)
-        coalition = np.array([c for _, c in block])
+    for runs, coalition in _lockstep_blocks(config.restarts, len(coalitions)):
+        xs, before, lo, hi = plan.reports[runs], plan.before[runs], plan.lo[runs], plan.hi[runs]
 
         def joint_margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
             """Worst member gain of each search which[j] making its coalition's
@@ -369,47 +362,48 @@ def search_gsp_violation(
             owners = np.repeat(np.arange(len(which)), counts)
             starts = np.cumsum(counts) - counts
             agents = members_of[np.repeat(at[coalition[which]] - starts, counts) + np.arange(len(owners))]
-            moved = arrays.xs[which]
+            moved = xs[which]
             moved[owners, agents] = reports
             rows = which[owners]
-            margins = _costs(kernel, norm, moved, owners, arrays.xs[rows, agents]) - arrays.before[rows, agents]
+            margins = _costs(kernel, norm, moved, owners, xs[rows, agents]) - before[rows, agents]
             return np.maximum.reduceat(margins, starts)
 
         def common_margins(z: np.ndarray, which: np.ndarray) -> np.ndarray:
-            z = np.clip(z, arrays.lo[which], arrays.hi[which])
+            z = np.clip(z, lo[which], hi[which])
             return joint_margins(np.repeat(z, sizes[coalition[which]], axis=0), which)
 
         targets, moves = [], []
-        for restart, c in block:
-            members = restart.xs[list(coalitions[c])]
+        for r, c in zip(runs.tolist(), coalition.tolist()):
+            members = plan.reports[r, list(coalitions[c])]
             center = members.mean(axis=0)
             extremes = [members.min(axis=0), members.max(axis=0)]
-            targets.append(np.vstack([restart.common[:2], center, restart.common[2], *extremes, restart.points]))
+            common, atoms = plan.common[r], plan.points[r][plan.weights[r] > 0.0]
+            targets.append(np.vstack([common[:2], center, common[2], *extremes, atoms]))
             # per-member moves: segment pulls, correlated jitter, axis shifts
             pulls = members + np.array([0.5, 1.0])[:, None, None] * (center - members)
-            jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * restart.scale)[:, None] * restart.rng.normal(size=(4, d))
-            axis = (np.array([0.5, 0.1]) * restart.scale)[:, None, None] * np.eye(d)
+            jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * plan.scales[r])[:, None] * stream(r).normal(size=(4, d))
+            axis = (np.array([0.5, 0.1]) * plan.scales[r])[:, None, None] * np.eye(d)
             shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=2).reshape(-1, d)])
-            moves.append(np.concatenate([pulls, np.clip(members + shifts[:, None, :], restart.lo, restart.hi)]))
-        every = np.arange(len(block))
+            moves.append(np.concatenate([pulls, np.clip(members + shifts[:, None, :], plan.lo[r], plan.hi[r])]))
+        every = np.arange(len(runs))
         counts = [len(t) for t in targets]
         vals = np.split(common_margins(np.concatenate(targets), np.repeat(every, counts)), np.cumsum(counts)[:-1])
         starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
         zs, best_margin, _ = _pattern_minimize(
-            common_margins, starts, arrays.scales, config.local_steps, arrays.lo, arrays.hi
+            common_margins, starts, plan.scales[runs], config.local_steps, lo, hi
         )
         counts = [len(m) for m in moves]
         flat = np.concatenate([m.reshape(-1, d) for m in moves])
         vals = np.split(joint_margins(flat, np.repeat(every, counts)), np.cumsum(counts)[:-1])
-        for j, (restart, c) in enumerate(block):
-            best_reports = np.tile(np.clip(zs[j], arrays.lo[j], arrays.hi[j]), (sizes[c], 1))
+        for j, (r, c) in enumerate(zip(runs.tolist(), coalition.tolist())):
+            best_reports = np.tile(np.clip(zs[j], lo[j], hi[j]), (sizes[c], 1))
             k = int(np.argmin(vals[j]))
             if vals[j][k] < best_margin[j]:
                 best_margin[j], best_reports = vals[j][k], moves[j][k]
             if best_margin[j] < -IMPROVE_MARGIN:
                 verdict = check_group_strategyproof_at(
                     mech,
-                    restart.profile,
+                    Profile.from_rows(plan.reports[r]),
                     [i + 1 for i in coalitions[c]],
                     [Point.from_array(x) for x in best_reports],
                     norm,
@@ -478,11 +472,11 @@ def search_worst_ratio(
     box = 8.0  # profiles confined to [-box, box]^d; ratios are scale-invariant
     lo = np.full(n * d, -box)
     hi = np.full(n * d, box)
-    profiles = [profile for _, profile in _profile_stream(n, d, config)]
+    plan = _plan(mech, norm, n, d, config)
     found, values, evals = _pattern_minimize(
         scores,
-        np.array([np.clip(p.as_array.reshape(-1), lo, hi) for p in profiles]),
-        [max(1.0, p.diameter(norm)) for p in profiles],
+        np.clip(plan.reports.reshape(config.restarts, -1), lo, hi),
+        np.maximum(1.0, plan.diameters),
         config.local_steps,
         lo,
         hi,

@@ -107,6 +107,29 @@ class TestEvaluate:
         path.write_text("not json")
         assert main(["evaluate", "--profile", str(path), "--mech", "rand_med"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"d": 2, "points": [[1, null], [3, 4]]}',
+            '{"d": 2, "points": [[1, [2]], [3, 4]]}',
+            '{"d": 2, "points": [[1, {}], [3, 4]]}',
+            '{"d": 2, "points": [[1, true], [3, 4]]}',
+            '{"d": 2, "points": [[1, NaN], [3, 4]]}',
+            '{"d": 2, "points": [[1, 1%s], [3, 4]]}' % ("0" * 400),
+            '{"d": "x", "points": [[1, 2], [3, 4]]}',
+            '{"d": 0, "points": [[1, 2], [3, 4]]}',
+            '{"d": 2.0, "points": [[1, 2], [3, 4]]}',
+            '{"d": true, "points": [[1], [3]]}',
+        ],
+        ids=["null", "list", "object", "bool", "nan", "huge-int", "d-text", "d-zero", "d-float", "d-bool"],
+    )
+    def test_malformed_profile_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        assert main(["evaluate", "--profile", str(path), "--mech", "rand_med"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("'d' must be" in err or "point 0 must be a list of" in err), err
+
 
 class TestCheck:
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from facilab.geometry import (
     canonical_stack,
     expected_distance,
     expected_distance_stack,
-    expected_distance_xs,
     is_on_segment,
     parse_norm,
     lotteries_match,
@@ -34,7 +33,7 @@ from facilab.mechanisms import (
     parse_mechanism,
     resolve,
 )
-from facilab.objectives import Objective, cost_mc, cost_sc, cost_stack, cost_xs, opt_value_upper_stack
+from facilab.objectives import Objective, cost_mc, cost_sc, cost_stack, opt_value_upper_stack
 
 from conftest import profile_strategy
 
@@ -137,7 +136,7 @@ class TestRandCenter:
     @settings(max_examples=100)
     def test_support_in_convex_hull(self, prof):
         lot = apply(RAND_CENTER, prof, N2)
-        lo, hi = prof.bounding_box()
+        lo, hi = prof.as_array.min(axis=0), prof.as_array.max(axis=0)
         for _, pt in lot.atoms:
             arr = pt.as_array()
             assert np.all(arr >= lo - GEOM_TOL) and np.all(arr <= hi + GEOM_TOL)
@@ -259,7 +258,7 @@ def test_kernel_of_callable_checks_output_dimension():
         return Lottery.degenerate(point(0))
 
     with pytest.raises(DimensionMismatch):
-        kernel_of(flat)(np.zeros((3, 2)), N2)
+        kernel_of(flat)(np.zeros((1, 3, 2)), N2)
 
 
 def test_apply_is_deterministic():
@@ -300,18 +299,19 @@ def mean_report(profile, norm):
 @given(prof=reports_with_ties())
 @settings(max_examples=150, deadline=None)
 def test_array_kernels_match_apply_bitwise(prof):
-    xs = prof.as_array
+    xs = prof.as_array[None]
     for mech in SPECS + [mean_report]:
         for norm in EQUIV_NORMS:
             weights, points = kernel_of(mech)(xs, norm)
             lot = resolve(mech)(prof, norm)
-            assert bitwise(weights, lot.weights_array) and bitwise(points, lot.points_array)
+            assert bitwise(weights[0], lot.weights_array) and bitwise(points[0], lot.points_array)
             again = Lottery(lot.atoms)  # the kernel's arrays are already canonical
-            assert bitwise(weights, again.weights_array) and bitwise(points, again.points_array)
+            assert bitwise(weights[0], again.weights_array) and bitwise(points[0], again.points_array)
             for x in prof.points:
-                assert bitwise(expected_distance_xs(x.as_array(), weights, points, norm), expected_distance(x, lot, norm))
-            assert bitwise(cost_xs(Objective.MAX_COST, weights, points, xs, norm), cost_mc(lot, prof, norm))
-            assert bitwise(cost_xs(Objective.SOCIAL_COST, weights, points, xs, norm), cost_sc(lot, prof, norm))
+                dist = expected_distance_stack(x.as_array()[None], weights, points, norm)[0]
+                assert bitwise(dist, expected_distance(x, lot, norm))
+            assert bitwise(cost_stack(Objective.MAX_COST, weights, points, xs, norm)[0], cost_mc(lot, prof, norm))
+            assert bitwise(cost_stack(Objective.SOCIAL_COST, weights, points, xs, norm)[0], cost_sc(lot, prof, norm))
 
 
 # -- stacked kernels against per-row calls ------------------------------------
@@ -373,7 +373,7 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
                 for i in range(m):
                     row = unpadded(weights[i], points[i])
                     assert bitwise(costs[i], reference_cost(objective, *row, stack[i], norm))
-                    assert bitwise(costs[i], cost_xs(objective, *row, stack[i], norm))
+                    assert bitwise(costs[i], cost_stack(objective, row[0][None], row[1][None], stack[i : i + 1], norm)[0])
                     assert bitwise(alone[i], reference_cost(objective, *row, stack[i, :1], norm))
         width = max(len(w) for w, _, _ in lotteries)
         pad_w, pad_p = np.zeros((len(lotteries), width)), np.zeros((len(lotteries), width, d))
@@ -384,7 +384,7 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
             dists = expected_distance_stack(xq, pad_w, pad_p, norm)
             for j, (w, p, _) in enumerate(lotteries):
                 assert bitwise(dists[j], reference_distance(xq[j], w, p, norm))
-                assert bitwise(dists[j], expected_distance_xs(xq[j], w, p, norm))
+                assert bitwise(dists[j], expected_distance_stack(xq[j][None], w[None], p[None], norm)[0])
 
 
 def reference_upper(objective, xs, norm):

@@ -34,7 +34,6 @@ from facilab.objectives import (
     opt_max_cost,
     opt_social_cost,
     opt_value_upper,
-    point_cost,
 )
 from facilab.objectives import _sc_gradient_lower_bound
 
@@ -98,8 +97,9 @@ class TestCosts:
     def test_degenerate_lottery_matches_point_cost(self, prof):
         y = point(0.25, -0.5)
         lot = Lottery.degenerate(y)
-        assert cost_mc(lot, prof, N2) == point_cost(MC, y, prof, N2)
-        assert cost_sc(lot, prof, N2) == point_cost(SC, y, prof, N2)
+        dists = [N2.distance(x, y) for x in prof.points]
+        assert cost_mc(lot, prof, N2) == max(dists)
+        assert cost_sc(lot, prof, N2) == pytest.approx(sum(dists), rel=1e-15)
 
 
 class TestOptSocialCost:
@@ -221,7 +221,7 @@ class TestOptMaxCost:
     @settings(max_examples=60, deadline=None)
     def test_value_between_half_and_full_diameter(self, prof):
         res = opt_max_cost(prof, N2, budget=4000)
-        diam = prof.diameter(N2)
+        diam = max(N2.distance(a, b) for a in prof.points for b in prof.points)
         assert res.value >= diam / 2.0 - 1e-9
         assert res.value <= diam + 1e-9
 
@@ -553,7 +553,7 @@ def test_costs_match_scalar_reference(prof, lot):
 def test_weiszfeld_agrees_with_grid_oracle(prof):
     res = opt_social_cost(prof, N2, method="weiszfeld")
     fn = lambda p: brute_social_cost(prof, N2, p)
-    lo, hi = prof.bounding_box()
+    lo, hi = prof.as_array.min(axis=0), prof.as_array.max(axis=0)
     brute_val, _ = brute_force_minimize(fn, lo - 0.01, hi + 0.01, steps=81)
     # brute grid value is itself off by at most n * grid step (sc is
     # n-Lipschitz); the grid spans the box padded by 0.01 on each side
@@ -603,7 +603,7 @@ def test_weighted_transformed_optima_against_dense_grid(text, objective):
     norm = parse_norm(text)
     prof = GRID_PROFILE
     xs = prof.as_array
-    lo, hi = prof.bounding_box()
+    lo, hi = prof.as_array.min(axis=0), prof.as_array.max(axis=0)
     pad = float(max(hi - lo)) / 2.0  # covers optima outside the box under a transform
     steps = 301
     h = (float(max(hi - lo)) + 2.0 * pad) / (steps - 1)
@@ -695,7 +695,7 @@ def test_data_point_certificate_against_grid(p, rows):
     norm = Norm(p)
     res = opt_social_cost(prof, norm)
     assert res.certified_gap <= GAP_REL * (1.0 + res.value)
-    lo, hi = prof.bounding_box()
+    lo, hi = prof.as_array.min(axis=0), prof.as_array.max(axis=0)
     grid_min, _ = brute_force_minimize(lambda x: brute_social_cost(prof, norm, x), lo, hi)
     assert res.value - res.certified_gap <= grid_min + 1e-9
 

@@ -18,12 +18,11 @@ from facilab.geometry import (
     Point,
     Profile,
     expected_distance_stack,
-    expected_distance_xs,
     parse_norm,
     point,
 )
 from facilab.mechanisms import MechanismSpec, kernel_of
-from facilab.objectives import Objective, cost_stack, cost_xs, opt_value_upper_xs
+from facilab.objectives import Objective, cost_stack, opt_value_upper_stack
 from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
 from facilab import search
 from facilab.search import (
@@ -210,7 +209,7 @@ def misreport_margins(kernel, norm, agents):
     def margin(z, agent):
         moved = XS.copy()
         moved[agent] = z
-        return expected_distance_xs(XS[agent], *kernel(moved, norm), norm)
+        return expected_distance_stack(XS[agent][None], *kernel(moved[None], norm), norm)[0]
 
     def margins(zs, owners):
         moved = np.repeat(XS[None], len(zs), axis=0)
@@ -242,15 +241,15 @@ def test_batched_poll_matches_reference_on_hunt_score(objective):
     lo, hi = np.full(n * d, -8.0), np.full(n * d, 8.0)
 
     def score(arr):
-        xs = arr.reshape(n, d)
-        upper = opt_value_upper_xs(objective, xs, norm)
-        c = cost_xs(objective, *kernel(xs, norm), xs, norm)
+        xs = arr.reshape(1, n, d)
+        upper = opt_value_upper_stack(objective, xs, norm)[0]
+        c = cost_stack(objective, *kernel(xs, norm), xs, norm)[0]
         return -1.0 if upper <= GEOM_TOL * GEOM_TOL else -(c / upper)
 
     def scores(arrs, owners):
         stack = arrs.reshape(-1, n, d)
         costs = cost_stack(objective, *kernel(stack, norm), stack, norm)
-        uppers = [opt_value_upper_xs(objective, xs, norm) for xs in stack]
+        uppers = [opt_value_upper_stack(objective, xs[None], norm)[0] for xs in stack]
         return np.array([-1.0 if u <= GEOM_TOL * GEOM_TOL else -(c / u) for c, u in zip(costs, uppers)])
 
     starts = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.2, -1.0, 1.5, 0.3, -0.4, 2.2]])
@@ -328,3 +327,66 @@ def test_sp_witness_pinned(block, monkeypatch):
         misreports=(Point((1.03125, -1.0017888131397217)),),
         per_agent_delta=((1, 1.0540925533894598, 1.0000001777695646),),
     )
+
+
+# -- the restart plan against the per-restart build it replaced ----------------
+
+
+def reference_restarts(mech, norm, n, d, config):
+    """Each restart as it was built one at a time before the plan: reports,
+    unpadded truthful lottery, before, common points, diameter, scale, box."""
+    kernel = kernel_of(mech)
+    structured = structured_profiles(n, d)
+    for r in range(config.restarts):
+        if r < len(structured):
+            xs = structured[r].as_array
+        else:
+            xs = Profile.from_rows(search._rng(config.rng_seed, r).normal(size=(n, d)) * 2.0).as_array
+        diffs = xs[:, None, :] - xs[None, :, :]
+        diameter = float(norm.eval_many(diffs.reshape(-1, d)).max())
+        scale = diameter if diameter > GEOM_TOL else 1.0
+        weights, points = (a[0] for a in kernel(xs[None], norm))
+        before = expected_distance_stack(xs, np.tile(weights, (n, 1)), np.tile(points, (n, 1, 1)), norm)
+        common = np.array([weights @ points, xs.mean(axis=0), np.median(xs, axis=0)])
+        pad = search.BOUNDING_SCALE * scale
+        yield xs, weights, points, before, common, diameter, scale, xs.min(axis=0) - pad, xs.max(axis=0) + pad
+
+
+@pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
+@pytest.mark.parametrize("norm_text", ["lp:2", "lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9"])
+def test_plan_rows_match_per_restart_build_bitwise(mech, norm_text):
+    # 13 structured profiles at (4, 2), ties among them, then 5 seeded draws
+    norm, config = parse_norm(norm_text), SearchConfig(rng_seed=5, restarts=18)
+    plan = search._plan(mech, norm, 4, 2, config)
+    counts = (plan.weights > 0.0).sum(axis=1)
+    if mech != "coord_median":
+        assert counts.min() < plan.weights.shape[1]  # some rows are padded
+    for r, (xs, weights, points, before, common, diameter, scale, lo, hi) in enumerate(
+        reference_restarts(mech, norm, 4, 2, config)
+    ):
+        k = len(weights)
+        assert counts[r] == k and not plan.weights[r, k:].any() and not plan.points[r, k:].any()
+        pairs = [
+            (plan.reports[r], xs), (plan.weights[r, :k], weights), (plan.points[r, :k], points),
+            (plan.before[r], before), (plan.common[r], common), (plan.diameters[r], diameter),
+            (plan.scales[r], scale), (plan.lo[r], lo), (plan.hi[r], hi),
+        ]
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_plan_is_read_only():
+    plan = search._plan(RAND_CENTER, N2, 3, 2, small_config())
+    for array in plan:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
+
+
+def test_one_check_builds_its_plan_once():
+    from facilab.cli import run_check
+
+    search._plan.cache_clear()
+    run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
+    info = search._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # built by the sp search, reused by the gsp search
