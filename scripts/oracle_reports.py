@@ -20,8 +20,11 @@ and runs every restart), 4 ``check --seed 3 --budget 300`` runs under transform 
 at (3, 2) (rand_center and sep2d:a=0 under lp:2;A=1,0.5,0,1 and under
 lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products tell a one-row (gemv)
 norm call from a stacked one, so the checkers' one-row rounding under a
-transform is byte-checked) and ``scripts/run_repro_suite.py --seed 0
---budget 2000``.
+transform is byte-checked), 18 ``evaluate`` runs at the default budget
+(rand_med, rand_center and coord_median on the two fixed profiles of
+:data:`EVAL_PROFILES`, which the script writes to ``<out>/profiles/``,
+under lp:2, lp:1.5 and lp:2;A=1.1,0.3,-0.2,0.9) and
+``scripts/run_repro_suite.py --seed 0 --budget 2000``.
 Every command's exit code and console output go to ``console.txt``, with
 the output directory written as ``<out>`` and wall times as ``<ms>``.  ``--budget`` and ``--limit``
 shrink the set for a smoke run; the full set is the default.
@@ -30,6 +33,7 @@ shrink the set for a smoke run; the full set is the default.
 import argparse
 import contextlib
 import io
+import json
 import re
 import subprocess
 import sys
@@ -44,6 +48,12 @@ DEFAULT_BUDGET_CHECKS = (("rand_center", 3), ("coord_median", 3), ("sep2d:a=0", 
 TRANSFORMS = ("lp:2;A=1,0.5,0,1", "lp:2;A=1.1,0.3,-0.2,0.9")
 TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0")
 RATIO_NORMS = ("lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9")
+EVAL_MECHS = ("rand_med", "rand_center", "coord_median")
+EVAL_NORMS = ("lp:2", "lp:1.5", "lp:2;A=1.1,0.3,-0.2,0.9")
+EVAL_PROFILES = {
+    "tri": [[0, 0], [2, 0], [0.5, 1.5]],
+    "five": [[-1.25, 0.5], [3, 1], [0.75, -2], [1.5, 2.5], [0.1, 0.3]],
+}
 
 
 def slug(*parts) -> str:
@@ -51,8 +61,9 @@ def slug(*parts) -> str:
     return text.replace(":", "").replace(";", "_").replace("=", "").replace(",", "_")
 
 
-def commands(budget):
-    """(name, argv) of every CLI run in the set, without --out."""
+def commands(budget, profiles: Path):
+    """(name, argv) of every CLI run in the set, without --out; evaluate
+    runs read their profile files from the directory ``profiles``."""
     for mech in CHECK_MECHS:
         for norm in ("lp:2", "lp:1", "lp:inf", "lp:3;w=1,2"):
             for n, d in SHAPES:
@@ -72,6 +83,11 @@ def commands(budget):
         for mech in TRANSFORM_CHECKS:
             argv = ["check", "--mech", mech, "--norm", norm, "--n", "3", "--d", "2"]
             yield slug("check", mech, norm, 3, 2), argv + ["--seed", "3", "--budget", str(budget or 300)]
+    for name in EVAL_PROFILES:
+        for mech in EVAL_MECHS:
+            for norm in EVAL_NORMS:
+                argv = ["evaluate", "--profile", str(profiles / f"{name}.json"), "--mech", mech, "--norm", norm]
+                yield slug("evaluate", name, mech, norm), argv + (["--budget", str(budget)] if budget else [])
 
 
 def main() -> int:
@@ -82,9 +98,12 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    profiles = out / "profiles"
+    profiles.mkdir(parents=True, exist_ok=True)
+    for name, points in EVAL_PROFILES.items():
+        (profiles / f"{name}.json").write_text(json.dumps({"d": 2, "points": points}) + "\n")
     console = []
-    for name, argv in list(commands(args.budget))[: args.limit]:
+    for name, argv in list(commands(args.budget, profiles))[: args.limit]:
         path = out / f"{name}.json"
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

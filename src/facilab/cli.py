@@ -7,7 +7,7 @@ so re-running a command with the same seed and version produces
 byte-identical output.  Wall-clock runtime is printed on the console only.
 
 Exit codes: 0 consistent, 1 a property outcome contradicts the documented
-expectation for that mechanism, 2 usage or parse errors.
+expectation for that mechanism, 2 usage, parse or file errors.
 """
 
 from __future__ import annotations
@@ -36,14 +36,7 @@ from .geometry import (
     radius,
 )
 from .mechanisms import MechanismSpec, apply, describe, parse_mechanism
-from .objectives import (
-    Objective,
-    approx_ratio,
-    cost_mc,
-    cost_sc,
-    opt_max_cost,
-    opt_social_cost,
-)
+from .objectives import Objective, approx_ratio
 from .properties import (
     PropertyVerdict,
     Witness,
@@ -247,11 +240,6 @@ def _sp_search_verdict(name: str, witness: Optional[Witness]) -> PropertyVerdict
     return PropertyVerdict(name, False, margin, witness)
 
 
-def _worst(verdicts) -> PropertyVerdict:
-    """The first of the lowest-margin verdicts, in draw order."""
-    return min(verdicts, key=lambda v: v.margin)
-
-
 def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Profile]:
     profiles = structured_profiles(n, d)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(987))
@@ -295,21 +283,14 @@ def run_check(
     verdicts.append(_sp_search_verdict("strategyproof", sp))
     gsp = search_gsp_violation(spec, norm, n, d, config)
     verdicts.append(_sp_search_verdict("group_strategyproof", gsp))
-    verdicts.append(_worst(check_support_segment(spec, p, norm) for p in profiles))
+    verdicts.append(check_support_segment(spec, profiles, norm))
     verdicts.append(check_2dictatorship(spec, profiles, norm))
-
-    def continuity(profile: Profile, agent: int) -> PropertyVerdict:
-        base = profile.agent(agent).as_array()
-        moves = [Point.from_array(base + step) for step in gen.normal(size=(8, d)) * 0.4]
-        return check_cost_continuity(spec, profile, agent, moves, norm)
-
-    verdicts.append(
-        _worst(continuity(p, i) for p in profiles[:6] for i in range(1, n + 1))
-    )
+    probes = [(p, i) for p in profiles[:6] for i in range(1, n + 1)]
+    steps = gen.normal(size=(len(probes), 8, d)) * 0.4
+    moves = [[Point.from_array(row) for row in p.agent(i).as_array() + step] for (p, i), step in zip(probes, steps)]
+    verdicts.append(check_cost_continuity(spec, [p for p, _ in probes], [i for _, i in probes], moves, norm))
     unanimous = Profile(tuple(z_points[0] for _ in range(n)))
-    verdicts.append(
-        _worst(check_uncompromising(spec, p, norm) for p in [unanimous] + profiles[:5])
-    )
+    verdicts.append(check_uncompromising(spec, [unanimous] + profiles[:5], norm))
 
     expected = expected_outcomes(spec, n, d, norm)
     exit_code = 0 if all(_meets(expected.get(v.name, "info"), v) for v in verdicts) else 1
@@ -345,10 +326,6 @@ def cmd_evaluate(args) -> int:
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
     lot = apply(spec, profile, norm)
-    mc = cost_mc(lot, profile, norm)
-    sc = cost_sc(lot, profile, norm)
-    opt_mc = opt_max_cost(profile, norm, args.budget)
-    opt_sc = opt_social_cost(profile, norm, args.budget)
     rr_mc = approx_ratio(spec, profile, norm, Objective.MAX_COST, args.budget)
     rr_sc = approx_ratio(spec, profile, norm, Objective.SOCIAL_COST, args.budget)
     cen = centroid(lot)
@@ -359,8 +336,8 @@ def cmd_evaluate(args) -> int:
     for w, p in lot.atoms:
         print(f"  weight {w:.17g} at {p.coords}")
     print(f"centroid {cen.coords}  radius {rad:.17g}")
-    print(f"max cost      {mc:.17g}  (optimum {opt_mc.value:.17g} +/- {opt_mc.certified_gap:.3g})")
-    print(f"social cost   {sc:.17g}  (optimum {opt_sc.value:.17g} +/- {opt_sc.certified_gap:.3g})")
+    print(f"max cost      {rr_mc.cost:.17g}  (optimum {rr_mc.opt.value:.17g} +/- {rr_mc.opt.certified_gap:.3g})")
+    print(f"social cost   {rr_sc.cost:.17g}  (optimum {rr_sc.opt.value:.17g} +/- {rr_sc.opt.certified_gap:.3g})")
     print(f"mc ratio      {rr_mc.ratio:.12g}  certified [{rr_mc.lo:.12g}, {rr_mc.hi:.12g}]")
     print(f"sc ratio      {rr_sc.ratio:.12g}  certified [{rr_sc.lo:.12g}, {rr_sc.hi:.12g}]")
 
@@ -370,12 +347,12 @@ def cmd_evaluate(args) -> int:
         norm=format_norm(norm),
         seed=args.seed,
         objective_values={
-            "mc": mc,
-            "sc": sc,
-            "opt_mc": opt_mc.value,
-            "opt_mc_gap": opt_mc.certified_gap,
-            "opt_sc": opt_sc.value,
-            "opt_sc_gap": opt_sc.certified_gap,
+            "mc": rr_mc.cost,
+            "sc": rr_sc.cost,
+            "opt_mc": rr_mc.opt.value,
+            "opt_mc_gap": rr_mc.opt.certified_gap,
+            "opt_sc": rr_sc.opt.value,
+            "opt_sc_gap": rr_sc.opt.certified_gap,
             "mc_ratio": rr_mc.ratio,
             "mc_ratio_lo": rr_mc.lo,
             "mc_ratio_hi": rr_mc.hi,
@@ -709,7 +686,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -395,9 +395,6 @@ class Lottery:
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1
 
-    def support(self) -> tuple[Point, ...]:
-        return tuple(pt for _, pt in self.atoms)
-
     def translate(self, shift: Point) -> "Lottery":
         return Lottery(tuple((w, pt + shift) for w, pt in self.atoms))
 

@@ -18,11 +18,14 @@ Margin conventions:
 
 Every checker runs on an array core: it stacks all of its probe report
 arrays into one (m, n, d) stack, makes one call of the mechanism's kernel
-(:func:`~facilab.mechanisms.kernel_of`) on it, and scores agent costs with
-one :func:`~facilab.geometry.expected_distance_stack` and distances with
-one ``Norm.eval_many`` on one-row blocks, which round as the one-row
+(:func:`~facilab.mechanisms.kernel_of`) on it (uncompromising makes a
+second, for its moves onto the outputs), and scores agent costs with one
+:func:`~facilab.geometry.expected_distance_stack` and distances with one
+``Norm.eval_many`` on one-row blocks, which round as the one-row
 ``Norm.distance`` does.  ``Profile`` and ``Point`` stay at the API, and a
-:class:`Witness` is built only for the verdict returned.
+:class:`Witness` is built only for the verdict returned, which is the
+first lowest-margin probe's in input order (2-dictatorship judges its set
+as a whole).  A bare ``Profile`` is a set of one (:data:`Profiles`).
 
 Agent indices are 1-based everywhere.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +51,8 @@ from .geometry import (
     mass_gap_stack,
 )
 from .mechanisms import MechanismLike, MechanismSpec, kernel_of, parse_mechanism
+
+Profiles = Union[Profile, Sequence[Profile]]
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,6 @@ class Witness:
     misreports: tuple[Point, ...] = ()
     per_agent_delta: tuple[tuple[int, float, float], ...] = ()
     note: str = ""
-
-    def is_manipulation(self) -> bool:
-        return bool(self.coalition)
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,14 @@ def _dist(norm: Norm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ||b - a|| rounds the same, since a - b is exactly -(b - a)."""
     diff = a - b
     return norm.eval_many(diff.reshape(-1, 1, diff.shape[-1])).reshape(diff.shape[:-1])
+
+
+def _probe_stack(profiles: Profiles) -> tuple[tuple[Profile, ...], np.ndarray]:
+    """The probe set (a bare Profile is a set of one) and its (m, n, d) stack."""
+    profiles = (profiles,) if isinstance(profiles, Profile) else tuple(profiles)
+    if len({p.as_array.shape for p in profiles}) != 1:
+        raise DimensionMismatch("a probe set needs one or more profiles of one (n, d) shape")
+    return profiles, np.stack([p.as_array for p in profiles])
 
 
 def _by_shape(arrays: Sequence[np.ndarray]):
@@ -262,57 +272,70 @@ def check_translation_invariance(
     return _worst_verdict("translation_invariance", devs, witness_at)
 
 
-def check_uncompromising(mech: MechanismLike, profile: Profile, norm: Norm) -> PropertyVerdict:
+def check_uncompromising(mech: MechanismLike, profiles: Profiles, norm: Norm) -> PropertyVerdict:
     """Moving any subset of agents onto a deterministic output keeps it.
 
-    Applies only when the output is degenerate; otherwise reported as a
-    vacuous pass with a note.  All 2**n - 1 subsets run as one stack.
+    Applies to degenerate outputs; a randomized one is a vacuous pass with
+    a note.  The probes run as one stack, all 2**n - 1 subsets as another.
     """
+    profiles, xs = _probe_stack(profiles)
     kernel = kernel_of(mech)
-    xs = profile.as_array
-    weights, points = kernel(xs[None], norm)
-    if weights.shape[1] > 1:
-        return PropertyVerdict("uncompromising", True, 0.0, note="skipped: output is randomized")
-    y = points[0, 0]
-    agents = range(1, profile.n + 1)
+    weights, points = kernel(xs, norm)
+    fixed = (weights > 0.0).sum(axis=1) == 1
+    m, n, d = xs.shape
+    agents = range(1, n + 1)
     subsets = [c for size in agents for c in itertools.combinations(agents, size)]
-    onto = np.array([[i in subset for i in agents] for subset in subsets])
-    devs = _strays(norm, *kernel(np.where(onto[..., None], y, xs), norm), y[None])
+    onto = np.array([[i in subset for i in agents] for subset in subsets])[..., None]
+    devs = np.zeros((m, len(subsets)))  # (probe, subset)
+    if fixed.any():
+        y = points[fixed, 0]
+        moved = np.where(onto, y[:, None, None], xs[fixed, None]).reshape(-1, n, d)
+        devs[fixed] = _strays(norm, *kernel(moved, norm), np.repeat(y, len(subsets), axis=0)).reshape(-1, len(subsets))
+    if not fixed[int(np.argmax(devs)) // len(subsets)]:
+        return PropertyVerdict("uncompromising", True, 0.0, note="skipped: output is randomized")
 
     def witness_at(k: int, dev: float) -> Witness:
-        note = f"moving agents {subsets[k]} onto the output moves it by {dev:.3g}"
-        return Witness(profile, subsets[k], (Point.from_array(y),) * len(subsets[k]), note=note)
+        probe, subset = k // len(subsets), subsets[k % len(subsets)]
+        note = f"moving agents {subset} onto the output moves it by {dev:.3g}"
+        return Witness(profiles[probe], subset, (Point.from_array(points[probe, 0]),) * len(subset), note=note)
 
     return _worst_verdict("uncompromising", devs, witness_at)
 
 
 def check_cost_continuity(
-    mech: MechanismLike, profile: Profile, agent: int, perturbations: Sequence[Point], norm: Norm
+    mech: MechanismLike, profiles: Profiles, agents: Sequence[int], perturbations: Sequence[Sequence[Point]], norm: Norm
 ) -> PropertyVerdict:
-    """1-Lipschitz bound on the agent's own-cost map under her movement.
+    """1-Lipschitz bound on each probe agent's own-cost map under her movement.
 
-    mu(z) is the agent's expected distance to the output when she reports
-    z; the check compares |mu(x_i) - mu(z)| against ||x_i - z|| for each
-    sampled z.  Reported as an empirical margin even for mechanisms with
-    no strategyproofness claim.  The truth and every z run as one stack.
+    Probe k moves agent agents[k] of profiles[k] to each point z of
+    perturbations[k], as many points for every probe.  mu(z) is the
+    agent's expected distance to the output when she reports z; the check
+    compares |mu(x_i) - mu(z)| against ||x_i - z||.  Reported as an
+    empirical margin even for mechanisms with no strategyproofness claim.
+    Every truth and every z run as one stack.
     """
-    xi = profile.agent(agent).as_array()
-    perturbations = tuple(perturbations)
-    if any(z.dim != profile.d for z in perturbations):
-        raise DimensionMismatch(f"perturbations must live in dimension {profile.d}")
-    xs = np.repeat(profile.as_array[None], len(perturbations) + 1, axis=0)
-    xs[1:, agent - 1] = np.reshape([z.coords for z in perturbations], (-1, profile.d))
-    mu = expected_distance_stack(xs[:, agent - 1], *kernel_of(mech)(xs, norm), norm)
-    if not perturbations:
+    if isinstance(profiles, Profile):
+        profiles, agents, perturbations = (profiles,), (agents,), (perturbations,)
+    profiles, xs = _probe_stack(profiles)
+    (m, n, d), perturbations = xs.shape, tuple(tuple(zs) for zs in perturbations)
+    if len(agents) != m or len(perturbations) != m or not all(1 <= i <= n for i in agents):
+        raise ValueError(f"each profile needs one agent in [1, {n}] and one list of perturbations")
+    if any(len(zs) != len(perturbations[0]) or any(z.dim != d for z in zs) for zs in perturbations):
+        raise DimensionMismatch(f"every probe needs as many perturbations, all in dimension {d}")
+    size, at = len(perturbations[0]) + 1, np.array(agents) - 1  # rows: the truth, then each z
+    rows = np.repeat(xs, size, axis=0).reshape(m, size, n, d)
+    rows[np.arange(m), 1:, at] = np.reshape([[z.coords for z in zs] for zs in perturbations], (m, size - 1, d))
+    own = rows[np.arange(m), :, at]  # (probe, row, d): the moving agent's report
+    weights, points = kernel_of(mech)(rows.reshape(-1, n, d), norm)
+    mu = expected_distance_stack(own.reshape(-1, d), weights, points, norm).reshape(m, size)
+    if size == 1:
         return PropertyVerdict("cost_continuity", True, 0.0, note="no perturbations sampled")
-    slack = _dist(norm, xi, xs[1:, agent - 1]) - np.abs(mu[1:] - mu[0])
-    k = int(np.argmin(slack))
-    margin = float(slack[k])
-    witness = None
-    if margin < -IMPROVE_MARGIN:
-        note = "own-cost change exceeds the agent's movement"
-        witness = Witness(profile, (agent,), (perturbations[k],), ((agent, float(mu[0]), float(mu[k + 1])),), note)
-    return _inequality_verdict("cost_continuity", margin, witness)
+    slack = _dist(norm, own[:, :1], own[:, 1:]) - np.abs(mu[:, 1:] - mu[:, :1])
+    probe, j = divmod(int(np.argmin(slack)), size - 1)
+    agent, note = int(agents[probe]), "own-cost change exceeds the agent's movement"
+    deltas = ((agent, *mu[probe, [0, j + 1]].tolist()),)  # the truth's cost, then z's
+    witness = Witness(profiles[probe], (agent,), (perturbations[probe][j],), deltas, note)
+    return _inequality_verdict("cost_continuity", float(slack[probe, j]), witness)
 
 
 def _segment_excess(xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm, n: int) -> np.ndarray:
@@ -332,22 +355,25 @@ def _segment_norm(norm: Norm) -> tuple[Norm, str]:
     return EUCLIDEAN, "betweenness downgraded to Euclidean (norm not strictly convex)"
 
 
-def check_support_segment(mech: MechanismLike, profile: Profile, norm: Norm) -> PropertyVerdict:
-    """Output must be degenerate or supported on a segment x_i x_j.
+def check_support_segment(mech: MechanismLike, profiles: Profiles, norm: Norm) -> PropertyVerdict:
+    """Each output must be degenerate or supported on a segment x_i x_j.
 
     The betweenness test ||a-q|| + ||q-b|| <= ||a-b|| + tol characterizes
     segment membership only for strictly convex norms; under p in {1, inf}
     it falls back to Euclidean collinearity and notes the downgrade.
     """
-    xs = profile.as_array[None]
+    profiles, xs = _probe_stack(profiles)
     weights, points = kernel_of(mech)(xs, norm)
-    if weights.shape[1] == 1:
-        return PropertyVerdict("support_segment", True, 0.0, note="degenerate output")
+    spread = (weights > 0.0).sum(axis=1) > 1
     seg_norm, note = _segment_norm(norm)
-    best = float(_segment_excess(xs, weights, points, seg_norm, profile.n).min())
-    atoms = "; ".join(str(tuple(pt)) for pt in points[0].tolist())
-    witness = Witness(profile, note=f"support atoms {atoms} fit no agent segment")
-    return _equality_verdict("support_segment", max(best, 0.0), witness, note=note)
+    best = _segment_excess(xs, weights, points, seg_norm, xs.shape[1]).min(axis=1)
+    devs = np.where(spread, np.maximum(best, 0.0), 0.0)
+    k = int(np.argmax(devs))  # the first lowest margin: +0.0 (degenerate) ties -0.0
+    if not spread[k]:
+        return PropertyVerdict("support_segment", True, 0.0, note="degenerate output")
+    atoms = "; ".join(str(tuple(pt)) for pt in points[k][weights[k] > 0.0].tolist())
+    witness = Witness(profiles[k], note=f"support atoms {atoms} fit no agent segment")
+    return _equality_verdict("support_segment", float(devs[k]), witness, note=note)
 
 
 def check_2dictatorship(mech: MechanismLike, profiles: Sequence[Profile], norm: Norm) -> PropertyVerdict:

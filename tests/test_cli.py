@@ -247,6 +247,22 @@ class TestRepro:
         assert float(first[2]) == 2.0 and float(first[3]) == 1.5
 
 
+@pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exit_2(command, target, tmp_path, two_agent_file, capsys):
+    path = str(tmp_path / "absent" / "r.out" if target == "missing-dir" else tmp_path)
+    argv = {
+        "check": ["check", "--mech", "rand_med", "--budget", "300", "--out", path],
+        "evaluate": ["evaluate", "--profile", two_agent_file, "--mech", "rand_med", "--out", path],
+        "ratio": ["ratio", "--mech", "rand_med", "--obj", "mc", "--budget", "300", "--out", path],
+        "repro": ["repro", "table1", "--budget", "300", "--csv", path],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and path in err and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_check_reports_byte_identical(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -18,7 +18,8 @@ from facilab.geometry import (
     parse_norm,
     point,
 )
-from facilab.mechanisms import MechanismSpec, resolve
+from facilab import properties
+from facilab.mechanisms import MechanismSpec, kernel_of, resolve
 from facilab.properties import (
     PropertyVerdict,
     Witness,
@@ -553,6 +554,88 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
         same(check_delta_bound(mech, x1, x2, x2_alt, norm), _ref_delta_bound(mech, x1, x2, x2_alt, norm))
 
 
+def _jumpy(profile, norm):
+    """Bare callable: agent 1's report, or 10 e_1 once its first coordinate
+    is positive (agent 1's own cost jumps by ~10 across x_1[0] = 0)."""
+    x = profile.as_array[0]
+    return Lottery.degenerate(Point.from_array(10.0 * np.eye(len(x))[0] if x[0] > 0 else x))
+
+
+@pytest.mark.parametrize("norm_text,d", PARITY_NORMS, ids=[f"{t}-d{d}" for t, d in PARITY_NORMS])
+@pytest.mark.parametrize("name", [*PARITY_MECHS, "jumpy"])
+def test_probe_sets_give_the_first_worst_profile_verdict(name, norm_text, d):
+    mech, norm = {**PARITY_MECHS, "jumpy": _jumpy}[name], parse_norm(norm_text)
+    gen = np.random.Generator(np.random.Philox(key=40 + d))
+    draw = lambda *shape: gen.normal(size=shape)  # noqa: E731
+    unanimous = Profile.from_rows([draw(d)] * 3)
+    # _jumpy's jump is at x_1[0] = 0: two profiles that differ only in agents 2 and 3 tie
+    edges = [Profile.from_rows([1e-3 * np.eye(d)[0], draw(d), draw(d)]) for _ in range(2)]
+    # a degenerate output before and after spread and randomized ones
+    profiles = [unanimous, Profile.from_rows([draw(d)] * 2 + [draw(d)])] + structured_profiles(3, d)[:5]
+    profiles += [Profile.from_rows(draw(3, d) * 1.5) for _ in range(2)] + [unanimous] + edges
+    probes = [(p, i) for p in profiles for i in (1, 2, 3)]
+    moves = [[Point.from_array(p.agent(i).as_array() + step) for step in draw(4, d) * 0.4] for p, i in probes]
+    for k in (-6, -3):  # each edge's agent 1 crosses the jump
+        moves[k][1] = Point.from_array(-1e-3 * np.eye(d)[0])
+
+    def same(new, per_probe):
+        old = min(per_probe, key=lambda v: v.margin)
+        assert repr(new) == repr(old)
+        assert new.margin.hex() == old.margin.hex()
+
+    same(check_support_segment(mech, profiles, norm), [check_support_segment(mech, p, norm) for p in profiles])
+    same(check_uncompromising(mech, profiles, norm), [check_uncompromising(mech, p, norm) for p in profiles])
+    movers, agents = [p for p, _ in probes], [i for _, i in probes]
+    continuity = check_cost_continuity(mech, movers, agents, moves, norm)
+    same(continuity, [check_cost_continuity(mech, p, i, zs, norm) for (p, i), zs in zip(probes, moves)])
+    assert name != "jumpy" or continuity.witness is not None
+    nothing = [check_cost_continuity(mech, p, i, [], norm) for p, i in probes[:4]]
+    same(check_cost_continuity(mech, movers[:4], agents[:4], [[]] * 4, norm), nothing)
+
+
+def test_support_tie_goes_to_the_first_probe():
+    # atoms a third and two thirds along x1x2, whose betweenness excess rounds
+    # to -8.9e-16 here: the spread output passes with margin -0.0, which ties
+    # the degenerate output's +0.0
+    def thirds(profile, norm):
+        x1, x2 = profile.as_array[:2]
+        return Lottery(((0.5, Point.from_array(x1 + (x2 - x1) / 3)), (0.5, Point.from_array(x1 + (x2 - x1) * 2 / 3))))
+
+    spread = Profile.from_rows([(-0.29, -3.78), (-0.39, 0.38), (0.14, -2.03)])
+    fixed = Profile.from_rows([(1, 1), (1, 1), (0, 2)])
+    assert check_support_segment(thirds, spread, N2).margin.hex() == "-0x0.0p+0"
+    assert check_support_segment(thirds, fixed, N2).note == "degenerate output"
+    for probes in ([spread, fixed], [fixed, spread]):
+        assert repr(check_support_segment(thirds, probes, N2)) == repr(check_support_segment(thirds, probes[0], N2))
+
+
+def test_each_probe_set_makes_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(mech):
+        kernel = kernel_of(mech)
+
+        def run(xs, norm):
+            calls.append(len(xs))
+            return kernel(xs, norm)
+
+        return run
+
+    monkeypatch.setattr(properties, "kernel_of", counted)
+    profiles = structured_profiles(3, 2)[:5] + [Profile.from_rows([(1, 1)] * 3)]
+    moves = [[Point.from_array(p.agent(1).as_array() + step) for step in ((0.1, 0), (0, -0.2))] for p in profiles]
+    for mech in (RAND_MED, COORD_MEDIAN, _drift):
+        for check, most in (
+            (lambda: check_support_segment(mech, profiles, N2), 1),
+            (lambda: check_cost_continuity(mech, profiles, [1] * 6, moves, N2), 1),
+            (lambda: check_uncompromising(mech, profiles, N2), 2),
+        ):
+            calls.clear()
+            check()
+            assert 1 <= len(calls) <= most
+    assert calls == [6, 6 * 7]  # _drift's uncompromising: every output degenerate, 7 subsets each
+
+
 class TestErrorPaths:
     PROF = Profile.from_rows([(0, 0), (2, 0), (1, 3)])
 
@@ -570,6 +653,20 @@ class TestErrorPaths:
         mixed = check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3), point(-3, 0)])
         assert repr(mixed) == repr(base) and not base.passed
         assert check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3)]).passed
+
+    def test_probe_sets_need_one_shape(self):
+        square = Profile.from_rows([(0, 0), (2, 0)])
+        for mixed in ([self.PROF, square], [self.PROF, Profile.from_rows([(0, 0, 0)] * 3)], []):
+            with pytest.raises(DimensionMismatch):
+                check_support_segment(RAND_MED, mixed, N2)
+            with pytest.raises(DimensionMismatch):
+                check_uncompromising(RAND_MED, mixed, N2)
+            with pytest.raises(DimensionMismatch):
+                check_cost_continuity(RAND_MED, mixed, [1] * len(mixed), [[point(0.1, 0)]] * len(mixed), N2)
+        with pytest.raises(DimensionMismatch):  # as many perturbations per probe
+            check_cost_continuity(RAND_MED, [self.PROF] * 2, [1, 2], [[point(0.1, 0)], []], N2)
+        with pytest.raises(ValueError, match="one agent"):
+            check_cost_continuity(RAND_MED, [self.PROF] * 2, [1, 4], [[point(0.1, 0)]] * 2, N2)
 
     def test_2dictatorship_needs_two_profiles(self):
         for few in ([], [self.PROF]):
