@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -681,10 +682,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Refuse, before any work, an output path that cannot be written."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {target.parent}")
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise ValueError(f"cannot write {path}: permission denied")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args.out, getattr(args, "csv", None))
         return args.func(args)
     except (ValueError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)

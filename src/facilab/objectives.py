@@ -25,6 +25,9 @@ objective in working coordinates:
 * Linf social cost and L1 max cost in d >= 3: a dense linear program
   (two-phase tableau simplex), its point from the active rows of the final
   basis and its gap from weak duality on the final multipliers;
+* max cost under the other p = 2 norms: the center of the reports' minimum
+  enclosing ball, from the circumcenters of their support sets, gap
+  certified by the active set on its support;
 * anything else: one certified search.  The best seed is polished (damped
   Newton for social cost, min-norm subgradient steps for max cost) and
   certified before any tiling: social cost by its gradient and by Kuhn's
@@ -797,6 +800,100 @@ def _mc_subgradient_lower_bound(
     return best
 
 
+# -- minimum enclosing ball ----------------------------------------------------
+#
+# Under p = 2 the working residual is the plain Euclidean norm, so the
+# max-cost optimum is the center of the reports' minimum enclosing ball
+# (Welzl 1991).  That center is the circumcenter of some affinely
+# independent support set of 2..d+1 reports, taken in the set's affine hull,
+# with nonnegative barycentric weights; every other such circumcenter is
+# farther from some report.
+
+BALL_TOL = 1e-12  # barycentric weights down to -BALL_TOL still count as >= 0
+BALL_ONE_PASS = 64  # support sets enumerated at once; more grow a working set
+BALL_ROUNDS = 64  # working-set rounds; each one strictly grows the ball
+
+
+def _ball_of(ws: np.ndarray):
+    """The enclosing ball of the rows ws among their support-set circumcenters.
+
+    One batched Gram solve per set size gives each set's circumcenter
+    z_0 + E^T t from G t = diag(G) / 2, with E the edges z_i - z_0 and
+    G = E E^T; its barycentric weights are (1 - sum t, t).  Singular
+    (collinear or coplanar) sets are skipped.  Of the sets whose weights
+    are >= -BALL_TOL, the one whose center is nearest its farthest row
+    wins, so a ball that misses a row loses to one that holds them all;
+    pairs always qualify.  Returns (center, support rows, weights, sets
+    scored).
+    """
+    m, d = ws.shape
+    found, scored = [], 0
+    for size in range(2, min(m, d + 1) + 1):
+        sets = np.array(list(itertools.combinations(range(m), size)))
+        base = ws[sets[:, 0]]
+        edges = ws[sets[:, 1:]] - base[:, None, :]
+        gram = edges @ edges.transpose(0, 2, 1)
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        solvable = np.abs(np.linalg.det(gram)) > 1e-24 * diag.prod(axis=1)
+        gram[~solvable] = np.eye(size - 1)
+        t = np.linalg.solve(gram, diag[:, :, None] / 2.0)
+        centers = base + (t * edges).sum(axis=1)
+        lam = np.concatenate([1.0 - t.sum(axis=1), t[:, :, 0]], axis=1)
+        far = np.linalg.norm(centers[:, None, :] - ws[None, :, :], axis=-1).max(axis=1)
+        keep = solvable & (lam.min(axis=1) >= -BALL_TOL) & np.isfinite(far)
+        k = int(np.argmin(np.where(keep, far, math.inf)))
+        if keep[k]:
+            found.append((float(far[k]), centers[k], sets[k], lam[k]))
+        scored += len(sets)
+    _, center, support, lam = min(found, key=lambda f: f[0])
+    return center, support, lam, scored
+
+
+def _min_enclosing_ball(zs: np.ndarray):
+    """Center of the minimum enclosing ball of the working reports zs.
+
+    All reports are enumerated at once when that makes at most
+    BALL_ONE_PASS support sets; a set holding a report twice is singular,
+    so duplicates need no pass of their own.  Otherwise the ball of a
+    working set, first a report and the one farthest from it, grows the
+    set by the farthest report outside, keeping only the support, until no
+    report is outside.  Returns (center, support rows, their weights, sets
+    scored).
+    """
+    m, d = zs.shape
+    one_pass = sum(math.comb(m, k) for k in range(2, d + 2)) <= BALL_ONE_PASS
+    work = np.arange(m) if one_pass else np.array([0, int(np.argmax(np.linalg.norm(zs - zs[0], axis=1)))])
+    scored = 0
+    for _ in range(BALL_ROUNDS):
+        center, support, lam, spent = _ball_of(zs[work])
+        scored += spent
+        dists = np.linalg.norm(zs - center, axis=1)
+        out = int(np.argmax(dists))
+        if dists[out] <= dists[work].max():
+            break
+        work = np.append(work[support], out)
+    return center, zs[work[support]], lam, scored
+
+
+def _ball_lower_bound(zs: np.ndarray, residual: Norm, y: np.ndarray, support: np.ndarray, lam: np.ndarray) -> float:
+    """The active-set certificate on the ball's support and weights.
+
+    With lam clipped to >= 0 and renormalized, g = sum lam_i (y - z_i) /
+    ||y - z_i|| and eps = mc(y) - min_i ||y - z_i|| over the support, every
+    x satisfies mc(x) >= mc(y) - eps + g . (x - y), so the optimum is at
+    least that smallest support distance less ||g|| R, with R the reach of
+    the bounding box.  That holds for any y and any weights with a positive
+    entry, however rough the solve.
+    """
+    dists = residual.eval_many(y[None, :] - support)
+    floor = float(dists.min())
+    if floor < 1e-12:
+        return -math.inf
+    lam = np.maximum(lam, 0.0)
+    g = (lam / lam.sum()) @ ((y - support) / dists[:, None])
+    return floor - float(np.linalg.norm(g)) * float(_reach(residual, y[None, :], zs)[0])
+
+
 def _sc_newton(
     fn: Callable[[np.ndarray], np.ndarray],
     zs: np.ndarray,
@@ -975,9 +1072,12 @@ def opt_max_cost(
     exactly optimal under any norm (gap 0).  Linf, L1 in d = 2 and every p
     in d = 1 have the bounding-box center as a closed form (route "exact",
     gap 0), and L1 in d >= 3 the LP (route "lp", gap from its dual).
-    Otherwise: the certified branch-and-bound, polished along min-norm
-    subgradients and certified by the active set, with half the profile
-    diameter as an extra lower bound.
+    Plain, weighted and transformed L2 take the center of the working
+    reports' minimum enclosing ball (route "ball"), certified by the
+    active-set bound on its support and barycentric weights.  Otherwise:
+    the certified branch-and-bound, polished along min-norm subgradients
+    and certified by the active set.  The last two also bound the optimum
+    below by half the profile diameter.
     """
     xs = profile.as_array
     distinct = _distinct_rows(xs)
@@ -997,6 +1097,13 @@ def opt_max_cost(
     elif norm.p == 1.0:
         route = "lp"
         z, gap, evals, note = _polyhedral_lp(Objective.MAX_COST, zs, residual, unit)
+    elif norm.p == 2.0:
+        route = "ball"
+        z, support, lam, evals = _min_enclosing_ball(zs)
+        value = float(_objective_fn(Objective.MAX_COST, zs, residual)(z[None, :])[0])
+        bound = max(_diameter(zs, residual) / 2.0, _ball_lower_bound(zs, residual, z, support, lam))
+        gap = max(0.0, value - bound)
+        note = "" if _meets_target(gap, value, unit) else "gap target missed"
     else:
         route = "grid"
         lo, hi = zs.min(axis=0), zs.max(axis=0)

@@ -263,6 +263,33 @@ def test_unwritable_output_exit_2(command, target, tmp_path, two_agent_file, cap
     assert err.startswith("error: ") and path in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro-out", "repro-csv"])
+def test_unwritable_output_fails_before_any_work(command, two_agent_file, monkeypatch, capsys):
+    from facilab import cli
+
+    called = []
+
+    def work(*args, **kwargs):
+        called.append(command)
+        raise AssertionError("work ran before the output path was checked")
+
+    for name in ("run_check", "approx_ratio", "search_worst_ratio"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setitem(cli.SCENARIOS, "table1", work)
+    path = "/nonexistent/dir/r.json"
+    argv = {
+        "check": ["check", "--mech", "rand_med", "--out", path],
+        "evaluate": ["evaluate", "--profile", two_agent_file, "--mech", "rand_med", "--out", path],
+        "ratio": ["ratio", "--mech", "rand_med", "--obj", "mc", "--out", path],
+        "repro-out": ["repro", "table1", "--out", path],
+        "repro-csv": ["repro", "table1", "--csv", path],
+    }[command]
+    assert main(argv) == 2
+    assert called == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_check_reports_byte_identical(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

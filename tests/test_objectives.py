@@ -934,3 +934,141 @@ def test_seed_points_match_numpy_median_bit_for_bit(n):
         centers = [reports.mean(axis=-2, keepdims=True), np.median(reports, axis=-2, keepdims=True)]
         want = np.concatenate([reports, *centers, (reports[..., i, :] + reports[..., j, :]) / 2.0], axis=-2)
         assert objectives._seed_points(reports).tobytes() == want.tobytes()
+
+
+BALL_NORMS = {
+    2: ("lp:2", "lp:2;w=1,3", "lp:2;A=1.1,0.3,-0.2,0.9"),
+    3: ("lp:2", "lp:2;w=1,3,0.5", "lp:2;A=1.1,0.3,-0.2,0.1,0.9,0.4,0,-0.3,1.2"),
+}
+
+
+def _ball_cases():
+    """(id, d, rows, scale) for the ball route's parity and soundness test."""
+    rng = np.random.default_rng(2024)
+    hexagon = [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
+    heptagon = [(math.cos(k * math.pi / 3.5), math.sin(k * math.pi / 3.5)) for k in range(7)]
+    tetra = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (0, 0, 0)]
+    cases = []
+    for d in (2, 3):
+        for i in range(4):
+            cases.append((f"random{i}-{d}d", d, rng.normal(size=(int(rng.integers(3, 7)), d)) * 2.0, 1.0))
+        rows = rng.normal(size=(3, d))
+        cases.append((f"duplicates-{d}d", d, rows[[0, 1, 1, 2, 0, 2]], 1.0))
+        cases.append((f"collinear-{d}d", d, np.outer([-1.5, 0.25, 2.0, 0.5], rng.normal(size=d)) + rows[0], 1.0))
+        twin = rng.normal(size=(5, d))
+        cases += [(f"twin{s:g}-{d}d", d, twin, s) for s in (1.0, 1e-300, 1e200)]
+    plane = rng.normal(size=(5, 2))
+    cases.append(("coplanar-3d", 3, np.c_[plane, 0.5 * plane[:, 0] - 0.25 * plane[:, 1] + 0.3], 1.0))
+    cases.append(("hexagon-2d", 2, np.array(hexagon), 1.0))
+    cases.append(("heptagon-2d", 2, np.array(heptagon), 1.0))
+    cases.append(("tetrahedron-center-3d", 3, np.array(tetra, dtype=float), 1.0))
+    cases.append(("n200-3d", 3, rng.normal(size=(200, 3)), 1.0))
+    return [pytest.param(d, rows, scale, text, id=f"{name}-{text}") for name, d, rows, scale in cases for text in BALL_NORMS[d]]
+
+
+def _grid_route_mc(profile, norm):
+    """The branch-and-bound with its polish and active-set certificate, as
+    opt_max_cost runs it for p outside {1, 2, inf}; (value, gap) in report
+    coordinates."""
+    from facilab import objectives
+
+    zs, residual, extent, to_x = objectives._working_space(profile, norm)
+    lo, hi = zs.min(axis=0), zs.max(axis=0)
+    fn = objectives._objective_fn(MC, zs, residual)
+    half_diam = objectives._diameter(zs, residual) / 2.0
+    polish = lambda y, v, b: objectives._mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
+    certify = lambda y, v: max(half_diam, objectives._mc_subgradient_lower_bound(zs, residual, y, v))
+    z, _, gap, _, _ = objectives._branch_bound(
+        fn, lo, hi, np.ones(profile.d), objectives.DEFAULT_BUDGET, objectives._seed_points(zs),
+        polish, certify, min(1.0, 1.0 / extent),
+    )
+    x = to_x(z)
+    return float(objectives._objective_fn(MC, profile.as_array, norm)(x[None, :])[0]), extent * gap
+
+
+def _grid_oracle_mc(profile, norm, steps):
+    """Smallest max cost over a dense grid on the box padded by half its span."""
+    xs = profile.as_array
+    lo, hi = xs.min(axis=0), xs.max(axis=0)
+    pad = (hi - lo).max() / 2.0
+    axes = [np.linspace(lo[k] - pad, hi[k] + pad, steps) for k in range(profile.d)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, profile.d)
+    best = math.inf
+    for chunk in np.array_split(grid, max(1, grid.shape[0] * profile.n // 200_000)):
+        dists = norm.eval_many((chunk[:, None, :] - xs[None, :, :]).reshape(-1, profile.d))
+        best = min(best, float(dists.reshape(len(chunk), profile.n).max(axis=1).min()))
+    return best
+
+
+@pytest.mark.parametrize("d, rows, scale, text", _ball_cases())
+def test_ball_route_inside_branch_and_bound_interval(d, rows, scale, text):
+    # the minimum enclosing ball's center against the route p = 2 took
+    # before: inside its certified interval, certified to a few ulps, and
+    # never above a feasible grid value once the gap is taken off
+    norm = parse_norm(text)
+    prof = Profile.from_rows(rows * scale)
+    res = opt_max_cost(prof, norm)
+    assert res.method == "ball"
+    ulps = 1e-12 * res.value
+    bb_value, bb_gap = _grid_route_mc(prof, norm)
+    assert bb_value - bb_gap - ulps <= res.value <= bb_value + ulps, (res, bb_value, bb_gap)
+    assert res.certified_gap <= 1e-13 * (scale + res.value), res
+    assert res.value - res.certified_gap <= _grid_oracle_mc(prof, norm, {2: 201, 3: 31}[d]) + ulps
+
+
+@pytest.mark.parametrize("n, d", [(30, 2), (12, 3), (25, 3)])
+def test_ball_working_set_matches_full_enumeration(n, d):
+    # past BALL_ONE_PASS support sets the ball grows a working set; its
+    # center must be the one enumerating every set of every report finds
+    from facilab import objectives
+
+    rng = np.random.default_rng([n, d])
+    for i in range(5):
+        zs = rng.normal(size=(n, d))
+        if i == 0:
+            zs[: d + 2] = zs[0]  # the leading reports are one location
+        assert sum(math.comb(n, k) for k in range(2, d + 2)) > objectives.BALL_ONE_PASS
+        center, support, lam, _ = objectives._min_enclosing_ball(zs)
+        full = objectives._ball_of(zs)[0]
+        radius = lambda c: float(np.linalg.norm(zs - c, axis=1).max())
+        assert abs(radius(center) - radius(full)) <= 1e-15 * 4, (zs, center, full)
+        assert np.abs(center - full).max() <= 1e-7
+        assert support.shape[0] == lam.size <= d + 1 and lam.min() >= -objectives.BALL_TOL
+
+
+def test_ball_equilateral_circumradius_exact():
+    prof = Profile.from_rows([(0, 0), (2, 0), (1, math.sqrt(3))])
+    res = opt_max_cost(prof, N2)
+    assert res.method == "ball"
+    assert abs(res.value - 2.0 / math.sqrt(3.0)) <= 1e-15
+    assert res.certified_gap <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_bound_sound_off_the_center(d):
+    # the certificate holds for any point and any weights, so a rough solve
+    # can loosen it but never make it overshoot the optimum; a step off the
+    # support's affine hull moves away from every support report, so there
+    # only the gradient term keeps the bound below the optimum
+    from facilab import objectives
+
+    rng = np.random.default_rng(d)
+    for _ in range(30):
+        zs = rng.normal(size=(int(rng.integers(3, 7)), d))
+        center, support, lam, _ = objectives._min_enclosing_ball(zs)
+        opt = float(np.linalg.norm(zs - center, axis=1).max())
+        steps = [rng.normal(size=d)]
+        if len(support) <= d:
+            steps.append(np.linalg.svd(support[1:] - support[0])[2][-1])
+        noisy = lam + rng.uniform(-0.5, 0.5, size=lam.size)
+        noisy[np.argmax(lam)] += 0.5  # keeps a positive weight
+        for step, shift in itertools.product(steps, (1e-9, 1e-4, 1e-1, 3.0)):
+            y = center + shift * step / np.linalg.norm(step)
+            weights = [lam, noisy]
+            if len(support) == d + 1:
+                # signed weights that cancel the gradients at y exactly
+                units = (y - support) / np.linalg.norm(y - support, axis=1)[:, None]
+                weights.append(np.linalg.solve(np.vstack([units.T, np.ones(d + 1)]), np.eye(d + 1)[-1]))
+            for w in weights:
+                lower = objectives._ball_lower_bound(zs, N2, y, support, w)
+                assert lower <= opt + 1e-15 * (1.0 + opt), (zs, y, w, lower, opt)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,3 +60,65 @@ def test_oracle_reports_smoke(tmp_path):
     assert (out / "repro" / "table1.csv").exists()
     console = (out / "console.txt").read_text()
     assert console.count("\nexit 0\n") == 3 and "runtime <ms>" in console and str(out) not in console
+
+
+def _oracle_tree(root, evaluate=None, ratio=None, check=None, exit_code=0, csv_hi="2.0000000000000178"):
+    """A tiny oracle tree: one report of each kind, a table1 CSV and a console log."""
+    import json
+
+    (root / "repro").mkdir(parents=True)
+    reports = {
+        "check-x.json": {"scenario": "check", "verdicts": [{"margin": 0.25}], **(check or {})},
+        "evaluate-x.json": {
+            "scenario": "evaluate",
+            "objective_values": {
+                "mc": 1.5, "opt_mc": 1.0000000002, "opt_mc_gap": 2e-9,
+                "mc_ratio": 1.4999999997, "mc_ratio_lo": 1.4999999967, "mc_ratio_hi": 1.5000000027,
+                **(evaluate or {}),
+            },
+        },
+        "ratio-x.json": {
+            "scenario": "ratio",
+            "objective_values": {"ratio": 1.5, "cost": 0.75, "opt_value": 0.5, "opt_gap": 1e-9, **(ratio or {})},
+            "ratio_interval": [1.4999999, 1.5000001],
+        },
+    }
+    for name, report in reports.items():
+        (root / name).write_text(json.dumps(report))
+    header = "objective,n,deterministic_bound,randomized_bound,measured_lo,measured_hi"
+    (root / "repro" / "table1.csv").write_text(f"{header}\nmc,4,2,2,1.9999999999999822,{csv_hi}\n")
+    (root / "console.txt").write_text(f"$ facilab evaluate --mech x\nexit {exit_code}\noptimum {reports['evaluate-x.json']['objective_values']['opt_mc']}\n")
+
+
+TIGHTER = {"opt_mc": 1.0, "opt_mc_gap": 1e-16, "mc_ratio": 1.5, "mc_ratio_lo": 1.4999999999999996, "mc_ratio_hi": 1.5000000000000004}
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({}, 0),
+        ({"evaluate": TIGHTER}, 0),
+        ({"csv_hi": "2.00000000000001"}, 0),
+        ({"ratio": {"opt_value": 0.5000000005, "opt_gap": 1e-9}}, 0),
+        ({"check": {"verdicts": [{"margin": 0.2500000001}]}}, 1),
+        ({"exit_code": 1}, 1),
+        ({"evaluate": {**TIGHTER, "opt_mc": 0.999999997}}, 1),  # the optimum left both gaps
+        ({"evaluate": {**TIGHTER, "mc_ratio_lo": 1.6, "mc_ratio_hi": 1.7}}, 1),  # disjoint intervals
+        ({"ratio": {"opt_gap": 1e-3}}, 1),  # the gap target is missed now
+        ({"ratio": {"cost": 0.76}}, 1),  # not a certified quantity
+        ({"csv_hi": "1.5"}, 1),
+    ],
+)
+def test_oracle_compare_tolerates_only_consistent_certificates(tmp_path, change, code):
+    _oracle_tree(tmp_path / "before")
+    _oracle_tree(tmp_path / "after", **change)
+    proc = _run("oracle_compare.py", str(tmp_path / "before"), str(tmp_path / "after"))
+    assert proc.returncode == code, proc.stdout + proc.stderr
+
+
+def test_oracle_compare_fails_on_a_missing_file(tmp_path):
+    _oracle_tree(tmp_path / "before")
+    _oracle_tree(tmp_path / "after")
+    (tmp_path / "after" / "ratio-x.json").unlink()
+    proc = _run("oracle_compare.py", str(tmp_path / "before"), str(tmp_path / "after"))
+    assert proc.returncode == 1 and "missing in AFTER" in proc.stdout
