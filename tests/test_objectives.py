@@ -943,7 +943,7 @@ BALL_NORMS = {
 
 
 def _ball_cases():
-    """(id, d, rows, scale) for the ball route's parity and soundness test."""
+    """(d, rows, scale, norm text) parameters for the ball route's parity and soundness test."""
     rng = np.random.default_rng(2024)
     hexagon = [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
     heptagon = [(math.cos(k * math.pi / 3.5), math.sin(k * math.pi / 3.5)) for k in range(7)]
