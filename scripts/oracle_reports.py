@@ -7,6 +7,11 @@ Two trees are equivalent when their outputs are byte-identical:
     PYTHONPATH=src python scripts/oracle_reports.py --out /tmp/after    # new tree
     diff -r /tmp/before /tmp/after
 
+A change that may move certified optima compares the two directories with
+``scripts/oracle_compare.py /tmp/before /tmp/after`` instead: ``check``
+reports stay byte-identical, and a moved optimum or ratio must agree with
+the old one within both certificates.
+
 The set is 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
 lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
 26 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x

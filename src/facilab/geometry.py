@@ -112,6 +112,14 @@ def fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def duplicate_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows (``-0.0 == 0.0``) along the last two axes of an
+    (..., k, d) array: ``same[..., i, j]`` says rows i and j are equal and
+    ``lead[..., j]`` that row j is the first of its duplicates."""
+    same = fold(np.logical_and, pts[..., :, None, :] == pts[..., None, :, :])
+    return same, same.argmax(axis=-2) == np.arange(pts.shape[-2])
+
+
 @dataclass(frozen=True)
 class Norm:
     """A declared-structure norm on R^d.
@@ -332,8 +340,7 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
         return stack_lotteries([canonical_atoms(w, p) for p in pts], d)
     if k == 1:  # a lone atom carries the whole unit mass exactly
         return np.ones((m, 1)), pts.copy()
-    same = fold(np.logical_and, pts[:, :, None, :] == pts[:, None, :, :])
-    lead = same.argmax(axis=1) == np.arange(k)  # first of its duplicates
+    same, lead = duplicate_rows(pts)
     out_w = np.where(lead, w, 0.0)
     width = k
     if not lead.all():

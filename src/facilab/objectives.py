@@ -19,24 +19,22 @@ objective in working coordinates:
   max cost the center of the bounding box; in d = 2 the rotation
   (z1 + z2, z1 - z2) carries L1 max cost and Linf social cost onto those
   two, and in d = 1 both apply for every p;
-* social cost under the other p = 2 norms: Kuhn's optimality test at the
-  reports, then Weiszfeld iteration with a coincidence guard, gap
-  certified from the gradient norm times the hull radius;
 * Linf social cost and L1 max cost in d >= 3: a dense linear program
   (two-phase tableau simplex), its point from the active rows of the final
   basis and its gap from weak duality on the final multipliers;
 * max cost under the other p = 2 norms: the center of the reports' minimum
   enclosing ball, from the circumcenters of their support sets, gap
   certified by the active set on its support;
-* anything else: one certified search.  The best seed is polished (damped
-  Newton for social cost, min-norm subgradient steps for max cost) and
-  certified before any tiling: social cost by its gradient and by Kuhn's
-  condition at the reports, max cost by its active set.  Only when that
-  misses the gap target does a Lipschitz branch-and-bound over the working
-  bounding box (the objectives are n- resp. 1-Lipschitz per unit axis
-  step) continue from the incumbent, polishing and certifying again
-  whenever the incumbent improves and stopping once the gap meets the
-  target.
+* anything else (social cost under every 1 < p < inf, p = 2 included, and
+  max cost under the other strictly convex p): one certified search.  The
+  best seed is polished (damped Newton for social cost, min-norm
+  subgradient steps for max cost) and certified before any tiling: social
+  cost by its gradient and by Kuhn's condition at the reports, max cost by
+  its active set.  Only when that misses the gap target does a Lipschitz
+  branch-and-bound over the working bounding box (the objectives are n-
+  resp. 1-Lipschitz per unit axis step) continue from the incumbent,
+  polishing and certifying again whenever the incumbent improves and
+  stopping once the gap meets the target.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -63,6 +61,7 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    duplicate_rows,
     fold,
 )
 
@@ -197,81 +196,11 @@ def _working_space(profile: Profile, norm: Norm):
     return zs, Norm(norm.p), extent, to_x
 
 
-def _distinct_rows(arr: np.ndarray) -> np.ndarray:
-    return np.unique(arr, axis=0)
-
-
 def _meets_target(gap: float, value: float, unit: float) -> bool:
     """The gap target in working coordinates, where ``unit`` is min(1, 1/s):
     GAP_REL * (1 + value) in report coordinates, but relative to the extent
     for a profile smaller than 1."""
     return gap <= GAP_REL * (unit + value)
-
-
-# -- Weiszfeld ----------------------------------------------------------------
-
-
-def _weiszfeld(zs: np.ndarray, budget: int, unit: float):
-    """Geometric median of rows of zs under the plain Euclidean norm.
-
-    Returns (point array, value, gap, evals, note).  Kuhn's condition at
-    the reports comes first: the best report is the starting incumbent and
-    its bound the starting floor, so an optimal report returns at once
-    instead of being approached sublinearly.  The coincidence guard applies
-    the same bound (:func:`_kuhn_bounds`) whenever an iterate lands on a
-    data point; unless that meets the target, a finite descent step escapes
-    the singularity.  ``unit`` scales the gap target (see
-    :func:`_meets_target`).
-    """
-    n = zs.shape[0]
-    m = zs.mean(axis=0)
-    opt_lb, best_m, best_val = _sc_report_bound(zs, Norm(2.0))
-    evals = n
-    if _meets_target(best_val - opt_lb, best_val, unit):
-        return best_m, best_val, best_val - opt_lb, evals, ""
-    # fallback certificate only: the optimum is at least the diameter
-    # (n >= 2); folding this into the running bound would cut iteration
-    # short of the exact data-point snap on collinear profiles
-    diam = _diameter(zs, Norm(2.0))
-    iterations = max(2, budget // max(n, 1))
-    for _ in range(iterations):
-        diff = zs - m
-        dist = np.linalg.norm(diff, axis=1)
-        evals += n
-        nearest = int(np.argmin(dist))
-        if dist[nearest] < GEOM_TOL:
-            anchor = zs[nearest]
-            lower, d_exact, g = (a[0] for a in _kuhn_bounds(zs, Norm(2.0), [nearest]))
-            value = float(d_exact.sum())
-            if value < best_val:
-                best_val, best_m = value, anchor.copy()
-            opt_lb = max(opt_lb, float(lower))
-            gap = max(0.0, best_val - opt_lb)
-            if _meets_target(gap, best_val, unit):
-                return best_m, best_val, gap, evals, ""
-            # escape the singularity with an explicit descent step
-            away = d_exact > 0.0
-            gnorm = float(np.linalg.norm(g))
-            step = (gnorm - int((~away).sum())) / float((1.0 / d_exact[away]).sum())
-            m = anchor - step * g / gnorm
-            continue
-        value = float(dist.sum())
-        grad = -(diff / dist[:, None]).sum(axis=0)
-        hull_radius = float(dist.max())
-        opt_lb = max(opt_lb, value - float(np.linalg.norm(grad)) * hull_radius)
-        if value < best_val:
-            best_val, best_m = value, m.copy()
-        gap = max(0.0, best_val - opt_lb)
-        if _meets_target(gap, best_val, unit):
-            return best_m, best_val, gap, evals, ""
-        w = 1.0 / dist
-        m = (zs * w[:, None]).sum(axis=0) / w.sum()
-    note = "budget exhausted before gap target"
-    opt_lb = max(opt_lb, diam)
-    gap = max(0.0, best_val - opt_lb) if math.isfinite(best_val) else math.inf
-    if _meets_target(gap, best_val, unit):
-        note = ""
-    return best_m, best_val, gap, evals, note
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -673,13 +602,12 @@ def _reach(residual: Norm, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
     bounding box.
 
     Clamping onto that box never increases either objective, so a
-    minimizer lies within this distance of every row.
+    minimizer lies within this distance of every row.  The residual is
+    coordinate-monotone, so that corner takes the larger of |y - lo| and
+    |y - hi| on every axis.
     """
-    d = zs.shape[1]
     lo, hi = zs.min(axis=0), zs.max(axis=0)
-    corners = np.stack(np.meshgrid(*[(lo[j], hi[j]) for j in range(d)], indexing="ij"), axis=-1)
-    offsets = corners.reshape(1, -1, d) - ys[:, None, :]
-    return residual.eval_many(offsets.reshape(-1, d)).reshape(ys.shape[0], -1).max(axis=1)
+    return residual.eval_many(np.maximum(np.abs(ys - lo), np.abs(ys - hi)))
 
 
 def _min_norm_point(grads: np.ndarray) -> np.ndarray:
@@ -970,34 +898,23 @@ def _sc_gradient_lower_bound(
     return value - float(_dual_norm(residual.p, grad) * _reach(residual, y[None, :], zs)[0])
 
 
-def _sc_report_bound(zs: np.ndarray, residual: Norm):
+def _sc_report_bound(zs: np.ndarray, residual: Norm) -> float:
     """Kuhn's optimality condition at the reports, as a lower bound.
-
-    Returns (bound, z_k, sc(z_k)) for the first report with the best bound
-    of :func:`_kuhn_bounds`, or (-inf, None, inf) unless 1 < p < inf.
-    """
-    if not residual.strictly_convex:
-        return -math.inf, None, math.inf
-    lower, dists, _ = _kuhn_bounds(zs, residual, np.arange(len(zs)))
-    best = int(np.argmax(lower))
-    return float(lower[best]), zs[best], float(dists[best].sum())
-
-
-def _kuhn_bounds(zs: np.ndarray, residual: Norm, rows):
-    """Kuhn's condition at the reports zs[rows] (1 < p < inf).
 
     At a report z_k of multiplicity m the coincident terms contribute any
     m s with ||s||_dual <= 1 to the subgradient, and the others the sum g
     of their gradients, so sc >= sc(z_k) - max(0, ||g||_dual - m) * R_k
     (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).  Returns
-    per row the bound, the distances to all reports and g.
+    the best bound over the reports, or -inf unless 1 < p < inf.
     """
-    diffs = zs[rows][:, None, :] - zs[None, :, :]
-    dists = residual.eval_many(diffs.reshape(-1, zs.shape[1])).reshape(len(diffs), len(zs))
+    if not residual.strictly_convex:
+        return -math.inf
+    diffs = zs[:, None, :] - zs[None, :, :]
+    dists = residual.eval_many(diffs.reshape(-1, zs.shape[1])).reshape(len(zs), len(zs))
     away = dists > 0.0
     grads = _term_gradients(diffs, residual.p, np.where(away, dists, 1.0)).sum(axis=1)
     excess = np.maximum(0.0, _dual_norm(residual.p, grads) - (~away).sum(axis=1))
-    return dists.sum(axis=1) - excess * _reach(residual, zs[rows], zs), dists, grads
+    return float((dists.sum(axis=1) - excess * _reach(residual, zs, zs)).max())
 
 
 def _diameter(zs: np.ndarray, residual: Norm) -> float:
@@ -1015,13 +932,14 @@ def opt_social_cost(
 
     method: "auto" takes the closed form where one exists (L1, Linf in
     d = 2, every p in d = 1; route "exact", gap 0), the LP for Linf in
-    d >= 3 (route "lp", gap from its dual), Weiszfeld for the other p = 2
-    norms and the certified branch-and-bound otherwise; "weiszfeld" /
-    "grid" force a route (the two stay independent of each other, of the
-    closed forms and of the LP, so they can cross-check them).
+    d >= 3 (route "lp", gap from its dual) and the certified
+    branch-and-bound (route "grid") otherwise, which serves every
+    1 < p < inf, plain, weighted and transformed L2 included.  "grid"
+    forces the branch-and-bound for every norm; it shares no code with the
+    closed forms or the LP, so it can cross-check them.
     """
     xs = profile.as_array
-    distinct = _distinct_rows(xs)
+    distinct = xs[duplicate_rows(xs)[1]]
     if distinct.shape[0] == 1:
         return OptResult(Point.from_array(distinct[0]), 0.0, 0.0, "exact", 0)
     if profile.n == 2:
@@ -1029,19 +947,14 @@ def opt_social_cost(
         value = norm.distance(profile.agent(1), profile.agent(2))
         return OptResult(mid, value, 0.0, "exact-two-point", 0)
 
-    if method not in ("auto", "weiszfeld", "grid"):
+    if method not in ("auto", "grid"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "weiszfeld" and norm.p != 2.0:
-        raise ValueError("weiszfeld route requires a Euclidean-reducible norm")
 
     zs, residual, extent, to_x = _working_space(profile, norm)
     unit = min(1.0, 1.0 / extent)
     exact = _exact_point(Objective.SOCIAL_COST, zs, norm.p) if method == "auto" else None
     if exact is not None:
         route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
-    elif norm.p == 2.0 and method != "grid":
-        route = "weiszfeld"
-        z, _, gap, evals, note = _weiszfeld(zs, budget, unit)
     elif norm.p == math.inf and method == "auto":
         route = "lp"
         z, gap, evals, note = _polyhedral_lp(Objective.SOCIAL_COST, zs, residual, unit)
@@ -1049,7 +962,7 @@ def opt_social_cost(
         route = "grid"
         fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
         # the sum of distances is at least the profile diameter (n >= 2)
-        floor = max(_diameter(zs, residual), _sc_report_bound(zs, residual)[0])
+        floor = max(_diameter(zs, residual), _sc_report_bound(zs, residual))
         if residual.strictly_convex:
             polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
         else:
@@ -1080,7 +993,7 @@ def opt_max_cost(
     below by half the profile diameter.
     """
     xs = profile.as_array
-    distinct = _distinct_rows(xs)
+    distinct = xs[duplicate_rows(xs)[1]]
     if distinct.shape[0] == 1:
         return OptResult(Point.from_array(distinct[0]), 0.0, 0.0, "exact", 0)
     if distinct.shape[0] == 2:
@@ -1154,8 +1067,7 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
     """:func:`opt_value_upper` of each row of an (m, n, d) report stack:
     0 for a unanimous row, half the diameter for a max cost over two
     distinct reports, and otherwise the best seed point."""
-    same = fold(np.logical_and, xs[:, :, None, :] == xs[:, None, :, :])
-    lead = same.argmax(axis=1) == np.arange(xs.shape[1])  # first of its duplicates
+    lead = duplicate_rows(xs)[1]
     distinct = lead.sum(axis=1)
     out = np.zeros(len(xs))
     if objective is Objective.MAX_COST:

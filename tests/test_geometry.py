@@ -14,6 +14,7 @@ from facilab.geometry import (
     Norm,
     Profile,
     centroid,
+    duplicate_rows,
     expected_distance,
     fold,
     format_norm,
@@ -124,6 +125,16 @@ def test_fold_matches_reduce_bit_for_bit(ufunc):
 def test_fold_sums_lone_negative_zeros_to_positive_zero():
     for k in range(1, 8):
         assert math.copysign(1.0, fold(np.add, np.full((1, k), -0.0))[0]) == 1.0
+
+
+def test_duplicate_rows_marks_first_occurrences():
+    # -0.0 equals 0.0; a stack gives each row's own masks
+    rows = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [2.0, 3.0], [5.0, 1.0]])
+    same, lead = duplicate_rows(rows)
+    assert lead.tolist() == [True, True, False, False, True]
+    assert same.tolist() == [[a == b for b in rows.tolist()] for a in rows.tolist()]
+    stack = np.stack([rows, rows[::-1]])
+    assert duplicate_rows(stack)[1].tolist() == [lead.tolist(), [True, True, True, False, False]]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0, math.inf])

@@ -1,9 +1,11 @@
 """Objective evaluation and certified optimizers.
 
-The grid route and Weiszfeld route are deliberately independent; tests
-here cross-check them against each other and against a test-local dense
-grid oracle.  Expected constants were derived with that oracle (or closed
-forms confirmed by it) and then frozen.
+The grid route (``method="grid"``) shares no code with the closed forms,
+the LP or the ball route; tests here cross-check those against it and
+every route against test-local oracles: a dense grid, plain Weiszfeld
+iteration, scipy's LP solver and loops that restate a kernel.  Expected
+constants were derived with those oracles (or closed forms confirmed by
+them) and then frozen.
 """
 
 import itertools
@@ -134,24 +136,17 @@ class TestOptSocialCost:
         assert res.value == 1.0 and res.certified_gap == 0.0
 
     def test_degenerate_extent_profile(self):
-        # whole profile inside the snap radius: both routes must stay finite
+        # whole profile inside the snap radius: the route must stay finite
         eps = 9.36e-10
         prof = Profile.from_rows([(0.0, 0.0), (0.0, eps), (eps, 0.0)])
-        for method in ("weiszfeld", "grid"):
-            res = opt_social_cost(prof, N2, method=method)
-            assert math.isfinite(res.value) and res.value <= 2 * eps + 1e-12
-            assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+        res = opt_social_cost(prof, N2, method="grid")
+        assert math.isfinite(res.value) and res.value <= 2 * eps + 1e-12
+        assert res.certified_gap <= GAP_REL * (1.0 + res.value)
 
-    def test_grid_route_matches_weiszfeld(self):
-        prof = Profile.from_rows([(0.2, 0.1), (1.3, -0.4), (0.7, 0.9), (-0.5, 0.3)])
-        a = opt_social_cost(prof, N2, method="weiszfeld")
-        b = opt_social_cost(prof, N2, method="grid")
-        assert abs(a.value - b.value) <= a.certified_gap + b.certified_gap + 1e-12
-
-    def test_weiszfeld_route_rejects_non_euclidean(self):
+    def test_unknown_method_rejected(self):
         prof = Profile.from_rows([(0, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            opt_social_cost(prof, Norm(1.5), method="weiszfeld")
+        with pytest.raises(ValueError, match="unknown method"):
+            opt_social_cost(prof, N2, method="weiszfeld")
 
     def test_weighted_transformed_euclidean(self):
         norm = Norm(2.0, weights=(1.0, 4.0), transform=((1.0, 1.0), (0.0, 1.0)))
@@ -550,8 +545,8 @@ def test_costs_match_scalar_reference(prof, lot):
 
 @given(prof=profile_strategy(2, min_n=3, max_n=5))
 @settings(max_examples=25, deadline=None)
-def test_weiszfeld_agrees_with_grid_oracle(prof):
-    res = opt_social_cost(prof, N2, method="weiszfeld")
+def test_euclidean_social_cost_agrees_with_grid_oracle(prof):
+    res = opt_social_cost(prof, N2)
     fn = lambda p: brute_social_cost(prof, N2, p)
     lo, hi = prof.as_array.min(axis=0), prof.as_array.max(axis=0)
     brute_val, _ = brute_force_minimize(fn, lo - 0.01, hi + 0.01, steps=81)
@@ -562,18 +557,12 @@ def test_weiszfeld_agrees_with_grid_oracle(prof):
     assert brute_val <= res.value + res.certified_gap + slack + 1e-9
 
 
-def test_weiszfeld_iterate_landing_on_a_report(monkeypatch):
-    # Weiszfeld starts at the mean, which is the report (0, 0).  No report is
-    # optimal, so the coincidence guard must bound that report with Kuhn's
-    # condition (as the pre-test does) and step away from it.
-    from facilab import objectives
-
-    rows = []
-    kuhn = objectives._kuhn_bounds
-    monkeypatch.setattr(objectives, "_kuhn_bounds", lambda zs, res, r: rows.append(list(r)) or kuhn(zs, res, r))
+def test_weiszfeld_iterate_landing_on_a_report():
+    # Weiszfeld from the mean lands on the report (0, 0), and no report is
+    # optimal: the route must certify a point off the reports.
     prof = Profile.from_rows([(0, 0), (-1, 1), (-1, -1), (-1, 0.5), (3, -0.5)])
-    res = opt_social_cost(prof, N2, method="weiszfeld")
-    assert [0] in rows
+    res = opt_social_cost(prof, N2)
+    assert res.point not in prof.points
     assert res.certified_gap <= GAP_REL * (1.0 + res.value)
     xs = prof.as_array
     y = np.array([-0.3, 0.1])
@@ -1072,3 +1061,55 @@ def test_ball_bound_sound_off_the_center(d):
             for w in weights:
                 lower = objectives._ball_lower_bound(zs, N2, y, support, w)
                 assert lower <= opt + 1e-15 * (1.0 + opt), (zs, y, w, lower, opt)
+
+
+# the route each objective takes per exponent, at d = 2 and d = 3 (d = 1 is
+# always "exact"); weighted L2 takes the plain L2 route
+ROUTES = {
+    (SC, 1.0): ("exact", "exact"),
+    (SC, 1.5): ("grid", "grid"),
+    (SC, 2.0): ("grid", "grid"),
+    (SC, 3.0): ("grid", "grid"),
+    (SC, math.inf): ("exact", "lp"),
+    (MC, 1.0): ("exact", "lp"),
+    (MC, 1.5): ("grid", "grid"),
+    (MC, 2.0): ("ball", "ball"),
+    (MC, 3.0): ("grid", "grid"),
+    (MC, math.inf): ("exact", "exact"),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "objective, p, weighted",
+    [(obj, p, False) for obj, p in ROUTES] + [(SC, 2.0, True), (MC, 2.0, True)],
+    ids=lambda v: getattr(v, "value", str(v)),
+)
+def test_route_table(objective, p, weighted, d):
+    weights = tuple(1.0 + k for k in range(d)) if weighted else None
+    prof = Profile.from_rows(np.random.default_rng(d).normal(size=(4, d)))
+    res = opt_max_cost(prof, Norm(p, weights)) if objective is MC else opt_social_cost(prof, Norm(p, weights))
+    assert res.method == ("exact" if d == 1 else ROUTES[objective, p][d - 2])
+    assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 8.0, math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reach_matches_corner_enumeration(p, d):
+    # the farthest corner of the reports' box, found with one norm call,
+    # bit for bit against the norm of every corner
+    from facilab import objectives
+
+    residual = Norm(p)
+    rng = np.random.default_rng([d, int(min(p, 99))])
+    for scale in (1e-3, 1.0, 1e3):
+        for ties in (False, True):
+            zs = rng.normal(size=(5, d)) * scale
+            ys = rng.normal(size=(40, d)) * scale
+            if ties:
+                zs, ys = np.round(zs / scale) * scale, np.round(ys / scale) * scale
+            lo, hi = zs.min(axis=0), zs.max(axis=0)
+            corners = np.array(list(itertools.product(*zip(lo, hi))))
+            offsets = corners[None, :, :] - ys[:, None, :]
+            ref = residual.eval_many(offsets.reshape(-1, d)).reshape(len(ys), -1).max(axis=1)
+            assert np.array_equal(objectives._reach(residual, ys, zs), ref)
