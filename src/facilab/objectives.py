@@ -938,6 +938,8 @@ def opt_social_cost(
     forces the branch-and-bound for every norm; it shares no code with the
     closed forms or the LP, so it can cross-check them.
     """
+    if method not in ("auto", "grid"):
+        raise ValueError(f"unknown method {method!r}")
     xs = profile.as_array
     distinct = xs[duplicate_rows(xs)[1]]
     if distinct.shape[0] == 1:
@@ -946,9 +948,6 @@ def opt_social_cost(
         mid = Point.from_array(xs.mean(axis=0))
         value = norm.distance(profile.agent(1), profile.agent(2))
         return OptResult(mid, value, 0.0, "exact-two-point", 0)
-
-    if method not in ("auto", "grid"):
-        raise ValueError(f"unknown method {method!r}")
 
     zs, residual, extent, to_x = _working_space(profile, norm)
     unit = min(1.0, 1.0 / extent)

@@ -144,9 +144,10 @@ class TestOptSocialCost:
         assert res.certified_gap <= GAP_REL * (1.0 + res.value)
 
     def test_unknown_method_rejected(self):
-        prof = Profile.from_rows([(0, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError, match="unknown method"):
-            opt_social_cost(prof, N2, method="weiszfeld")
+        # also where a closed form returns before any route is chosen
+        for rows in ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0)], [(1, 1)]):
+            with pytest.raises(ValueError, match="unknown method"):
+                opt_social_cost(Profile.from_rows(rows), N2, method="weiszfeld")
 
     def test_weighted_transformed_euclidean(self):
         norm = Norm(2.0, weights=(1.0, 4.0), transform=((1.0, 1.0), (0.0, 1.0)))
