@@ -12,7 +12,7 @@ A change that may move certified optima compares the two directories with
 reports stay byte-identical, and a moved optimum or ratio must agree with
 the old one within both certificates.
 
-The set is 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
+The set is 158 commands: 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
 lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
 26 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
 lp:2, lp:1, and rand_center x mc/sc under lp:inf, lp:3;w=1,2 and
@@ -25,11 +25,13 @@ and runs every restart), 4 ``check --seed 3 --budget 300`` runs under transform 
 at (3, 2) (rand_center and sep2d:a=0 under lp:2;A=1,0.5,0,1 and under
 lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products tell a one-row (gemv)
 norm call from a stacked one, so the checkers' one-row rounding under a
-transform is byte-checked), 18 ``evaluate`` runs at the default budget
-(rand_med, rand_center and coord_median on the two fixed profiles of
+transform is byte-checked), 57 ``evaluate`` runs at the default budget
+(rand_med, rand_center and coord_median on the four fixed profiles of
 :data:`EVAL_PROFILES`, which the script writes to ``<out>/profiles/``,
-under lp:2, lp:1.5 and lp:2;A=1.1,0.3,-0.2,0.9) and
-``scripts/run_repro_suite.py --seed 0 --budget 2000``.
+under lp:2, lp:1.5, lp:1, lp:inf and, in d = 2, lp:2;A=1.1,0.3,-0.2,0.9;
+the 3-D profile sends L1 max cost and L-inf social cost down the LP route,
+and the one with duplicate reports sends max cost down the two-point route)
+and ``scripts/run_repro_suite.py --seed 0 --budget 2000``.
 Every command's exit code and console output go to ``console.txt``, with
 the output directory written as ``<out>`` and wall times as ``<ms>``.  ``--budget`` and ``--limit``
 shrink the set for a smoke run; the full set is the default.
@@ -54,10 +56,12 @@ TRANSFORMS = ("lp:2;A=1,0.5,0,1", "lp:2;A=1.1,0.3,-0.2,0.9")
 TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0")
 RATIO_NORMS = ("lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9")
 EVAL_MECHS = ("rand_med", "rand_center", "coord_median")
-EVAL_NORMS = ("lp:2", "lp:1.5", "lp:2;A=1.1,0.3,-0.2,0.9")
+EVAL_NORMS = ("lp:2", "lp:1.5", "lp:2;A=1.1,0.3,-0.2,0.9", "lp:1", "lp:inf")
 EVAL_PROFILES = {
     "tri": [[0, 0], [2, 0], [0.5, 1.5]],
     "five": [[-1.25, 0.5], [3, 1], [0.75, -2], [1.5, 2.5], [0.1, 0.3]],
+    "cube": [[0, 0, 0], [2, 0.5, -1], [0.5, 1.5, 0.25], [-1, 0.75, 1.5], [0.25, -1.25, 0.5]],
+    "dup": [[0, 0], [1.5, 2], [0, 0], [1.5, 2]],
 }
 
 
@@ -88,9 +92,11 @@ def commands(budget, profiles: Path):
         for mech in TRANSFORM_CHECKS:
             argv = ["check", "--mech", mech, "--norm", norm, "--n", "3", "--d", "2"]
             yield slug("check", mech, norm, 3, 2), argv + ["--seed", "3", "--budget", str(budget or 300)]
-    for name in EVAL_PROFILES:
+    for name, points in EVAL_PROFILES.items():
         for mech in EVAL_MECHS:
             for norm in EVAL_NORMS:
+                if ";A=" in norm and len(points[0]) != 2:
+                    continue
                 argv = ["evaluate", "--profile", str(profiles / f"{name}.json"), "--mech", mech, "--norm", norm]
                 yield slug("evaluate", name, mech, norm), argv + (["--budget", str(budget)] if budget else [])
 
@@ -106,7 +112,7 @@ def main() -> int:
     profiles = out / "profiles"
     profiles.mkdir(parents=True, exist_ok=True)
     for name, points in EVAL_PROFILES.items():
-        (profiles / f"{name}.json").write_text(json.dumps({"d": 2, "points": points}) + "\n")
+        (profiles / f"{name}.json").write_text(json.dumps({"d": len(points[0]), "points": points}) + "\n")
     console = []
     for name, argv in list(commands(args.budget, profiles))[: args.limit]:
         path = out / f"{name}.json"

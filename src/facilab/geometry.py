@@ -5,11 +5,12 @@ these types.  All types are immutable after construction and every
 operation is pure.  The searches and the property checkers skip the types
 and work on the arrays underneath: :func:`canonical_atoms` is the one
 canonical form of a lottery, :class:`Lottery` is built on it, and
-:func:`canonical_stack`, :func:`expected_distance_stack` and
-:func:`mass_gap_stack` apply it, the expected distance and the lottery
-comparison to whole stacks of lotteries at once.  :func:`fold` reduces a
-short last axis (coordinates, agents) column by column, bit for bit as
-numpy does and faster on tall arrays.
+:func:`canonical_stack` and :func:`mass_gap_stack` apply it and the
+lottery comparison to whole stacks of lotteries at once.
+:func:`expected_cost_stack` is the one expected-cost kernel: it prices
+every lottery of a stack, as one agent's expected distance or as a max or
+social cost.  :func:`fold` reduces a short last axis (coordinates, agents)
+column by column, bit for bit as numpy does and faster on tall arrays.
 
 Tolerance ledger, shared across the package:
 
@@ -406,32 +407,44 @@ class Lottery:
         return Lottery(tuple((w, pt + shift) for w, pt in self.atoms))
 
 
-def expected_distance(x: Point, lot: Lottery, norm: Norm) -> float:
-    """Expected norm distance between a fixed point and the lottery."""
-    if x.dim != lot.dim:
-        raise DimensionMismatch("point and lottery dimensions differ")
-    atoms = lot.weights_array[None], lot.points_array[None]
-    return float(expected_distance_stack(x.as_array()[None], *atoms, norm)[0])
+def distance_matrix(points: np.ndarray, xs: np.ndarray, norm: Norm) -> np.ndarray:
+    """Pairwise distances, rows = points, columns = profile agents; on
+    (m, k, d) and (m, n, d) stacks one (k, n) matrix per row.  A matrix of
+    one distance stays a one-row norm call."""
+    diffs = points[..., :, None, :] - xs[..., None, :, :]
+    single = diffs.shape[-3] * diffs.shape[-2] == 1
+    flat = diffs.reshape(-1, 1, diffs.shape[-1]) if single else diffs.reshape(-1, diffs.shape[-1])
+    return norm.eval_many(flat).reshape(diffs.shape[:-1])
 
 
-def expected_distance_stack(
-    xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm
+def expected_cost_stack(
+    per_atom: np.ufunc, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
 ) -> np.ndarray:
-    """Expected distance from each row of the (p, d) xs to its zero-padded
-    lottery (weights[i], points[i]).
+    """Expected cost of each zero-padded lottery (weights[i], points[i]) to
+    the reports xs[i] of an (m, n, d) stack: the expectation over atoms of
+    the agents' distances to the atom folded by ``per_atom``.
 
-    Rows are grouped by atom count k, so each group needs one norm call
-    (one-row blocks stay one-row blocks under a transform) and one batched
-    (1, k) @ (k, 1) product, which rounds as ``w @ dists`` on the row alone.
+    ``np.maximum`` gives the max cost (not the maximum of per-agent
+    expectations) and ``np.add`` the social cost; at n = 1 either is the
+    agent's expected distance.  Rows are grouped by atom count k, each
+    group makes one norm call and one batched (1, k) @ (k, 1) product,
+    which rounds as ``w @ per_atom`` on the row alone.
     """
     counts = (weights > 0.0).sum(axis=1)
     out = np.empty(len(xs))
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)
-        diffs = points[rows, :k] - xs[rows, None, :]
-        dists = norm.eval_many(diffs if k == 1 else diffs.reshape(-1, diffs.shape[-1]))
-        out[rows] = np.matmul(weights[rows, None, :k], dists.reshape(len(rows), k, 1))[:, 0, 0]
+        folded = fold(per_atom, distance_matrix(points[rows, :k], xs[rows], norm))
+        out[rows] = np.matmul(weights[rows, None, :k], folded[:, :, None])[:, 0, 0]
     return out
+
+
+def expected_distance(x: Point, lot: Lottery, norm: Norm) -> float:
+    """Expected norm distance between a fixed point and the lottery."""
+    if x.dim != lot.dim:
+        raise DimensionMismatch("point and lottery dimensions differ")
+    atoms = lot.weights_array[None], lot.points_array[None]
+    return float(expected_cost_stack(np.add, *atoms, x.as_array()[None, None], norm)[0])
 
 
 def centroid(lot: Lottery) -> Point:
@@ -447,7 +460,7 @@ def radius(lot: Lottery, norm: Norm) -> float:
     if lot.is_degenerate:
         return 0.0
     c = lot.weights_array @ lot.points_array
-    return float(expected_distance_stack(c[None], lot.weights_array[None], lot.points_array[None], norm)[0])
+    return float(expected_cost_stack(np.add, lot.weights_array[None], lot.points_array[None], c[None, None], norm)[0])
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,9 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    distance_matrix,
     duplicate_rows,
+    expected_cost_stack,
     fold,
 )
 
@@ -87,6 +89,11 @@ class Objective(Enum):
             raise ValueError(f"unknown objective {text!r}")
         return aliases[key]
 
+    @property
+    def per_atom(self) -> np.ufunc:
+        """How one atom's distances to the agents combine: max or sum."""
+        return np.maximum if self is Objective.MAX_COST else np.add
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -104,52 +111,20 @@ class OptResult:
     note: str = ""
 
 
-def _distance_matrix(points: np.ndarray, xs: np.ndarray, norm: Norm) -> np.ndarray:
-    """Pairwise distances, rows = points, columns = profile agents; on
-    (m, k, d) and (m, n, d) stacks one (k, n) matrix per row.  A matrix of
-    one distance stays a one-row norm call."""
-    diffs = points[..., :, None, :] - xs[..., None, :, :]
-    single = diffs.shape[-3] * diffs.shape[-2] == 1
-    flat = diffs.reshape(-1, 1, diffs.shape[-1]) if single else diffs.reshape(-1, diffs.shape[-1])
-    return norm.eval_many(flat).reshape(diffs.shape[:-1])
-
-
-def cost_stack(
-    objective: Objective, weights: np.ndarray, points: np.ndarray, xs: np.ndarray, norm: Norm
-) -> np.ndarray:
-    """Expected cost of each zero-padded lottery (weights[i], points[i]) to
-    the reports xs[i] of an (m, n, d) stack.
-
-    Max cost is the expectation over atoms of the per-atom max, not the
-    maximum of per-agent expectations; social cost is the expectation of
-    the per-atom sum.  Rows are grouped by atom count k, each group makes
-    one norm call and one batched (1, k) @ (k, 1) product, which rounds as
-    ``w @ per_atom`` on the row alone.
-    """
-    counts = (weights > 0.0).sum(axis=1)
-    out = np.empty(len(xs))
-    for k in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == k)
-        dist = _distance_matrix(points[rows, :k], xs[rows], norm)
-        per_atom = fold(np.maximum if objective is Objective.MAX_COST else np.add, dist)
-        out[rows] = np.matmul(weights[rows, None, :k], per_atom[:, :, None])[:, 0, 0]
-    return out
-
-
 def cost(objective: Objective, lot: Lottery, profile: Profile, norm: Norm) -> float:
     if lot.dim != profile.d:
         raise DimensionMismatch("lottery and profile dimensions differ")
     atoms = lot.weights_array[None], lot.points_array[None]
-    return float(cost_stack(objective, *atoms, profile.as_array[None], norm)[0])
+    return float(expected_cost_stack(objective.per_atom, *atoms, profile.as_array[None], norm)[0])
 
 
 def cost_mc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected maximum cost (see :func:`cost_stack`)."""
+    """Expected maximum cost (see :func:`~facilab.geometry.expected_cost_stack`)."""
     return cost(Objective.MAX_COST, lot, profile, norm)
 
 
 def cost_sc(lot: Lottery, profile: Profile, norm: Norm) -> float:
-    """Expected social cost (see :func:`cost_stack`)."""
+    """Expected social cost (see :func:`~facilab.geometry.expected_cost_stack`)."""
     return cost(Objective.SOCIAL_COST, lot, profile, norm)
 
 
@@ -539,8 +514,7 @@ def _objective_fn(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batched objective over the rows zs: one value per candidate row (per
     row of a stack of reports and of candidates)."""
-    ufunc = np.maximum if objective is Objective.MAX_COST else np.add
-    return lambda points: fold(ufunc, _distance_matrix(points, zs, norm))
+    return lambda points: fold(objective.per_atom, distance_matrix(points, zs, norm))
 
 
 @functools.cache
@@ -899,22 +873,24 @@ def _sc_gradient_lower_bound(
 
 
 def _sc_report_bound(zs: np.ndarray, residual: Norm) -> float:
-    """Kuhn's optimality condition at the reports, as a lower bound.
+    """Lower bound on the social cost from the reports' distance matrix:
+    the profile diameter (n >= 2), and for 1 < p < inf Kuhn's optimality
+    condition at the reports, whichever is larger.
 
     At a report z_k of multiplicity m the coincident terms contribute any
     m s with ||s||_dual <= 1 to the subgradient, and the others the sum g
     of their gradients, so sc >= sc(z_k) - max(0, ||g||_dual - m) * R_k
-    (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).  Returns
-    the best bound over the reports, or -inf unless 1 < p < inf.
+    (gap 0 when ||g||_dual <= m; Kuhn 1973, Vardi & Zhang 2000).
     """
-    if not residual.strictly_convex:
-        return -math.inf
     diffs = zs[:, None, :] - zs[None, :, :]
     dists = residual.eval_many(diffs.reshape(-1, zs.shape[1])).reshape(len(zs), len(zs))
+    diameter = float(dists.max())
+    if not residual.strictly_convex:
+        return diameter
     away = dists > 0.0
     grads = _term_gradients(diffs, residual.p, np.where(away, dists, 1.0)).sum(axis=1)
     excess = np.maximum(0.0, _dual_norm(residual.p, grads) - (~away).sum(axis=1))
-    return float((dists.sum(axis=1) - excess * _reach(residual, zs, zs)).max())
+    return max(diameter, float((dists.sum(axis=1) - excess * _reach(residual, zs, zs)).max()))
 
 
 def _diameter(zs: np.ndarray, residual: Norm) -> float:
@@ -960,8 +936,7 @@ def opt_social_cost(
     else:
         route = "grid"
         fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
-        # the sum of distances is at least the profile diameter (n >= 2)
-        floor = max(_diameter(zs, residual), _sc_report_bound(zs, residual))
+        floor = _sc_report_bound(zs, residual)
         if residual.strictly_convex:
             polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
         else:
@@ -1102,9 +1077,10 @@ def approx_ratio(
     objective: Objective,
     budget: int = DEFAULT_BUDGET,
 ) -> RatioResult:
-    """Ratio of the mechanism's cost to the certified optimum."""
-    lot = mechanisms.resolve(mech)(profile, norm)
-    mech_cost = cost(objective, lot, profile, norm)
+    """Ratio of the mechanism's cost, priced on its kernel's arrays, to the
+    certified optimum."""
+    xs = profile.as_array[None]
+    mech_cost = float(expected_cost_stack(objective.per_atom, *mechanisms.kernel_of(mech)(xs, norm), xs, norm)[0])
     opt = opt_cost(objective, profile, norm, budget)
     if opt.value <= 0.0:
         if mech_cost <= GEOM_TOL:
@@ -1115,8 +1091,7 @@ def approx_ratio(
     # only right to rounding: cost and optimum each carry RATIO_ULPS, and atoms
     # and working coordinates computed from the reports are rounded per
     # coordinate, an error the norm maps by at most sum_k |x_k| * ||e_k||.
-    xs = profile.as_array
-    reach = float((np.abs(xs) @ norm.eval_many(np.eye(profile.d))).max())
+    reach = float((np.abs(xs[0]) @ norm.eval_many(np.eye(profile.d))).max())
     slack = RATIO_ULPS * (2.0 + profile.n * reach / opt.value) * sys.float_info.epsilon
     lo = max(0.0, 1.0 - slack) * mech_cost / (opt.value + opt.certified_gap)
     denom = opt.value - opt.certified_gap

@@ -20,12 +20,16 @@ Every checker runs on an array core: it stacks all of its probe report
 arrays into one (m, n, d) stack, makes one call of the mechanism's kernel
 (:func:`~facilab.mechanisms.kernel_of`) on it (uncompromising makes a
 second, for its moves onto the outputs), and scores agent costs with one
-:func:`~facilab.geometry.expected_distance_stack` and distances with one
-``Norm.eval_many`` on one-row blocks, which round as the one-row
-``Norm.distance`` does.  ``Profile`` and ``Point`` stay at the API, and a
-:class:`Witness` is built only for the verdict returned, which is the
-first lowest-margin probe's in input order (2-dictatorship judges its set
-as a whole).  A bare ``Profile`` is a set of one (:data:`Profiles`).
+call of the expected-cost kernel
+(:func:`~facilab.geometry.expected_cost_stack`, one agent per row) and
+distances with one ``Norm.eval_many`` on one-row blocks, which round as
+the one-row ``Norm.distance`` does.  ``Profile`` and ``Point`` stay at the
+API, and a :class:`Witness` is built only for the verdict returned, which
+is the first lowest-margin probe's in input order (2-dictatorship judges
+its set as a whole).  A probe set holds profiles of one (n, d) shape, and
+a bare ``Profile`` is a set of one (:data:`Profiles`); the points of
+unanimity and the shifts of translation invariance share one dimension
+too, and a set of another shape raises ``DimensionMismatch``.
 
 Agent indices are 1-based everywhere.
 """
@@ -47,7 +51,7 @@ from .geometry import (
     Point,
     Profile,
     canonical_atoms,
-    expected_distance_stack,
+    expected_cost_stack,
     mass_gap_stack,
 )
 from .mechanisms import MechanismLike, MechanismSpec, kernel_of, parse_mechanism
@@ -127,16 +131,6 @@ def _probe_stack(profiles: Profiles) -> tuple[tuple[Profile, ...], np.ndarray]:
     return profiles, np.stack([p.as_array for p in profiles])
 
 
-def _by_shape(arrays: Sequence[np.ndarray]):
-    """(indices, stack) of each group of same-shape arrays, so differently
-    sized inputs still cost one kernel call per shape."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, arr in enumerate(arrays):
-        groups.setdefault(arr.shape, []).append(k)
-    for rows in groups.values():
-        yield np.array(rows), np.stack([arrays[k] for k in rows])
-
-
 def _strays(norm: Norm, weights: np.ndarray, points: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Each padded lottery row's farthest atom distance from its point y[i]."""
     return np.where(weights > 0.0, _dist(norm, points, y[:, None]), 0.0).max(axis=1)
@@ -156,8 +150,9 @@ def _coalition_costs(mech: MechanismLike, profile: Profile, coalition, misreport
     xs = np.stack([profile.as_array, profile.replaced_many(coalition, misreports).as_array])
     weights, points = kernel_of(mech)(xs, norm)
     size = len(coalition)
-    members = np.tile(xs[0, [i - 1 for i in coalition]], (2, 1))
-    costs = expected_distance_stack(members, np.repeat(weights, size, axis=0), np.repeat(points, size, axis=0), norm)
+    members = np.tile(xs[0, [i - 1 for i in coalition]], (2, 1))[:, None]
+    truth = np.repeat(weights, size, axis=0), np.repeat(points, size, axis=0)
+    costs = expected_cost_stack(np.add, *truth, members, norm)
     return costs[:size], costs[size:]
 
 
@@ -204,13 +199,18 @@ def _default_arity(mech: MechanismLike) -> int:
 def check_unanimity(
     mech: MechanismLike, norm: Norm, points: Sequence[Point], n: Optional[int] = None
 ) -> PropertyVerdict:
-    """Identical reports z must force a degenerate output at z."""
-    kernel = kernel_of(mech)
+    """Identical reports z must force a degenerate output at z.
+
+    The points, all of one dimension, run as one stack.
+    """
     points = tuple(points)
     n = n if n is not None else _default_arity(mech)
-    devs = np.zeros(len(points))
-    for rows, xs in _by_shape([np.tile(z.as_array(), (n, 1)) for z in points]):
-        devs[rows] = _strays(norm, *kernel(xs, norm), xs[:, 0])
+    if len({z.dim for z in points}) > 1:
+        raise DimensionMismatch("unanimity needs points of one dimension")
+    devs = np.zeros(0)
+    if points:
+        xs = np.repeat(np.array([z.coords for z in points])[:, None], n, axis=1)
+        devs = _strays(norm, *kernel_of(mech)(xs, norm), xs[:, 0])
 
     def witness_at(k: int, dev: float) -> Witness:
         z = points[k]
@@ -241,20 +241,22 @@ def check_translation_invariance(
 ) -> PropertyVerdict:
     """Shifting all reports must shift the output lottery atom-by-atom.
 
-    Every profile and shift run as one stack; a shift of another dimension
-    than a profile's is skipped for it.
+    The profiles (of one (n, d) shape) under every shift (of dimension d)
+    run as one stack; no profile or no shift is a vacuous pass.
     """
     kernel = kernel_of(mech)
     profiles, shifts = tuple(profiles), tuple(shifts)
-    devs = np.full((len(profiles), len(shifts)), -np.inf)  # (profile, shift)
-    for rows, xs in _by_shape([p.as_array for p in profiles]):
-        g, n, d = xs.shape
-        use = [k for k, shift in enumerate(shifts) if shift.dim == d]
-        moves = np.tile(np.array([shifts[k].coords for k in use]).reshape(-1, d), (g, 1))
-        moved = np.repeat(xs, len(use), axis=0) + moves[:, None]
-        weights, points = kernel(np.concatenate([xs, moved]), norm)
-        expected = _translated(np.repeat(weights[:g], len(use), axis=0), np.repeat(points[:g], len(use), axis=0), moves)
-        devs[np.ix_(rows, use)] = mass_gap_stack(*expected, weights[g:], points[g:]).reshape(g, len(use))
+    if not profiles or not shifts:
+        return _worst_verdict("translation_invariance", np.zeros(0), None)
+    profiles, xs = _probe_stack(profiles)
+    g, n, d = xs.shape
+    if any(shift.dim != d for shift in shifts):
+        raise DimensionMismatch(f"every shift needs dimension {d}")
+    moves = np.tile(np.array([shift.coords for shift in shifts]), (g, 1))
+    moved = np.repeat(xs, len(shifts), axis=0) + moves[:, None]
+    weights, points = kernel(np.concatenate([xs, moved]), norm)
+    base = np.repeat(weights[:g], len(shifts), axis=0), np.repeat(points[:g], len(shifts), axis=0)
+    devs = mass_gap_stack(*_translated(*base, moves), weights[g:], points[g:])  # (profile, shift), flat
 
     def witness_at(k: int, dev: float) -> Witness:
         profile, shift = profiles[k // len(shifts)], shifts[k % len(shifts)]
@@ -264,7 +266,7 @@ def check_translation_invariance(
         n = profile.n
         rows = np.repeat([0, 1], n)  # each agent under the expected, then the actual output
         both = np.concatenate([ew, weights[1:]])[rows], np.concatenate([ep, points[1:]])[rows]
-        costs = expected_distance_stack(np.tile(moved.as_array, (2, 1)), *both, norm)
+        costs = expected_cost_stack(np.add, *both, np.tile(moved.as_array, (2, 1))[:, None], norm)
         note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
         deltas = tuple(zip(range(1, n + 1), costs[:n].tolist(), costs[n:].tolist()))
         return Witness(profile, tuple(range(1, n + 1)), moved.points, deltas, note)
@@ -327,7 +329,7 @@ def check_cost_continuity(
     rows[np.arange(m), 1:, at] = np.reshape([[z.coords for z in zs] for zs in perturbations], (m, size - 1, d))
     own = rows[np.arange(m), :, at]  # (probe, row, d): the moving agent's report
     weights, points = kernel_of(mech)(rows.reshape(-1, n, d), norm)
-    mu = expected_distance_stack(own.reshape(-1, d), weights, points, norm).reshape(m, size)
+    mu = expected_cost_stack(np.add, weights, points, own.reshape(-1, 1, d), norm).reshape(m, size)
     if size == 1:
         return PropertyVerdict("cost_continuity", True, 0.0, note="no perturbations sampled")
     slack = _dist(norm, own[:, :1], own[:, 1:]) - np.abs(mu[:, 1:] - mu[:, :1])
@@ -338,12 +340,11 @@ def check_cost_continuity(
     return _inequality_verdict("cost_continuity", float(slack[probe, j]), witness)
 
 
-def _segment_excess(xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm, n: int) -> np.ndarray:
+def _segment_excess(xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm) -> np.ndarray:
     """Betweenness excess ||a-q|| + ||q-b|| - ||a-b||, maximized over the
-    atoms q, of each pair (a, b) = (x_i, x_j), i <= j among the first n
-    agents in row-major order, of every row of the stack: (m, pairs)."""
-    i, j = np.triu_indices(n)
-    xs = xs[:, :n]
+    atoms q, of each pair (a, b) = (x_i, x_j), i <= j in row-major order,
+    of every row of the stack: (m, pairs)."""
+    i, j = np.triu_indices(xs.shape[1])
     near = _dist(norm, xs[:, :, None], points[:, None])  # (m, n, atoms)
     excess = near[:, i] + near[:, j] - _dist(norm, xs[:, i], xs[:, j])[..., None]
     return np.where(weights[:, None] > 0.0, excess, -np.inf).max(axis=-1)
@@ -366,7 +367,7 @@ def check_support_segment(mech: MechanismLike, profiles: Profiles, norm: Norm) -
     weights, points = kernel_of(mech)(xs, norm)
     spread = (weights > 0.0).sum(axis=1) > 1
     seg_norm, note = _segment_norm(norm)
-    best = _segment_excess(xs, weights, points, seg_norm, xs.shape[1]).min(axis=1)
+    best = _segment_excess(xs, weights, points, seg_norm).min(axis=1)
     devs = np.where(spread, np.maximum(best, 0.0), 0.0)
     k = int(np.argmax(devs))  # the first lowest margin: +0.0 (degenerate) ties -0.0
     if not spread[k]:
@@ -379,18 +380,14 @@ def check_support_segment(mech: MechanismLike, profiles: Profiles, norm: Norm) -
 def check_2dictatorship(mech: MechanismLike, profiles: Sequence[Profile], norm: Norm) -> PropertyVerdict:
     """One fixed agent pair must carry the support across all profiles.
 
-    The pairs are those of the first n agents, n the smallest profile size;
-    each profile shape runs as one stack.
+    The profiles, of one (n, d) shape, run as one stack.
     """
-    profiles = tuple(profiles)
     if len(profiles) < 2:
         raise ValueError("2-dictatorship needs at least 2 sampled profiles")
-    kernel = kernel_of(mech)
+    profiles, xs = _probe_stack(profiles)
+    n = xs.shape[1]
     seg_norm, note = _segment_norm(norm)
-    n = min(p.n for p in profiles)
-    excess = np.empty((len(profiles), n * (n + 1) // 2))  # (profile, pair)
-    for rows, xs in _by_shape([p.as_array for p in profiles]):
-        excess[rows] = _segment_excess(xs, *kernel(xs, norm), seg_norm, n)
+    excess = _segment_excess(xs, *kernel_of(mech)(xs, norm), seg_norm)  # (profile, pair)
     pair_excess = np.maximum(excess.max(axis=0), 0.0)
     best = int(np.argmin(pair_excess))  # the first pair in order on a tie
     best_excess = float(pair_excess[best])
@@ -416,7 +413,7 @@ def check_delta_bound(mech: MechanismLike, x1: Point, x2: Point, x2_alt: Point, 
     if d >= r:
         raise ValueError("precondition ||x2'-x2|| < ||x2-x1|| violated")
     xs = np.array([[x1.coords, x2.coords], [x1.coords, x2_alt.coords]])
-    delta, measured = expected_distance_stack(xs[:, 0], *kernel_of(mech)(xs, norm), norm).tolist()
+    delta, measured = expected_cost_stack(np.add, *kernel_of(mech)(xs, norm), xs[:, :1], norm).tolist()
     bound = delta / (1.0 - d / r)
     note = f"measured {measured:.6g} exceeds displacement bound {bound:.6g}"
     witness = Witness(Profile((x1, x2)), (2,), (x2_alt,), ((1, delta, measured),), note)

@@ -10,10 +10,15 @@ Candidates are scored on arrays: the mechanism's array kernel
 candidate that beats the margin becomes a ``Point``/``Profile`` again, to be
 re-validated by the checkers in :mod:`facilab.properties`.
 
-Every restart is built once, as one read-only array plan (:func:`_plan`):
-the stacked reports, their truthful lotteries and costs, common points,
-diameters, scales and boxes, one row per restart.  The sp and gsp searches
-of one check share it, and the hunt starts from its reports.  The misreport
+Every search starts from the same restart reports (:func:`_restarts`): the
+structured families as one array, then seeded draws.  The misreport
+searches build every restart once, as one read-only array plan
+(:func:`_plan`): the stacked reports, their truthful lotteries and costs,
+common points, scales and boxes, one row per restart, which the
+sp and gsp searches of one check share.  The hunt reads only the reports
+and their diameters, and builds no plan.  Agent costs and the hunt's
+mechanism costs come from one expected-cost kernel
+(:func:`~facilab.geometry.expected_cost_stack`).  The misreport
 searches run their restarts in lockstep: the (restart, agent) or (restart,
 coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``, and each
 block is scored and refined as one stack on the plan's rows, each search
@@ -43,16 +48,10 @@ from .geometry import (
     Norm,
     Point,
     Profile,
-    expected_distance_stack,
+    expected_cost_stack,
 )
 from .mechanisms import MechanismLike, kernel_of
-from .objectives import (
-    Objective,
-    OptResult,
-    approx_ratio,
-    cost_stack,
-    opt_value_upper_stack,
-)
+from .objectives import Objective, OptResult, approx_ratio, opt_value_upper_stack
 from .properties import (
     Witness,
     check_group_strategyproof_at,
@@ -95,6 +94,11 @@ def structured_profiles(n: int, d: int) -> list[Profile]:
     its reverse, collinear spreads, simplex vertices, two-cluster splits,
     sign-straddling first coordinates, and fixed asymmetric profiles.
     """
+    return [Profile.from_rows(rows) for rows in _structured(n, d)]
+
+
+def _structured(n: int, d: int) -> np.ndarray:
+    """The rows of :func:`structured_profiles`, as one (families, n, d) array."""
     e1 = np.zeros(d)
     e1[0] = 1.0
     eye = np.eye(d)
@@ -124,7 +128,7 @@ def structured_profiles(n: int, d: int) -> list[Profile]:
     gen = _rng(0x5EED_FAC1, 0)
     for _ in range(2):
         add(gen.normal(size=(n, d)))
-    return [Profile.from_rows(r) for r in rows]
+    return np.stack(rows)
 
 
 def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
@@ -192,33 +196,39 @@ class _Plan(NamedTuple):
     points: np.ndarray  # (restarts, k, d)
     before: np.ndarray  # (restarts, n) each agent's expected cost under truthful reports
     common: np.ndarray  # (restarts, 3, d) output centroid, report mean and coordinate median
-    diameters: np.ndarray  # (restarts,)
     scales: np.ndarray  # (restarts,) pattern-search scale: the diameter, or 1 for a point
     lo: np.ndarray  # (restarts, d) misreport box
     hi: np.ndarray
 
 
+def _restarts(norm: Norm, n: int, d: int, config: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (restarts, n, d) reports every search starts from, and their
+    diameters: the structured families, then for each later restart r
+    2 x the first n*d normals of ``_rng(seed, r)``."""
+    structured = _structured(n, d)[: config.restarts]
+    drawn = [_rng(config.rng_seed, r).normal(size=(n, d)) * 2.0 for r in range(len(structured), config.restarts)]
+    reports = np.concatenate([structured, np.reshape(drawn, (-1, n, d))])
+    diffs = reports[:, :, None] - reports[:, None]
+    return reports, norm.eval_many(diffs.reshape(len(reports), n * n, d)).max(axis=1)
+
+
 @functools.lru_cache(maxsize=1)
 def _plan(mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig) -> _Plan:
-    """Every restart of a search, built once: the sp and gsp searches of one
-    check share it.  The plan holds no state; each search makes its own
-    candidate streams (:func:`_streams`).  The cache is keyed on the
-    arguments alone, not on module globals such as ``BOUNDING_SCALE``;
-    whoever changes one must call ``_plan.cache_clear()``."""
-    structured = [p.as_array for p in structured_profiles(n, d)[: config.restarts]]
-    drawn = [_rng(config.rng_seed, r).normal(size=(n, d)) * 2.0 for r in range(len(structured), config.restarts)]
-    reports = np.array(structured + drawn)
+    """Every restart of a misreport search, built once: the sp and gsp
+    searches of one check share it.  The plan holds no state; each search
+    makes its own candidate streams (:func:`_streams`).  The cache is keyed
+    on the arguments alone, not on module globals such as
+    ``BOUNDING_SCALE``; whoever changes one must call ``_plan.cache_clear()``."""
+    reports, diameters = _restarts(norm, n, d, config)
     weights, points = kernel_of(mech)(reports, norm)
     truth = np.repeat(weights, n, axis=0), np.repeat(points, n, axis=0)  # one row per (restart, agent)
-    before = expected_distance_stack(reports.reshape(-1, d), *truth, norm).reshape(-1, n)
+    before = expected_cost_stack(np.add, *truth, reports.reshape(-1, 1, d), norm).reshape(-1, n)
     centroid = np.matmul(weights[:, None, :], points)[:, 0]
     common = np.stack([centroid, reports.mean(axis=1), np.median(reports, axis=1)], axis=1)
-    diffs = reports[:, :, None] - reports[:, None]
-    diameters = norm.eval_many(diffs.reshape(len(reports), n * n, d)).max(axis=1)
     scales = np.where(diameters > GEOM_TOL, diameters, 1.0)
     pad = BOUNDING_SCALE * scales[:, None]
     box = reports.min(axis=1) - pad, reports.max(axis=1) + pad
-    plan = _Plan(reports, weights, points, before, common, diameters, scales, *box)
+    plan = _Plan(reports, weights, points, before, common, scales, *box)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -242,7 +252,7 @@ def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.
     """Expected distance from each true report truth[j] to the lottery the
     mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
     weights, points = kernel(moved, norm)
-    return expected_distance_stack(truth, weights[owners], points[owners], norm)
+    return expected_cost_stack(np.add, weights[owners], points[owners], truth[:, None], norm)
 
 
 # -- single-agent misreport search --------------------------------------------
@@ -461,7 +471,7 @@ def search_worst_ratio(
         """Negated cost / (cheap optimum upper bound) of each flattened profile."""
         stack = arrs.reshape(-1, n, d)
         upper = opt_value_upper_stack(objective, stack, norm)
-        costs = cost_stack(objective, *kernel(stack, norm), stack, norm)
+        costs = expected_cost_stack(objective.per_atom, *kernel(stack, norm), stack, norm)
         # a unanimous profile has cost 0 as well
         unanimous = upper <= GEOM_TOL * GEOM_TOL
         return np.where(unanimous, -1.0, -(costs / np.where(unanimous, 1.0, upper)))
@@ -472,11 +482,11 @@ def search_worst_ratio(
     box = 8.0  # profiles confined to [-box, box]^d; ratios are scale-invariant
     lo = np.full(n * d, -box)
     hi = np.full(n * d, box)
-    plan = _plan(mech, norm, n, d, config)
+    reports, diameters = _restarts(norm, n, d, config)
     found, values, evals = _pattern_minimize(
         scores,
-        np.clip(plan.reports.reshape(config.restarts, -1), lo, hi),
-        np.maximum(1.0, plan.diameters),
+        np.clip(reports.reshape(config.restarts, -1), lo, hi),
+        np.maximum(1.0, diameters),
         config.local_steps,
         lo,
         hi,

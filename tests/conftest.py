@@ -15,6 +15,12 @@ from facilab.geometry import Lottery, Norm, Point, Profile
 
 STANDARD_NORMS = [Norm(1.0), Norm(1.5), Norm(2.0), Norm(3.0), Norm(math.inf)]
 STRICT_NORMS = [Norm(1.5), Norm(2.0), Norm(3.0)]
+# (norm string, d) pairs for bitwise parity tests.  The transform path runs
+# twice: A=1,0.5,0,1 has exact products, so only the rough matrices tell
+# one-row (gemv) rounding from a stacked gemm's
+PARITY_NORMS = [("lp:2", 2), ("lp:1", 2), ("lp:inf", 2), ("lp:3;w=1,2", 2), ("lp:2;A=1,0.5,0,1", 2)]
+PARITY_NORMS += [("lp:2;A=1.1,0.3,-0.2,0.9", 2), ("lp:1.5;A=0.9,0.1,0.3,-0.2,1.3,0.7,0.4,0.6,1.1", 3)]
+PARITY_NORMS += [("lp:2", 3), ("lp:1", 3), ("lp:inf", 3)]
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 

@@ -15,6 +15,7 @@ from facilab.geometry import (
     Profile,
     centroid,
     duplicate_rows,
+    expected_cost_stack,
     expected_distance,
     fold,
     format_norm,
@@ -29,7 +30,7 @@ from facilab.geometry import (
     strict_convexity_witness,
 )
 
-from conftest import STANDARD_NORMS, lottery_strategy, point_strategy
+from conftest import PARITY_NORMS, STANDARD_NORMS, lottery_strategy, point_strategy
 
 
 class TestNormEval:
@@ -135,6 +136,63 @@ def test_duplicate_rows_marks_first_occurrences():
     assert same.tolist() == [[a == b for b in rows.tolist()] for a in rows.tolist()]
     stack = np.stack([rows, rows[::-1]])
     assert duplicate_rows(stack)[1].tolist() == [lead.tolist(), [True, True, True, False, False]]
+
+
+def _old_expected_distance_stack(xs, weights, points, norm):
+    """Each (p, d) agent's expected distance to its padded lottery, as the
+    per-agent kernel computed it before the expected-cost kernel replaced it."""
+    counts = (weights > 0.0).sum(axis=1)
+    out = np.empty(len(xs))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        diffs = points[rows, :k] - xs[rows, None, :]
+        dists = norm.eval_many(diffs if k == 1 else diffs.reshape(-1, diffs.shape[-1]))
+        out[rows] = np.matmul(weights[rows, None, :k], dists.reshape(len(rows), k, 1))[:, 0, 0]
+    return out
+
+
+def _old_cost_stack(per_atom, weights, points, xs, norm):
+    """The max or social cost of each padded lottery to its (n, d) reports,
+    as the objectives module computed it before the expected-cost kernel."""
+    counts = (weights > 0.0).sum(axis=1)
+    out = np.empty(len(xs))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        diffs = points[rows, :k][:, :, None, :] - xs[rows][:, None, :, :]
+        single = diffs.shape[-3] * diffs.shape[-2] == 1
+        flat = diffs.reshape(-1, 1, diffs.shape[-1]) if single else diffs.reshape(-1, diffs.shape[-1])
+        folded = fold(per_atom, norm.eval_many(flat).reshape(diffs.shape[:-1]))
+        out[rows] = np.matmul(weights[rows, None, :k], folded[:, :, None])[:, 0, 0]
+    return out
+
+
+@pytest.mark.parametrize("norm_text,d", PARITY_NORMS, ids=[f"{t}-d{d}" for t, d in PARITY_NORMS])
+def test_expected_cost_kernel_matches_both_old_kernels_bitwise(norm_text, d):
+    # lotteries of k = 1..7 atoms drawn from a small pool with -0.0 and +0.0
+    # coordinates, padded to 7, against n = 1..5 agents who often sit on atoms
+    norm, rng = parse_norm(norm_text), np.random.default_rng(40 + d)
+    pool = np.concatenate([rng.normal(size=(4, d)), np.zeros((1, d)), np.full((1, d), -0.0), np.eye(d)[:1]])
+    pool[1, 0] = -0.0
+    counts = np.tile(np.arange(1, 8), 3)
+    weights, points = np.zeros((len(counts), 7)), np.zeros((len(counts), 7, d))
+    for i, k in enumerate(counts):
+        w = rng.random(k) + 0.05
+        weights[i, :k], points[i, :k] = w / w.sum(), pool[rng.integers(len(pool), size=k)]
+    for n in range(1, 6):
+        xs = pool[rng.integers(len(pool), size=(len(counts), n))]
+        for per_atom in (np.maximum, np.add):
+            got = expected_cost_stack(per_atom, weights, points, xs, norm)
+            assert got.tobytes() == _old_cost_stack(per_atom, weights, points, xs, norm).tobytes()
+            for i in range(len(xs)):  # one-row stacks round as the row does in the stack
+                one = (weights[i : i + 1], points[i : i + 1], xs[i : i + 1])
+                assert expected_cost_stack(per_atom, *one, norm).tobytes() == got[i : i + 1].tobytes()
+                assert _old_cost_stack(per_atom, *one, norm).tobytes() == got[i : i + 1].tobytes()
+        for j in range(n):  # each agent alone: the expected distance
+            old = _old_expected_distance_stack(xs[:, j], weights, points, norm)
+            for per_atom in (np.maximum, np.add):
+                assert expected_cost_stack(per_atom, weights, points, xs[:, j : j + 1], norm).tobytes() == old.tobytes()
+            one = _old_expected_distance_stack(xs[:1, j], weights[:1], points[:1], norm)
+            assert expected_cost_stack(np.add, weights[:1], points[:1], xs[:1, j : j + 1], norm).tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0, math.inf])

@@ -16,8 +16,8 @@ from facilab.geometry import (
     Profile,
     canonical_atoms,
     canonical_stack,
+    expected_cost_stack,
     expected_distance,
-    expected_distance_stack,
     is_on_segment,
     parse_norm,
     lotteries_match,
@@ -33,7 +33,7 @@ from facilab.mechanisms import (
     parse_mechanism,
     resolve,
 )
-from facilab.objectives import Objective, cost_mc, cost_sc, cost_stack, opt_value_upper_stack
+from facilab.objectives import Objective, cost_mc, cost_sc, opt_value_upper_stack
 
 from conftest import profile_strategy
 
@@ -308,10 +308,10 @@ def test_array_kernels_match_apply_bitwise(prof):
             again = Lottery(lot.atoms)  # the kernel's arrays are already canonical
             assert bitwise(weights[0], again.weights_array) and bitwise(points[0], again.points_array)
             for x in prof.points:
-                dist = expected_distance_stack(x.as_array()[None], weights, points, norm)[0]
+                dist = expected_cost_stack(np.add, weights, points, x.as_array()[None, None], norm)[0]
                 assert bitwise(dist, expected_distance(x, lot, norm))
-            assert bitwise(cost_stack(Objective.MAX_COST, weights, points, xs, norm)[0], cost_mc(lot, prof, norm))
-            assert bitwise(cost_stack(Objective.SOCIAL_COST, weights, points, xs, norm)[0], cost_sc(lot, prof, norm))
+            assert bitwise(expected_cost_stack(np.maximum, weights, points, xs, norm)[0], cost_mc(lot, prof, norm))
+            assert bitwise(expected_cost_stack(np.add, weights, points, xs, norm)[0], cost_sc(lot, prof, norm))
 
 
 # -- stacked kernels against per-row calls ------------------------------------
@@ -367,13 +367,14 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
                 assert not weights[i, len(w) :].any()
                 lotteries.append((w, p, i))
             for objective in Objective:
-                costs = cost_stack(objective, weights, points, stack, norm)
+                costs = expected_cost_stack(objective.per_atom, weights, points, stack, norm)
                 # to the first agent alone, a one-atom lottery is a single distance
-                alone = cost_stack(objective, weights, points, stack[:, :1], norm)
+                alone = expected_cost_stack(objective.per_atom, weights, points, stack[:, :1], norm)
                 for i in range(m):
                     row = unpadded(weights[i], points[i])
                     assert bitwise(costs[i], reference_cost(objective, *row, stack[i], norm))
-                    assert bitwise(costs[i], cost_stack(objective, row[0][None], row[1][None], stack[i : i + 1], norm)[0])
+                    one = expected_cost_stack(objective.per_atom, row[0][None], row[1][None], stack[i : i + 1], norm)
+                    assert bitwise(costs[i], one[0])
                     assert bitwise(alone[i], reference_cost(objective, *row, stack[i, :1], norm))
         width = max(len(w) for w, _, _ in lotteries)
         pad_w, pad_p = np.zeros((len(lotteries), width)), np.zeros((len(lotteries), width, d))
@@ -381,10 +382,10 @@ def test_stacked_kernels_match_per_row_bitwise(stack):
             pad_w[j, : len(w)], pad_p[j, : len(w)] = w, p
         for agent in range(n):
             xq = stack[[i for _, _, i in lotteries], agent]
-            dists = expected_distance_stack(xq, pad_w, pad_p, norm)
+            dists = expected_cost_stack(np.add, pad_w, pad_p, xq[:, None], norm)
             for j, (w, p, _) in enumerate(lotteries):
                 assert bitwise(dists[j], reference_distance(xq[j], w, p, norm))
-                assert bitwise(dists[j], expected_distance_stack(xq[j][None], w[None], p[None], norm)[0])
+                assert bitwise(dists[j], expected_cost_stack(np.add, w[None], p[None], xq[j][None, None], norm)[0])
 
 
 def reference_upper(objective, xs, norm):

@@ -26,13 +26,16 @@ from facilab.geometry import (
     parse_norm,
     point,
 )
-from facilab.mechanisms import MechanismSpec, apply
+from facilab.mechanisms import REGISTRY, MechanismSpec, apply, resolve
 from facilab.objectives import (
     GAP_REL,
+    RATIO_ULPS,
     Objective,
     approx_ratio,
+    cost,
     cost_mc,
     cost_sc,
+    opt_cost,
     opt_max_cost,
     opt_social_cost,
     opt_value_upper,
@@ -243,6 +246,55 @@ class TestOptUpperBound:
         prof = Profile.from_rows([(0, 0), (0, 0), (1, 0), (1, 0), (1, 0)])
         assert opt_value_upper(SC, prof, N2) == pytest.approx(2.0)
         assert opt_value_upper(MC, prof, N2) == pytest.approx(0.5)
+
+
+def reference_ratio(mech, profile, norm, objective):
+    """(cost, ratio, lo, hi) as approx_ratio computed them through the
+    mechanism's Lottery and ``cost``, for a positive optimum."""
+    mech_cost = cost(objective, resolve(mech)(profile, norm), profile, norm)
+    opt = opt_cost(objective, profile, norm)
+    reach = float((np.abs(profile.as_array) @ norm.eval_many(np.eye(profile.d))).max())
+    slack = RATIO_ULPS * (2.0 + profile.n * reach / opt.value) * np.finfo(float).eps
+    lo = max(0.0, 1.0 - slack) * mech_cost / (opt.value + opt.certified_gap)
+    denom = opt.value - opt.certified_gap
+    hi = (1.0 + slack) * mech_cost / denom if denom > 0.0 else math.inf
+    return mech_cost, mech_cost / opt.value, lo, hi
+
+
+def _lean_on_first(profile, norm):
+    """Bare callable: half on the mean report, half on agent 1."""
+    mean = profile.as_array.mean(axis=0)
+    return Lottery(((0.5, tuple(mean)), (0.5, profile.agent(1))))
+
+
+RATIO_SPECS = {"dictator": "dictator:2", "sep2d": "sep2d:a=0.5"}
+
+
+@pytest.mark.parametrize("kind", list(REGISTRY) + ["callable"])
+def test_ratio_prices_the_kernel_arrays_as_the_lottery_path(kind):
+    # the kernel's arrays are the Lottery's, so the cost and the interval
+    # keep every bit; lp:1.5 in d = 3 and the rough transform go to the
+    # grid route, the others to closed forms, the LP and the ball
+    mech = _lean_on_first if kind == "callable" else RATIO_SPECS.get(kind, kind)
+    rows = [[(0.3, 0.4), (1.7, -0.2), (0.9, 1.4), (-1.1, 0.25)], [(0, 0), (2, 0), (0, 0), (0.5, 1.5), (2, 0)]]
+    rows.append([(0.3, -1.2, 0.5), (2.0, 0.5, -0.25), (-0.7, 0.9, 1.5)])
+    for norm_text in ("lp:2", "lp:1.5", "lp:1", "lp:inf", "lp:2;A=1.1,0.3,-0.2,0.9"):
+        norm = parse_norm(norm_text)
+        for profile in map(Profile.from_rows, rows):
+            if norm.dim not in (None, profile.d):
+                continue
+            for objective in Objective:
+                rr = approx_ratio(mech, profile, norm, objective)
+                got = (rr.cost, rr.ratio, rr.lo, rr.hi)
+                assert [x.hex() for x in got] == [x.hex() for x in reference_ratio(mech, profile, norm, objective)]
+
+
+def test_ratio_rejects_a_callable_of_another_dimension():
+    def lifted(profile, norm):
+        return Lottery.degenerate(point(0, 0, 0))
+
+    with pytest.raises(DimensionMismatch):
+        approx_ratio(lifted, Profile.from_rows([(0, 0), (1, 0), (0, 2)]), N2, MC)
 
 
 class TestApproxRatio:

@@ -37,7 +37,7 @@ from facilab.properties import (
 )
 from facilab.search import structured_profiles
 
-from conftest import point_strategy
+from conftest import PARITY_NORMS, point_strategy
 
 N2 = Norm(2.0)
 N1 = Norm(1.0)
@@ -494,11 +494,6 @@ PARITY_MECHS = {
     "lean": _lean,
     "drift": _drift,
 }
-# the transform path twice: A=1,0.5,0,1 has exact products, so only the
-# rough matrices tell one-row (gemv) rounding from a stacked gemm's
-PARITY_NORMS = [("lp:2", 2), ("lp:1", 2), ("lp:inf", 2), ("lp:3;w=1,2", 2), ("lp:2;A=1,0.5,0,1", 2)]
-PARITY_NORMS += [("lp:2;A=1.1,0.3,-0.2,0.9", 2), ("lp:1.5;A=0.9,0.1,0.3,-0.2,1.3,0.7,0.4,0.6,1.1", 3)]
-PARITY_NORMS += [("lp:2", 3), ("lp:1", 3), ("lp:inf", 3)]
 
 
 @pytest.mark.parametrize("norm_text,d", PARITY_NORMS, ids=[f"{t}-d{d}" for t, d in PARITY_NORMS])
@@ -512,7 +507,6 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
     profiles.append(Profile.from_rows([draw(d)] * 2 + [draw(d)]))
     pts = [Point.from_array(row) for row in draw(6, d)]
     shifts = [Point.from_array(row) for row in draw(3, d)] + [Point.from_array(1.5 * np.eye(d)[0])]
-    shifts.append(point(1.0, 2.0, 3.0, 4.0))  # another dimension: skipped
 
     def same(new, old):
         assert repr(new) == repr(old)
@@ -524,8 +518,10 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
         check_translation_invariance(mech, norm, profiles[:8], shifts), _ref_translation(mech, norm, profiles[:8], shifts)
     )
     same(check_translation_invariance(mech, norm, profiles[:2], []), _ref_translation(mech, norm, profiles[:2], []))
-    mixed = profiles[:6] + [Profile.from_rows(draw(4, d))]
-    same(check_2dictatorship(mech, mixed, norm), _ref_2dictatorship(mech, mixed, norm))
+    with pytest.raises(DimensionMismatch):  # a shift of another dimension
+        check_translation_invariance(mech, norm, profiles[:8], shifts + [point(1.0, 2.0, 3.0, 4.0)])
+    with pytest.raises(DimensionMismatch):  # profiles of another size
+        check_2dictatorship(mech, profiles[:6] + [Profile.from_rows(draw(4, d))], norm)
     same(check_2dictatorship(mech, profiles, norm), _ref_2dictatorship(mech, profiles, norm))
     unanimous = Profile(tuple(pts[0] for _ in range(3)))
     for profile in [unanimous] + profiles:
@@ -648,11 +644,16 @@ class TestErrorPaths:
         with pytest.raises(DimensionMismatch):
             check_group_strategyproof_at(RAND_CENTER, self.PROF, (1, 2), [point(0, 0), bad], N2)
 
-    def test_shift_of_another_dimension_is_skipped(self):
-        base = check_translation_invariance(SEP2D, N2, [self.PROF], [point(-3, 0)])
-        mixed = check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3), point(-3, 0)])
-        assert repr(mixed) == repr(base) and not base.passed
-        assert check_translation_invariance(SEP2D, N2, [self.PROF], [point(1, 2, 3)]).passed
+    def test_shift_of_another_dimension_raises(self):
+        assert not check_translation_invariance(SEP2D, N2, [self.PROF], [point(-3, 0)]).passed
+        for shifts in ([point(1, 2, 3), point(-3, 0)], [point(1, 2, 3)]):
+            with pytest.raises(DimensionMismatch):
+                check_translation_invariance(SEP2D, N2, [self.PROF], shifts)
+        # no profile, or no shift, is a vacuous pass
+        assert check_translation_invariance(SEP2D, N2, [], [point(-3, 0)]).passed
+        assert check_translation_invariance(SEP2D, N2, [self.PROF], []).passed
+        with pytest.raises(DimensionMismatch):
+            check_unanimity(SEP2D, N2, [point(1, 2), point(1, 2, 3)])
 
     def test_probe_sets_need_one_shape(self):
         square = Profile.from_rows([(0, 0), (2, 0)])

@@ -17,12 +17,12 @@ from facilab.geometry import (
     Norm,
     Point,
     Profile,
-    expected_distance_stack,
+    expected_cost_stack,
     parse_norm,
     point,
 )
 from facilab.mechanisms import MechanismSpec, kernel_of
-from facilab.objectives import Objective, cost_stack, opt_value_upper_stack
+from facilab.objectives import Objective, opt_value_upper_stack
 from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
 from facilab import search
 from facilab.search import (
@@ -209,13 +209,13 @@ def misreport_margins(kernel, norm, agents):
     def margin(z, agent):
         moved = XS.copy()
         moved[agent] = z
-        return expected_distance_stack(XS[agent][None], *kernel(moved[None], norm), norm)[0]
+        return expected_cost_stack(np.add, *kernel(moved[None], norm), XS[agent][None, None], norm)[0]
 
     def margins(zs, owners):
         moved = np.repeat(XS[None], len(zs), axis=0)
         moved[np.arange(len(zs)), agents[owners]] = zs
         weights, points = kernel(moved, norm)
-        return expected_distance_stack(XS[agents[owners]], weights, points, norm)
+        return expected_cost_stack(np.add, weights, points, XS[agents[owners]][:, None], norm)
 
     return margin, margins
 
@@ -243,12 +243,12 @@ def test_batched_poll_matches_reference_on_hunt_score(objective):
     def score(arr):
         xs = arr.reshape(1, n, d)
         upper = opt_value_upper_stack(objective, xs, norm)[0]
-        c = cost_stack(objective, *kernel(xs, norm), xs, norm)[0]
+        c = expected_cost_stack(objective.per_atom, *kernel(xs, norm), xs, norm)[0]
         return -1.0 if upper <= GEOM_TOL * GEOM_TOL else -(c / upper)
 
     def scores(arrs, owners):
         stack = arrs.reshape(-1, n, d)
-        costs = cost_stack(objective, *kernel(stack, norm), stack, norm)
+        costs = expected_cost_stack(objective.per_atom, *kernel(stack, norm), stack, norm)
         uppers = [opt_value_upper_stack(objective, xs[None], norm)[0] for xs in stack]
         return np.array([-1.0 if u <= GEOM_TOL * GEOM_TOL else -(c / u) for c, u in zip(costs, uppers)])
 
@@ -346,7 +346,7 @@ def reference_restarts(mech, norm, n, d, config):
         diameter = float(norm.eval_many(diffs.reshape(-1, d)).max())
         scale = diameter if diameter > GEOM_TOL else 1.0
         weights, points = (a[0] for a in kernel(xs[None], norm))
-        before = expected_distance_stack(xs, np.tile(weights, (n, 1)), np.tile(points, (n, 1, 1)), norm)
+        before = expected_cost_stack(np.add, np.tile(weights, (n, 1)), np.tile(points, (n, 1, 1)), xs[:, None], norm)
         common = np.array([weights @ points, xs.mean(axis=0), np.median(xs, axis=0)])
         pad = search.BOUNDING_SCALE * scale
         yield xs, weights, points, before, common, diameter, scale, xs.min(axis=0) - pad, xs.max(axis=0) + pad
@@ -358,6 +358,7 @@ def test_plan_rows_match_per_restart_build_bitwise(mech, norm_text):
     # 13 structured profiles at (4, 2), ties among them, then 5 seeded draws
     norm, config = parse_norm(norm_text), SearchConfig(rng_seed=5, restarts=18)
     plan = search._plan(mech, norm, 4, 2, config)
+    diameters = search._restarts(norm, 4, 2, config)[1]
     counts = (plan.weights > 0.0).sum(axis=1)
     if mech != "coord_median":
         assert counts.min() < plan.weights.shape[1]  # some rows are padded
@@ -368,7 +369,7 @@ def test_plan_rows_match_per_restart_build_bitwise(mech, norm_text):
         assert counts[r] == k and not plan.weights[r, k:].any() and not plan.points[r, k:].any()
         pairs = [
             (plan.reports[r], xs), (plan.weights[r, :k], weights), (plan.points[r, :k], points),
-            (plan.before[r], before), (plan.common[r], common), (plan.diameters[r], diameter),
+            (plan.before[r], before), (plan.common[r], common), (diameters[r], diameter),
             (plan.scales[r], scale), (plan.lo[r], lo), (plan.hi[r], hi),
         ]
         for got, want in pairs:
@@ -390,3 +391,25 @@ def test_one_check_builds_its_plan_once():
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
     info = search._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # built by the sp search, reused by the gsp search
+
+
+def test_a_hunt_between_two_checks_builds_no_plan():
+    # the hunt starts from the restart reports alone, so it neither builds a
+    # plan nor evicts the check's from the one-entry cache
+    from facilab.cli import run_check
+
+    search._plan.cache_clear()
+    run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
+    before = search._plan.cache_info()
+    search_worst_ratio(RAND_CENTER, N1, Objective.MAX_COST, 3, 2, small_config(restarts=14, steps=4))
+    assert search._plan.cache_info() == before
+    run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
+    info = search._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 3), (2, 1)])
+def test_structured_profiles_are_the_family_rows(n, d):
+    rows = search._structured(n, d)
+    assert rows.shape[1:] == (n, d)
+    assert [p.as_array.tobytes() for p in structured_profiles(n, d)] == [r.tobytes() for r in rows]
