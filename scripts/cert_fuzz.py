@@ -17,8 +17,9 @@ value; it misses its target when certified_gap > GAP_REL * (1 + value).
 In 3-D a third of the profiles lie on a small integer grid, with duplicate
 and coplanar reports.
 
-Prints one row per p x objective and the totals; exits 1 if any
-certificate is unsound.
+Prints one row per p x objective, with how many certificates each
+optimizer route gave (``OptResult.method``, e.g. ``ball 37 grid 3``), and
+the totals; exits 1 if any certificate is unsound.
 
 Usage:
     python scripts/cert_fuzz.py [--d 2] [--seed 0] [--profiles 40] [--grid 401]
@@ -29,6 +30,7 @@ import itertools
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -120,10 +122,10 @@ def main() -> int:
     steps = args.grid or DEFAULT_GRID[args.d]
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'p':>5} {'obj':>3} {'certs':>5} {'unsound':>7} {'misses':>6} {'worst gap/(1+v)':>15} {'s':>6}")
+    print(f"{'p':>5} {'obj':>3} {'certs':>5} {'unsound':>7} {'misses':>6} {'worst gap/(1+v)':>15} {'s':>6}  routes")
     total_unsound = total_misses = 0
     for p in EXPONENTS:
-        rows = {"mc": [0, 0, 0, 0.0, 0.0], "sc": [0, 0, 0, 0.0, 0.0]}
+        rows = {"mc": [0, 0, 0, 0.0, 0.0, Counter()], "sc": [0, 0, 0, 0.0, 0.0, Counter()]}
         for i in range(args.profiles):
             xs = draw_profile(args.d, i, rng)
             norm = random_norm(p, VARIANTS[i % len(VARIANTS)], args.d, rng)
@@ -142,8 +144,10 @@ def main() -> int:
                 row[1] += res.value - res.certified_gap > oracle + 1e-9 * (1.0 + oracle)
                 row[2] += res.certified_gap > GAP_REL * (1.0 + res.value)
                 row[3] = max(row[3], res.certified_gap / (1.0 + res.value))
-        for name, (certs, unsound, misses, worst, seconds) in rows.items():
-            print(f"{p:>5g} {name:>3} {certs:>5} {unsound:>7} {misses:>6} {worst:>15.3g} {seconds:>6.2f}")
+                row[5][res.method] += 1
+        for name, (certs, unsound, misses, worst, seconds, routes) in rows.items():
+            routes = " ".join(f"{route} {count}" for route, count in sorted(routes.items()))
+            print(f"{p:>5g} {name:>3} {certs:>5} {unsound:>7} {misses:>6} {worst:>15.3g} {seconds:>6.2f}  {routes}")
             total_unsound += unsound
             total_misses += misses
     print(f"total unsound {total_unsound} misses {total_misses}")

@@ -42,7 +42,7 @@ class DimensionMismatch(ValueError):
     """Operands live in different dimensions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A location in R^d, d >= 1.  Coordinates are finite floats."""
 
@@ -599,33 +599,6 @@ def point_on_segment_at_distance(a: Point, b: Point, dist: float, norm: Norm) ->
         raise ValueError(f"distance {dist} exceeds segment length {length}")
     t = min(dist / length, 1.0)
     return Point.from_array(av + t * (bv - av))
-
-
-def is_on_segment(
-    a: Point, b: Point, q: Point, norm: Norm, tol: float = GEOM_TOL
-) -> bool:
-    """Betweenness test ||a-q|| + ||q-b|| <= ||a-b|| + tol.
-
-    A correct segment-membership characterization only for strictly convex
-    norms; callers fall back to the Euclidean norm otherwise.
-    """
-    return norm.distance(a, q) + norm.distance(q, b) <= norm.distance(a, b) + tol
-
-
-def lotteries_match(
-    lhs: Lottery, rhs: Lottery, tol: float = GEOM_TOL
-) -> tuple[bool, float]:
-    """Compare two lotteries as measures, tolerating near-duplicate atoms.
-
-    Returns (match, worst weight deviation) from :func:`mass_gap_stack`.
-    Clustering makes the comparison robust to one side having merged exact
-    duplicates that the other side kept a hair apart.
-    """
-    if lhs.dim != rhs.dim:
-        raise DimensionMismatch("lottery dimensions differ")
-    sides = (lhs.weights_array[None], lhs.points_array[None], rhs.weights_array[None], rhs.points_array[None])
-    worst = float(mass_gap_stack(*sides, tol)[0])
-    return worst <= tol, worst
 
 
 def mass_gap_stack(lw, lp, rw, rp, tol: float = GEOM_TOL) -> np.ndarray:

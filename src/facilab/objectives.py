@@ -22,19 +22,22 @@ objective in working coordinates:
 * Linf social cost and L1 max cost in d >= 3: a dense linear program
   (two-phase tableau simplex), its point from the active rows of the final
   basis and its gap from weak duality on the final multipliers;
-* max cost under the other p = 2 norms: the center of the reports' minimum
-  enclosing ball, from the circumcenters of their support sets, gap
-  certified by the active set on its support;
-* anything else (social cost under every 1 < p < inf, p = 2 included, and
-  max cost under the other strictly convex p): one certified search.  The
-  best seed is polished (damped Newton for social cost, min-norm
-  subgradient steps for max cost) and certified before any tiling: social
-  cost by its gradient and by Kuhn's condition at the reports, max cost by
-  its active set.  Only when that misses the gap target does a Lipschitz
-  branch-and-bound over the working bounding box (the objectives are n-
-  resp. 1-Lipschitz per unit axis step) continue from the incumbent,
-  polishing and certifying again whenever the incumbent improves and
-  stopping once the gap meets the target.
+* max cost under every other 1 < p < inf: the reports' minimax center, from
+  the centers of their support sets of 2..d+1 reports (a pair's midpoint;
+  larger sets' p = 2 circumcenters, refined for p != 2 by batched Newton
+  steps on each set's KKT system), gap certified by the active set on its
+  support.  For p != 2 the best center so far is certified after each set
+  size and the search stops once the gap meets its target; a profile
+  whose support sets miss it falls back to the branch-and-bound below;
+* social cost under every 1 < p < inf, p = 2 included, and that fallback:
+  one certified search.  The best seed is polished (damped Newton for
+  social cost, min-norm subgradient steps for max cost) and certified
+  before any tiling: social cost by its gradient and by Kuhn's condition
+  at the reports, max cost by its active set.  Only when that misses the
+  gap target does a Lipschitz branch-and-bound over the working bounding
+  box (the objectives are n- resp. 1-Lipschitz per unit axis step)
+  continue from the incumbent, polishing and certifying again whenever
+  the incumbent improves and stopping once the gap meets the target.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -95,7 +98,7 @@ class Objective(Enum):
         return np.maximum if self is Objective.MAX_COST else np.add
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptResult:
     """A feasible benchmark point with a certified optimality gap.
 
@@ -702,34 +705,129 @@ def _mc_subgradient_lower_bound(
     return best
 
 
-# -- minimum enclosing ball ----------------------------------------------------
+# -- minimax center from support sets -------------------------------------------
 #
-# Under p = 2 the working residual is the plain Euclidean norm, so the
-# max-cost optimum is the center of the reports' minimum enclosing ball
-# (Welzl 1991).  That center is the circumcenter of some affinely
-# independent support set of 2..d+1 reports, taken in the set's affine hull,
-# with nonnegative barycentric weights; every other such circumcenter is
-# farther from some report.
+# The max-cost optimum under a strictly convex plain p-norm is the reports'
+# minimax center c.  For some support set S of 2..d+1 reports it solves the
+# square KKT system in (c, r, lam):
+#   ||c - z_i||_p = r for i in S,  sum_S lam_i grad ||c - z_i||_p = 0,  sum lam = 1,
+# with lam >= 0; every other set's solution is farther from some report.
+# A pair's center is its midpoint under any norm, with lam = (1/2, 1/2).
+# Under p = 2 the center is the circumcenter of S in its affine hull, the
+# center of the minimum enclosing ball (Elzinga and Hearn 1972, Welzl 1991);
+# for other p Newton's method solves the system from there.
 
 BALL_TOL = 1e-12  # barycentric weights down to -BALL_TOL still count as >= 0
 BALL_ONE_PASS = 64  # support sets enumerated at once; more grow a working set
 BALL_ROUNDS = 64  # working-set rounds; each one strictly grows the ball
+BALL_NEWTON = 12  # Newton steps per support-set size for p != 2
+BALL_HALVINGS = 7  # step halvings scored when a full Newton step does not help
+BALL_KKT_TOL = 1e-14  # a KKT residual this small counts as solved
 
 
-def _ball_of(ws: np.ndarray):
-    """The enclosing ball of the rows ws among their support-set circumcenters.
+def _ball_dists(p: float, diffs: np.ndarray) -> np.ndarray:
+    """Plain p-norms over the last axis; numpy's Euclidean norm at p = 2."""
+    return np.linalg.norm(diffs, axis=-1) if p == 2.0 else Norm(p).eval_many(diffs)
+
+
+def _kkt_state(rows: np.ndarray, centers: np.ndarray, r: np.ndarray, lam: np.ndarray, residual: Norm):
+    """(diffs, distances, gradients, residual) of the KKT system above at
+    (centers, r, lam), per support set of ``rows``."""
+    diffs = centers[:, None, :] - rows
+    dists = residual.eval_many(diffs)
+    grads = _term_gradients(diffs, residual.p, dists)
+    stationary = (lam[:, :, None] * grads).sum(axis=1)
+    return diffs, dists, grads, np.concatenate([dists - r[:, None], stationary, lam.sum(axis=1)[:, None] - 1.0], axis=1)
+
+
+def _merit(resid: np.ndarray) -> np.ndarray:
+    """Squared residual norm per system; inf where it is not finite."""
+    merit = (resid * resid).sum(axis=1)
+    return np.where(np.isfinite(merit), merit, math.inf)
+
+
+# a center that lands on one of its set's reports has no gradient there:
+# that system turns non-finite and drops out
+@np.errstate(divide="ignore", invalid="ignore")
+def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: np.ndarray, live: np.ndarray, p: float):
+    """Newton's method on the KKT system above for a batch of support sets.
+
+    ``sets`` is (m, k): m sets of k rows of ws, started at ``centers`` with
+    weights ``lam``; r starts at the mean distance.  The Hessian of
+    ||u||_p is (p-1)/||u|| (diag(a^(p-2)) - g g^T) with a = |u|/||u|| and g
+    the gradient.  Each step is one batched solve.  A system whose full
+    step does not lower its squared residual takes the best of the step
+    halved 1..BALL_HALVINGS times instead, all scored in one batch; that
+    damping keeps p far from 2 from diverging from the p = 2 start.
+    Systems that turn singular or non-finite drop out of ``live``.
+    Returns (centers, lam, live).
+    """
+    rows = ws[sets]
+    m, k, d = rows.shape
+    size = k + d + 1
+    residual = Norm(p)
+    r = residual.eval_many(centers[:, None, :] - rows).mean(axis=1)
+    diffs, dists, grads, resid = _kkt_state(rows, centers, r, lam, residual)
+    for _ in range(BALL_NEWTON):
+        live &= np.isfinite(resid).all(axis=1)
+        done = live & (np.abs(resid).max(axis=1) <= BALL_KKT_TOL)
+        if (done == live).all():
+            break
+        # a solved set with lam >= 0 whose center holds every row is the
+        # minimax center of all of them, so the other sets need no more steps
+        held = np.flatnonzero(done & (lam.min(axis=1) >= -BALL_TOL))
+        if held.size and (residual.eval_many(centers[held, None, :] - ws).max(axis=1) <= r[held] + BALL_KKT_TOL).any():
+            break
+        ratios = np.maximum(np.abs(diffs) / dists[:, :, None], 1e-12)
+        curv = lam * (p - 1.0) / dists
+        jac = np.zeros((m, size, size))
+        jac[:, :k, :d] = grads
+        jac[:, :k, d] = -1.0
+        jac[:, k : k + d, :d] = np.einsum("mi,mij,mik->mjk", -curv, grads, grads)
+        jac[:, k : k + d, :d] += np.eye(d) * (curv[:, :, None] * ratios ** (p - 2.0)).sum(axis=1)[:, None, :]
+        jac[:, k : k + d, d + 1 :] = grads.transpose(0, 2, 1)
+        jac[:, -1, d + 1 :] = 1.0
+        jac[~live], resid[~live] = np.eye(size), 0.0
+        try:
+            step = np.linalg.solve(jac, -resid[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # an exactly singular system: drop it, step the rest
+            live &= np.linalg.det(jac) != 0.0
+            jac[~live], resid[~live] = np.eye(size), 0.0
+            step = np.linalg.solve(jac, -resid[:, :, None])[:, :, 0]
+        state = np.concatenate([centers, r[:, None], lam], axis=1)
+        trial = state + step
+        new = _kkt_state(rows, trial[:, :d], trial[:, d], trial[:, d + 1 :], residual)
+        worse = np.flatnonzero(live & ~(_merit(new[3]) < _merit(resid)))
+        if worse.size:
+            halves = 0.5 ** np.arange(1.0, BALL_HALVINGS + 1.0)
+            tries = (state[worse, None, :] + halves[None, :, None] * step[worse, None, :]).reshape(-1, size)
+            halved = _kkt_state(np.repeat(rows[worse], halves.size, axis=0), tries[:, :d], tries[:, d], tries[:, d + 1 :], residual)
+            pick = np.arange(worse.size) * halves.size + _merit(halved[3]).reshape(worse.size, -1).argmin(axis=1)
+            trial[worse] = tries[pick]
+            for full, part in zip(new, halved):
+                full[worse] = part[pick]
+        centers, r, lam = trial[:, :d], trial[:, d], trial[:, d + 1 :]
+        diffs, dists, grads, resid = new
+    return centers, lam, live & np.isfinite(centers).all(axis=1) & np.isfinite(lam).all(axis=1)
+
+
+def _ball_of(ws: np.ndarray, p: float):
+    """The minimax center of the rows ws among their support sets' centers,
+    one set size at a time.
 
     One batched Gram solve per set size gives each set's circumcenter
     z_0 + E^T t from G t = diag(G) / 2, with E the edges z_i - z_0 and
     G = E E^T; its barycentric weights are (1 - sum t, t).  Singular
-    (collinear or coplanar) sets are skipped.  Of the sets whose weights
-    are >= -BALL_TOL, the one whose center is nearest its farthest row
-    wins, so a ball that misses a row loses to one that holds them all;
-    pairs always qualify.  Returns (center, support rows, weights, sets
-    scored).
+    (collinear or coplanar) sets are skipped.  For p != 2 a pair takes its
+    midpoint instead, and larger sets run :func:`_support_newton` from
+    there.  Of the sets whose weights are >= -BALL_TOL, the one whose
+    center is nearest its farthest row wins, so a center that misses a row
+    loses to one that holds them all; pairs always qualify.  Yields, after
+    each set size, (center, support rows, weights, sets scored) of the
+    winner so far.
     """
     m, d = ws.shape
-    found, scored = [], 0
+    best, scored = None, 0
     for size in range(2, min(m, d + 1) + 1):
         sets = np.array(list(itertools.combinations(range(m), size)))
         base = ws[sets[:, 0]]
@@ -741,59 +839,68 @@ def _ball_of(ws: np.ndarray):
         t = np.linalg.solve(gram, diag[:, :, None] / 2.0)
         centers = base + (t * edges).sum(axis=1)
         lam = np.concatenate([1.0 - t.sum(axis=1), t[:, :, 0]], axis=1)
-        far = np.linalg.norm(centers[:, None, :] - ws[None, :, :], axis=-1).max(axis=1)
+        if p != 2.0 and size == 2:
+            centers = (base + ws[sets[:, 1]]) / 2.0  # the midpoint, under any norm
+        elif p != 2.0:
+            centers, lam, solvable = _support_newton(ws, sets, centers, lam, solvable, p)
+        far = _ball_dists(p, centers[:, None, :] - ws[None, :, :]).max(axis=1)
         keep = solvable & (lam.min(axis=1) >= -BALL_TOL) & np.isfinite(far)
         k = int(np.argmin(np.where(keep, far, math.inf)))
-        if keep[k]:
-            found.append((float(far[k]), centers[k], sets[k], lam[k]))
+        if keep[k] and (best is None or far[k] < best[0]):
+            best = (float(far[k]), centers[k], sets[k], lam[k])
         scored += len(sets)
-    _, center, support, lam = min(found, key=lambda f: f[0])
-    return center, support, lam, scored
+        yield best[1], best[2], best[3], scored
 
 
-def _min_enclosing_ball(zs: np.ndarray):
-    """Center of the minimum enclosing ball of the working reports zs.
+def _min_enclosing_ball(zs: np.ndarray, p: float):
+    """The minimax center of the working reports zs under the plain p-norm.
 
     All reports are enumerated at once when that makes at most
     BALL_ONE_PASS support sets; a set holding a report twice is singular,
-    so duplicates need no pass of their own.  Otherwise the ball of a
+    so duplicates need no pass of their own.  Otherwise the center of a
     working set, first a report and the one farthest from it, grows the
     set by the farthest report outside, keeping only the support, until no
-    report is outside.  Returns (center, support rows, their weights, sets
-    scored).
+    report is outside.  Yields what :func:`_ball_of` yields, with the
+    support as rows of zs and the sets scored so far; the last is the
+    center.
     """
     m, d = zs.shape
     one_pass = sum(math.comb(m, k) for k in range(2, d + 2)) <= BALL_ONE_PASS
-    work = np.arange(m) if one_pass else np.array([0, int(np.argmax(np.linalg.norm(zs - zs[0], axis=1)))])
+    work = np.arange(m) if one_pass else np.array([0, int(np.argmax(_ball_dists(p, zs - zs[0])))])
     scored = 0
     for _ in range(BALL_ROUNDS):
-        center, support, lam, spent = _ball_of(zs[work])
+        for center, support, lam, spent in _ball_of(zs[work], p):
+            yield center, zs[work[support]], lam, scored + spent
         scored += spent
-        dists = np.linalg.norm(zs - center, axis=1)
+        dists = _ball_dists(p, zs - center)
         out = int(np.argmax(dists))
         if dists[out] <= dists[work].max():
-            break
+            return
         work = np.append(work[support], out)
-    return center, zs[work[support]], lam, scored
 
 
 def _ball_lower_bound(zs: np.ndarray, residual: Norm, y: np.ndarray, support: np.ndarray, lam: np.ndarray) -> float:
-    """The active-set certificate on the ball's support and weights.
+    """The active-set certificate on a support set and its weights.
 
-    With lam clipped to >= 0 and renormalized, g = sum lam_i (y - z_i) /
-    ||y - z_i|| and eps = mc(y) - min_i ||y - z_i|| over the support, every
-    x satisfies mc(x) >= mc(y) - eps + g . (x - y), so the optimum is at
-    least that smallest support distance less ||g|| R, with R the reach of
-    the bounding box.  That holds for any y and any weights with a positive
-    entry, however rough the solve.
+    With lam clipped to >= 0 and renormalized, g = sum lam_i grad ||y - z_i||
+    and eps = mc(y) - min_i ||y - z_i|| over the support, convexity gives
+    mc(x) >= mc(y) - eps + g . (x - y) for every x, so the optimum is at
+    least that smallest support distance less ||g||_dual R, with R the
+    reach of the bounding box.  That holds for any y and any weights with
+    a positive entry, however rough the solve.
     """
-    dists = residual.eval_many(y[None, :] - support)
+    diffs = y - support
+    dists = residual.eval_many(diffs)
     floor = float(dists.min())
     if floor < 1e-12:
         return -math.inf
     lam = np.maximum(lam, 0.0)
-    g = (lam / lam.sum()) @ ((y - support) / dists[:, None])
-    return floor - float(np.linalg.norm(g)) * float(_reach(residual, y[None, :], zs)[0])
+    lam = lam / lam.sum()
+    if residual.p == 2.0:
+        slope = np.linalg.norm(lam @ (diffs / dists[:, None]))
+    else:
+        slope = _dual_norm(residual.p, lam @ _term_gradients(diffs, residual.p, dists))
+    return floor - float(slope) * float(_reach(residual, y[None, :], zs)[0])
 
 
 def _sc_newton(
@@ -958,13 +1065,15 @@ def opt_max_cost(
     Two distinct support points: their midpoint halves the diameter and is
     exactly optimal under any norm (gap 0).  Linf, L1 in d = 2 and every p
     in d = 1 have the bounding-box center as a closed form (route "exact",
-    gap 0), and L1 in d >= 3 the LP (route "lp", gap from its dual).
-    Plain, weighted and transformed L2 take the center of the working
-    reports' minimum enclosing ball (route "ball"), certified by the
-    active-set bound on its support and barycentric weights.  Otherwise:
-    the certified branch-and-bound, polished along min-norm subgradients
-    and certified by the active set.  The last two also bound the optimum
-    below by half the profile diameter.
+    gap 0), and L1 in d >= 3 the LP (route "lp", gap from its dual).  Every
+    other 1 < p < inf takes the minimax center of the working reports'
+    support sets (route "ball"), certified by the active-set bound on its
+    support and weights; for p != 2 the sets are solved by Newton's method
+    and certified one set size at a time until the gap meets its target.
+    A smooth p whose support sets miss the target falls back to the
+    certified branch-and-bound (route "grid"), polished along min-norm
+    subgradients and certified by the active set.  Both also bound the
+    optimum below by half the profile diameter.
     """
     xs = profile.as_array
     distinct = xs[duplicate_rows(xs)[1]]
@@ -984,23 +1093,29 @@ def opt_max_cost(
     elif norm.p == 1.0:
         route = "lp"
         z, gap, evals, note = _polyhedral_lp(Objective.MAX_COST, zs, residual, unit)
-    elif norm.p == 2.0:
-        route = "ball"
-        z, support, lam, evals = _min_enclosing_ball(zs)
-        value = float(_objective_fn(Objective.MAX_COST, zs, residual)(z[None, :])[0])
-        bound = max(_diameter(zs, residual) / 2.0, _ball_lower_bound(zs, residual, z, support, lam))
-        gap = max(0.0, value - bound)
-        note = "" if _meets_target(gap, value, unit) else "gap target missed"
     else:
-        route = "grid"
-        lo, hi = zs.min(axis=0), zs.max(axis=0)
+        route = "ball"
         fn = _objective_fn(Objective.MAX_COST, zs, residual)
         half_diam = _diameter(zs, residual) / 2.0
-        polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
-        certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
-        z, _, gap, evals, note = _branch_bound(
-            fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
-        )
+        centers = _min_enclosing_ball(zs, norm.p)
+        if norm.p == 2.0:
+            *_, last = centers  # certified once, at the center
+            centers = [last]
+        for z, support, lam, evals in centers:
+            value = float(fn(z[None, :])[0])
+            gap = max(0.0, value - max(half_diam, _ball_lower_bound(zs, residual, z, support, lam)))
+            if _meets_target(gap, value, unit):
+                break
+        note = "" if _meets_target(gap, value, unit) else "gap target missed"
+        if note and norm.p != 2.0:
+            route = "grid"
+            lo, hi = zs.min(axis=0), zs.max(axis=0)
+            polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
+            certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
+            z, _, gap, spent, note = _branch_bound(
+                fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
+            )
+            evals += spent
     return _result(Objective.MAX_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
 
 
@@ -1054,7 +1169,7 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioResult:
     """Approximation ratio with certified interval bounds.
 

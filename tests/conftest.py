@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from facilab.geometry import Lottery, Norm, Point, Profile
+from facilab.geometry import GEOM_TOL, DimensionMismatch, Lottery, Norm, Point, Profile, mass_gap_stack
 
 STANDARD_NORMS = [Norm(1.0), Norm(1.5), Norm(2.0), Norm(3.0), Norm(math.inf)]
 STRICT_NORMS = [Norm(1.5), Norm(2.0), Norm(3.0)]
@@ -75,3 +75,30 @@ def brute_max_cost(profile: Profile, norm: Norm, point_arr) -> float:
     return float(
         max(norm(point_arr - p.as_array()) for p in profile.points)
     )
+
+
+def is_on_segment(
+    a: Point, b: Point, q: Point, norm: Norm, tol: float = GEOM_TOL
+) -> bool:
+    """Betweenness test ||a-q|| + ||q-b|| <= ||a-b|| + tol.
+
+    A correct segment-membership characterization only for strictly convex
+    norms; callers fall back to the Euclidean norm otherwise.
+    """
+    return norm.distance(a, q) + norm.distance(q, b) <= norm.distance(a, b) + tol
+
+
+def lotteries_match(
+    lhs: Lottery, rhs: Lottery, tol: float = GEOM_TOL
+) -> tuple[bool, float]:
+    """Compare two lotteries as measures, tolerating near-duplicate atoms.
+
+    Returns (match, worst weight deviation) from :func:`mass_gap_stack`.
+    Clustering makes the comparison robust to one side having merged exact
+    duplicates that the other side kept a hair apart.
+    """
+    if lhs.dim != rhs.dim:
+        raise DimensionMismatch("lottery dimensions differ")
+    sides = (lhs.weights_array[None], lhs.points_array[None], rhs.weights_array[None], rhs.points_array[None])
+    worst = float(mass_gap_stack(*sides, tol)[0])
+    return worst <= tol, worst

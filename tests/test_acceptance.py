@@ -19,7 +19,6 @@ from facilab.geometry import (
     Profile,
     centroid,
     expected_distance,
-    lotteries_match,
     point,
 )
 from facilab.mechanisms import MechanismSpec, apply
@@ -36,6 +35,8 @@ from facilab.search import (
     search_sp_violation,
     search_worst_ratio,
 )
+
+from conftest import lotteries_match
 
 N2 = Norm(2.0)
 RAND_MED = MechanismSpec("rand_med")

@@ -19,8 +19,6 @@ from facilab.geometry import (
     expected_distance,
     fold,
     format_norm,
-    is_on_segment,
-    lotteries_match,
     mass_gap_stack,
     parse_norm,
     point,
@@ -30,7 +28,7 @@ from facilab.geometry import (
     strict_convexity_witness,
 )
 
-from conftest import PARITY_NORMS, STANDARD_NORMS, lottery_strategy, point_strategy
+from conftest import PARITY_NORMS, STANDARD_NORMS, is_on_segment, lotteries_match, lottery_strategy, point_strategy
 
 
 class TestNormEval:

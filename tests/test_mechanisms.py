@@ -18,9 +18,7 @@ from facilab.geometry import (
     canonical_stack,
     expected_cost_stack,
     expected_distance,
-    is_on_segment,
     parse_norm,
-    lotteries_match,
     point,
 )
 from facilab.mechanisms import (
@@ -35,7 +33,7 @@ from facilab.mechanisms import (
 )
 from facilab.objectives import Objective, cost_mc, cost_sc, opt_value_upper_stack
 
-from conftest import profile_strategy
+from conftest import is_on_segment, lotteries_match, profile_strategy
 
 N2 = Norm(2.0)
 DICTATOR_2 = MechanismSpec("dictator", index=2)

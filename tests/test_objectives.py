@@ -982,6 +982,9 @@ BALL_NORMS = {
     2: ("lp:2", "lp:2;w=1,3", "lp:2;A=1.1,0.3,-0.2,0.9"),
     3: ("lp:2", "lp:2;w=1,3,0.5", "lp:2;A=1.1,0.3,-0.2,0.1,0.9,0.4,0,-0.3,1.2"),
 }
+# the other smooth exponents, each case under one of the plain, weighted and
+# transformed variants in turn
+SMOOTH_P = (1.2, 1.5, 3.0, 8.0)
 
 
 def _ball_cases():
@@ -1005,12 +1008,17 @@ def _ball_cases():
     cases.append(("heptagon-2d", 2, np.array(heptagon), 1.0))
     cases.append(("tetrahedron-center-3d", 3, np.array(tetra, dtype=float), 1.0))
     cases.append(("n200-3d", 3, rng.normal(size=(200, 3)), 1.0))
-    return [pytest.param(d, rows, scale, text, id=f"{name}-{text}") for name, d, rows, scale in cases for text in BALL_NORMS[d]]
+    params = [pytest.param(d, rows, scale, text, id=f"{name}-{text}") for name, d, rows, scale in cases for text in BALL_NORMS[d]]
+    for j, p in enumerate(SMOOTH_P):
+        for i, (name, d, rows, scale) in enumerate(cases[:-1]):  # n200 only at p = 2
+            text = BALL_NORMS[d][(i + j) % 3].replace("lp:2", f"lp:{p:g}")
+            params.append(pytest.param(d, rows, scale, text, id=f"{name}-{text}"))
+    return params
 
 
 def _grid_route_mc(profile, norm):
     """The branch-and-bound with its polish and active-set certificate, as
-    opt_max_cost runs it for p outside {1, 2, inf}; (value, gap) in report
+    opt_max_cost falls back to it for a smooth p; (value, gap) in report
     coordinates."""
     from facilab import objectives
 
@@ -1044,9 +1052,10 @@ def _grid_oracle_mc(profile, norm, steps):
 
 @pytest.mark.parametrize("d, rows, scale, text", _ball_cases())
 def test_ball_route_inside_branch_and_bound_interval(d, rows, scale, text):
-    # the minimum enclosing ball's center against the route p = 2 took
-    # before: inside its certified interval, certified to a few ulps, and
-    # never above a feasible grid value once the gap is taken off
+    # the support-set center against the branch-and-bound, the route every
+    # smooth p took before and the fallback now: inside its certified
+    # interval, certified to a few ulps, and never above a feasible grid
+    # value once the gap is taken off
     norm = parse_norm(text)
     prof = Profile.from_rows(rows * scale)
     res = opt_max_cost(prof, norm)
@@ -1070,8 +1079,8 @@ def test_ball_working_set_matches_full_enumeration(n, d):
         if i == 0:
             zs[: d + 2] = zs[0]  # the leading reports are one location
         assert sum(math.comb(n, k) for k in range(2, d + 2)) > objectives.BALL_ONE_PASS
-        center, support, lam, _ = objectives._min_enclosing_ball(zs)
-        full = objectives._ball_of(zs)[0]
+        *_, (center, support, lam, _) = objectives._min_enclosing_ball(zs, 2.0)
+        *_, (full, _, _, _) = objectives._ball_of(zs, 2.0)
         radius = lambda c: float(np.linalg.norm(zs - c, axis=1).max())
         assert abs(radius(center) - radius(full)) <= 1e-15 * 4, (zs, center, full)
         assert np.abs(center - full).max() <= 1e-7
@@ -1097,7 +1106,7 @@ def test_ball_bound_sound_off_the_center(d):
     rng = np.random.default_rng(d)
     for _ in range(30):
         zs = rng.normal(size=(int(rng.integers(3, 7)), d))
-        center, support, lam, _ = objectives._min_enclosing_ball(zs)
+        *_, (center, support, lam, _) = objectives._min_enclosing_ball(zs, 2.0)
         opt = float(np.linalg.norm(zs - center, axis=1).max())
         steps = [rng.normal(size=d)]
         if len(support) <= d:
@@ -1116,8 +1125,69 @@ def test_ball_bound_sound_off_the_center(d):
                 assert lower <= opt + 1e-15 * (1.0 + opt), (zs, y, w, lower, opt)
 
 
+@pytest.mark.parametrize("p", SMOOTH_P)
+@pytest.mark.parametrize("d", [2, 3])
+def test_support_bound_sound_off_the_center(p, d):
+    # the certificate holds at any point for any weights, under every smooth
+    # p as under p = 2: off the center, with noisy weights and with signed
+    # weights that cancel the gradients exactly, it stays below the optimum
+    from facilab import objectives
+
+    residual = Norm(p)
+    rng = np.random.default_rng([d, int(p * 10)])
+    for _ in range(20):
+        zs = rng.normal(size=(int(rng.integers(3, 7)), d))
+        *_, (center, support, lam, _) = objectives._min_enclosing_ball(zs, p)
+        # the optimum to within its certified gap (the ball route or its fallback)
+        res = opt_max_cost(Profile.from_rows(zs), residual)
+        opt = res.value
+        assert res.certified_gap <= 1e-9 * (1.0 + opt), res
+        noisy = lam + rng.uniform(-0.5, 0.5, size=lam.size)
+        noisy[np.argmax(lam)] += 0.5  # keeps a positive weight
+        for shift in (1e-9, 1e-4, 1e-1, 3.0):
+            step = rng.normal(size=d)
+            y = center + shift * step / np.linalg.norm(step)
+            weights = [lam, noisy]
+            if len(support) == d + 1:
+                dists = residual.eval_many(y - support)
+                grads = objectives._term_gradients(y - support, p, dists)
+                weights.append(np.linalg.solve(np.vstack([grads.T, np.ones(d + 1)]), np.eye(d + 1)[-1]))
+            for w in weights:
+                lower = objectives._ball_lower_bound(zs, residual, y, support, w)
+                assert lower <= opt + 1e-12 * (1.0 + opt), (zs, y, w, lower, opt)
+
+
+# cert_fuzz profiles (d = 3) whose support sets miss the gap target: the
+# p = 1.2 optimum ties a report's first coordinate, where the norm has no
+# second derivative and Newton stalls; there the branch-and-bound misses too
+FALLBACKS = {
+    "p1.2": (
+        [[-2.292448132061992, 1.782985597069095, -1.6487674420312248], [-2.333474514371022, -1.867472490429604, -1.6169413300586728],
+         [0.30848700763126424, 1.5395362056021207, -3.980962089970294], [-1.0362999923716743, 1.6866221449146686, 0.3701534995072214]],
+        Norm(1.2, weights=(2.341020106206493, 2.21695250629061, 2.542087169641142)),
+    ),
+    "p8": (
+        [[-0.21005782467497147, -0.5325632700682696, -1.7233011427897773], [0.887526269159319, -0.48302978882529596, -1.8366368330155969],
+         [-1.1644120293583033, -1.816420901833752, 2.433860594925535], [-0.3799784793133727, 0.15782383156960614, -1.8543259098113225],
+         [-1.5820625832601827, 1.5932648626799408, -0.3643784554973061]],
+        Norm(8.0, weights=(1.0757778323220086, 2.6560554685953317, 2.5241036199797438)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_ball_route_falls_back_to_branch_and_bound(case):
+    rows, norm = FALLBACKS[case]
+    prof = Profile.from_rows(rows)
+    res = opt_max_cost(prof, norm)
+    assert res.method == "grid", res
+    assert (res.note == "") == (res.certified_gap <= GAP_REL * (1.0 + res.value)), res
+    assert res.value - res.certified_gap <= _grid_oracle_mc(prof, norm, 41) + 1e-12 * res.value
+
+
 # the route each objective takes per exponent, at d = 2 and d = 3 (d = 1 is
-# always "exact"); weighted L2 takes the plain L2 route
+# always "exact"); weighted L2 takes the plain L2 route.  Max cost under a
+# smooth p takes the ball route unless its support sets miss the gap target
 ROUTES = {
     (SC, 1.0): ("exact", "exact"),
     (SC, 1.5): ("grid", "grid"),
@@ -1125,9 +1195,9 @@ ROUTES = {
     (SC, 3.0): ("grid", "grid"),
     (SC, math.inf): ("exact", "lp"),
     (MC, 1.0): ("exact", "lp"),
-    (MC, 1.5): ("grid", "grid"),
+    (MC, 1.5): ("ball", "ball"),
     (MC, 2.0): ("ball", "ball"),
-    (MC, 3.0): ("grid", "grid"),
+    (MC, 3.0): ("ball", "ball"),
     (MC, math.inf): ("exact", "exact"),
 }
 

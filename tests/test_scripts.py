@@ -39,6 +39,13 @@ def test_cert_fuzz_reports_every_cell():
     assert cells == {(p, obj) for p in ("1", "1.2", "2", "3", "8", "inf") for obj in ("mc", "sc")}
     assert all(line.split()[2] == "3" for line in lines[1:-1])
     assert lines[-1].startswith("total unsound 0 ")
+    # the routes column counts each certificate once, by its optimizer route
+    assert lines[0].split()[-1] == "routes"
+    for line in lines[1:-1]:
+        routes = line.split()[7:]
+        assert sum(int(count) for count in routes[1::2]) == 3, line
+        assert set(routes[0::2]) <= {"exact", "exact-two-point", "lp", "ball", "grid"}, line
+    assert {line.split()[7] for line in lines[1:-1] if line.split()[1] == "mc" and line.split()[0] in ("1.2", "3", "8")} == {"ball"}
 
 
 def test_cert_fuzz_3d_reports_every_cell():
