@@ -730,14 +730,16 @@ def _ball_dists(p: float, diffs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diffs, axis=-1) if p == 2.0 else Norm(p).eval_many(diffs)
 
 
-def _kkt_state(rows: np.ndarray, centers: np.ndarray, r: np.ndarray, lam: np.ndarray, residual: Norm):
+def _kkt_state(rows: np.ndarray, x: np.ndarray, residual: Norm):
     """(diffs, distances, gradients, residual) of the KKT system above at
-    (centers, r, lam), per support set of ``rows``."""
-    diffs = centers[:, None, :] - rows
+    x = (c, r, lam), one row per support set of ``rows``."""
+    d = rows.shape[-1]
+    diffs = x[:, None, :d] - rows
     dists = residual.eval_many(diffs)
     grads = _term_gradients(diffs, residual.p, dists)
+    lam = x[:, d + 1 :]
     stationary = (lam[:, :, None] * grads).sum(axis=1)
-    return diffs, dists, grads, np.concatenate([dists - r[:, None], stationary, lam.sum(axis=1)[:, None] - 1.0], axis=1)
+    return diffs, dists, grads, np.concatenate([dists - x[:, d, None], stationary, lam.sum(axis=1)[:, None] - 1.0], axis=1)
 
 
 def _merit(resid: np.ndarray) -> np.ndarray:
@@ -767,8 +769,10 @@ def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: 
     size = k + d + 1
     residual = Norm(p)
     r = residual.eval_many(centers[:, None, :] - rows).mean(axis=1)
-    diffs, dists, grads, resid = _kkt_state(rows, centers, r, lam, residual)
+    x = np.concatenate([centers, r[:, None], lam], axis=1)
+    diffs, dists, grads, resid = _kkt_state(rows, x, residual)
     for _ in range(BALL_NEWTON):
+        lam = x[:, d + 1 :]
         live &= np.isfinite(resid).all(axis=1)
         done = live & (np.abs(resid).max(axis=1) <= BALL_KKT_TOL)
         if (done == live).all():
@@ -776,7 +780,7 @@ def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: 
         # a solved set with lam >= 0 whose center holds every row is the
         # minimax center of all of them, so the other sets need no more steps
         held = np.flatnonzero(done & (lam.min(axis=1) >= -BALL_TOL))
-        if held.size and (residual.eval_many(centers[held, None, :] - ws).max(axis=1) <= r[held] + BALL_KKT_TOL).any():
+        if held.size and (residual.eval_many(x[held, None, :d] - ws).max(axis=1) <= x[held, d] + BALL_KKT_TOL).any():
             break
         ratios = np.maximum(np.abs(diffs) / dists[:, :, None], 1e-12)
         curv = lam * (p - 1.0) / dists
@@ -794,21 +798,20 @@ def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: 
             live &= np.linalg.det(jac) != 0.0
             jac[~live], resid[~live] = np.eye(size), 0.0
             step = np.linalg.solve(jac, -resid[:, :, None])[:, :, 0]
-        state = np.concatenate([centers, r[:, None], lam], axis=1)
-        trial = state + step
-        new = _kkt_state(rows, trial[:, :d], trial[:, d], trial[:, d + 1 :], residual)
+        trial = x + step
+        new = _kkt_state(rows, trial, residual)
         worse = np.flatnonzero(live & ~(_merit(new[3]) < _merit(resid)))
         if worse.size:
             halves = 0.5 ** np.arange(1.0, BALL_HALVINGS + 1.0)
-            tries = (state[worse, None, :] + halves[None, :, None] * step[worse, None, :]).reshape(-1, size)
-            halved = _kkt_state(np.repeat(rows[worse], halves.size, axis=0), tries[:, :d], tries[:, d], tries[:, d + 1 :], residual)
+            tries = (x[worse, None, :] + halves[None, :, None] * step[worse, None, :]).reshape(-1, size)
+            halved = _kkt_state(np.repeat(rows[worse], halves.size, axis=0), tries, residual)
             pick = np.arange(worse.size) * halves.size + _merit(halved[3]).reshape(worse.size, -1).argmin(axis=1)
             trial[worse] = tries[pick]
             for full, part in zip(new, halved):
                 full[worse] = part[pick]
-        centers, r, lam = trial[:, :d], trial[:, d], trial[:, d + 1 :]
+        x = trial
         diffs, dists, grads, resid = new
-    return centers, lam, live & np.isfinite(centers).all(axis=1) & np.isfinite(lam).all(axis=1)
+    return x[:, :d], x[:, d + 1 :], live & np.isfinite(x).all(axis=1)
 
 
 def _ball_of(ws: np.ndarray, p: float):
