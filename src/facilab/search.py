@@ -24,7 +24,12 @@ coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``, and each
 block is scored and refined as one stack on the plan's rows, each search
 drawing from its restart's stream.  Witnesses are then validated in restart
 order, so the witness returned is the one a restart-at-a-time search finds;
-a ``Profile`` is built only for that validation.
+a ``Profile`` is built only for that validation.  Each round of a
+pattern search polls its live searches as one stack: a misreport search
+polls every direction left in its sweep (six at d = 2), and a hunt search
+polls only its next few, so that a round fills about one score block and a
+search scores few polls past its first improving one.  Either way a search
+makes the moves of polling one direction at a time.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -131,7 +136,7 @@ def _structured(n: int, d: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
+def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi, rows=None):
     """Coordinate pattern searches from the rows of ``starts``, in lockstep.
 
     Each search polls the axis directions and the all-ones diagonal, + then
@@ -139,12 +144,16 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     one per search); candidates are clipped to the search's box [lo, hi]
     (``lo``/``hi`` are one shared box of shape (dim,), or (count, dim)
     with one box per search).  ``fn(cands, owners)`` scores an (m, dim) stack of candidates,
-    row j for search ``owners[j]``.  Every round polls each search's
-    remaining directions from its current point as one stack.  A search
-    takes its first improving poll in order and re-polls the rest from
-    there, so it makes exactly the moves of polling one direction at a
-    time, and counts only those polls.  Returns (best points, best values,
-    evaluations), one row per search.
+    row j for search ``owners[j]``.  Every round polls each live search's
+    next polls of its sweep from its current point as one stack: all that
+    are left of the sweep, or, when ``rows`` caps the candidates of one
+    ``fn`` call, the next ``max(isqrt(polls), rows // live)`` of them, so
+    a round scores about ``rows`` rows and a search that moves early
+    wastes few.  A search takes its first improving poll in order and
+    polls the rest from there, so it makes exactly the moves of polling
+    one direction at a time, and counts only those polls; ``rows`` changes
+    only how many rows are scored and in how many rounds.  Returns (best
+    points, best values, evaluations), one row per search.
     """
     count, dim = starts.shape
     scales = np.broadcast_to(np.asarray(scale, dtype=float), (count,))
@@ -162,9 +171,11 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
     improved = np.zeros(count, dtype=bool)
     live = np.flatnonzero((step > 1e-7 * scales) & (max_sweeps > 0))
     while live.size:
-        left = polls - done[live]
-        owners = np.repeat(live, left)
-        first = np.repeat(np.cumsum(left) - left, left)  # where each search's polls start
+        chunk = polls - done[live]  # this round's polls: the rest of each sweep,
+        if rows is not None:  # or its next few
+            chunk = np.minimum(chunk, max(math.isqrt(polls), rows // live.size))
+        owners = np.repeat(live, chunk)
+        first = np.repeat(np.cumsum(chunk) - chunk, chunk)  # where each search's polls start
         which = done[owners] + np.arange(len(owners)) - first
         moves = x[owners] + (signs[which] * step[owners])[:, None] * dirs[which]
         cands = np.clip(moves, lo if shared else lo[owners], hi if shared else hi[owners])
@@ -173,7 +184,7 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi):
         movers, at = np.unique(owners[hits], return_index=True)
         at = hits[at]  # each improving search's first improving poll
         best[movers], x[movers], improved[movers] = vals[at], cands[at], True
-        taken = left.copy()
+        taken = chunk.copy()
         taken[np.searchsorted(live, movers)] = at - first[at] + 1
         evals[live] += taken
         done[live] += taken
@@ -464,7 +475,8 @@ def search_worst_ratio(
     """
     kernel = kernel_of(mech)
     # the cheap bound measures about n**3 / 2 distances per profile; blocks of
-    # this many profiles keep a round's arrays small at any restart count
+    # this many profiles keep a round's arrays small at any restart count, and
+    # a round polls about one block, not every search's whole sweep
     block = max(1, SCORE_DISTANCES // n**3)
 
     def score(arrs: np.ndarray) -> np.ndarray:
@@ -490,6 +502,7 @@ def search_worst_ratio(
         config.local_steps,
         lo,
         hi,
+        rows=block,
     )
     best_score = -math.inf
     best_profile: Optional[Profile] = None

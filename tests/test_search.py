@@ -220,6 +220,19 @@ def misreport_margins(kernel, norm, agents):
     return margin, margins
 
 
+def assert_matches_reference(batched, reference, count):
+    """``batched(rows)`` against the one-poll-at-a-time ``reference(s)`` of
+    each of its ``count`` searches, uncapped and under row caps of one row,
+    a few, and more than any round needs: a cap changes how many polls a
+    round scores, never a search's moves."""
+    expected = [reference(s) for s in range(count)]
+    for rows in (None, 1, 7, 10_000):
+        found = batched(rows)
+        for s, (x, val, evals) in enumerate(expected):
+            assert found[0][s].tobytes() == x.tobytes(), rows
+            assert found[1][s] == val and found[2][s] == evals, rows
+
+
 @pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
 @pytest.mark.parametrize("norm_text", ["lp:2", "lp:inf", "lp:2;A=1,0.5,0,1"])
 def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
@@ -227,11 +240,11 @@ def test_batched_poll_matches_reference_on_misreport_margin(mech, norm_text):
     agents = np.array([0, 1, 2, 3])
     margin, margins = misreport_margins(kernel_of(mech), parse_norm(norm_text), agents)
     starts = XS + 0.37
-    found = _pattern_minimize(margins, starts, 1.7, 30, lo, hi)
-    for s, agent in enumerate(agents):
-        x, val, evals = reference_pattern_minimize(lambda z: margin(z, agent), starts[s], 1.7, 30, lo, hi)
-        assert found[0][s].tobytes() == x.tobytes()
-        assert found[1][s] == val and found[2][s] == evals
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(margins, starts, 1.7, 30, lo, hi, rows=rows),
+        lambda s: reference_pattern_minimize(lambda z: margin(z, agents[s]), starts[s], 1.7, 30, lo, hi),
+        len(agents),
+    )
 
 
 @pytest.mark.parametrize("objective", list(Objective))
@@ -254,17 +267,18 @@ def test_batched_poll_matches_reference_on_hunt_score(objective):
 
     starts = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.2, -1.0, 1.5, 0.3, -0.4, 2.2]])
     scales = [1.0, 3.2]
-    found = _pattern_minimize(scores, starts, scales, 16, lo, hi)
-    for s in range(len(starts)):
-        x, val, evals = reference_pattern_minimize(score, starts[s], scales[s], 16, lo, hi)
-        assert found[0][s].tobytes() == x.tobytes()
-        assert found[1][s] == val and found[2][s] == evals
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(scores, starts, scales, 16, lo, hi, rows=rows),
+        lambda s: reference_pattern_minimize(score, starts[s], scales[s], 16, lo, hi),
+        len(starts),
+    )
 
 
 @pytest.mark.parametrize("distances", [search.SCORE_DISTANCES, 200])
 def test_worst_ratio_evaluations_pinned(distances, monkeypatch):
     # values produced by the one-poll-at-a-time search, with each round's
-    # polls scored in one block or in blocks of seven profiles
+    # polls scored in one block or in blocks of seven profiles (n = 3), or
+    # of one profile (n = 5)
     monkeypatch.setattr(search, "SCORE_DISTANCES", distances)
     config = SearchConfig(rng_seed=2, restarts=14, local_steps=40)
     res = search_worst_ratio(RAND_MED, N2, Objective.SOCIAL_COST, 3, 2, config)
@@ -272,6 +286,12 @@ def test_worst_ratio_evaluations_pinned(distances, monkeypatch):
     res = search_worst_ratio(RAND_CENTER, N1, Objective.MAX_COST, 3, 2, config)
     assert (res.evaluations, res.ratio) == (6202, 1.6666666666666667)
     assert res.profile == Profile.from_rows([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+    # n = 5: 22 polls a sweep, of which a round polls 4 while all 16
+    # searches are live; the winner is hill-climbed from a structured profile
+    config = SearchConfig(rng_seed=5, restarts=16, local_steps=24)
+    res = search_worst_ratio(RAND_CENTER, N2, Objective.SOCIAL_COST, 5, 2, config)
+    assert (res.evaluations, res.ratio) == (8288, 1.6000000000000003)
+    assert res.profile == Profile.from_rows([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (2.0, 1.0), (0.0, 0.0)])
 
 
 @pytest.mark.parametrize("block", [64, 3, 2])
@@ -299,11 +319,39 @@ def test_batched_poll_matches_reference_with_a_box_per_search():
     margin, margins = misreport_margins(kernel_of("rand_center"), Norm(2.0), agents)
     starts = XS[agents] + np.array([0.37, -0.52])
     scales = np.array([1.7, 0.9, 2.5, 1.7, 0.4, 3.0])
-    found = _pattern_minimize(margins, starts, scales, 30, lo, hi)
-    for s, agent in enumerate(agents):
-        x, val, evals = reference_pattern_minimize(lambda z: margin(z, agent), starts[s], scales[s], 30, lo[s], hi[s])
-        assert found[0][s].tobytes() == x.tobytes()
-        assert found[1][s] == val and found[2][s] == evals
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(margins, starts, scales, 30, lo, hi, rows=rows),
+        lambda s: reference_pattern_minimize(lambda z: margin(z, agents[s]), starts[s], scales[s], 30, lo[s], hi[s]),
+        len(agents),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_row_cap_bounds_each_call_and_scores_fewer_rows(rows):
+    # a search polls at least isqrt(polls) directions a round, so a call
+    # scores at most max(rows, live * isqrt(polls)) candidates
+    count, dim = 12, 4
+    polls = 2 * (dim + 1)
+    starts = np.random.default_rng(5).normal(size=(count, dim))
+    target = np.linspace(-1.0, 1.0, dim)
+    lo, hi = np.full(dim, -3.0), np.full(dim, 3.0)
+
+    def counting(sizes, cap=None):
+        def fn(cands, owners):
+            live = np.unique(owners).size
+            if cap is not None:
+                assert len(cands) <= max(cap, live * math.isqrt(polls))
+            sizes.append(len(cands))
+            return np.abs(cands - target).sum(axis=1) + np.sin(3.0 * cands).sum(axis=1)
+
+        return fn
+
+    uncapped, capped = [], []
+    free = _pattern_minimize(counting(uncapped), starts, 2.0, 12, lo, hi)
+    found = _pattern_minimize(counting(capped, rows), starts, 2.0, 12, lo, hi, rows=rows)
+    assert found[0].tobytes() == free[0].tobytes()
+    assert found[1].tobytes() == free[1].tobytes() and found[2].tobytes() == free[2].tobytes()
+    assert sum(capped) < sum(uncapped)
 
 
 def median_mean(profile, norm):
