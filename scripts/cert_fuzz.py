@@ -19,13 +19,16 @@ and coplanar reports.
 
 Prints one row per p x objective, with how many certificates each
 optimizer route gave (``OptResult.method``, e.g. ``ball 37 grid 3``), and
-the totals; exits 1 if any certificate is unsound.
+the totals with a SHA-256 digest of every certificate (value, gap,
+evaluations, route, note and point bytes), so two trees' optimizers
+compare bit for bit in one line; exits 1 if any certificate is unsound.
 
 Usage:
     python scripts/cert_fuzz.py [--d 2] [--seed 0] [--profiles 40] [--grid 401]
 """
 
 import argparse
+import hashlib
 import itertools
 import math
 import sys
@@ -124,6 +127,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     print(f"{'p':>5} {'obj':>3} {'certs':>5} {'unsound':>7} {'misses':>6} {'worst gap/(1+v)':>15} {'s':>6}  routes")
     total_unsound = total_misses = 0
+    digest = hashlib.sha256()
     for p in EXPONENTS:
         rows = {"mc": [0, 0, 0, 0.0, 0.0, Counter()], "sc": [0, 0, 0, 0.0, 0.0, Counter()]}
         for i in range(args.profiles):
@@ -145,12 +149,14 @@ def main() -> int:
                 row[2] += res.certified_gap > GAP_REL * (1.0 + res.value)
                 row[3] = max(row[3], res.certified_gap / (1.0 + res.value))
                 row[5][res.method] += 1
+                digest.update(f"{res.value.hex()} {res.certified_gap.hex()} {res.evaluations} {res.method} {res.note}|".encode())
+                digest.update(res.point.as_array().tobytes())
         for name, (certs, unsound, misses, worst, seconds, routes) in rows.items():
             routes = " ".join(f"{route} {count}" for route, count in sorted(routes.items()))
             print(f"{p:>5g} {name:>3} {certs:>5} {unsound:>7} {misses:>6} {worst:>15.3g} {seconds:>6.2f}  {routes}")
             total_unsound += unsound
             total_misses += misses
-    print(f"total unsound {total_unsound} misses {total_misses}")
+    print(f"total unsound {total_unsound} misses {total_misses} digest {digest.hexdigest()}")
     return 1 if total_unsound else 0
 
 

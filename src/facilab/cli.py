@@ -635,6 +635,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """A 64-bit seed: an integer in [0, 2**64)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facilab",
@@ -647,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mech", required=True, help="dictator:i | rand_med | rand_center | sep2d:a=<r> | coord_median")
     p_eval.add_argument("--norm", default="lp:2", help="lp:<p>[;w=...][;A=...], p=inf allowed")
     p_eval.add_argument("--budget", type=positive_int, default=60_000)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=seed_int, default=0)
     p_eval.add_argument("--out", default=None, help="write the JSON report here")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -656,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--norm", default="lp:2")
     p_check.add_argument("--n", type=positive_int, default=3)
     p_check.add_argument("--d", type=positive_int, default=2)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=seed_int, default=0)
     p_check.add_argument("--budget", type=positive_int, default=20_000)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
@@ -667,14 +675,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--obj", required=True, help="mc | sc")
     p_ratio.add_argument("--n", type=positive_int, default=3)
     p_ratio.add_argument("--d", type=positive_int, default=2)
-    p_ratio.add_argument("--seed", type=int, default=0)
+    p_ratio.add_argument("--seed", type=seed_int, default=0)
     p_ratio.add_argument("--budget", type=positive_int, default=10_000)
     p_ratio.add_argument("--out", default=None)
     p_ratio.set_defaults(func=cmd_ratio)
 
     p_repro = sub.add_parser("repro", help="run a canned reproduction scenario")
     p_repro.add_argument("scenario", help=" | ".join(SCENARIOS))
-    p_repro.add_argument("--seed", type=int, default=0)
+    p_repro.add_argument("--seed", type=seed_int, default=0)
     p_repro.add_argument("--budget", type=positive_int, default=12_000)
     p_repro.add_argument("--out", default=None)
     p_repro.add_argument("--csv", default=None, help="table1 only: write the summary CSV here")

@@ -12,32 +12,38 @@ are the centroid and extent of the mapped reports.  There the norm is s
 times the plain p-norm of coordinate differences, and every profile has
 unit extent whatever its scale.
 
-Certification routes, chosen from the exponent p, the dimension d and the
-objective in working coordinates:
+Certification routes (``OptResult.method``), chosen in one place,
+:func:`_optimum`, from the objective and, in working coordinates, the
+exponent p and the dimension d:
 
-* closed forms, gap 0: L1 social cost is the coordinate-wise median, Linf
-  max cost the center of the bounding box; in d = 2 the rotation
-  (z1 + z2, z1 - z2) carries L1 max cost and Linf social cost onto those
-  two, and in d = 1 both apply for every p;
-* Linf social cost and L1 max cost in d >= 3: a dense linear program
-  (two-phase tableau simplex), its point from the active rows of the final
-  basis and its gap from weak duality on the final multipliers;
-* max cost under every other 1 < p < inf: the reports' minimax center, from
-  the centers of their support sets of 2..d+1 reports (a pair's midpoint;
-  larger sets' p = 2 circumcenters, refined for p != 2 by batched Newton
-  steps on each set's KKT system), gap certified by the active set on its
-  support.  For p != 2 the best center so far is certified after each set
-  size and the search stops once the gap meets its target; a profile
-  whose support sets miss it falls back to the branch-and-bound below;
-* social cost under every 1 < p < inf, p = 2 included, and that fallback:
-  one certified search.  The best seed is polished (damped Newton for
-  social cost, min-norm subgradient steps for max cost) and certified
-  before any tiling: social cost by its gradient and by Kuhn's condition
-  at the reports, max cost by its active set.  Only when that misses the
-  gap target does a Lipschitz branch-and-bound over the working bounding
-  box (the objectives are n- resp. 1-Lipschitz per unit axis step)
-  continue from the incumbent, polishing and certifying again whenever
-  the incumbent improves and stopping once the gap meets the target.
+* "exact", gap 0: a unanimous profile, its location; L1 social cost, the
+  coordinate-wise median; Linf max cost, the center of the bounding box.
+  In d = 2 the rotation (z1 + z2, z1 - z2) carries L1 max cost and Linf
+  social cost onto those two, and in d = 1 both apply for every p;
+* "exact-two-point", gap 0: max cost over two distinct locations, or
+  social cost over two reports, takes their midpoint under any norm;
+* "lp": Linf social cost and L1 max cost in d >= 3, by a dense linear
+  program (two-phase tableau simplex), its point from the active rows of
+  the final basis and its gap from weak duality on the final multipliers;
+* "ball": max cost under every other 1 < p < inf, the reports' minimax
+  center, from the centers of their support sets of 2..d+1 reports (a
+  pair's midpoint; larger sets' p = 2 circumcenters, refined for p != 2 by
+  batched Newton steps on each set's KKT system), gap certified by the
+  active set on its support.  For p != 2 the best center so far is
+  certified after each set size and the search stops once the gap meets
+  its target; a profile whose support sets miss it falls back to "grid";
+* "grid": social cost under every 1 < p < inf, p = 2 included, and that
+  fallback: one certified search.  The best seed is polished (damped
+  Newton for social cost, min-norm subgradient steps for max cost) and
+  certified before any tiling: social cost by its gradient and by Kuhn's
+  condition at the reports, max cost by its active set.  Only when that
+  misses the gap target does a Lipschitz branch-and-bound over the working
+  bounding box (the objectives are n- resp. 1-Lipschitz per unit axis
+  step) continue from the incumbent, polishing and certifying again
+  whenever the incumbent improves and stopping once the gap meets the
+  target.  ``opt_social_cost(..., method="grid")`` forces this route for
+  every norm; it shares no code with the closed forms or the LP, so it
+  can cross-check them.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -574,6 +580,22 @@ def _term_gradients(diffs: np.ndarray, p: float, dists: np.ndarray) -> np.ndarra
     return grads / np.where(dual > 1.0 + 1e-9, dual, 1.0)[..., None]
 
 
+def _hessian(diffs: np.ndarray, dists: np.ndarray, grads: np.ndarray, p: float, weights) -> np.ndarray:
+    """Weighted sum over the terms (axis -2) of the Hessians of ||u||_p at
+    u = diffs, given their distances and gradients, one (d, d) matrix per
+    leading index.
+
+    The Hessian of ||u||_p is (p-1)/||u|| (diag(r^(p-2)) - g g^T) with
+    r = |u|/||u|| (kept >= 1e-12, so p < 2 cannot divide by zero) and g
+    the gradient.
+    """
+    ratios = np.maximum(np.abs(diffs) / dists[..., None], 1e-12)
+    curv = weights * (p - 1.0) / dists
+    hess = np.einsum("...i,...ij,...ik->...jk", -curv, grads, grads)
+    hess += np.eye(diffs.shape[-1]) * (curv[..., None] * ratios ** (p - 2.0)).sum(axis=-2)[..., None, :]
+    return hess
+
+
 def _reach(residual: Norm, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Distance from each row of ys to the farthest corner of the reports'
     bounding box.
@@ -755,12 +777,12 @@ def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: 
     """Newton's method on the KKT system above for a batch of support sets.
 
     ``sets`` is (m, k): m sets of k rows of ws, started at ``centers`` with
-    weights ``lam``; r starts at the mean distance.  The Hessian of
-    ||u||_p is (p-1)/||u|| (diag(a^(p-2)) - g g^T) with a = |u|/||u|| and g
-    the gradient.  Each step is one batched solve.  A system whose full
-    step does not lower its squared residual takes the best of the step
-    halved 1..BALL_HALVINGS times instead, all scored in one batch; that
-    damping keeps p far from 2 from diverging from the p = 2 start.
+    weights ``lam``; r starts at the mean distance.  The Jacobian holds
+    the lam-weighted :func:`_hessian` of the set's terms.  Each step is one
+    batched solve.  A system whose full step does not lower its squared
+    residual takes the best of the step halved 1..BALL_HALVINGS times
+    instead, all scored in one batch; that damping keeps p far from 2 from
+    diverging from the p = 2 start.
     Systems that turn singular or non-finite drop out of ``live``.
     Returns (centers, lam, live).
     """
@@ -782,13 +804,10 @@ def _support_newton(ws: np.ndarray, sets: np.ndarray, centers: np.ndarray, lam: 
         held = np.flatnonzero(done & (lam.min(axis=1) >= -BALL_TOL))
         if held.size and (residual.eval_many(x[held, None, :d] - ws).max(axis=1) <= x[held, d] + BALL_KKT_TOL).any():
             break
-        ratios = np.maximum(np.abs(diffs) / dists[:, :, None], 1e-12)
-        curv = lam * (p - 1.0) / dists
         jac = np.zeros((m, size, size))
         jac[:, :k, :d] = grads
         jac[:, :k, d] = -1.0
-        jac[:, k : k + d, :d] = np.einsum("mi,mij,mik->mjk", -curv, grads, grads)
-        jac[:, k : k + d, :d] += np.eye(d) * (curv[:, :, None] * ratios ** (p - 2.0)).sum(axis=1)[:, None, :]
+        jac[:, k : k + d, :d] = _hessian(diffs, dists, grads, p, lam)
         jac[:, k : k + d, d + 1 :] = grads.transpose(0, 2, 1)
         jac[:, -1, d + 1 :] = 1.0
         jac[~live], resid[~live] = np.eye(size), 0.0
@@ -914,13 +933,12 @@ def _sc_newton(
     value: float,
     budget: int,
 ):
-    """Damped Newton descent on sum_i ||y - z_i||_p for 1 < p < inf.
+    """Damped Newton descent on sum_i ||y - z_i||_p for 1 < p < inf, on the
+    terms' summed :func:`_hessian`.
 
-    The Hessian of ||u||_p is (p-1)/||u|| (diag(r^(p-2)) - g g^T) with
-    r = |u|/||u|| and g the gradient.  At a report, where that term has no
-    gradient, the step follows the steepest descent direction of the sum
-    instead, and the descent stops when Kuhn's condition says the report
-    is optimal.  Each step is scored halved 0..20 times in one batch and
+    At a report, where that term has no gradient, the step follows the
+    steepest descent direction of the sum instead, and the descent stops
+    when Kuhn's condition says the report is optimal.  Each step is scored halved 0..20 times in one batch and
     the best is taken; the descent stops when none lowers the value.
     Returns (y, value, evals).
     """
@@ -943,10 +961,7 @@ def _sc_newton(
             # along -h for the unit h with grad . h = gnorm, out to the nearest other report
             step = -np.sign(grad) * (np.abs(grad) / gnorm) ** (q - 1.0) * float(dists[~at].min())
         else:
-            ratios = np.maximum(np.abs(diffs) / dists[:, None], 1e-12)
-            curv = (p - 1.0) / dists
-            hess = np.diag((curv[:, None] * ratios ** (p - 2.0)).sum(axis=0))
-            hess -= np.einsum("i,ij,ik->jk", curv, grads, grads)
+            hess = _hessian(diffs, dists, grads, p, 1.0)
             hess += 1e-12 * float(np.trace(hess)) * np.eye(y.size)
             try:
                 step = np.linalg.solve(hess, -grads.sum(axis=0))
@@ -970,11 +985,9 @@ def _sc_gradient_lower_bound(
     """Convexity certificate: sc(opt) >= sc(y) - ||grad||_dual * R, with R
     the reach of the bounding box.
 
-    Valid for differentiable residual norms (1 < p < inf) whenever y avoids
-    the data points; returns -inf when it does not apply.
+    For differentiable residual norms (1 < p < inf); returns -inf when y
+    is at a data point, where it does not apply.
     """
-    if not 1.0 < residual.p < math.inf:
-        return -math.inf
     dists = residual.eval_many(y[None, :] - zs)
     if float(dists.min()) < 1e-12:
         return -math.inf
@@ -1003,9 +1016,64 @@ def _sc_report_bound(zs: np.ndarray, residual: Norm) -> float:
     return max(diameter, float((dists.sum(axis=1) - excess * _reach(residual, zs, zs)).max()))
 
 
-def _diameter(zs: np.ndarray, residual: Norm) -> float:
-    diffs = zs[:, None, :] - zs[None, :, :]
-    return float(residual.eval_many(diffs.reshape(-1, zs.shape[1])).max())
+def _optimum(objective: Objective, profile: Profile, norm: Norm, budget: int, method: str) -> OptResult:
+    """Both certified optimizers: the early exact cases, then the route the
+    module docstring lists, its point mapped back to report coordinates
+    and valued there.  ``method="grid"`` forces "grid" for either objective."""
+    if method not in ("auto", "grid"):
+        raise ValueError(f"unknown method {method!r}")
+    mc = objective is Objective.MAX_COST
+    xs = profile.as_array
+    distinct = xs[duplicate_rows(xs)[1]]
+    if distinct.shape[0] == 1:
+        return OptResult(Point.from_array(distinct[0]), 0.0, 0.0, "exact", 0)
+    if distinct.shape[0] == 2 and (mc or profile.n == 2):
+        a, b = distinct[0], distinct[1]
+        value = norm((a - b) / 2.0) if mc else norm(a - b)
+        return OptResult(Point.from_array((a + b) / 2.0), value, 0.0, "exact-two-point", 0)
+
+    zs, residual, extent, to_x = _working_space(profile, norm)
+    unit = min(1.0, 1.0 / extent)
+    fn = _objective_fn(objective, zs, residual)
+    exact = _exact_point(objective, zs, norm.p) if method == "auto" else None
+    if exact is not None:
+        route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
+    elif method == "auto" and norm.p == (1.0 if mc else math.inf):
+        route = "lp"
+        z, gap, evals, note = _polyhedral_lp(objective, zs, residual, unit)
+    else:
+        # lower bounds on the optimum: half the diameter, or the reports' bound
+        floor = float(distance_matrix(zs, zs, residual).max()) / 2.0 if mc else _sc_report_bound(zs, residual)
+        route, evals = "grid", 0
+        if mc and method == "auto":
+            route = "ball"
+            centers = _min_enclosing_ball(zs, norm.p)
+            if norm.p == 2.0:
+                *_, last = centers  # certified once, at the center
+                centers = [last]
+            for z, support, lam, evals in centers:
+                value = float(fn(z[None, :])[0])
+                gap = max(0.0, value - max(floor, _ball_lower_bound(zs, residual, z, support, lam)))
+                if _meets_target(gap, value, unit):
+                    break
+            note = "" if _meets_target(gap, value, unit) else "gap target missed"
+        if route == "grid" or note and norm.p != 2.0:
+            route = "grid"
+            lo, hi = zs.min(axis=0), zs.max(axis=0)
+            if not residual.strictly_convex:
+                polish, certify = (lambda y, v, b: (y, v, 0)), (lambda y, v: floor)
+            elif mc:
+                polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
+                certify = lambda y, v: max(floor, _mc_subgradient_lower_bound(zs, residual, y, v))
+            else:
+                polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
+                certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
+            rates = np.full(profile.d, 1.0 if mc else float(profile.n))  # Lipschitz per unit axis step
+            z, _, gap, spent, note = _branch_bound(fn, lo, hi, rates, budget, _seed_points(zs), polish, certify, unit)
+            evals += spent
+    x = to_x(z)
+    value = float(_objective_fn(objective, xs, norm)(x[None, :])[0])
+    return OptResult(Point.from_array(x), value, extent * gap, route, evals, note)
 
 
 def opt_social_cost(
@@ -1014,127 +1082,17 @@ def opt_social_cost(
     budget: int = DEFAULT_BUDGET,
     method: str = "auto",
 ) -> OptResult:
-    """Certified geometric-median benchmark (social-cost optimum).
-
-    method: "auto" takes the closed form where one exists (L1, Linf in
-    d = 2, every p in d = 1; route "exact", gap 0), the LP for Linf in
-    d >= 3 (route "lp", gap from its dual) and the certified
-    branch-and-bound (route "grid") otherwise, which serves every
-    1 < p < inf, plain, weighted and transformed L2 included.  "grid"
-    forces the branch-and-bound for every norm; it shares no code with the
-    closed forms or the LP, so it can cross-check them.
-    """
-    if method not in ("auto", "grid"):
-        raise ValueError(f"unknown method {method!r}")
-    xs = profile.as_array
-    distinct = xs[duplicate_rows(xs)[1]]
-    if distinct.shape[0] == 1:
-        return OptResult(Point.from_array(distinct[0]), 0.0, 0.0, "exact", 0)
-    if profile.n == 2:
-        mid = Point.from_array(xs.mean(axis=0))
-        value = norm.distance(profile.agent(1), profile.agent(2))
-        return OptResult(mid, value, 0.0, "exact-two-point", 0)
-
-    zs, residual, extent, to_x = _working_space(profile, norm)
-    unit = min(1.0, 1.0 / extent)
-    exact = _exact_point(Objective.SOCIAL_COST, zs, norm.p) if method == "auto" else None
-    if exact is not None:
-        route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
-    elif norm.p == math.inf and method == "auto":
-        route = "lp"
-        z, gap, evals, note = _polyhedral_lp(Objective.SOCIAL_COST, zs, residual, unit)
-    else:
-        route = "grid"
-        fn = _objective_fn(Objective.SOCIAL_COST, zs, residual)
-        floor = _sc_report_bound(zs, residual)
-        if residual.strictly_convex:
-            polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
-        else:
-            polish = lambda y, v, b: (y, v, 0)
-        certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
-        rates = np.full(profile.d, float(profile.n))
-        lo, hi = zs.min(axis=0), zs.max(axis=0)
-        z, _, gap, evals, note = _branch_bound(
-            fn, lo, hi, rates, budget, _seed_points(zs), polish, certify, unit
-        )
-    return _result(Objective.SOCIAL_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
+    """Certified geometric-median benchmark (social-cost optimum) by the
+    routes the module docstring lists; ``method="grid"`` forces "grid"."""
+    return _optimum(Objective.SOCIAL_COST, profile, norm, budget, method)
 
 
 def opt_max_cost(
     profile: Profile, norm: Norm, budget: int = DEFAULT_BUDGET
 ) -> OptResult:
-    """Certified minimax-center benchmark (maximum-cost optimum).
-
-    Two distinct support points: their midpoint halves the diameter and is
-    exactly optimal under any norm (gap 0).  Linf, L1 in d = 2 and every p
-    in d = 1 have the bounding-box center as a closed form (route "exact",
-    gap 0), and L1 in d >= 3 the LP (route "lp", gap from its dual).  Every
-    other 1 < p < inf takes the minimax center of the working reports'
-    support sets (route "ball"), certified by the active-set bound on its
-    support and weights; for p != 2 the sets are solved by Newton's method
-    and certified one set size at a time until the gap meets its target.
-    A smooth p whose support sets miss the target falls back to the
-    certified branch-and-bound (route "grid"), polished along min-norm
-    subgradients and certified by the active set.  Both also bound the
-    optimum below by half the profile diameter.
-    """
-    xs = profile.as_array
-    distinct = xs[duplicate_rows(xs)[1]]
-    if distinct.shape[0] == 1:
-        return OptResult(Point.from_array(distinct[0]), 0.0, 0.0, "exact", 0)
-    if distinct.shape[0] == 2:
-        a, b = distinct[0], distinct[1]
-        mid = Point.from_array((a + b) / 2.0)
-        value = norm((a - b) / 2.0)
-        return OptResult(mid, value, 0.0, "exact-two-point", 0)
-
-    zs, residual, extent, to_x = _working_space(profile, norm)
-    unit = min(1.0, 1.0 / extent)
-    exact = _exact_point(Objective.MAX_COST, zs, norm.p)
-    if exact is not None:
-        route, z, gap, evals, note = "exact", exact, 0.0, 1, ""
-    elif norm.p == 1.0:
-        route = "lp"
-        z, gap, evals, note = _polyhedral_lp(Objective.MAX_COST, zs, residual, unit)
-    else:
-        route = "ball"
-        fn = _objective_fn(Objective.MAX_COST, zs, residual)
-        half_diam = _diameter(zs, residual) / 2.0
-        centers = _min_enclosing_ball(zs, norm.p)
-        if norm.p == 2.0:
-            *_, last = centers  # certified once, at the center
-            centers = [last]
-        for z, support, lam, evals in centers:
-            value = float(fn(z[None, :])[0])
-            gap = max(0.0, value - max(half_diam, _ball_lower_bound(zs, residual, z, support, lam)))
-            if _meets_target(gap, value, unit):
-                break
-        note = "" if _meets_target(gap, value, unit) else "gap target missed"
-        if note and norm.p != 2.0:
-            route = "grid"
-            lo, hi = zs.min(axis=0), zs.max(axis=0)
-            polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
-            certify = lambda y, v: max(half_diam, _mc_subgradient_lower_bound(zs, residual, y, v))
-            z, _, gap, spent, note = _branch_bound(
-                fn, lo, hi, np.ones(profile.d), budget, _seed_points(zs), polish, certify, unit
-            )
-            evals += spent
-    return _result(Objective.MAX_COST, profile, norm, to_x(z), extent * gap, route, evals, note)
-
-
-def _result(
-    objective: Objective,
-    profile: Profile,
-    norm: Norm,
-    x: np.ndarray,
-    gap: float,
-    route: str,
-    evals: int,
-    note: str,
-) -> OptResult:
-    """The optimizer's point in report coordinates, with its value there."""
-    value = float(_objective_fn(objective, profile.as_array, norm)(x[None, :])[0])
-    return OptResult(Point.from_array(x), value, gap, route, evals, note)
+    """Certified minimax-center benchmark (maximum-cost optimum) by the
+    routes the module docstring lists."""
+    return _optimum(Objective.MAX_COST, profile, norm, budget, "auto")
 
 
 def opt_cost(
@@ -1165,8 +1123,9 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
     if objective is Objective.MAX_COST:
         # the midpoint halves the diameter regardless of multiplicities
         two = np.flatnonzero(distinct == 2)
-        half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
-        out[two] = norm.eval_many(half[:, None, :])[:, 0]
+        if two.size:  # none at n = 1, where lead[two, 1:] has no column to pick
+            half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
+            out[two] = norm.eval_many(half[:, None, :])[:, 0]
     rest = np.flatnonzero(distinct > (2 if objective is Objective.MAX_COST else 1))
     out[rest] = fold(np.minimum, _objective_fn(objective, xs[rest], norm)(_seed_points(xs[rest])))
     return out

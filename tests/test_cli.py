@@ -6,6 +6,7 @@ import math
 import pytest
 
 from facilab.cli import (
+    build_parser,
     canonical_json,
     expected_outcomes,
     load_profile,
@@ -203,6 +204,14 @@ class TestRatio:
             main(["ratio", "--mech", "rand_med", "--obj", "mc", *flag])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mech", ["coord_median", "dictator:1"])
+    def test_single_agent_max_cost(self, mech, capsys, tmp_path):
+        # one agent is always unanimous: every mechanism is optimal
+        out_path = tmp_path / "ratio.json"
+        argv = ["ratio", "--mech", mech, "--obj", "mc", "--n", "1", "--budget", "300", "--out", str(out_path)]
+        assert main(argv) == 0
+        assert json.loads(out_path.read_text())["objective_values"]["ratio"] == 1.0
+
 
 class TestRepro:
     def test_unknown_scenario_exit_2(self, capsys):
@@ -245,6 +254,22 @@ class TestRepro:
         first = lines[1].split(",")
         assert first[0] == "mc" and first[1] == "2"
         assert float(first[2]) == 2.0 and float(first[3]) == 1.5
+
+
+@pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "x"])
+def test_seed_outside_64_bits_exit_2(command, seed, two_agent_file, capsys):
+    argv = {
+        "check": ["check", "--mech", "rand_med"],
+        "evaluate": ["evaluate", "--profile", two_agent_file, "--mech", "rand_med"],
+        "ratio": ["ratio", "--mech", "rand_med", "--obj", "mc"],
+        "repro": ["repro", "table1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert build_parser().parse_args([*argv, "--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro"])

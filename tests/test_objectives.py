@@ -247,6 +247,16 @@ class TestOptUpperBound:
         assert opt_value_upper(SC, prof, N2) == pytest.approx(2.0)
         assert opt_value_upper(MC, prof, N2) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("objective", [MC, SC], ids=lambda o: o.value)
+    def test_single_agent_rows_give_zero(self, objective):
+        # one report per row is unanimous, so a stack of them holds no
+        # two-location row for the max cost's midpoint to pick
+        from facilab.objectives import opt_value_upper_stack
+
+        xs = np.random.default_rng(1).normal(size=(3, 1, 2))
+        assert opt_value_upper_stack(objective, xs, N2).tolist() == [0.0, 0.0, 0.0]
+        assert opt_value_upper(objective, Profile.from_rows(xs[0]), N2) == 0.0
+
 
 def reference_ratio(mech, profile, norm, objective):
     """(cost, ratio, lo, hi) as approx_ratio computed them through the
@@ -1016,26 +1026,6 @@ def _ball_cases():
     return params
 
 
-def _grid_route_mc(profile, norm):
-    """The branch-and-bound with its polish and active-set certificate, as
-    opt_max_cost falls back to it for a smooth p; (value, gap) in report
-    coordinates."""
-    from facilab import objectives
-
-    zs, residual, extent, to_x = objectives._working_space(profile, norm)
-    lo, hi = zs.min(axis=0), zs.max(axis=0)
-    fn = objectives._objective_fn(MC, zs, residual)
-    half_diam = objectives._diameter(zs, residual) / 2.0
-    polish = lambda y, v, b: objectives._mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
-    certify = lambda y, v: max(half_diam, objectives._mc_subgradient_lower_bound(zs, residual, y, v))
-    z, _, gap, _, _ = objectives._branch_bound(
-        fn, lo, hi, np.ones(profile.d), objectives.DEFAULT_BUDGET, objectives._seed_points(zs),
-        polish, certify, min(1.0, 1.0 / extent),
-    )
-    x = to_x(z)
-    return float(objectives._objective_fn(MC, profile.as_array, norm)(x[None, :])[0]), extent * gap
-
-
 def _grid_oracle_mc(profile, norm, steps):
     """Smallest max cost over a dense grid on the box padded by half its span."""
     xs = profile.as_array
@@ -1056,13 +1046,16 @@ def test_ball_route_inside_branch_and_bound_interval(d, rows, scale, text):
     # smooth p took before and the fallback now: inside its certified
     # interval, certified to a few ulps, and never above a feasible grid
     # value once the gap is taken off
+    from facilab import objectives
+
     norm = parse_norm(text)
     prof = Profile.from_rows(rows * scale)
     res = opt_max_cost(prof, norm)
     assert res.method == "ball"
     ulps = 1e-12 * res.value
-    bb_value, bb_gap = _grid_route_mc(prof, norm)
-    assert bb_value - bb_gap - ulps <= res.value <= bb_value + ulps, (res, bb_value, bb_gap)
+    bb = objectives._optimum(MC, prof, norm, objectives.DEFAULT_BUDGET, "grid")
+    assert bb.method == "grid"
+    assert bb.value - bb.certified_gap - ulps <= res.value <= bb.value + ulps, (res, bb)
     assert res.certified_gap <= 1e-13 * (scale + res.value), res
     assert res.value - res.certified_gap <= _grid_oracle_mc(prof, norm, {2: 201, 3: 31}[d]) + ulps
 
@@ -1183,6 +1176,48 @@ def test_ball_route_falls_back_to_branch_and_bound(case):
     assert res.method == "grid", res
     assert (res.note == "") == (res.certified_gap <= GAP_REL * (1.0 + res.value)), res
     assert res.value - res.certified_gap <= _grid_oracle_mc(prof, norm, 41) + 1e-12 * res.value
+
+
+# cert_fuzz.py --d 3 --seed 0 profiles 19 and 30 at p = 1.2, whose social
+# cost tiles until the budget runs out
+TILINGS = {
+    "weighted": (
+        [[-1.289612448724284, -2.083538844788671, -1.313290802599652], [2.1182028793695786, 0.7396381312197446, 1.1602856264766044],
+         [2.7279024024447853, -2.33148353531082, 1.008067230590594]],
+        Norm(1.2, weights=(2.155318974895602, 1.6364878273011478, 0.7744513423777675)),
+    ),
+    "plain": (
+        [[-0.02349769511685959, 0.12403493775216681, 1.089826950647537], [-0.3426774620167504, 1.197972207012678, -1.016101616680608],
+         [-0.594588060276362, -1.1378928166051652, -0.5383694689171589]],
+        Norm(1.2),
+    ),
+}
+
+EXHAUSTED = "budget exhausted before gap target"
+
+# (value.hex(), certified_gap.hex(), evaluations, note, point) of the routes
+# no canonical report reaches: the max-cost fallback and social-cost tilings
+# that run out of budget, frozen so a refactor of either keeps their bits
+PINNED_ROUTES = {
+    ("mc", "p1.2"): ("0x1.cedf75ad9e784p+2", "0x1.54bf65e909549p-10", 58517, EXHAUSTED,
+                     [-1.0362999922263125, 0.4772001464517363, -2.218167776313134]),
+    ("mc", "p8"): ("0x1.3470ff378e30bp+1", "0x1.94facfdf34336p-28", 644, "",
+                   [-0.8065258398895647, -0.5393978210820548, 0.29198261796668307]),
+    ("sc", "weighted"): ("0x1.abc6ad9f83fa9p+3", "0x1.0e586e68087d8p-10", 58262, EXHAUSTED,
+                         [2.118202879365346, -2.0803932573436636, 1.005922192292531]),
+    ("sc", "plain"): ("0x1.288ad2c136e34p+2", "0x1.a98b5f3b79120p-12", 58272, EXHAUSTED,
+                      [-0.34267746201685634, 0.12403489482596411, -0.5381570133826985]),
+}
+
+
+@pytest.mark.parametrize("objective, case", sorted(PINNED_ROUTES), ids="-".join)
+def test_grid_routes_pinned(objective, case):
+    rows, norm = (FALLBACKS if objective == "mc" else TILINGS)[case]
+    opt = opt_max_cost if objective == "mc" else opt_social_cost
+    res = opt(Profile.from_rows(rows), norm)
+    assert res.method == "grid", res
+    got = (res.value.hex(), res.certified_gap.hex(), res.evaluations, res.note, res.point.as_array().tolist())
+    assert got == PINNED_ROUTES[objective, case]
 
 
 # the route each objective takes per exponent, at d = 2 and d = 3 (d = 1 is

@@ -1,6 +1,7 @@
 """Smoke tests for the helper scripts under scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +56,20 @@ def test_cert_fuzz_3d_reports_every_cell():
     cells = {tuple(line.split()[:2]) for line in lines[1:-1]}
     assert cells == {(p, obj) for p in ("1", "1.2", "2", "3", "8", "inf") for obj in ("mc", "sc")}
     assert all(line.split()[2] == "3" for line in lines[1:-1])
-    assert lines[-1] == "total unsound 0 misses 0"
+    assert re.fullmatch(r"total unsound 0 misses 0 digest [0-9a-f]{64}", lines[-1]), lines[-1]
+
+
+def test_cert_fuzz_digest_repeats_with_the_seed():
+    # the totals line hashes every certificate, so one seed gives one
+    # digest and another seed a different one
+    digests = []
+    for seed in ("4", "4", "5"):
+        proc = _run("cert_fuzz.py", "--profiles", "2", "--grid", "9", "--seed", seed)
+        assert proc.returncode == 0, proc.stderr
+        match = re.fullmatch(r"total unsound 0 misses \d+ digest ([0-9a-f]{64})", proc.stdout.splitlines()[-1])
+        assert match, proc.stdout
+        digests.append(match.group(1))
+    assert digests[0] == digests[1] != digests[2]
 
 
 def test_oracle_reports_smoke(tmp_path):
