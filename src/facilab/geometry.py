@@ -116,8 +116,11 @@ def fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
 def duplicate_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows (``-0.0 == 0.0``) along the last two axes of an
     (..., k, d) array: ``same[..., i, j]`` says rows i and j are equal and
-    ``lead[..., j]`` that row j is the first of its duplicates."""
-    same = fold(np.logical_and, pts[..., :, None, :] == pts[..., None, :, :])
+    ``lead[..., j]`` that row j is the first of its duplicates.  Compared
+    one coordinate plane at a time, so no (..., k, k, d) array is built."""
+    same = pts[..., :, None, 0] == pts[..., None, :, 0]
+    for c in range(1, pts.shape[-1]):
+        same &= pts[..., :, None, c] == pts[..., None, :, c]
     return same, same.argmax(axis=-2) == np.arange(pts.shape[-2])
 
 
@@ -323,10 +326,16 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     ``(out_weights[i] > 0).sum()`` entries.  Duplicates (``-0.0 == 0.0``)
     merge onto their first occurrence with the ``fsum`` of their weights,
     which does not depend on the order of the terms: one ``fsum`` per
-    distinct set of merged positions.  A stack of one row, or one that
-    :func:`canonical_atoms` might reject (weights not positive and finite
-    or more than half of ``WEIGHT_TOL`` off a total of 1, non-finite
-    points), goes through :func:`canonical_atoms` row by row.
+    distinct set of merged positions.  The work runs along the rows, never
+    along a short coordinate axis: duplicates are compared one coordinate
+    plane at a time (:func:`duplicate_rows`), each atom's merged positions
+    are one little-endian ``np.packbits`` mask read as a 64-bit integer,
+    and one ``np.lexsort`` on the coordinate planes orders the atoms, with
+    the keys of merged atoms set to ``+inf`` so they sort after every
+    first occurrence.  A stack of one row, of more than 60 atoms, or one
+    that :func:`canonical_atoms` might reject (weights not positive and
+    finite or more than half of ``WEIGHT_TOL`` off a total of 1,
+    non-finite points), goes through :func:`canonical_atoms` row by row.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
@@ -344,15 +353,20 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     same, lead = duplicate_rows(pts)
     out_w = np.where(lead, w, 0.0)
     width = k
+    keys = [pts[..., c] for c in range(d - 1, -1, -1)]  # lexsort sorts by its last key first
     if not lead.all():
-        masks = (same << np.arange(k)).sum(axis=-1)  # positions merged onto each atom
+        packed = np.zeros((m, k, 8), np.uint8)
+        packed[..., : (k + 7) // 8] = np.packbits(same, axis=-1, bitorder="little")
+        masks = packed.view("<u8")[..., 0]  # positions merged onto each atom
         multi = lead & (masks & (masks - 1) != 0)
-        for mask in set(masks[multi].tolist()):
-            out_w[multi & (masks == mask)] = math.fsum(w[[j for j in range(k) if mask >> j & 1]])
+        merged = masks[multi].tolist()
+        sums = {mask: math.fsum(w[[j for j in range(k) if mask >> j & 1]]) for mask in set(merged)}
+        out_w[multi] = [sums[mask] for mask in merged]
         counts = lead.sum(axis=1)
         out_w[counts == 1] = lead[counts == 1]  # a full merge carries exactly 1.0
         width = counts.max()
-    order = np.lexsort([*np.moveaxis(pts[..., ::-1], -1, 0), ~lead], axis=-1)[:, :width]
+        keys = [np.where(lead, key, np.inf) for key in keys]  # the points are finite: merged atoms sort last
+    order = np.lexsort(keys, axis=-1)[:, :width]
     rows = np.arange(m)[:, None]
     out_w, out_p = out_w[rows, order], pts[rows, order]
     out_p[out_w == 0.0] = 0.0
@@ -432,7 +446,7 @@ def expected_cost_stack(
     """
     counts = (weights > 0.0).sum(axis=1)
     out = np.empty(len(xs))
-    for k in np.unique(counts).tolist():
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
         rows = np.flatnonzero(counts == k)
         folded = fold(per_atom, distance_matrix(points[rows, :k], xs[rows], norm))
         out[rows] = np.matmul(weights[rows, None, :k], folded[:, :, None])[:, 0, 0]

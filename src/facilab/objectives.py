@@ -1126,8 +1126,16 @@ def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> n
         if two.size:  # none at n = 1, where lead[two, 1:] has no column to pick
             half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
             out[two] = norm.eval_many(half[:, None, :])[:, 0]
-    rest = np.flatnonzero(distinct > (2 if objective is Objective.MAX_COST else 1))
-    out[rest] = fold(np.minimum, _objective_fn(objective, xs[rest], norm)(_seed_points(xs[rest])))
+    rest = distinct > (2 if objective is Objective.MAX_COST else 1)
+    zs = xs[rest]
+    seeds = _seed_points(zs)
+    (m, k, d), n = seeds.shape, zs.shape[1]
+    # every seed minus every report in one flat subtraction: the rows of
+    # distance_matrix(seeds, zs), several times cheaper than its broadcast
+    # here, but slower than it on the one-agent cost calls of the searches
+    diffs = np.repeat(seeds, n, axis=1) - np.tile(zs, (k, 1))
+    dists = norm.eval_many(diffs.reshape(-1, d)).reshape(m, k, n)
+    out[rest] = fold(np.minimum, fold(objective.per_atom, dists))
     return out
 
 

@@ -32,6 +32,7 @@ from facilab.mechanisms import (
     resolve,
 )
 from facilab.objectives import Objective, cost_mc, cost_sc, opt_value_upper_stack
+from facilab.search import SCORE_DISTANCES
 
 from conftest import is_on_segment, lotteries_match, profile_strategy
 
@@ -449,3 +450,56 @@ def test_stacked_kernel_with_more_atoms_than_a_merge_mask_holds():
         lot = apply(RAND_CENTER, Profile.from_rows(stack[i]), N2)
         w, p = unpadded(weights[i], points[i])
         assert bitwise(w, lot.weights_array) and bitwise(p, lot.points_array)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_canonical_stack_with_masks_wider_than_a_byte(d):
+    # 9..60 atoms: merge masks span several bytes, and a merge may join
+    # positions in different bytes; -0.0 and 0.0 coordinates are equal
+    rng = np.random.default_rng(19 + d)
+    zero = np.array([0.0, -0.0])
+    for k in range(9, 61):
+        w = rng.integers(1, 9, size=k).astype(float)
+        w /= w.sum()
+        merged = zero[rng.integers(0, 2, size=(k, d))]  # one point written with both signs of zero
+        distinct = np.arange(k * d, dtype=float).reshape(k, d) - 1.5
+        pool = np.vstack([zero[rng.integers(0, 2, size=(3, d))], rng.integers(-2, 3, size=(3, d)).astype(float)])
+        drawn = pool[rng.integers(0, len(pool), size=(4, k))]
+        atoms = np.concatenate([merged[None], drawn[:2], distinct[rng.permutation(k)][None], drawn[2:]])
+        out_w, out_p = canonical_stack(w, atoms)
+        widths = []
+        for i in range(len(atoms)):
+            ref_w, ref_p = canonical_atoms(w, atoms[i])
+            row_w, row_p = unpadded(out_w[i], out_p[i])
+            assert bitwise(row_w, ref_w) and bitwise(row_p, ref_p), (k, i)
+            assert not out_w[i, len(row_w) :].any() and not out_p[i, len(row_w) :].any()
+            widths.append(len(row_w))
+        assert widths[0] == 1 and widths[3] == k
+
+
+def test_stacked_scores_at_the_hunt_block_sizes():
+    # the hunt scores blocks of SCORE_DISTANCES // n**3 profiles (303, 128
+    # and 65); every row must match its own per-row computation bit for bit
+    rng = np.random.default_rng(4242)
+    pool = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -1.5], [0.5, 2.0]])
+    for n in (3, 4, 5):
+        m = SCORE_DISTANCES // n**3
+        stack = rng.normal(size=(m, n, 2))
+        ties = rng.random(m) < 0.25  # rows with duplicate and unanimous reports
+        stack[ties] = pool[rng.integers(0, len(pool), size=(ties.sum(), n))]
+        for text in ("lp:2", "lp:1", "lp:2;A=1.1,0.3,-0.2,0.9"):
+            norm = parse_norm(text)
+            for objective in Objective:
+                upper = opt_value_upper_stack(objective, stack, norm)
+                for i in range(m):
+                    assert bitwise(upper[i], reference_upper(objective, stack[i], norm)), (n, text, i)
+            for mech in SPECS:
+                weights, points = kernel_of(mech)(stack, norm)
+                rows = [unpadded(weights[i], points[i]) for i in range(m)]
+                for i, (w, p) in enumerate(rows):
+                    lot = resolve(mech)(Profile.from_rows(stack[i]), norm)
+                    assert bitwise(w, lot.weights_array) and bitwise(p, lot.points_array), (n, text, i)
+                for objective in Objective:
+                    costs = expected_cost_stack(objective.per_atom, weights, points, stack, norm)
+                    for i, row in enumerate(rows):
+                        assert bitwise(costs[i], reference_cost(objective, *row, stack[i], norm)), (n, text, i)

@@ -72,6 +72,21 @@ def test_cert_fuzz_digest_repeats_with_the_seed():
     assert digests[0] == digests[1] != digests[2]
 
 
+def test_bench_digest_repeats_with_the_seed():
+    # one line per workload, and the same seed hashes the same outputs
+    outputs = []
+    for seed in ("3", "3", "4"):
+        proc = _run("bench_digest.py", "--seed", seed, "--tasks", "2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[:2] for line in lines] == [["audit", "2"], ["pricing", "2"], ["hunt", "2"]]
+        assert all(re.fullmatch(r"\w+ 2 [0-9a-f]{64}", line) for line in lines), lines
+        outputs.append(dict(line.split()[::2] for line in lines))
+    assert outputs[0] == outputs[1]
+    # the seed moves every audit check seed and every pricing profile
+    assert outputs[2]["audit"] != outputs[0]["audit"] and outputs[2]["pricing"] != outputs[0]["pricing"]
+
+
 def test_oracle_reports_smoke(tmp_path):
     out = tmp_path / "oracle"
     proc = _run("oracle_reports.py", "--out", str(out), "--budget", "20", "--limit", "2")
