@@ -12,7 +12,7 @@ A change that may move certified optima compares the two directories with
 reports stay byte-identical, and a moved optimum or ratio must agree with
 the old one within both certificates.
 
-The set is 158 commands: 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
+The set is 160 commands: 66 ``check --seed 3 --budget 300`` runs (6 mechanisms x lp:2,
 lp:1, lp:inf at (n, d) = (3, 2), (4, 2), (5, 3), plus lp:3;w=1,2 at d=2),
 26 ``ratio --n 4 --seed 1 --budget 2000`` runs (5 mechanisms x mc/sc x
 lp:2, lp:1, and rand_center x mc/sc under lp:inf, lp:3;w=1,2 and
@@ -20,13 +20,15 @@ lp:2;A=1.1,0.3,-0.2,0.9, so the hunt's p = inf, weighted and transformed
 norm evaluations are byte-checked too), 4 ``check --seed 0`` runs at the
 CLI default budget of 20,000 (80 restarts, so the searches cross their
 lockstep blocks: rand_center, coord_median and sep2d:a=0 under lp:2 at
-(n, d) = (3, 2), and rand_med at (4, 2), whose gsp search finds nothing
-and runs every restart), 4 ``check --seed 3 --budget 300`` runs under transform norms
-at (3, 2) (rand_center and sep2d:a=0 under lp:2;A=1,0.5,0,1 and under
-lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products tell a one-row (gemv)
-norm call from a stacked one, so the checkers' one-row rounding under a
-transform is byte-checked), 57 ``evaluate`` runs at the default budget
-(rand_med, rand_center and coord_median on the four fixed profiles of
+(n, d) = (3, 2), and rand_med at (4, 2), whose misreport search finds
+nothing and runs every restart), 6 ``check --seed 3 --budget 300`` runs under
+transform norms at (3, 2) (rand_center, sep2d:a=0 and coord_median under
+lp:2;A=1,0.5,0,1 and under lp:2;A=1.1,0.3,-0.2,0.9, whose inexact products
+tell a one-row (gemv) norm call from a stacked one, so the checkers' one-row
+rounding under a transform is byte-checked; coord_median is not
+strategyproof under these norms, so its two reports hold single-agent
+witnesses), 57 ``evaluate`` runs at the default budget (rand_med,
+rand_center and coord_median on the four fixed profiles of
 :data:`EVAL_PROFILES`, which the script writes to ``<out>/profiles/``,
 under lp:2, lp:1.5, lp:1, lp:inf and, in d = 2, lp:2;A=1.1,0.3,-0.2,0.9;
 the 3-D profile sends L1 max cost and L-inf social cost down the LP route,
@@ -53,7 +55,7 @@ RATIO_MECHS = ("dictator:1", "rand_med", "rand_center", "sep2d:a=0", "coord_medi
 SHAPES = ((3, 2), (4, 2), (5, 3))
 DEFAULT_BUDGET_CHECKS = (("rand_center", 3), ("coord_median", 3), ("sep2d:a=0", 3), ("rand_med", 4))
 TRANSFORMS = ("lp:2;A=1,0.5,0,1", "lp:2;A=1.1,0.3,-0.2,0.9")
-TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0")
+TRANSFORM_CHECKS = ("rand_center", "sep2d:a=0", "coord_median")
 RATIO_NORMS = ("lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9")
 EVAL_MECHS = ("rand_med", "rand_center", "coord_median")
 EVAL_NORMS = ("lp:2", "lp:1.5", "lp:2;A=1.1,0.3,-0.2,0.9", "lp:1", "lp:inf")

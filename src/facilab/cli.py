@@ -247,9 +247,11 @@ def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Prof
     for _ in range(4):
         profiles.append(Profile.from_rows(gen.normal(size=(n, d)) * 1.5))
     if spec.a is not None:
-        # pin profiles on both sides of the branch constant
+        # pin profiles on both sides of the branch constant, moving agent 1
+        # of a profile whose agents 2 and 3 differ: with x2 = x3 the segments
+        # x1x2 and x1x3 coincide, and one dictator pair can fit every probe
+        base = next(p for p in profiles if p.agent(2) != p.agent(3))
         for offset in (0.7, -0.7):
-            base = profiles[0]
             shifted = base.replaced(
                 1,
                 Point(tuple([spec.a + offset] + list(base.agent(1).coords[1:]))),

@@ -11,25 +11,27 @@ candidate that beats the margin becomes a ``Point``/``Profile`` again, to be
 re-validated by the checkers in :mod:`facilab.properties`.
 
 Every search starts from the same restart reports (:func:`_restarts`): the
-structured families as one array, then seeded draws.  The misreport
-searches build every restart once, as one read-only array plan
-(:func:`_plan`): the stacked reports, their truthful lotteries and costs,
-common points, scales and boxes, one row per restart, which the
-sp and gsp searches of one check share.  The hunt reads only the reports
-and their diameters, and builds no plan.  Agent costs and the hunt's
-mechanism costs come from one expected-cost kernel
-(:func:`~facilab.geometry.expected_cost_stack`).  The misreport
-searches run their restarts in lockstep: the (restart, agent) or (restart,
-coalition) searches are cut into blocks of ``LOCKSTEP_BLOCK``, and each
-block is scored and refined as one stack on the plan's rows, each search
-drawing from its restart's stream.  Witnesses are then validated in restart
-order, so the witness returned is the one a restart-at-a-time search finds;
-a ``Profile`` is built only for that validation.  Each round of a
-pattern search polls its live searches as one stack: a misreport search
-polls every direction left in its sweep (six at d = 2), and a hunt search
-polls only its next few, so that a round fills about one score block and a
-search scores few polls past its first improving one.  Either way a search
-makes the moves of polling one direction at a time.
+structured families as one array, then seeded draws.  One misreport search
+(:func:`_misreport_witnesses`) gives both the strategyproof and the group
+verdict: it searches every coalition, each restart's single agents first,
+and one check runs it once, through its one-entry cache.  It builds every
+restart once, as one read-only array plan (:func:`_plan`): the stacked
+reports, their truthful lotteries and costs, common points, scales and
+boxes, one row per restart.  The hunt reads only the reports and their
+diameters, and builds no plan.  Agent costs and the hunt's mechanism costs
+come from one expected-cost kernel
+(:func:`~facilab.geometry.expected_cost_stack`).  The misreport search runs
+its restarts in lockstep: the (restart, coalition) searches are cut into
+blocks of ``LOCKSTEP_BLOCK``, and each block is scored and refined as one
+stack on the plan's rows, each search drawing from its restart's stream.
+Witnesses are then validated in restart order, so each witness returned is
+the one a restart-at-a-time search finds; a ``Profile`` is built only for
+that validation.  Each round of a pattern search polls its live searches as
+one stack: a misreport search polls every direction left in its sweep (six
+at d = 2), and a hunt search polls only its next few, so that a round fills
+about one score block and a search scores few polls past its first
+improving one.  Either way a search makes the moves of polling one
+direction at a time.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -43,7 +45,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,18 +59,14 @@ from .geometry import (
 )
 from .mechanisms import MechanismLike, kernel_of
 from .objectives import Objective, OptResult, approx_ratio, opt_value_upper_stack
-from .properties import (
-    Witness,
-    check_group_strategyproof_at,
-    check_strategyproof_at,
-)
+from .properties import Witness, check_group_strategyproof_at
 
 BOUNDING_SCALE = 4.0  # misreports stay within this many diameters of the profile box
 # Lockstep stacks grow with the restart count and with the number of
 # coalitions (2**n - 1); these caps bound the memory of one array call.
 SCORE_DISTANCES = 2**13  # hunt: profiles per call times n**3
-# sp and gsp: (restart, agent or coalition) searches run in lockstep at a
-# time; a block also bounds the work left over after an early witness
+# misreports: (restart, coalition) searches run in lockstep at a time; a
+# block also bounds the work left over after an early witness
 LOCKSTEP_BLOCK = 64
 
 
@@ -196,7 +194,7 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi, ro
     return x, best, evals
 
 
-# -- the restart plan, in lockstep blocks --------------------------------------
+# -- the restart plan -----------------------------------------------------------
 
 
 class _Plan(NamedTuple):
@@ -223,13 +221,9 @@ def _restarts(norm: Norm, n: int, d: int, config: SearchConfig) -> tuple[np.ndar
     return reports, norm.eval_many(diffs.reshape(len(reports), n * n, d)).max(axis=1)
 
 
-@functools.lru_cache(maxsize=1)
 def _plan(mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig) -> _Plan:
-    """Every restart of a misreport search, built once: the sp and gsp
-    searches of one check share it.  The plan holds no state; each search
-    makes its own candidate streams (:func:`_streams`).  The cache is keyed
-    on the arguments alone, not on module globals such as
-    ``BOUNDING_SCALE``; whoever changes one must call ``_plan.cache_clear()``."""
+    """Every restart of the misreport search, built once.  The plan holds no
+    state; the search makes its own candidate streams (:func:`_streams`)."""
     reports, diameters = _restarts(norm, n, d, config)
     weights, points = kernel_of(mech)(reports, norm)
     truth = np.repeat(weights, n, axis=0), np.repeat(points, n, axis=0)  # one row per (restart, agent)
@@ -251,14 +245,6 @@ def _streams(config: SearchConfig):
     return functools.cache(functools.partial(_rng, config.rng_seed))
 
 
-def _lockstep_blocks(restarts: int, searches: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(restart, search) index arrays in restart order, then search order,
-    cut into blocks of ``LOCKSTEP_BLOCK``."""
-    pairs = np.arange(restarts * searches)
-    for start in range(0, len(pairs), LOCKSTEP_BLOCK):
-        yield np.divmod(pairs[start : start + LOCKSTEP_BLOCK], searches)
-
-
 def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.ndarray):
     """Expected distance from each true report truth[j] to the lottery the
     mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
@@ -266,105 +252,56 @@ def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.
     return expected_cost_stack(np.add, weights[owners], points[owners], truth[:, None], norm)
 
 
-# -- single-agent misreport search --------------------------------------------
+# -- misreport search -----------------------------------------------------------
 
 
-def _sp_candidates(plan: _Plan, r: int, agent: int, rng: np.random.Generator) -> np.ndarray:
-    """Candidate misreports of agent (0-based) at restart r: axis steps,
-    common points, the other reports, gaussian jitter from the restart's
-    stream, a grid near the output support and points on the segments to
-    the other reports, clipped to the box."""
+def _sp_targets(plan: _Plan, r: int, agent: int) -> np.ndarray:
+    """Extra start targets of agent (0-based) alone at restart r: axis steps,
+    the other reports, a grid around the output support and points on the
+    segments to the other reports (the common points and support atoms are
+    every coalition's targets already)."""
     xs, scale = plan.reports[r], plan.scales[r]
     d = xs.shape[1]
     xi = xs[agent]
     others = np.delete(xs, agent, axis=0)
     axis = (np.array([0.5, 0.1, 0.02]) * scale)[:, None, None] * np.eye(d)
-    jitter = (np.array([0.05, 0.25, 1.0]) * scale)[:, None] * rng.normal(size=(3, d))
     grid = 0.1 * scale * np.eye(d)
     near = plan.points[r][plan.weights[r] > 0.0][:, None, :]
-    around = np.stack([near + grid, near - grid], axis=2).reshape(len(near), -1, d)
-    out = np.concatenate([
+    return np.concatenate([
         np.stack([xi + axis, xi - axis], axis=2).reshape(-1, d),
-        plan.common[r],
         others,
-        xi + jitter,
-        np.concatenate([near, around], axis=1).reshape(-1, d),
+        np.stack([near + grid, near - grid], axis=2).reshape(-1, d),
         (xi + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi)[:, None, :]).reshape(-1, d),
     ])
-    return np.clip(out, plan.lo[r], plan.hi[r])
 
 
-def search_sp_violation(
+@functools.lru_cache(maxsize=1)
+def _misreport_witnesses(
     mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
-) -> Optional[Witness]:
-    """Hunt for a single-agent misreport with a strict expected-cost gain.
+) -> tuple[Optional[Witness], Optional[Witness]]:
+    """(sp, gsp): the first validated single-agent misreport and the first
+    validated misreport of any size, each None when none validated.
 
-    Candidate misreports (axis steps, common points, jitter, points near the
-    output support, segment points) are drawn per agent and refined by
-    pattern search on the agent's cost; the first candidate that
-    re-validates through the strategyproofness checker (gain beyond
-    IMPROVE_MARGIN) is returned.  The (restart, agent) searches run in
-    lockstep blocks of ``LOCKSTEP_BLOCK``: a block's candidates are scored
-    as one stack, on the rows of the restart plan, and its pattern searches
-    run together; the results are then walked in restart order, then agent
-    order, so the witness is the one a search of one agent at a time would
-    return.
-    """
-    kernel = kernel_of(mech)
-    plan = _plan(mech, norm, n, d, config)
-    stream = _streams(config)
-    for runs, agents in _lockstep_blocks(config.restarts, n):
-        xs, scales = plan.reports[runs], plan.scales[runs]
-        truth = xs[np.arange(len(runs)), agents]
-        before = plan.before[runs, agents]
+    Coalitions are enumerated by size then lexicographically, so each
+    restart's single agents come first.  The main generator is the
+    all-members-report-one-point move (output centroid, coalition centroid
+    and extremes, atom points, and for a single agent the targets of
+    :func:`_sp_targets`), refined by pattern search on the worst member's
+    gain; per-member segment pulls, correlated jitter from the restart's
+    stream and axis shifts follow.  The (restart, coalition) searches run in
+    lockstep blocks of ``LOCKSTEP_BLOCK``: a block is scored as stacks, on
+    the rows of the restart plan (:func:`_plan`), and its pattern searches
+    run together; witnesses re-validate through the group checker in
+    restart order, then coalition order, so each is the one a search of one
+    coalition at a time finds.  The first validated witness of any size is
+    the group witness, after which only single agents are searched; the
+    first single-agent witness ends the walk, and is the group witness as
+    well when no coalition validated before it.
 
-        def misreport_costs(z: np.ndarray, which: np.ndarray) -> np.ndarray:
-            moved = xs[which]
-            moved[np.arange(len(z)), agents[which]] = z
-            return _costs(kernel, norm, moved, np.arange(len(z)), truth[which])
-
-        cands = [_sp_candidates(plan, r, i, stream(r)) for r, i in zip(runs.tolist(), agents.tolist())]
-        sizes = [len(c) for c in cands]
-        vals = np.split(
-            misreport_costs(np.concatenate(cands), np.repeat(np.arange(len(runs)), sizes)), np.cumsum(sizes)[:-1]
-        )
-        best_x = np.array([c[int(np.argmin(v))] for c, v in zip(cands, vals)])
-        best_val = np.array([v.min() for v in vals])
-        refine = np.flatnonzero(best_val < before + 0.25 * scales)
-        if refine.size:
-            best_x[refine], best_val[refine], _ = _pattern_minimize(
-                lambda z, owners: misreport_costs(z, refine[owners]),
-                best_x[refine],
-                scales[refine],
-                config.local_steps,
-                plan.lo[runs[refine]],
-                plan.hi[runs[refine]],
-            )
-        for j in np.flatnonzero(best_val < before - IMPROVE_MARGIN).tolist():
-            profile = Profile.from_rows(plan.reports[runs[j]])
-            verdict = check_strategyproof_at(mech, profile, int(agents[j]) + 1, Point.from_array(best_x[j]), norm)
-            if not verdict.passed and not verdict.inconclusive:
-                return verdict.witness
-    return None
-
-
-# -- coalition misreport search ------------------------------------------------
-
-
-def search_gsp_violation(
-    mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
-) -> Optional[Witness]:
-    """Hunt for a coalition misreport making every member strictly better.
-
-    Coalitions are enumerated by size then lexicographically.  The main
-    generator is the all-members-report-one-point move (output centroid,
-    coalition centroid and extremes, atom points), refined by pattern
-    search on the worst member's gain; per-member segment pulls, correlated
-    jitter and axis shifts follow.  The (restart, coalition) searches run
-    in lockstep blocks of ``LOCKSTEP_BLOCK``: a block is scored as stacks,
-    on the rows of the restart plan, and its pattern searches run together;
-    witnesses re-validate through the group checker in restart order, then
-    coalition order, before being returned.
+    One call answers both :func:`search_sp_violation` and
+    :func:`search_gsp_violation` of one check.  The cache is keyed on the
+    arguments alone, not on module globals such as ``BOUNDING_SCALE``;
+    whoever changes one must call ``_misreport_witnesses.cache_clear()``.
     """
     kernel = kernel_of(mech)
     plan = _plan(mech, norm, n, d, config)
@@ -373,7 +310,11 @@ def search_gsp_violation(
     sizes = np.array([len(c) for c in coalitions])
     members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
     at = np.cumsum(sizes) - sizes
-    for runs, coalition in _lockstep_blocks(config.restarts, len(coalitions)):
+    queue = np.arange(config.restarts * len(coalitions))  # (restart, coalition) pairs in walk order
+    group: Optional[Witness] = None
+    while queue.size:
+        runs, coalition = np.divmod(queue[:LOCKSTEP_BLOCK], len(coalitions))
+        queue = queue[LOCKSTEP_BLOCK:]
         xs, before, lo, hi = plan.reports[runs], plan.before[runs], plan.lo[runs], plan.hi[runs]
 
         def joint_margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -399,7 +340,8 @@ def search_gsp_violation(
             center = members.mean(axis=0)
             extremes = [members.min(axis=0), members.max(axis=0)]
             common, atoms = plan.common[r], plan.points[r][plan.weights[r] > 0.0]
-            targets.append(np.vstack([common[:2], center, common[2], *extremes, atoms]))
+            alone = [_sp_targets(plan, r, coalitions[c][0])] if sizes[c] == 1 else []
+            targets.append(np.vstack([common[:2], center, common[2], *extremes, atoms, *alone]))
             # per-member moves: segment pulls, correlated jitter, axis shifts
             pulls = members + np.array([0.5, 1.0])[:, None, None] * (center - members)
             jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * plan.scales[r])[:, None] * stream(r).normal(size=(4, d))
@@ -417,6 +359,8 @@ def search_gsp_violation(
         flat = np.concatenate([m.reshape(-1, d) for m in moves])
         vals = np.split(joint_margins(flat, np.repeat(every, counts)), np.cumsum(counts)[:-1])
         for j, (r, c) in enumerate(zip(runs.tolist(), coalition.tolist())):
+            if group is not None and sizes[c] > 1:
+                continue
             best_reports = np.tile(np.clip(zs[j], lo[j], hi[j]), (sizes[c], 1))
             k = int(np.argmin(vals[j]))
             if vals[j][k] < best_margin[j]:
@@ -430,8 +374,29 @@ def search_gsp_violation(
                     norm,
                 )
                 if not verdict.passed and not verdict.inconclusive:
-                    return verdict.witness
-    return None
+                    if sizes[c] == 1:
+                        return verdict.witness, group or verdict.witness
+                    group = verdict.witness
+                    queue = queue[sizes[queue % len(coalitions)] == 1]
+    return None, group
+
+
+def search_sp_violation(
+    mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
+) -> Optional[Witness]:
+    """Hunt for a single-agent misreport with a strict expected-cost gain:
+    the first witness of the misreport search (:func:`_misreport_witnesses`)
+    that a single agent makes, re-validated beyond IMPROVE_MARGIN."""
+    return _misreport_witnesses(mech, norm, n, d, config)[0]
+
+
+def search_gsp_violation(
+    mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
+) -> Optional[Witness]:
+    """Hunt for a coalition misreport making every member strictly better:
+    the first witness of any size of the misreport search
+    (:func:`_misreport_witnesses`), re-validated through the group checker."""
+    return _misreport_witnesses(mech, norm, n, d, config)[1]
 
 
 # -- worst-case ratio search ----------------------------------------------------

@@ -142,6 +142,15 @@ class TestCheck:
         assert code == 0, out
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("a,n", [("5", 3), ("-3", 3), ("20", 3), ("5", 4), ("20", 4)])
+    def test_sep2d_far_branch_constant_exit_0(self, a, n, capsys):
+        # the profiles pinned across the branch constant must tell the
+        # dictator pairs apart when every other profile lies on one side
+        code = main(["check", "--mech", f"sep2d:a={a}", "--n", str(n)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "MISMATCH" not in out
+
     def test_arity_validation(self, capsys):
         assert main(["check", "--mech", "sep2d:a=0", "--n", "2"]) == 2
         assert main(["check", "--mech", "dictator:5", "--n", "3"]) == 2

@@ -21,7 +21,7 @@ from facilab.geometry import (
     parse_norm,
     point,
 )
-from facilab.mechanisms import MechanismSpec, kernel_of
+from facilab.mechanisms import MechanismSpec, apply, kernel_of
 from facilab.objectives import Objective, opt_value_upper_stack
 from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
 from facilab import search
@@ -43,6 +43,13 @@ RAND_CENTER = MechanismSpec("rand_center")
 DICTATOR = MechanismSpec("dictator", index=1)
 SEP2D = MechanismSpec("sep2d", a=0.0)
 COORD_MEDIAN = MechanismSpec("coord_median")
+
+
+@pytest.fixture(autouse=True)
+def fresh_misreport_search():
+    """Every test runs the misreport search itself: a result cached by an
+    earlier test would hide a patched module global such as LOCKSTEP_BLOCK."""
+    search._misreport_witnesses.cache_clear()
 
 
 def small_config(seed=0, restarts=10, steps=12):
@@ -435,25 +442,57 @@ def test_plan_is_read_only():
 def test_one_check_builds_its_plan_once():
     from facilab.cli import run_check
 
-    search._plan.cache_clear()
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    info = search._plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)  # built by the sp search, reused by the gsp search
+    info = search._misreport_witnesses.cache_info()
+    # searched, and its plan built, for the sp verdict; reused for the gsp verdict
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_a_hunt_between_two_checks_builds_no_plan():
-    # the hunt starts from the restart reports alone, so it neither builds a
-    # plan nor evicts the check's from the one-entry cache
+    # the hunt starts from the restart reports alone, so it neither runs the
+    # misreport search nor evicts the check's from the one-entry cache
     from facilab.cli import run_check
 
-    search._plan.cache_clear()
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    before = search._plan.cache_info()
+    before = search._misreport_witnesses.cache_info()
     search_worst_ratio(RAND_CENTER, N1, Objective.MAX_COST, 3, 2, small_config(restarts=14, steps=4))
-    assert search._plan.cache_info() == before
+    assert search._misreport_witnesses.cache_info() == before
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    info = search._plan.cache_info()
+    info = search._misreport_witnesses.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def test_misreport_search_goes_on_with_single_agents_past_a_group_witness():
+    # rand_center is strategyproof: the pair witness at restart 2 ends the
+    # coalitions, and the single agents of every restart find nothing
+    sp, group = search._misreport_witnesses(RAND_CENTER, N2, 3, 2, small_config())
+    move = Point((0.599609375, 0.599609375))
+    assert sp is None
+    assert group.profile == Profile.from_rows([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
+    assert (group.coalition, group.misreports) == ((1, 2), (move, move))
+
+
+def center_or_mean(profile, norm):
+    """rand_center, but the mean on profiles with no report on the x axis.
+    The structured profiles at n = 3, d = 2 have at least two reports on
+    the axis, so there only a coalition reaches the manipulable mean."""
+    xs = profile.as_array
+    if np.all(xs[:, 1] != 0.0):
+        return Lottery.degenerate(Point.from_array(xs.mean(axis=0)))
+    return apply(RAND_CENTER, profile, norm)
+
+
+def test_single_agent_witness_after_a_pair_witness():
+    config = small_config()
+    group = search_gsp_violation(center_or_mean, N2, 3, 2, config)
+    sp = search_sp_violation(center_or_mean, N2, 3, 2, config)
+    restart = [p.as_array.tobytes() for p in structured_profiles(3, 2)].index
+    assert len(group.coalition) == 2 and len(sp.coalition) == 1
+    assert restart(group.profile.as_array.tobytes()) < restart(sp.profile.as_array.tobytes())
+    verdict = check_strategyproof_at(center_or_mean, sp.profile, sp.coalition[0], sp.misreports[0], N2)
+    assert not verdict.passed and verdict.witness == sp
+    [(_, before, after)] = sp.per_agent_delta
+    assert verdict.margin == after - before
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 3), (2, 1)])
