@@ -52,8 +52,7 @@ from .properties import (
 from .search import (
     DISCUSSION_PROFILE,
     SearchConfig,
-    search_gsp_violation,
-    search_sp_violation,
+    _misreport_witnesses,
     search_worst_ratio,
     structured_profiles,
 )
@@ -282,9 +281,8 @@ def run_check(
         shifts.append(Point.from_array((spec.a - 2.0) * e1))
     verdicts.append(check_translation_invariance(spec, norm, profiles[:8], shifts))
 
-    sp = search_sp_violation(spec, norm, n, d, config)
+    sp, gsp = _misreport_witnesses(spec, norm, n, d, config)
     verdicts.append(_sp_search_verdict("strategyproof", sp))
-    gsp = search_gsp_violation(spec, norm, n, d, config)
     verdicts.append(_sp_search_verdict("group_strategyproof", gsp))
     verdicts.append(check_support_segment(spec, profiles, norm))
     verdicts.append(check_2dictatorship(spec, profiles, norm))

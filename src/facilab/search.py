@@ -14,23 +14,22 @@ Every search starts from the same restart reports (:func:`_restarts`): the
 structured families as one array, then seeded draws.  One misreport search
 (:func:`_misreport_witnesses`) gives both the strategyproof and the group
 verdict: it searches every coalition, each restart's single agents first,
-and one check runs it once, through its one-entry cache.  It builds every
-restart once, as one read-only array plan (:func:`_plan`): the stacked
-reports, their truthful lotteries and costs, common points, scales and
-boxes, one row per restart.  The hunt reads only the reports and their
-diameters, and builds no plan.  Agent costs and the hunt's mechanism costs
-come from one expected-cost kernel
-(:func:`~facilab.geometry.expected_cost_stack`).  The misreport search runs
-its restarts in lockstep: the (restart, coalition) searches are cut into
-blocks of ``LOCKSTEP_BLOCK``, and each block is scored and refined as one
-stack on the plan's rows, each search drawing from its restart's stream.
-Witnesses are then validated in restart order, so each witness returned is
-the one a restart-at-a-time search finds; a ``Profile`` is built only for
-that validation.  Each round of a pattern search polls its live searches as
-one stack: a misreport search polls every direction left in its sweep (six
-at d = 2), and a hunt search polls only its next few, so that a round fills
-about one score block and a search scores few polls past its first
-improving one.  Either way a search makes the moves of polling one
+and one check runs it once for both.  It builds every restart once, as one
+read-only array plan (:func:`_plan`): the stacked reports, their truthful
+lotteries and costs, common points, scales and boxes, one row per restart.
+The hunt reads only the reports and their diameters, and builds no plan.
+Agent costs and the hunt's mechanism costs come from one expected-cost
+kernel (:func:`~facilab.geometry.expected_cost_stack`).  The misreport
+search runs its restarts in lockstep: the (restart, coalition) searches are
+cut into blocks of ``LOCKSTEP_BLOCK``, and each block is scored and refined
+as one stack on the plan's rows, each search drawing from its restart's
+stream.  Witnesses are then validated in restart order, so each witness
+returned is the one a restart-at-a-time search finds; a ``Profile`` is built
+only for that validation.  Each round of a pattern search polls its live
+searches as one stack: a misreport search polls every direction left in its
+sweep (six at d = 2), and a hunt search polls only its next few, so that a
+round fills about one score block and a search scores few polls past its
+first improving one.  Either way a search makes the moves of polling one
 direction at a time.
 
 Structured profile families (clustered, collinear, simplex vertices,
@@ -275,7 +274,6 @@ def _sp_targets(plan: _Plan, r: int, agent: int) -> np.ndarray:
     ])
 
 
-@functools.lru_cache(maxsize=1)
 def _misreport_witnesses(
     mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig
 ) -> tuple[Optional[Witness], Optional[Witness]]:
@@ -296,12 +294,9 @@ def _misreport_witnesses(
     coalition at a time finds.  The first validated witness of any size is
     the group witness, after which only single agents are searched; the
     first single-agent witness ends the walk, and is the group witness as
-    well when no coalition validated before it.
-
-    One call answers both :func:`search_sp_violation` and
-    :func:`search_gsp_violation` of one check.  The cache is keyed on the
-    arguments alone, not on module globals such as ``BOUNDING_SCALE``;
-    whoever changes one must call ``_misreport_witnesses.cache_clear()``.
+    well when no coalition validated before it.  A caller that needs both
+    verdicts, as ``check`` does, calls this once; :func:`search_sp_violation`
+    and :func:`search_gsp_violation` each run it for one half.
     """
     kernel = kernel_of(mech)
     plan = _plan(mech, norm, n, d, config)

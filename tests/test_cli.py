@@ -133,20 +133,14 @@ class TestEvaluate:
 
 
 class TestCheck:
+    # sep2d at a far branch constant: the profiles pinned across it must
+    # tell the dictator pairs apart when every other profile lies on one side
     @pytest.mark.parametrize(
-        "mech", ["dictator:1", "rand_med", "rand_center", "sep2d:a=0", "coord_median"]
+        "mech",
+        ["dictator:1", "rand_med", "rand_center", "sep2d:a=0", "sep2d:a=5", "sep2d:a=-3", "sep2d:a=20", "coord_median"],
     )
     def test_consistent_mechanisms_exit_0(self, mech, capsys):
         code = main(["check", "--mech", mech, "--n", "3", "--budget", "3000"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "MISMATCH" not in out
-
-    @pytest.mark.parametrize("a,n", [("5", 3), ("-3", 3), ("20", 3), ("5", 4), ("20", 4)])
-    def test_sep2d_far_branch_constant_exit_0(self, a, n, capsys):
-        # the profiles pinned across the branch constant must tell the
-        # dictator pairs apart when every other profile lies on one side
-        code = main(["check", "--mech", f"sep2d:a={a}", "--n", str(n)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "MISMATCH" not in out

@@ -45,13 +45,6 @@ SEP2D = MechanismSpec("sep2d", a=0.0)
 COORD_MEDIAN = MechanismSpec("coord_median")
 
 
-@pytest.fixture(autouse=True)
-def fresh_misreport_search():
-    """Every test runs the misreport search itself: a result cached by an
-    earlier test would hide a patched module global such as LOCKSTEP_BLOCK."""
-    search._misreport_witnesses.cache_clear()
-
-
 def small_config(seed=0, restarts=10, steps=12):
     return SearchConfig(rng_seed=seed, restarts=restarts, local_steps=steps)
 
@@ -439,27 +432,32 @@ def test_plan_is_read_only():
             array.flat[0] = 1.0
 
 
-def test_one_check_builds_its_plan_once():
+def count_plans(monkeypatch) -> list:
+    """Record the arguments of every restart plan built from now on."""
+    built, build = [], search._plan
+    monkeypatch.setattr(search, "_plan", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+def test_one_check_builds_its_plan_once(monkeypatch):
+    # both verdicts come from one misreport search, which builds one plan
     from facilab.cli import run_check
 
+    built = count_plans(monkeypatch)
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    info = search._misreport_witnesses.cache_info()
-    # searched, and its plan built, for the sp verdict; reused for the gsp verdict
-    assert (info.misses, info.hits) == (1, 1)
+    assert len(built) == 1
 
 
-def test_a_hunt_between_two_checks_builds_no_plan():
-    # the hunt starts from the restart reports alone, so it neither runs the
-    # misreport search nor evicts the check's from the one-entry cache
+def test_a_hunt_between_two_checks_builds_no_plan(monkeypatch):
+    # the hunt starts from the restart reports alone
     from facilab.cli import run_check
 
+    built = count_plans(monkeypatch)
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    before = search._misreport_witnesses.cache_info()
     search_worst_ratio(RAND_CENTER, N1, Objective.MAX_COST, 3, 2, small_config(restarts=14, steps=4))
-    assert search._misreport_witnesses.cache_info() == before
+    assert len(built) == 1
     run_check(RAND_MED, N2, 3, 2, seed=0, budget=300)
-    info = search._misreport_witnesses.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert len(built) == 2 and built[0] == built[1]
 
 
 def test_misreport_search_goes_on_with_single_agents_past_a_group_witness():
