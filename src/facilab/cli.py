@@ -326,11 +326,16 @@ def cmd_evaluate(args) -> int:
     profile = load_profile(args.profile)
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
-    lot = apply(spec, profile, norm)
-    rr_mc = approx_ratio(spec, profile, norm, Objective.MAX_COST, args.budget)
-    rr_sc = approx_ratio(spec, profile, norm, Objective.SOCIAL_COST, args.budget)
-    cen = centroid(lot)
-    rad = radius(lot, norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        lot = apply(spec, profile, norm)
+        rr_mc = approx_ratio(spec, profile, norm, Objective.MAX_COST, args.budget)
+        rr_sc = approx_ratio(spec, profile, norm, Objective.SOCIAL_COST, args.budget)
+        cen = centroid(lot)
+        rad = radius(lot, norm)
+    for name, rr in (("max", rr_mc), ("social", rr_sc)):
+        if not all(map(math.isfinite, (rr.cost, rr.opt.value, rr.opt.certified_gap))):
+            opt = rr.opt
+            raise ValueError(f"{name} cost overflows: cost {rr.cost}, optimum {opt.value} +/- {opt.certified_gap}")
 
     print(f"mechanism {describe(spec)} on {profile.n} agents in d={profile.d} ({format_norm(norm)})")
     print("output lottery:")

@@ -35,15 +35,16 @@ exponent p and the dimension d:
 * "grid": social cost under every 1 < p < inf, p = 2 included, and that
   fallback: one certified search.  The best seed is polished (damped
   Newton for social cost, min-norm subgradient steps for max cost) and
-  certified before any tiling: social cost by its gradient and by Kuhn's
-  condition at the reports, max cost by its active set.  Only when that
-  misses the gap target does a Lipschitz branch-and-bound over the working
-  bounding box (the objectives are n- resp. 1-Lipschitz per unit axis
-  step) continue from the incumbent, polishing and certifying again
-  whenever the incumbent improves and stopping once the gap meets the
-  target.  ``opt_social_cost(..., method="grid")`` forces this route for
-  every norm; it shares no code with the closed forms or the LP, so it
-  can cross-check them.
+  certified before any tiling, for both objectives by one bundle of linear
+  minorants (:func:`_bundle_lower_bound`), social cost also by Kuhn's
+  condition at the reports.  Only when that misses the gap target does a
+  Lipschitz branch-and-bound over the working bounding box (the
+  objectives are n- resp. 1-Lipschitz per unit axis step) continue from
+  the incumbent, polishing and certifying again whenever the incumbent
+  improves and stopping once the gap meets the target.
+  ``opt_social_cost(..., method="grid")`` forces this route for every
+  norm; it shares no code with the closed forms or the LP, so it can
+  cross-check them.
 
 Both objectives are convex and the plain p-norm is coordinate-monotone, so
 clamping onto the working bounding box never increases either objective:
@@ -79,6 +80,7 @@ from .geometry import (
 DEFAULT_BUDGET = 60_000
 GAP_REL = 1e-6  # certified_gap target: <= GAP_REL * (min(1, extent) + value)
 RATIO_ULPS = 4  # rounding of one computed cost or optimum, in ulps of its size
+BUNDLE_TIE = 1e-4  # a coordinate this close to a report's is a tie the smooth certificate straddles
 
 
 class Objective(Enum):
@@ -609,8 +611,8 @@ def _reach(residual: Norm, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return residual.eval_many(np.maximum(np.abs(ys - lo), np.abs(ys - hi)))
 
 
-def _min_norm_point(grads: np.ndarray) -> np.ndarray:
-    """Shortest vector in the convex hull of the given rows.
+def _min_norm_point(grads: np.ndarray):
+    """Shortest vector in the convex hull of the given rows, and its weights.
 
     The projection of the origin onto a polytope in R^d lies in the hull
     of at most d+1 vertices (Caratheodory), so subsets up to that size are
@@ -619,15 +621,13 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
     projections with barycentric weights below -1e-12 are discarded.  When
     the best one has a weight below 0, the weights are clipped to >= 0 and
     renormalized and the vector is their combination, so it lies in the
-    hull up to rounding.
+    hull up to rounding.  Returns (vector, weights), one weight per row.
     """
     k, d = grads.shape
     norms_sq = (grads * grads).sum(axis=1)
-    best = grads[int(np.argmin(norms_sq))].copy()
-    best_val = float(norms_sq.min())
-    best_lam = None
-    max_support = min(k, d + 1)
-    for size in range(2, max_support + 1):
+    support = [int(np.argmin(norms_sq))]
+    best, best_val, lam = grads[support[0]].copy(), float(norms_sq.min()), np.ones(1)
+    for size in range(2, min(k, d + 1) + 1):
         for idx in itertools.combinations(range(k), size):
             base = grads[idx[0]]
             edges = grads[list(idx[1:])] - base
@@ -638,12 +638,12 @@ def _min_norm_point(grads: np.ndarray) -> np.ndarray:
             candidate = base + edges.T @ t
             val = float(candidate @ candidate)
             if val < best_val:
-                best_val, best, best_lam = val, candidate, (idx, lam0, t)
-    if best_lam is not None and min(best_lam[1], float(best_lam[2].min())) < 0.0:
-        idx, lam0, t = best_lam
-        lam = np.maximum(np.concatenate(([lam0], t)), 0.0)
-        best = (lam / lam.sum()) @ grads[list(idx)]
-    return best
+                best_val, best, support, lam = val, candidate, list(idx), np.concatenate(([lam0], t))
+    if lam.min() < 0.0:
+        lam = np.maximum(lam, 0.0)
+        lam = lam / lam.sum()
+        best = lam @ grads[support]
+    return best, np.bincount(support, lam, minlength=k)
 
 
 def _mc_steepest_polish(
@@ -660,7 +660,7 @@ def _mc_steepest_polish(
     Compass search stalls at kink points of a max-of-distances function;
     the steepest-descent direction there is the shortest vector in the
     convex hull of the band-active term gradients.  Needed so the
-    active-set certificate sees balanced terms.  Returns (y, value, evals).
+    bundle certificate sees balanced terms.  Returns (y, value, evals).
     """
     evals = 0
     tau = 1e-2 * (1.0 + value)
@@ -675,7 +675,7 @@ def _mc_steepest_polish(
         if floor < 1e-12:
             break  # at a data point; nothing to balance
         grads = _term_gradients(y - zs[active], residual.p, dists[active])
-        combo = _min_norm_point(grads)
+        combo = _min_norm_point(grads)[0]
         gnorm = float(np.linalg.norm(combo))
         if gnorm < 1e-14:
             # y stays put, so the next rounds would see these distances and
@@ -700,31 +700,50 @@ def _mc_steepest_polish(
     return y, value, evals
 
 
-def _mc_subgradient_lower_bound(
-    zs: np.ndarray, residual: Norm, y: np.ndarray, value: float
+def _bundle_lower_bound(
+    objective: Objective, zs: np.ndarray, residual: Norm, y: np.ndarray, value: float, floor: float, unit: float
 ) -> float:
-    """Active-set certificate for the minimax center (a kink point).
+    """Cutting-plane lower bound on the optimum for 1 < p < inf, at least ``floor``.
 
-    For any weights lam over terms within eps of the max, every x satisfies
-    mc(x) >= mc(y) - eps + (sum lam_i grad_i) . (x - y), so the optimum is
-    bounded below by value - eps - ||sum lam grad||_dual * R with R the
-    reach of the bounding box.  Several eps levels are tried; each is valid.
+    Each minorant f(x) >= f_k(y_k) + g_k.(x - y_k) takes the gradient at y_k
+    of the summed terms (social cost) or of one term (max cost, the best set
+    of the terms within 1e-5 (1 + f(y)) of the max).  With lam the weights of
+    their min-norm point, the optimum is at least sum lam_k (f_k(y_k) +
+    g_k.(y - y_k)) - ||sum lam g||_dual R, R the box's reach from y (Kelley
+    1960; Lemarechal's bundle methods).  Only when that misses the gap target
+    at y alone are they also taken at y +- 2 delta_c e_c on each coordinate c
+    within delta_c <= BUNDLE_TIE of a report's (floored at 1e-12), where
+    ||u||_p turns too fast for one gradient if p < 2, with a few ulps each.
     """
-    dists = residual.eval_many(y[None, :] - zs)
+    mc = objective is Objective.MAX_COST
     reach = float(_reach(residual, y[None, :], zs)[0])
-    best = -math.inf
-    slopes: dict[bytes, float] = {}  # dual norm of the min-norm point, per active set
-    for eps_rel in (1e-12, 1e-9, 1e-7, 1e-5):
-        eps = eps_rel * (1.0 + value)
-        active = dists >= value - eps
-        if not active.any() or float(dists[active].min()) < 1e-12:
-            continue
-        key = active.tobytes()
-        if key not in slopes:
-            grads = _term_gradients(y - zs[active], residual.p, dists[active])
-            slopes[key] = float(_dual_norm(residual.p, _min_norm_point(grads)))
-        best = max(best, value - eps - slopes[key] * reach)
-    return best
+
+    def bound(terms, points):
+        rows = []  # per point: its minorants' gradients, values at y and rounding sizes (0 at y)
+        for at in points:
+            ds = residual.eval_many(diffs := at - zs[terms])
+            if float(ds.min()) >= 1e-12:  # at a report, its term has no gradient
+                g = _term_gradients(diffs, residual.p, ds)
+                g, ds = (g, ds) if mc else (g.sum(axis=0)[None, :], ds.sum()[None])
+                lin = g * (y - at)
+                rows.append((g, ds + lin.sum(axis=1), (ds + np.abs(lin).sum(axis=1)) * (at is not y)))
+        if not rows:
+            return -math.inf
+        grads, lows, sizes = map(np.concatenate, zip(*rows))
+        lam = _min_norm_point(grads)[1] if len(grads) > 1 else np.ones(1)
+        ulps = 2.0 * (len(lam) + y.size + 4) * sys.float_info.epsilon
+        return float(lam @ lows - _dual_norm(residual.p, lam @ grads) * reach - ulps * (lam @ sizes))
+
+    errs = value - residual.eval_many(y[None, :] - zs) if mc else np.zeros(len(zs))
+    sets = [errs <= e for e in sorted(set(errs[errs <= 1e-5 * (1.0 + value)].tolist()))]
+    lower, terms = max(
+        ((bound(s, [y]), s) for s in sets), key=lambda c: c[0], default=(-math.inf, np.ones(len(zs), dtype=bool))
+    )
+    if not _meets_target(value - max(floor, lower), value, unit):
+        delta = np.maximum(np.abs(y - zs).min(axis=0), 1e-12)
+        steps = np.diag(2.0 * delta)[delta <= BUNDLE_TIE]
+        lower = max(lower, bound(terms, [y, *(y + steps), *(y - steps)]) if len(steps) else lower)
+    return max(floor, lower)
 
 
 # -- minimax center from support sets -------------------------------------------
@@ -979,22 +998,6 @@ def _sc_newton(
     return y, value, evals
 
 
-def _sc_gradient_lower_bound(
-    zs: np.ndarray, residual: Norm, y: np.ndarray, value: float
-) -> float:
-    """Convexity certificate: sc(opt) >= sc(y) - ||grad||_dual * R, with R
-    the reach of the bounding box.
-
-    For differentiable residual norms (1 < p < inf); returns -inf when y
-    is at a data point, where it does not apply.
-    """
-    dists = residual.eval_many(y[None, :] - zs)
-    if float(dists.min()) < 1e-12:
-        return -math.inf
-    grad = _term_gradients(y - zs, residual.p, dists).sum(axis=0)
-    return value - float(_dual_norm(residual.p, grad) * _reach(residual, y[None, :], zs)[0])
-
-
 def _sc_report_bound(zs: np.ndarray, residual: Norm) -> float:
     """Lower bound on the social cost from the reports' distance matrix:
     the profile diameter (n >= 2), and for 1 < p < inf Kuhn's optimality
@@ -1060,14 +1063,11 @@ def _optimum(objective: Objective, profile: Profile, norm: Norm, budget: int, me
         if route == "grid" or note and norm.p != 2.0:
             route = "grid"
             lo, hi = zs.min(axis=0), zs.max(axis=0)
-            if not residual.strictly_convex:
-                polish, certify = (lambda y, v, b: (y, v, 0)), (lambda y, v: floor)
-            elif mc:
-                polish = lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)
-                certify = lambda y, v: max(floor, _mc_subgradient_lower_bound(zs, residual, y, v))
-            else:
-                polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
-                certify = lambda y, v: max(floor, _sc_gradient_lower_bound(zs, residual, y, v))
+            polish, certify = (lambda y, v, b: (y, v, 0)), (lambda y, v: floor)
+            if residual.strictly_convex:
+                sc_polish = lambda y, v, b: _sc_newton(fn, zs, residual, y, v, b)
+                polish = (lambda y, v, b: _mc_steepest_polish(fn, zs, residual, y, v, lo, hi)) if mc else sc_polish
+                certify = lambda y, v: _bundle_lower_bound(objective, zs, residual, y, v, floor, unit)
             rates = np.full(profile.d, 1.0 if mc else float(profile.n))  # Lipschitz per unit axis step
             z, _, gap, spent, note = _branch_bound(fn, lo, hi, rates, budget, _seed_points(zs), polish, certify, unit)
             evals += spent

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,27 @@ class TestEvaluate:
         values = json.loads(report.read_text())["objective_values"]
         # non-finite floats would be serialized as strings
         assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values()), values
+
+    @pytest.mark.parametrize("x", ["1e308", "8e307"])
+    def test_overflowing_profile_exit_2(self, tmp_path, capsys, x):
+        # at 1e308 the costs are nan, at 8e307 the social cost is inf and its
+        # interval [nan, inf]: refused with one error line, nothing printed or written
+        path = tmp_path / "huge.json"
+        path.write_text('{"d": 2, "points": [[%s, 0], [-%s, 0], [0, 1]]}' % (x, x))
+        report = tmp_path / "report.json"
+        argv = ["evaluate", "--profile", str(path), "--mech", "rand_center", "--out", str(report)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not report.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    def test_large_profile_still_evaluated(self, tmp_path, capsys):
+        path = tmp_path / "large.json"
+        path.write_text('{"d": 2, "points": [[1e200, 0], [-1e200, 0], [0, 1]]}')
+        assert main(["evaluate", "--profile", str(path), "--mech", "rand_center"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "sc ratio      1.16666666667  certified [1.16666666667, 1.16666666667]" in out
 
     def test_bad_profile_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -407,3 +432,15 @@ def test_expected_outcomes_pinned(mech, norm, n, d, claimed):
 
 def test_claims_table_covers_every_kind():
     assert {parse_mechanism(mech).kind for mech, _ in CLAIMS} == set(KINDS)
+
+
+def test_module_entry_point_exit_codes():
+    # python -m facilab runs the same main; an unknown scenario is usage (2)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "facilab", "repro", "nope"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: unknown scenario")

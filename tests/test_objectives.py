@@ -40,7 +40,7 @@ from facilab.objectives import (
     opt_social_cost,
     opt_value_upper,
 )
-from facilab.objectives import _sc_gradient_lower_bound
+from facilab.objectives import _bundle_lower_bound
 
 from conftest import (
     STANDARD_NORMS,
@@ -728,7 +728,7 @@ def test_gradient_certificate_sound_at_coordinate_tie():
     prof = Profile.from_rows([(-1, -1), (1, 0), (0, 1)])
     zs = prof.as_array
     for p in (1e15, 1e300):
-        lower = _sc_gradient_lower_bound(zs, Norm(p), np.zeros(2), 3.0)
+        lower = _bundle_lower_bound(SC, zs, Norm(p), np.zeros(2), 3.0, -math.inf, 1.0)
         assert lower <= opt_social_cost(prof, Norm(p)).value
 
 
@@ -898,7 +898,7 @@ def _reference_polish(fn, zs, residual, y, value, lo, hi):
         if float(dists[active].min()) < 1e-12:
             break
         grads = objectives._term_gradients(y - zs[active], residual.p, dists[active])
-        combo = objectives._min_norm_point(grads)
+        combo = objectives._min_norm_point(grads)[0]
         gnorm = float(np.linalg.norm(combo))
         if gnorm < 1e-14:
             tau /= 4.0
@@ -928,7 +928,7 @@ def _reference_mc_lower_bound(zs, residual, y, value):
         if not active.any() or float(dists[active].min()) < 1e-12:
             continue
         grads = objectives._term_gradients(y - zs[active], residual.p, dists[active])
-        combo = objectives._min_norm_point(grads)
+        combo = objectives._min_norm_point(grads)[0]
         best = max(best, value - eps - float(objectives._dual_norm(residual.p, combo)) * reach)
     return best
 
@@ -967,7 +967,8 @@ def test_mc_polish_and_bound_match_plain_loops(d, monkeypatch):
                 side[0] = "new"
                 got = objectives._mc_steepest_polish(fn, zs, residual, y, value, lo, hi)
                 assert (got[0].tobytes(), got[1], got[2]) == (want[0].tobytes(), want[1], want[2]), (p, zs, y)
-                assert objectives._mc_subgradient_lower_bound(zs, residual, *got[:2]) == bound
+                # the bundle's exact errors never do worse than eps per level
+                assert _bundle_lower_bound(MC, zs, residual, *got[:2], -math.inf, 1.0) >= bound
     assert calls["new"] < calls["old"] - 8 * 4  # the skipped rounds and the shared eps levels
 
 
@@ -1152,7 +1153,7 @@ def test_support_bound_sound_off_the_center(p, d):
 
 # cert_fuzz profiles (d = 3) whose support sets miss the gap target: the
 # p = 1.2 optimum ties a report's first coordinate, where the norm has no
-# second derivative and Newton stalls; there the branch-and-bound misses too
+# second derivative and Newton stalls; the bundle bound closes it there
 FALLBACKS = {
     "p1.2": (
         [[-2.292448132061992, 1.782985597069095, -1.6487674420312248], [-2.333474514371022, -1.867472490429604, -1.6169413300586728],
@@ -1179,7 +1180,8 @@ def test_ball_route_falls_back_to_branch_and_bound(case):
 
 
 # cert_fuzz.py --d 3 --seed 0 profiles 19 and 30 at p = 1.2, whose social
-# cost tiles until the budget runs out
+# cost optimum ties a report's coordinate: one gradient misses the target
+# there and tiling runs out of budget, where the bundle closes it at once
 TILINGS = {
     "weighted": (
         [[-1.289612448724284, -2.083538844788671, -1.313290802599652], [2.1182028793695786, 0.7396381312197446, 1.1602856264766044],
@@ -1193,19 +1195,18 @@ TILINGS = {
     ),
 }
 
-EXHAUSTED = "budget exhausted before gap target"
-
 # (value.hex(), certified_gap.hex(), evaluations, note, point) of the routes
-# no canonical report reaches: the max-cost fallback and social-cost tilings
-# that run out of budget, frozen so a refactor of either keeps their bits
+# no canonical report reaches: the max-cost fallback and the social-cost
+# ties, each certified at its first settle, frozen so a refactor of either
+# keeps their bits
 PINNED_ROUTES = {
-    ("mc", "p1.2"): ("0x1.cedf75ad9e784p+2", "0x1.54bf65e909549p-10", 58517, EXHAUSTED,
-                     [-1.0362999922263125, 0.4772001464517363, -2.218167776313134]),
-    ("mc", "p8"): ("0x1.3470ff378e30bp+1", "0x1.94facfdf34336p-28", 644, "",
+    ("mc", "p1.2"): ("0x1.cedf75adaa51dp+2", "0x1.88eabe6e81877p-35", 1388, "",
+                     [-1.0362999922040603, 0.47720014641132585, -2.218167776303509]),
+    ("mc", "p8"): ("0x1.3470ff378e30bp+1", "0x1.3c3d3c92d6ac6p-35", 644, "",
                    [-0.8065258398895647, -0.5393978210820548, 0.29198261796668307]),
-    ("sc", "weighted"): ("0x1.abc6ad9f83fa9p+3", "0x1.0e586e68087d8p-10", 58262, EXHAUSTED,
+    ("sc", "weighted"): ("0x1.abc6ad9f83fa9p+3", "0x1.9834aea43f62cp-33", 365, "",
                          [2.118202879365346, -2.0803932573436636, 1.005922192292531]),
-    ("sc", "plain"): ("0x1.288ad2c136e34p+2", "0x1.a98b5f3b79120p-12", 58272, EXHAUSTED,
+    ("sc", "plain"): ("0x1.288ad2c136e34p+2", "0x1.a60de02f4b6fbp-27", 386, "",
                       [-0.34267746201685634, 0.12403489482596411, -0.5381570133826985]),
 }
 
@@ -1220,6 +1221,91 @@ def test_grid_routes_pinned(objective, case):
     assert got == PINNED_ROUTES[objective, case]
 
 
+
+# -- the bundle bound against the one-gradient bound and sampled values -------
+
+
+def _reference_sc_gradient_bound(zs, residual, y, value):
+    """The one-gradient social-cost bound as written before the bundle, -inf
+    at a report: the oracle for the bundle's bits where it closes."""
+    from facilab import objectives
+
+    dists = residual.eval_many(y[None, :] - zs)
+    if float(dists.min()) < 1e-12:
+        return -math.inf
+    grad = objectives._term_gradients(y - zs, residual.p, dists).sum(axis=0)
+    return value - float(objectives._dual_norm(residual.p, grad) * objectives._reach(residual, y[None, :], zs)[0])
+
+
+def _recorded_bounds(monkeypatch, runs):
+    """Every (arguments, result) of the bundle bound while the optimizers
+    certify the (objective, rows, norm) cases ``runs``."""
+    from facilab import objectives
+
+    calls = []
+    bundle = objectives._bundle_lower_bound
+
+    def recorder(*args):
+        calls.append((args, bundle(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(objectives, "_bundle_lower_bound", recorder)
+    for objective, rows, norm in runs:
+        opt_cost(objective, Profile.from_rows(rows), norm)
+    return calls
+
+
+def _tie_runs(seed, count):
+    """Profiles of an odd number of reports at p = 1.1, plain and weighted,
+    for both objectives: near L1, most social-cost optima tie a report's
+    coordinate as the coordinate-wise median does."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 2 + i % 2
+        rows = rng.normal(size=(int(rng.choice([3, 5])), d))
+        norm = Norm(1.1, weights=tuple(rng.uniform(0.5, 3.0, size=d)) if i % 3 else None)
+        yield from ((SC, rows, norm), (MC, rows, norm))
+
+
+def test_bundle_keeps_the_one_gradient_bits_where_that_closes(monkeypatch):
+    # a bundle of one point is the one-gradient bound: wherever that bound
+    # meets the target, the bundle returns it bit for bit and grows nothing
+    from facilab import objectives
+
+    rng = np.random.default_rng(21)
+    runs = []
+    for p, d, weighted, _ in itertools.product((1.2, 1.5, 3.0, 8.0), (2, 3), (False, True), range(3)):
+        rows = rng.normal(size=(int(rng.integers(3, 7)), d))
+        runs.append((SC, rows, Norm(p, weights=tuple(rng.uniform(0.5, 3.0, size=d)) if weighted else None)))
+    closed = 0
+    for (objective, zs, residual, y, value, floor, unit), got in _recorded_bounds(monkeypatch, runs):
+        want = max(floor, _reference_sc_gradient_bound(zs, residual, y, value))
+        if objectives._meets_target(value - want, value, unit):
+            closed += 1
+            assert float(got).hex() == float(want).hex(), (zs, y)
+    assert closed >= len(runs)
+
+
+def test_bundle_bound_sound_around_ties(monkeypatch):
+    # sampled values in boxes of 1e-2 down to 1e-8 around each certified
+    # point never fall below its bound, on the pinned ties and on random
+    # ones; the bundle grows past y on the ties, where one gradient misses
+    from facilab import objectives
+
+    runs = [(MC, *FALLBACKS[case]) for case in sorted(FALLBACKS)]
+    runs += [(SC, *TILINGS[case]) for case in sorted(TILINGS)] + list(_tie_runs(3, 24))
+    rng = np.random.default_rng(7)
+    grown = 0
+    for (objective, zs, residual, y, value, floor, unit), lower in _recorded_bounds(monkeypatch, runs):
+        if (np.abs(y - zs).min(axis=0) > objectives.BUNDLE_TIE).all():
+            continue
+        if objective is SC:
+            grown += lower > max(floor, _reference_sc_gradient_bound(zs, residual, y, value))
+        fn = objectives._objective_fn(objective, zs, residual)
+        for half in 10.0 ** -np.arange(2.0, 9.0):
+            samples = y + half * rng.uniform(-1.0, 1.0, size=(400, y.size))
+            assert float(fn(samples).min()) >= lower, (objective, zs, y, half)
+    assert grown >= len(TILINGS) + 12
 # the route each objective takes per exponent, at d = 2 and d = 3 (d = 1 is
 # always "exact"); weighted L2 takes the plain L2 route.  Max cost under a
 # smooth p takes the ball route unless its support sets miss the gap target
@@ -1249,6 +1335,19 @@ def test_route_table(objective, p, weighted, d):
     res = opt_max_cost(prof, Norm(p, weights)) if objective is MC else opt_social_cost(prof, Norm(p, weights))
     assert res.method == ("exact" if d == 1 else ROUTES[objective, p][d - 2])
     assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+
+
+def test_every_route_returns_plain_floats():
+    # callers count comparisons of value and gap and hand the counts to
+    # json.dumps, which refuses the numpy integers that numpy floats would
+    # give: every route, the grown bundle's included, returns plain floats
+    cases = [(SC, *TILINGS["plain"]), (MC, *FALLBACKS["p1.2"])]
+    for d in (2, 3):
+        rows = np.random.default_rng(d).normal(size=(4, d))
+        cases += [(objective, rows, Norm(p)) for objective, p in ROUTES]
+    for objective, rows, norm in cases:
+        res = opt_cost(objective, Profile.from_rows(rows), norm)
+        assert type(res.value) is float and type(res.certified_gap) is float, (objective, norm, res)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 8.0, math.inf])
