@@ -319,10 +319,12 @@ def run_check(
 
 
 # -- commands -------------------------------------------------------------------
+#
+# Each command returns (report, exit code, console lines), with code None
+# for a command that judges nothing; main times, prints and writes them.
 
 
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
+def cmd_evaluate(args) -> tuple[ExperimentReport, None, list[str]]:
     profile = load_profile(args.profile)
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
@@ -337,16 +339,16 @@ def cmd_evaluate(args) -> int:
             opt = rr.opt
             raise ValueError(f"{name} cost overflows: cost {rr.cost}, optimum {opt.value} +/- {opt.certified_gap}")
 
-    print(f"mechanism {describe(spec)} on {profile.n} agents in d={profile.d} ({format_norm(norm)})")
-    print("output lottery:")
-    for w, p in lot.atoms:
-        print(f"  weight {w:.17g} at {p.coords}")
-    print(f"centroid {cen.coords}  radius {rad:.17g}")
-    print(f"max cost      {rr_mc.cost:.17g}  (optimum {rr_mc.opt.value:.17g} +/- {rr_mc.opt.certified_gap:.3g})")
-    print(f"social cost   {rr_sc.cost:.17g}  (optimum {rr_sc.opt.value:.17g} +/- {rr_sc.opt.certified_gap:.3g})")
-    print(f"mc ratio      {rr_mc.ratio:.12g}  certified [{rr_mc.lo:.12g}, {rr_mc.hi:.12g}]")
-    print(f"sc ratio      {rr_sc.ratio:.12g}  certified [{rr_sc.lo:.12g}, {rr_sc.hi:.12g}]")
-
+    lines = [
+        f"mechanism {describe(spec)} on {profile.n} agents in d={profile.d} ({format_norm(norm)})",
+        "output lottery:",
+        *(f"  weight {w:.17g} at {p.coords}" for w, p in lot.atoms),
+        f"centroid {cen.coords}  radius {rad:.17g}",
+        f"max cost      {rr_mc.cost:.17g}  (optimum {rr_mc.opt.value:.17g} +/- {rr_mc.opt.certified_gap:.3g})",
+        f"social cost   {rr_sc.cost:.17g}  (optimum {rr_sc.opt.value:.17g} +/- {rr_sc.opt.certified_gap:.3g})",
+        f"mc ratio      {rr_mc.ratio:.12g}  certified [{rr_mc.lo:.12g}, {rr_mc.hi:.12g}]",
+        f"sc ratio      {rr_sc.ratio:.12g}  certified [{rr_sc.lo:.12g}, {rr_sc.hi:.12g}]",
+    ]
     report = ExperimentReport(
         scenario="evaluate",
         spec=describe(spec),
@@ -373,38 +375,30 @@ def cmd_evaluate(args) -> int:
             "centroid": point_json(cen),
         },
     )
-    report.runtime_ms = int((time.perf_counter() - started) * 1000)
-    print(f"runtime {report.runtime_ms} ms")
-    report.write(args.out)
-    return 0
+    return report, None, lines
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args) -> tuple[ExperimentReport, int, list[str]]:
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
     if args.n < spec.min_agents:
         raise ValueError(f"{describe(spec)} needs --n >= {spec.min_agents}")
     report, exit_code = run_check(spec, norm, args.n, args.d, args.seed, args.budget)
     expected = report.extra["expected"]
-    print(f"property suite for {report.spec} ({report.norm}, n={args.n}, d={args.d}, seed={args.seed})")
+    lines = [f"property suite for {report.spec} ({report.norm}, n={args.n}, d={args.d}, seed={args.seed})"]
     for v in report.verdicts:
         want = expected.get(v.name, "info")
         mark = "OK" if _meets(want, v) else "MISMATCH"
-        print(
+        lines.append(
             f"  {v.name:24s} {v.status:12s} margin {v.margin:+.3e}  expected {want:4s}  {mark}"
             + (f"  [{v.note}]" if v.note else "")
         )
     if report.extra.get("d1_note"):
-        print(f"note: {report.extra['d1_note']}")
-    report.runtime_ms = int((time.perf_counter() - started) * 1000)
-    print(f"runtime {report.runtime_ms} ms; exit {exit_code}")
-    report.write(args.out)
-    return exit_code
+        lines.append(f"note: {report.extra['d1_note']}")
+    return report, exit_code, lines
 
 
-def cmd_ratio(args) -> int:
-    started = time.perf_counter()
+def cmd_ratio(args) -> tuple[ExperimentReport, None, list[str]]:
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
     objective = Objective.parse(args.obj)
@@ -415,15 +409,14 @@ def cmd_ratio(args) -> int:
     )
     result = search_worst_ratio(spec, norm, objective, args.n, args.d, config)
     bound = spec.bound(objective, args.n)
-    print(
+    lines = [
         f"worst {objective.value} ratio for {describe(spec)} over n={args.n}, d={args.d}: "
         f"{result.ratio:.9f} certified [{result.lo:.9f}, {result.hi:.9f}] "
-        f"({result.evaluations} evaluations)"
-    )
-    print(f"documented bound: {bound:.9f}" if bound is not None else "documented bound: n/a")
-    print("extremal profile:")
-    for p in result.profile.points:
-        print(f"  {p.coords}")
+        f"({result.evaluations} evaluations)",
+        f"documented bound: {bound:.9f}" if bound is not None else "documented bound: n/a",
+        "extremal profile:",
+        *(f"  {p.coords}" for p in result.profile.points),
+    ]
     report = ExperimentReport(
         scenario="ratio",
         spec=describe(spec),
@@ -445,10 +438,7 @@ def cmd_ratio(args) -> int:
             "profile": profile_json(result.profile),
         },
     )
-    report.runtime_ms = int((time.perf_counter() - started) * 1000)
-    print(f"runtime {report.runtime_ms} ms")
-    report.write(args.out)
-    return 0
+    return report, None, lines
 
 
 def _scenario_l1_median(seed: int, budget: int) -> tuple[ExperimentReport, int, list[str]]:
@@ -615,22 +605,10 @@ def write_csv(path: str, rows: Sequence[dict]) -> None:
     print(f"csv written to {path}")
 
 
-def cmd_repro(args) -> int:
-    started = time.perf_counter()
+def cmd_repro(args) -> tuple[ExperimentReport, int, list[str]]:
     if args.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {args.scenario!r} (choose from {', '.join(SCENARIOS)})")
-    report, code, lines = SCENARIOS[args.scenario](args.seed, args.budget)
-    for line in lines:
-        print(line)
-    report.runtime_ms = int((time.perf_counter() - started) * 1000)
-    print(f"runtime {report.runtime_ms} ms; exit {code}")
-    report.write(args.out)
-    if args.csv:
-        if "rows" in report.extra:
-            write_csv(args.csv, report.extra["rows"])
-        else:
-            print("note: --csv only applies to the table1 scenario", file=sys.stderr)
-    return code
+    return SCENARIOS[args.scenario](args.seed, args.budget)
 
 
 def positive_int(text: str) -> int:
@@ -654,44 +632,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification bench for single-facility location mechanisms in normed spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options the commands share, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=seed_int, default=0)
+    common.add_argument("--out", default=None, help="write the JSON report here")
+    priced = argparse.ArgumentParser(add_help=False, parents=[common])
+    priced.add_argument("--mech", required=True, help="dictator:i | rand_med | rand_center | sep2d:a=<r> | coord_median")
+    priced.add_argument("--norm", default="lp:2", help="lp:<p>[;w=...][;A=...], p=inf allowed")
+    sized = argparse.ArgumentParser(add_help=False, parents=[priced])
+    sized.add_argument("--n", type=positive_int, default=3)
+    sized.add_argument("--d", type=positive_int, default=2)
 
-    p_eval = sub.add_parser("evaluate", help="run a mechanism on a profile file and price it")
+    def command(name, func, parent, budget, text):
+        p = sub.add_parser(name, parents=[parent], help=text)
+        p.add_argument("--budget", type=positive_int, default=budget)
+        p.set_defaults(func=func)
+        return p
+
+    p_eval = command("evaluate", cmd_evaluate, priced, 60_000, "run a mechanism on a profile file and price it")
     p_eval.add_argument("--profile", required=True, help="JSON file {'d': int, 'points': [[...], ...]}")
-    p_eval.add_argument("--mech", required=True, help="dictator:i | rand_med | rand_center | sep2d:a=<r> | coord_median")
-    p_eval.add_argument("--norm", default="lp:2", help="lp:<p>[;w=...][;A=...], p=inf allowed")
-    p_eval.add_argument("--budget", type=positive_int, default=60_000)
-    p_eval.add_argument("--seed", type=seed_int, default=0)
-    p_eval.add_argument("--out", default=None, help="write the JSON report here")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_check = sub.add_parser("check", help="run the full property suite for a mechanism")
-    p_check.add_argument("--mech", required=True)
-    p_check.add_argument("--norm", default="lp:2")
-    p_check.add_argument("--n", type=positive_int, default=3)
-    p_check.add_argument("--d", type=positive_int, default=2)
-    p_check.add_argument("--seed", type=seed_int, default=0)
-    p_check.add_argument("--budget", type=positive_int, default=20_000)
-    p_check.add_argument("--out", default=None)
-    p_check.set_defaults(func=cmd_check)
-
-    p_ratio = sub.add_parser("ratio", help="search for the worst-case approximation ratio")
-    p_ratio.add_argument("--mech", required=True)
-    p_ratio.add_argument("--norm", default="lp:2")
+    command("check", cmd_check, sized, 20_000, "run the full property suite for a mechanism")
+    p_ratio = command("ratio", cmd_ratio, sized, 10_000, "search for the worst-case approximation ratio")
     p_ratio.add_argument("--obj", required=True, help="mc | sc")
-    p_ratio.add_argument("--n", type=positive_int, default=3)
-    p_ratio.add_argument("--d", type=positive_int, default=2)
-    p_ratio.add_argument("--seed", type=seed_int, default=0)
-    p_ratio.add_argument("--budget", type=positive_int, default=10_000)
-    p_ratio.add_argument("--out", default=None)
-    p_ratio.set_defaults(func=cmd_ratio)
-
-    p_repro = sub.add_parser("repro", help="run a canned reproduction scenario")
+    p_repro = command("repro", cmd_repro, common, 12_000, "run a canned reproduction scenario")
     p_repro.add_argument("scenario", help=" | ".join(SCENARIOS))
-    p_repro.add_argument("--seed", type=seed_int, default=0)
-    p_repro.add_argument("--budget", type=positive_int, default=12_000)
-    p_repro.add_argument("--out", default=None)
     p_repro.add_argument("--csv", default=None, help="table1 only: write the summary CSV here")
-    p_repro.set_defaults(func=cmd_repro)
     return parser
 
 
@@ -708,11 +673,23 @@ def _check_outputs(*paths: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    csv = getattr(args, "csv", None)
     try:
-        _check_outputs(args.out, getattr(args, "csv", None))
-        return args.func(args)
+        _check_outputs(args.out, csv)
+        started = time.perf_counter()
+        report, code, lines = args.func(args)
+        for line in lines:
+            print(line)
+        report.runtime_ms = int((time.perf_counter() - started) * 1000)
+        print(f"runtime {report.runtime_ms} ms" + ("" if code is None else f"; exit {code}"))
+        report.write(args.out)
+        if csv:
+            if "rows" in report.extra:
+                write_csv(csv, report.extra["rows"])
+            else:
+                print("note: --csv only applies to the table1 scenario", file=sys.stderr)
+        return code or 0
     except (ValueError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2

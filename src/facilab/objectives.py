@@ -388,7 +388,8 @@ def _branch_bound(
     tiling, and so is every incumbent a tiling improves; the search returns
     as soon as the gap meets its target.  Otherwise cells that cannot beat
     the incumbent are pruned and surviving cells split 3x per active axis.
-    ``unit`` scales the gap target (see :func:`_meets_target`).
+    ``unit`` scales the gap target (see :func:`_meets_target`).  The box
+    is the working one: no side wider than 2, and one at least 1 wide.
     Returns (best_point, best_value, gap, evals, note).
     """
     d = lo.size
@@ -409,11 +410,6 @@ def _branch_bound(
     best_pt, best_val, cert = settle(seeds[k].copy(), float(vals[k]))
     if _meets_target(best_val - cert, best_val, unit):
         return best_pt, best_val, max(0.0, best_val - cert), evals, note
-    if not active.any():
-        # box is numerically a point; charge its full extent to the bound
-        gap = best_val - max(cert, best_val - float(span @ axis_rate))
-        note = "" if _meets_target(gap, best_val, unit) else "gap target missed"
-        return best_pt, best_val, gap, evals, note
 
     # initial tiling of the box
     splits = np.where(active, {1: 24, 2: 14, 3: 8}.get(int(active.sum()), 6), 1)
@@ -428,7 +424,7 @@ def _branch_bound(
     lower = cert
     cell_cap = 30_000
     split_budget = budget - min(2000, budget // 5)  # reserve room for the polish
-    for _generation in range(64):
+    while True:  # halves start at most 1/6 and shrink x1/3: at most 26 generations
         vals = fn(centers)
         evals += centers.shape[0]
         k = int(np.argmin(vals))
@@ -471,8 +467,6 @@ def _branch_bound(
         halves = np.where(active, halves / 3.0, halves)
         if float(halves.max()) < 1e-13:
             break
-    else:
-        note = "generation cap reached"
 
     # the polishes can only lower the incumbent value
     best_pt, best_val, spent = _compass_polish(
@@ -957,8 +951,10 @@ def _sc_newton(
 
     At a report, where that term has no gradient, the step follows the
     steepest descent direction of the sum instead, and the descent stops
-    when Kuhn's condition says the report is optimal.  Each step is scored halved 0..20 times in one batch and
-    the best is taken; the descent stops when none lowers the value.
+    when Kuhn's condition says the report is optimal.  Each step is scored
+    halved 0..20 times in one batch and the best is taken; a step wider
+    than the working box whose halvings all fail is scored once more from
+    width 2.  The descent stops when none lowers the value.
     Returns (y, value, evals).
     """
     p = residual.p
@@ -991,6 +987,12 @@ def _sc_newton(
         cands = y[None, :] + shrink[:, None] * step[None, :]
         vals = fn(cands)
         evals += shrink.size
+        wide = float(np.abs(step).max())
+        if not float(vals.min()) < value and wide > 2.0 and evals + shrink.size <= budget:
+            # too wide for the box, as where a coordinate tie leaves the summed Hessian singular
+            cands = y[None, :] + shrink[:, None] * (step * (2.0 / wide))[None, :]
+            vals = fn(cands)
+            evals += shrink.size
         k = int(np.argmin(vals))
         if not float(vals[k]) < value:
             break

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +342,60 @@ def test_unwritable_output_fails_before_any_work(command, two_agent_file, monkey
     assert called == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro"])
+def test_main_finishes_every_command_alike(command, tmp_path, two_agent_file, capsys):
+    # the command's lines, the runtime line, then the report and the CSV;
+    # only the commands that judge (check, repro) print their exit code
+    report, csv = tmp_path / "r.json", tmp_path / "t.csv"
+    argv = {
+        "check": ["check", "--mech", "rand_med", "--budget", "300"],
+        "evaluate": ["evaluate", "--profile", two_agent_file, "--mech", "rand_med"],
+        "ratio": ["ratio", "--mech", "rand_med", "--obj", "mc", "--budget", "300"],
+        "repro": ["repro", "table1", "--budget", "300", "--csv", str(csv)],
+    }[command]
+    code = main([*argv, "--out", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    written = [f"report written to {report}"] + ([f"csv written to {csv}"] if command == "repro" else [])
+    *body, runtime = out.splitlines()[: -len(written)]
+    assert out.splitlines()[-len(written):] == written
+    judged = command in ("check", "repro")
+    assert re.fullmatch(r"runtime \d+ ms" + ("; exit 0" if judged else ""), runtime), runtime
+    assert body and not any("; exit" in line for line in body)
+    assert json.loads(report.read_text())["scenario"] == {"repro": "table1"}.get(command, command)
+
+
+# per command: the options its --help lists, and the values parsed from the
+# required ones alone
+PARSED = {
+    "evaluate": (
+        ["--profile", "p.json", "--mech", "rand_med"],
+        {"profile": "p.json", "mech": "rand_med", "norm": "lp:2", "budget": 60_000, "seed": 0, "out": None},
+    ),
+    "check": (
+        ["--mech", "rand_med"],
+        {"mech": "rand_med", "norm": "lp:2", "n": 3, "d": 2, "budget": 20_000, "seed": 0, "out": None},
+    ),
+    "ratio": (
+        ["--mech", "rand_med", "--obj", "mc"],
+        {"mech": "rand_med", "norm": "lp:2", "obj": "mc", "n": 3, "d": 2, "budget": 10_000, "seed": 0, "out": None},
+    ),
+    "repro": (["table1"], {"scenario": "table1", "budget": 12_000, "seed": 0, "out": None, "csv": None}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED))
+def test_each_command_keeps_its_options_and_defaults(command, capsys):
+    required, values = PARSED[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert listed == {"--help"} | {f"--{name}" for name in values if name != "scenario"}
+    args = vars(build_parser().parse_args([command, *required]))
+    assert {k: v for k, v in args.items() if k not in ("command", "func")} == values
 
 
 class TestDeterminism:

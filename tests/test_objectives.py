@@ -637,6 +637,30 @@ def test_weiszfeld_iterate_landing_on_a_report():
     assert optimum <= res.value + 1e-12
 
 
+def test_sc_newton_leaves_a_double_coordinate_tie():
+    # the coordinate-wise median ties a report on both axes, where the summed
+    # Hessian is singular and the Newton step is about 1e10 wide: none of its
+    # halvings improves, but the same step scaled to the working box does
+    from facilab import objectives
+
+    prof = Profile.from_rows(
+        [[-0.10170514771972461, 8.788593914022922], [0.6138405110428198, 3.3203957396495163],
+         [-15.706301759011325, 4.7416434003378]]
+    )
+    norm = Norm(3.0)
+    zs, residual, _, _ = objectives._working_space(prof, norm)
+    fn = objectives._objective_fn(SC, zs, residual)
+    seed = np.median(zs, axis=0)
+    assert (zs == seed).any(axis=0).all()
+    value = float(fn(seed[None])[0])
+    y, moved, _ = objectives._sc_newton(fn, zs, residual, seed, value, 60_000)
+    assert moved < value and not np.array_equal(y, seed)
+    # so the first settle certifies, before one 14 x 14 tiling of the box
+    res = opt_social_cost(prof, norm)
+    assert res.value == 20.059734412789993 and res.evaluations < 14 * 14
+    assert res.certified_gap <= GAP_REL * (1.0 + res.value)
+
+
 GRID_PROFILE = Profile.from_rows([(0, 0), (2, 0.5), (0.7, 1.9), (1.6, -0.8)])
 
 
@@ -1087,6 +1111,16 @@ def test_ball_equilateral_circumradius_exact():
     assert res.method == "ball"
     assert abs(res.value - 2.0 / math.sqrt(3.0)) <= 1e-15
     assert res.certified_gap <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="_ball_lower_bound charges no rounding slack")
+def test_ball_zero_gap_sound_to_the_ulp():
+    # the oracle set's cube profile: the ball route certifies its value with
+    # gap 0, yet a feasible point one rounding away costs one ulp less
+    cube = Profile.from_rows([(0, 0, 0), (2, 0.5, -1), (0.5, 1.5, 0.25), (-1, 0.75, 1.5), (0.25, -1.25, 0.5)])
+    res = opt_max_cost(cube, N2)
+    feasible = cost_mc(Lottery.degenerate(point(0.4999999999999999, 0.625, 0.25)), cube, N2)
+    assert res.value - res.certified_gap <= feasible
 
 
 @pytest.mark.parametrize("d", [2, 3])
