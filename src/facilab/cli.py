@@ -288,7 +288,7 @@ def run_check(
     verdicts.append(check_2dictatorship(spec, profiles, norm))
     probes = [(p, i) for p in profiles[:6] for i in range(1, n + 1)]
     steps = gen.normal(size=(len(probes), 8, d)) * 0.4
-    moves = [[Point.from_array(row) for row in p.agent(i).as_array() + step] for (p, i), step in zip(probes, steps)]
+    moves = np.array([p.agent(i).as_array() for p, i in probes])[:, None] + steps
     verdicts.append(check_cost_continuity(spec, [p for p, _ in probes], [i for _, i in probes], moves, norm))
     unanimous = Profile(tuple(z_points[0] for _ in range(n)))
     verdicts.append(check_uncompromising(spec, [unanimous] + profiles[:5], norm))

@@ -67,6 +67,9 @@ class Point:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.coords, dtype=dtype or float)
+
     def __add__(self, other: "Point") -> "Point":
         _same_dim(self, other)
         return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))

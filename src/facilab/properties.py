@@ -305,12 +305,14 @@ def check_uncompromising(mech: MechanismLike, profiles: Profiles, norm: Norm) ->
 
 
 def check_cost_continuity(
-    mech: MechanismLike, profiles: Profiles, agents: Sequence[int], perturbations: Sequence[Sequence[Point]], norm: Norm
+    mech: MechanismLike, profiles: Profiles, agents: Sequence[int], perturbations: Union[np.ndarray, Sequence], norm: Norm
 ) -> PropertyVerdict:
     """1-Lipschitz bound on each probe agent's own-cost map under her movement.
 
     Probe k moves agent agents[k] of profiles[k] to each point z of
-    perturbations[k], as many points for every probe.  mu(z) is the
+    perturbations[k], as many points for every probe: Points, or one
+    (probes, points, d) array (a bare Profile takes one sequence or a
+    (points, d) array).  mu(z) is the
     agent's expected distance to the output when she reports z; the check
     compares |mu(x_i) - mu(z)| against ||x_i - z||.  Reported as an
     empirical margin even for mechanisms with no strategyproofness claim.
@@ -319,14 +321,20 @@ def check_cost_continuity(
     if isinstance(profiles, Profile):
         profiles, agents, perturbations = (profiles,), (agents,), (perturbations,)
     profiles, xs = _probe_stack(profiles)
-    (m, n, d), perturbations = xs.shape, tuple(tuple(zs) for zs in perturbations)
+    m, n, d = xs.shape
     if len(agents) != m or len(perturbations) != m or not all(1 <= i <= n for i in agents):
         raise ValueError(f"each profile needs one agent in [1, {n}] and one list of perturbations")
-    if any(len(zs) != len(perturbations[0]) or any(z.dim != d for z in zs) for zs in perturbations):
+    try:
+        zs = np.asarray(perturbations, dtype=float)
+    except ValueError:  # ragged: probes of unequal counts or points of unequal dimensions
+        zs = None
+    if zs is not None and zs.size == 0:
+        zs = zs.reshape(m, 0, d)
+    if zs is None or zs.ndim != 3 or zs.shape[2] != d:
         raise DimensionMismatch(f"every probe needs as many perturbations, all in dimension {d}")
-    size, at = len(perturbations[0]) + 1, np.array(agents) - 1  # rows: the truth, then each z
+    size, at = zs.shape[1] + 1, np.array(agents) - 1  # rows: the truth, then each z
     rows = np.repeat(xs, size, axis=0).reshape(m, size, n, d)
-    rows[np.arange(m), 1:, at] = np.reshape([[z.coords for z in zs] for zs in perturbations], (m, size - 1, d))
+    rows[np.arange(m), 1:, at] = zs
     own = rows[np.arange(m), :, at]  # (probe, row, d): the moving agent's report
     weights, points = kernel_of(mech)(rows.reshape(-1, n, d), norm)
     mu = expected_cost_stack(np.add, weights, points, own.reshape(-1, 1, d), norm).reshape(m, size)
@@ -336,7 +344,7 @@ def check_cost_continuity(
     probe, j = divmod(int(np.argmin(slack)), size - 1)
     agent, note = int(agents[probe]), "own-cost change exceeds the agent's movement"
     deltas = ((agent, *mu[probe, [0, j + 1]].tolist()),)  # the truth's cost, then z's
-    witness = Witness(profiles[probe], (agent,), (perturbations[probe][j],), deltas, note)
+    witness = Witness(profiles[probe], (agent,), (Point.from_array(zs[probe, j]),), deltas, note)
     return _inequality_verdict("cost_continuity", float(slack[probe, j]), witness)
 
 

@@ -21,16 +21,19 @@ The hunt reads only the reports and their diameters, and builds no plan.
 Agent costs and the hunt's mechanism costs come from one expected-cost
 kernel (:func:`~facilab.geometry.expected_cost_stack`).  The misreport
 search runs its restarts in lockstep: the (restart, coalition) searches are
-cut into blocks of ``LOCKSTEP_BLOCK``, and each block is scored and refined
-as one stack on the plan's rows, each search drawing from its restart's
-stream.  Witnesses are then validated in restart order, so each witness
-returned is the one a restart-at-a-time search finds; a ``Profile`` is built
-only for that validation.  Each round of a pattern search polls its live
-searches as one stack: a misreport search polls every direction left in its
-sweep (six at d = 2), and a hunt search polls only its next few, so that a
-round fills about one score block and a search scores few polls past its
-first improving one.  Either way a search makes the moves of polling one
-direction at a time.
+cut into blocks of ``LOCKSTEP_BLOCK``, and each block's candidates are built
+as arrays on the plan's rows (:func:`_block`: start targets as one padded
+stack, single agents' extra targets among them, and per-member moves as
+another), with no Python loop over its searches; each search draws from its
+restart's stream, and the block is scored and refined as one stack.  Only
+the searches whose best margin beats the validation margin are validated,
+in restart order, so each witness returned is the one a restart-at-a-time
+search finds; a ``Profile`` is built only for that validation.  Each round
+of a pattern search polls its live searches as one stack: a misreport
+search polls every direction left in its sweep (six at d = 2), and a hunt
+search polls only its next few, so that a round fills about one score
+block and a search scores few polls past its first improving one.  Either
+way a search makes the moves of polling one direction at a time.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -254,24 +257,70 @@ def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.
 # -- misreport search -----------------------------------------------------------
 
 
-def _sp_targets(plan: _Plan, r: int, agent: int) -> np.ndarray:
-    """Extra start targets of agent (0-based) alone at restart r: axis steps,
-    the other reports, a grid around the output support and points on the
-    segments to the other reports (the common points and support atoms are
-    every coalition's targets already)."""
-    xs, scale = plan.reports[r], plan.scales[r]
-    d = xs.shape[1]
-    xi = xs[agent]
-    others = np.delete(xs, agent, axis=0)
-    axis = (np.array([0.5, 0.1, 0.02]) * scale)[:, None, None] * np.eye(d)
-    grid = 0.1 * scale * np.eye(d)
-    near = plan.points[r][plan.weights[r] > 0.0][:, None, :]
-    return np.concatenate([
-        np.stack([xi + axis, xi - axis], axis=2).reshape(-1, d),
+def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray, stream, margins):
+    """The candidates of a block of (restart, coalition) searches, built as
+    arrays: search j makes agents members[j, :sizes[j]] of restart runs[j]
+    misreport (``members`` is padded to n columns, ``runs`` non-decreasing).
+
+    Start targets, where all members report one point: the output centroid,
+    the report mean, the coalition centroid, the coordinate median, the
+    coalition's extremes and the support atoms, and for a single agent also
+    axis steps, the other reports, a grid around the support atoms and
+    points on the segments to the other reports.  They lie in a padded
+    (B, L, d) stack; ``targets[mask]`` holds each search's in turn, and
+    ``margins(targets[mask], owners)`` scores them, where owners[j] is the
+    search of row j.  Each search starts from its best target, the first
+    of equals.  Per-member moves: segment pulls to the coalition centroid,
+    correlated jitter from the restart's stream (four normals per search,
+    drawn once per restart for the block), and axis shifts; the (B, 6 + 4d,
+    n, d) stack is padded past each coalition's members.  Returns
+    (targets, mask, starts, moves).
+    """
+    count, n = members.shape
+    d = plan.reports.shape[2]
+    every = np.arange(count)
+    xs, scales = plan.reports[runs], plan.scales[runs]
+    own = xs[every[:, None], members]
+    center, low, high = np.empty((3, count, d))
+    for size in np.unique(sizes).tolist():
+        at = sizes == size
+        group = own[at, :size]
+        center[at], low[at], high[at] = group.mean(axis=1), group.min(axis=1), group.max(axis=1)
+    # a single agent's extra targets
+    alone = sizes == 1
+    xi, eye = own[:, 0], np.eye(d)
+    rest = np.arange(n - 1)
+    others = xs[every[:, None], rest + (rest >= members[:, :1])]
+    axis = (np.array([0.5, 0.1, 0.02]) * scales[:, None])[:, :, None, None] * eye
+    grid = ((0.1 * scales)[:, None, None] * eye)[:, None]
+    atoms, real = plan.points[runs], plan.weights[runs] > 0.0
+    near = atoms[:, :, None, :]
+    segments = xi[:, None, None] + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi[:, None])[:, :, None, :]
+    targets = np.concatenate([
+        plan.common[runs, :2], center[:, None], plan.common[runs, 2:], low[:, None], high[:, None], atoms,
+        np.stack([xi[:, None, None] + axis, xi[:, None, None] - axis], axis=3).reshape(count, -1, d),
         others,
-        np.stack([near + grid, near - grid], axis=2).reshape(-1, d),
-        (xi + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi)[:, None, :]).reshape(-1, d),
-    ])
+        np.stack([near + grid, near - grid], axis=3).reshape(count, -1, d),
+        segments.reshape(count, -1, d),
+    ], axis=1)
+    mask = np.concatenate([
+        np.ones((count, 6), dtype=bool), real,
+        np.repeat(alone[:, None], 6 * d + n - 1, axis=1),
+        np.repeat(real, 2 * d, axis=1) & alone[:, None],
+        np.repeat(alone[:, None], 4 * (n - 1), axis=1),
+    ], axis=1)
+    vals = np.full(mask.shape, np.inf)  # a pad never wins: row 0 of every search is real
+    vals[mask] = margins(targets[mask], np.nonzero(mask)[0])
+    starts = targets[every, np.argmin(vals, axis=1)]
+    # per-member moves: segment pulls, correlated jitter, axis shifts
+    pulls = own[:, None] + np.array([0.5, 1.0])[:, None, None] * (center[:, None] - own)[:, None]
+    normals = np.concatenate([stream(r).normal(size=(4 * len(list(g)), d)) for r, g in itertools.groupby(runs.tolist())])
+    jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * scales[:, None])[:, :, None] * normals.reshape(count, 4, d)
+    axis = (np.array([0.5, 0.1]) * scales[:, None])[:, :, None, None] * eye
+    shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=3).reshape(count, -1, d)], axis=1)
+    lo, hi = plan.lo[runs][:, None, None], plan.hi[runs][:, None, None]
+    moves = np.concatenate([pulls, np.clip(own[:, None] + shifts[:, :, None, :], lo, hi)], axis=1)
+    return targets, mask, starts, moves
 
 
 def _misreport_witnesses(
@@ -282,16 +331,15 @@ def _misreport_witnesses(
 
     Coalitions are enumerated by size then lexicographically, so each
     restart's single agents come first.  The main generator is the
-    all-members-report-one-point move (output centroid, coalition centroid
-    and extremes, atom points, and for a single agent the targets of
-    :func:`_sp_targets`), refined by pattern search on the worst member's
-    gain; per-member segment pulls, correlated jitter from the restart's
-    stream and axis shifts follow.  The (restart, coalition) searches run in
-    lockstep blocks of ``LOCKSTEP_BLOCK``: a block is scored as stacks, on
-    the rows of the restart plan (:func:`_plan`), and its pattern searches
-    run together; witnesses re-validate through the group checker in
-    restart order, then coalition order, so each is the one a search of one
-    coalition at a time finds.  The first validated witness of any size is
+    all-members-report-one-point move from the best start target, refined
+    by pattern search on the worst member's gain; per-member moves follow.
+    The (restart, coalition) searches run in lockstep blocks of
+    ``LOCKSTEP_BLOCK``: each block's targets and moves are built as arrays
+    by :func:`_block`, on the rows of the restart plan (:func:`_plan`),
+    scored as stacks, and its pattern searches run together; only the
+    searches whose best margin beats -IMPROVE_MARGIN re-validate through
+    the group checker, in restart order, then coalition order, so each
+    witness is the one a search of one coalition at a time finds.  The first validated witness of any size is
     the group witness, after which only single agents are searched; the
     first single-agent witness ends the walk, and is the group witness as
     well when no coalition validated before it.  A caller that needs both
@@ -303,8 +351,7 @@ def _misreport_witnesses(
     stream = _streams(config)
     coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
     sizes = np.array([len(c) for c in coalitions])
-    members_of = np.concatenate(coalitions)  # coalition c is members_of[at[c]:at[c] + sizes[c]]
-    at = np.cumsum(sizes) - sizes
+    padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])  # coalition c is padded[c, :sizes[c]]
     queue = np.arange(config.restarts * len(coalitions))  # (restart, coalition) pairs in walk order
     group: Optional[Witness] = None
     while queue.size:
@@ -318,7 +365,7 @@ def _misreport_witnesses(
             counts = sizes[coalition[which]]
             owners = np.repeat(np.arange(len(which)), counts)
             starts = np.cumsum(counts) - counts
-            agents = members_of[np.repeat(at[coalition[which]] - starts, counts) + np.arange(len(owners))]
+            agents = padded[coalition[which]][np.arange(n) < counts[:, None]]
             moved = xs[which]
             moved[owners, agents] = reports
             rows = which[owners]
@@ -329,50 +376,37 @@ def _misreport_witnesses(
             z = np.clip(z, lo[which], hi[which])
             return joint_margins(np.repeat(z, sizes[coalition[which]], axis=0), which)
 
-        targets, moves = [], []
-        for r, c in zip(runs.tolist(), coalition.tolist()):
-            members = plan.reports[r, list(coalitions[c])]
-            center = members.mean(axis=0)
-            extremes = [members.min(axis=0), members.max(axis=0)]
-            common, atoms = plan.common[r], plan.points[r][plan.weights[r] > 0.0]
-            alone = [_sp_targets(plan, r, coalitions[c][0])] if sizes[c] == 1 else []
-            targets.append(np.vstack([common[:2], center, common[2], *extremes, atoms, *alone]))
-            # per-member moves: segment pulls, correlated jitter, axis shifts
-            pulls = members + np.array([0.5, 1.0])[:, None, None] * (center - members)
-            jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * plan.scales[r])[:, None] * stream(r).normal(size=(4, d))
-            axis = (np.array([0.5, 0.1]) * plan.scales[r])[:, None, None] * np.eye(d)
-            shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=2).reshape(-1, d)])
-            moves.append(np.concatenate([pulls, np.clip(members + shifts[:, None, :], plan.lo[r], plan.hi[r])]))
-        every = np.arange(len(runs))
-        counts = [len(t) for t in targets]
-        vals = np.split(common_margins(np.concatenate(targets), np.repeat(every, counts)), np.cumsum(counts)[:-1])
-        starts = np.array([t[int(np.argmin(v))] for t, v in zip(targets, vals)])
+        _, _, starts, moves = _block(plan, runs, padded[coalition], sizes[coalition], stream, common_margins)
         zs, best_margin, _ = _pattern_minimize(
             common_margins, starts, plan.scales[runs], config.local_steps, lo, hi
         )
-        counts = [len(m) for m in moves]
-        flat = np.concatenate([m.reshape(-1, d) for m in moves])
-        vals = np.split(joint_margins(flat, np.repeat(every, counts)), np.cumsum(counts)[:-1])
-        for j, (r, c) in enumerate(zip(runs.tolist(), coalition.tolist())):
+        every = np.arange(len(runs))
+        real = np.arange(n) < sizes[coalition][:, None, None]
+        vals = joint_margins(moves[np.broadcast_to(real, moves.shape[:3])], np.repeat(every, moves.shape[1]))
+        vals = vals.reshape(len(runs), -1)
+        k = np.argmin(vals, axis=1)
+        move_wins = vals[every, k] < best_margin  # a per-member move beats the pattern search
+        best_margin = np.where(move_wins, vals[every, k], best_margin)
+        for j in np.flatnonzero(best_margin < -IMPROVE_MARGIN).tolist():
+            r, c = int(runs[j]), int(coalition[j])
             if group is not None and sizes[c] > 1:
                 continue
-            best_reports = np.tile(np.clip(zs[j], lo[j], hi[j]), (sizes[c], 1))
-            k = int(np.argmin(vals[j]))
-            if vals[j][k] < best_margin[j]:
-                best_margin[j], best_reports = vals[j][k], moves[j][k]
-            if best_margin[j] < -IMPROVE_MARGIN:
-                verdict = check_group_strategyproof_at(
-                    mech,
-                    Profile.from_rows(plan.reports[r]),
-                    [i + 1 for i in coalitions[c]],
-                    [Point.from_array(x) for x in best_reports],
-                    norm,
-                )
-                if not verdict.passed and not verdict.inconclusive:
-                    if sizes[c] == 1:
-                        return verdict.witness, group or verdict.witness
-                    group = verdict.witness
-                    queue = queue[sizes[queue % len(coalitions)] == 1]
+            if move_wins[j]:
+                best_reports = moves[j, k[j], : sizes[c]]
+            else:
+                best_reports = np.tile(np.clip(zs[j], lo[j], hi[j]), (sizes[c], 1))
+            verdict = check_group_strategyproof_at(
+                mech,
+                Profile.from_rows(plan.reports[r]),
+                [i + 1 for i in coalitions[c]],
+                [Point.from_array(x) for x in best_reports],
+                norm,
+            )
+            if not verdict.passed and not verdict.inconclusive:
+                if sizes[c] == 1:
+                    return verdict.witness, group or verdict.witness
+                group = verdict.witness
+                queue = queue[sizes[queue % len(coalitions)] == 1]
     return None, group
 
 

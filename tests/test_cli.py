@@ -171,6 +171,23 @@ class TestCheck:
         assert code == 0, out
         assert "MISMATCH" not in out
 
+    # one agent (each restart searches that agent alone, with no other
+    # reports to step toward) and one dimension (one axis, one grid step
+    # per atom) both run the whole misreport search
+    @pytest.mark.parametrize(
+        "mech,n,d",
+        [("dictator:1", 1, 2), ("coord_median", 1, 2), ("dictator:1", 1, 1), ("coord_median", 3, 1), ("rand_med", 3, 1)],
+    )
+    def test_one_agent_and_one_dimension_checks(self, mech, n, d, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        argv = ["check", "--mech", mech, "--n", str(n), "--d", str(d), "--budget", "2000", "--out", str(path)]
+        assert main(argv) == 0, capsys.readouterr().out
+        verdicts = json.loads(path.read_text())["verdicts"]
+        assert [(v["passed"], v["inconclusive"], v["witness"]) for v in verdicts] == [(True, False, None)] * 8
+        assert {v["property"]: v["note"] for v in verdicts[2:4]} == dict.fromkeys(
+            ["strategyproof", "group_strategyproof"], "no validated witness within budget"
+        )
+
     def test_arity_validation(self, capsys):
         assert main(["check", "--mech", "sep2d:a=0", "--n", "2"]) == 2
         assert main(["check", "--mech", "dictator:5", "--n", "3"]) == 2

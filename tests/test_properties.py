@@ -201,6 +201,18 @@ class TestCostContinuity:
         prof = Profile.from_rows([(0.001, 0), (1, 1)])
         v = check_cost_continuity(jumpy, prof, 1, [point(-0.001, 0)], N2)
         assert not v.passed and v.witness is not None
+        # the same moves as one array give the same verdict and witness
+        assert check_cost_continuity(jumpy, prof, 1, np.array([[-0.001, 0.0]]), N2) == v
+        assert v.witness.misreports == (point(-0.001, 0),)
+
+    def test_array_moves_match_point_lists(self):
+        profs = structured_profiles(3, 2)[:4]
+        moves = np.array([p.agent(2).as_array() for p in profs])[:, None] + np.linspace(-1.0, 1.0, 10).reshape(1, 5, 2)
+        points = [[Point.from_array(z) for z in zs] for zs in moves]
+        for mech in (SEP2D, RAND_CENTER, COORD_MEDIAN):
+            assert check_cost_continuity(mech, profs, [2] * 4, moves, N1) == check_cost_continuity(
+                mech, profs, [2] * 4, points, N1
+            )
 
 
 class TestSupportSegment:

@@ -5,6 +5,7 @@ negative controls (mechanisms with proved guarantees) must yield none.
 Fixture outcomes for the open cases record what the oracle run found.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -430,6 +431,115 @@ def test_plan_is_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
+
+
+# -- the block build against the per-(restart, coalition) build it replaced ----
+
+
+def reference_sp_targets(plan, r, agent):
+    """Agent (0-based) alone at restart r: axis steps, the other reports, a
+    grid around the output support and points on the segments to the other
+    reports, built as before the block build."""
+    xs, scale = plan.reports[r], plan.scales[r]
+    d = xs.shape[1]
+    xi = xs[agent]
+    others = np.delete(xs, agent, axis=0)
+    axis = (np.array([0.5, 0.1, 0.02]) * scale)[:, None, None] * np.eye(d)
+    grid = 0.1 * scale * np.eye(d)
+    near = plan.points[r][plan.weights[r] > 0.0][:, None, :]
+    return np.concatenate([
+        np.stack([xi + axis, xi - axis], axis=2).reshape(-1, d),
+        others,
+        np.stack([near + grid, near - grid], axis=2).reshape(-1, d),
+        (xi + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * (others - xi)[:, None, :]).reshape(-1, d),
+    ])
+
+
+def reference_block(plan, runs, coalitions, stream):
+    """Each (restart, coalition) search's start targets and per-member moves,
+    built one pair at a time as before the block build."""
+    d = plan.reports.shape[2]
+    targets, moves = [], []
+    for r, c in zip(runs.tolist(), coalitions):
+        members = plan.reports[r, list(c)]
+        center = members.mean(axis=0)
+        extremes = [members.min(axis=0), members.max(axis=0)]
+        common, atoms = plan.common[r], plan.points[r][plan.weights[r] > 0.0]
+        alone = [reference_sp_targets(plan, r, c[0])] if len(c) == 1 else []
+        targets.append(np.vstack([common[:2], center, common[2], *extremes, atoms, *alone]))
+        pulls = members + np.array([0.5, 1.0])[:, None, None] * (center - members)
+        jitter = (np.array([0.1, 0.1, 0.5, 0.5]) * plan.scales[r])[:, None] * stream(r).normal(size=(4, d))
+        axis = (np.array([0.5, 0.1]) * plan.scales[r])[:, None, None] * np.eye(d)
+        shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=2).reshape(-1, d)])
+        moves.append(np.concatenate([pulls, np.clip(members + shifts[:, None, :], plan.lo[r], plan.hi[r])]))
+    return targets, moves
+
+
+def tied_margins(z, which):
+    """A stand-in score with many ties, so the first of equals must win."""
+    return np.round(np.abs(z).sum(axis=1), 1) + which % 3
+
+
+def assert_block_matches_reference(mech, norm, n, d, config, block, singles_after=None):
+    """Walk the (restart, coalition) queue in blocks, as the misreport search
+    does, keeping only single agents after ``singles_after`` blocks, and
+    compare every block's build with the per-pair build, by bytes."""
+    plan = search._plan(mech, norm, n, d, config)
+    coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])
+    sizes = np.array([len(c) for c in coalitions])
+    stream, reference_stream = search._streams(config), search._streams(config)
+    queue, blocks = np.arange(config.restarts * len(coalitions)), 0
+    while queue.size:
+        runs, coalition = np.divmod(queue[:block], len(coalitions))
+        queue, blocks = queue[block:], blocks + 1
+        if blocks == singles_after:
+            queue = queue[sizes[queue % len(coalitions)] == 1]
+        targets, mask, starts, moves = search._block(
+            plan, runs, padded[coalition], sizes[coalition], stream, tied_margins
+        )
+        want_targets, want_moves = reference_block(plan, runs, [coalitions[c] for c in coalition], reference_stream)
+        counts = [len(t) for t in want_targets]
+        vals = np.split(tied_margins(np.concatenate(want_targets), np.repeat(np.arange(len(runs)), counts)), np.cumsum(counts)[:-1])
+        want_starts = np.array([t[int(np.argmin(v))] for t, v in zip(want_targets, vals)])
+        assert mask.sum(axis=1).tolist() == counts
+        assert targets[mask].tobytes() == np.concatenate(want_targets).tobytes()
+        assert starts.tobytes() == want_starts.tobytes()
+        for j, want in enumerate(want_moves):
+            assert moves[j, :, : sizes[coalition[j]]].tobytes() == want.tobytes()
+    return blocks
+
+
+BLOCK_MECHS = {"rand_med": 1, "rand_center": 1, "sep2d:a=0.5": 2, "coord_median": 1, "median_mean": 2}
+BLOCK_NORMS = {"lp:2": 1, "lp:inf": 1, "lp:3;w=1,2": 2, "lp:2;A=1.1,0.3,-0.2,0.9": 2}  # 2: for d = 2 only
+
+
+@pytest.mark.parametrize("block", [64, 3])
+@pytest.mark.parametrize(
+    "mech,norm_text,n,d",
+    [
+        (mech, norm_text, n, d)
+        for mech, mech_d in BLOCK_MECHS.items()
+        for norm_text, norm_d in BLOCK_NORMS.items()
+        for n, d in [(2, 1), (3, 2), (4, 2), (5, 3)]
+        if mech_d in (1, d) and norm_d in (1, d) and (n >= 3 or mech != "sep2d:a=0.5")
+    ],
+)
+def test_block_build_matches_per_pair_build_bitwise(mech, norm_text, n, d, block):
+    # structured profiles, then seeded draws; blocks of three split restarts
+    # of three or more agents
+    config = SearchConfig(rng_seed=7, restarts=len(structured_profiles(n, d)) + 2)
+    mech = median_mean if mech == "median_mean" else mech
+    blocks = assert_block_matches_reference(mech, parse_norm(norm_text), n, d, config, block)
+    assert blocks > 1 or block == 64
+
+
+@pytest.mark.parametrize("block", [64, 3])
+def test_block_build_after_a_group_witness_matches_bitwise(block):
+    # after the first blocks only single agents are left, mid-restart
+    config = SearchConfig(rng_seed=3, restarts=12)
+    for singles_after in (1, 2):
+        assert_block_matches_reference(RAND_CENTER, N2, 4, 2, config, block, singles_after)
 
 
 def count_plans(monkeypatch) -> list:
