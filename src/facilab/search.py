@@ -30,10 +30,13 @@ the searches whose best margin beats the validation margin are validated,
 in restart order, so each witness returned is the one a restart-at-a-time
 search finds; a ``Profile`` is built only for that validation.  Each round
 of a pattern search polls its live searches as one stack: a misreport
-search polls every direction left in its sweep (six at d = 2), and a hunt
-search polls only its next few, so that a round fills about one score
-block and a search scores few polls past its first improving one.  Either
-way a search makes the moves of polling one direction at a time.
+search polls every direction left in its sweep (six at d = 2) and, from
+the same point, the next ``_LOOK_AHEAD`` sweeps it would make if it did not
+move, so a search that stalls spends one round on several sweeps; it starts
+from the score its block gave its start target.  A hunt search polls only
+its next few directions, so that a round fills about one score block and a
+search scores few polls past its first improving one.  Either way a search
+makes the moves of polling one direction at a time.
 
 Structured profile families (clustered, collinear, simplex vertices,
 two-cluster splits, and the known hard instances) are seeded before any
@@ -70,6 +73,9 @@ SCORE_DISTANCES = 2**13  # hunt: profiles per call times n**3
 # misreports: (restart, coalition) searches run in lockstep at a time; a
 # block also bounds the work left over after an early witness
 LOCKSTEP_BLOCK = 64
+# an uncapped pattern-search round polls this many sweeps past the current
+# one: most late sweeps make no move, and each round costs a fn call
+_LOOK_AHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,10 @@ def structured_profiles(n: int, d: int) -> list[Profile]:
     return [Profile.from_rows(rows) for rows in _structured(n, d)]
 
 
+@functools.cache
 def _structured(n: int, d: int) -> np.ndarray:
-    """The rows of :func:`structured_profiles`, as one (families, n, d) array."""
+    """The rows of :func:`structured_profiles`, as one read-only (families,
+    n, d) array, built once per (n, d)."""
     e1 = np.zeros(d)
     e1[0] = 1.0
     eye = np.eye(d)
@@ -133,10 +141,12 @@ def _structured(n: int, d: int) -> np.ndarray:
     gen = _rng(0x5EED_FAC1, 0)
     for _ in range(2):
         add(gen.normal(size=(n, d)))
-    return np.stack(rows)
+    stack = np.stack(rows)
+    stack.flags.writeable = False
+    return stack
 
 
-def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi, rows=None):
+def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi, rows=None, values=None):
     """Coordinate pattern searches from the rows of ``starts``, in lockstep.
 
     Each search polls the axis directions and the all-ones diagonal, + then
@@ -144,55 +154,88 @@ def _pattern_minimize(fn, starts: np.ndarray, scale, max_sweeps: int, lo, hi, ro
     one per search); candidates are clipped to the search's box [lo, hi]
     (``lo``/``hi`` are one shared box of shape (dim,), or (count, dim)
     with one box per search).  ``fn(cands, owners)`` scores an (m, dim) stack of candidates,
-    row j for search ``owners[j]``.  Every round polls each live search's
-    next polls of its sweep from its current point as one stack: all that
-    are left of the sweep, or, when ``rows`` caps the candidates of one
-    ``fn`` call, the next ``max(isqrt(polls), rows // live)`` of them, so
-    a round scores about ``rows`` rows and a search that moves early
-    wastes few.  A search takes its first improving poll in order and
-    polls the rest from there, so it makes exactly the moves of polling
-    one direction at a time, and counts only those polls; ``rows`` changes
-    only how many rows are scored and in how many rounds.  Returns (best
-    points, best values, evaluations), one row per search.
+    row j for search ``owners[j]``; ``values``, when given, are the scores
+    of the clipped starts, which are then not scored again.  Every round
+    polls each live search from its current point as one stack: the rest
+    of its sweep, then the next ``_LOOK_AHEAD`` sweeps it would make if it
+    did not move, each at the step that sweep would use (unhalved after a
+    sweep that moved, then halved once per sweep) and none past
+    ``max_sweeps`` or the 1e-7 x scale floor.  When ``rows`` caps the
+    candidates of one ``fn`` call, a round polls no sweep ahead, only the
+    next ``max(isqrt(polls), rows // live)`` polls of the current one, so
+    it scores about ``rows`` rows and a search that moves early wastes few.
+    A search takes its first improving poll in order, and the sweeps it
+    polled before it are the sweeps it completed; it polls on from there,
+    so it makes exactly the moves of polling one direction at a time, and
+    counts only those polls.  Look-ahead and ``rows`` change only how many
+    rows are scored and in how many rounds.  Returns (best points, best
+    values, evaluations), one row per search.
     """
     count, dim = starts.shape
     scales = np.broadcast_to(np.asarray(scale, dtype=float), (count,))
+    floor = 1e-7 * scales
     lo, hi = np.asarray(lo), np.asarray(hi)
     shared = lo.ndim == 1  # one box for all: clip without gathering rows
     dirs = np.repeat(np.vstack([np.eye(dim), np.ones(dim) / math.sqrt(dim)]), 2, axis=0)
     signs = np.tile([1.0, -1.0], dim + 1)
     polls = len(dirs)
     x = np.clip(starts, lo, hi)
-    best = fn(x, np.arange(count))
+    best = fn(x, np.arange(count)) if values is None else np.array(values, dtype=float)
     evals = np.ones(count, dtype=int)
     step = scales / 4.0
     sweeps = np.zeros(count, dtype=int)
     done = np.zeros(count, dtype=int)  # polls already made in the current sweep
     improved = np.zeros(count, dtype=bool)
-    live = np.flatnonzero((step > 1e-7 * scales) & (max_sweeps > 0))
+    ahead = np.arange(1, _LOOK_AHEAD + 1)
+    live = np.flatnonzero((step > floor) & (max_sweeps > 0))
     while live.size:
         chunk = polls - done[live]  # this round's polls: the rest of each sweep,
-        if rows is not None:  # or its next few
+        if rows is None:  # then the sweeps ahead
+            # ladder[:, k]: the step of the k-th sweep from the current one if none moves
+            ladder = np.empty((live.size, _LOOK_AHEAD + 2))
+            ladder[:, 0] = step[live]
+            ladder[:, 1] = np.where(improved[live], step[live], step[live] * 0.5)
+            for k in range(2, _LOOK_AHEAD + 2):
+                ladder[:, k] = ladder[:, k - 1] * 0.5
+            runs = (ladder[:, 1:-1] > floor[live, None]) & (sweeps[live, None] + ahead < max_sweeps)
+            chunk += polls * runs.sum(axis=1)  # a prefix: steps fall and sweeps rise along a row
+        else:  # or its next few
             chunk = np.minimum(chunk, max(math.isqrt(polls), rows // live.size))
         owners = np.repeat(live, chunk)
         first = np.repeat(np.cumsum(chunk) - chunk, chunk)  # where each search's polls start
         which = done[owners] + np.arange(len(owners)) - first
-        moves = x[owners] + (signs[which] * step[owners])[:, None] * dirs[which]
+        if rows is None:
+            sweep, which = np.divmod(which, polls)
+            lengths = ladder[np.repeat(np.arange(live.size), chunk), sweep]
+        else:
+            lengths = step[owners]
+        moves = x[owners] + (signs[which] * lengths)[:, None] * dirs[which]
         cands = np.clip(moves, lo if shared else lo[owners], hi if shared else hi[owners])
         vals = fn(cands, owners)
         hits = np.flatnonzero(vals < best[owners] - 1e-15)
         movers, at = np.unique(owners[hits], return_index=True)
         at = hits[at]  # each improving search's first improving poll
-        best[movers], x[movers], improved[movers] = vals[at], cands[at], True
+        best[movers], x[movers] = vals[at], cands[at]
         taken = chunk.copy()
-        taken[np.searchsorted(live, movers)] = at - first[at] + 1
+        moved = np.searchsorted(live, movers)
+        taken[moved] = at - first[at] + 1
         evals[live] += taken
-        done[live] += taken
-        swept = live[done[live] == polls]
-        sweeps[swept] += 1
-        step[swept[~improved[swept]]] *= 0.5
-        done[swept], improved[swept] = 0, False
-        live = live[(step[live] > 1e-7 * scales[live]) & (sweeps[live] < max_sweeps)]
+        if rows is None:
+            swept, done[live] = np.divmod(done[live] + taken, polls)
+            hit = np.zeros(live.size, dtype=bool)
+            hit[moved] = True
+            closing = hit & (done[live] == 0)  # a move on a sweep's last poll keeps that sweep's step
+            step[live] = ladder[np.arange(live.size), swept - closing]
+            improved[live] = hit & ~closing
+            sweeps[live] += swept
+        else:
+            improved[movers] = True
+            done[live] += taken
+            swept = live[done[live] == polls]
+            sweeps[swept] += 1
+            step[swept[~improved[swept]]] *= 0.5
+            done[swept], improved[swept] = 0, False
+        live = live[(step[live] > floor[live]) & (sweeps[live] < max_sweeps)]
     return x, best, evals
 
 
@@ -270,11 +313,12 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
     (B, L, d) stack; ``targets[mask]`` holds each search's in turn, and
     ``margins(targets[mask], owners)`` scores them, where owners[j] is the
     search of row j.  Each search starts from its best target, the first
-    of equals.  Per-member moves: segment pulls to the coalition centroid,
-    correlated jitter from the restart's stream (four normals per search,
-    drawn once per restart for the block), and axis shifts; the (B, 6 + 4d,
-    n, d) stack is padded past each coalition's members.  Returns
-    (targets, mask, starts, moves).
+    of equals, whose score is its start value.  Per-member moves: segment
+    pulls to the coalition centroid, correlated jitter from the restart's
+    stream (four normals per search, drawn once per restart for the block),
+    and axis shifts; the (B, 6 + 4d, n, d) stack is padded past each
+    coalition's members.  Returns (targets, mask, starts, start values,
+    moves).
     """
     count, n = members.shape
     d = plan.reports.shape[2]
@@ -311,7 +355,8 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
     ], axis=1)
     vals = np.full(mask.shape, np.inf)  # a pad never wins: row 0 of every search is real
     vals[mask] = margins(targets[mask], np.nonzero(mask)[0])
-    starts = targets[every, np.argmin(vals, axis=1)]
+    pick = np.argmin(vals, axis=1)
+    starts, start_values = targets[every, pick], vals[every, pick]
     # per-member moves: segment pulls, correlated jitter, axis shifts
     pulls = own[:, None] + np.array([0.5, 1.0])[:, None, None] * (center[:, None] - own)[:, None]
     normals = np.concatenate([stream(r).normal(size=(4 * len(list(g)), d)) for r, g in itertools.groupby(runs.tolist())])
@@ -320,7 +365,7 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
     shifts = np.concatenate([jitter, np.stack([axis, -axis], axis=3).reshape(count, -1, d)], axis=1)
     lo, hi = plan.lo[runs][:, None, None], plan.hi[runs][:, None, None]
     moves = np.concatenate([pulls, np.clip(own[:, None] + shifts[:, :, None, :], lo, hi)], axis=1)
-    return targets, mask, starts, moves
+    return targets, mask, starts, start_values, moves
 
 
 def _misreport_witnesses(
@@ -376,9 +421,11 @@ def _misreport_witnesses(
             z = np.clip(z, lo[which], hi[which])
             return joint_margins(np.repeat(z, sizes[coalition[which]], axis=0), which)
 
-        _, _, starts, moves = _block(plan, runs, padded[coalition], sizes[coalition], stream, common_margins)
+        _, _, starts, start_margins, moves = _block(
+            plan, runs, padded[coalition], sizes[coalition], stream, common_margins
+        )
         zs, best_margin, _ = _pattern_minimize(
-            common_margins, starts, plan.scales[runs], config.local_steps, lo, hi
+            common_margins, starts, plan.scales[runs], config.local_steps, lo, hi, values=start_margins
         )
         every = np.arange(len(runs))
         real = np.arange(n) < sizes[coalition][:, None, None]

@@ -22,7 +22,7 @@ from facilab.geometry import (
     parse_norm,
     point,
 )
-from facilab.mechanisms import MechanismSpec, apply, kernel_of
+from facilab.mechanisms import MechanismSpec, apply, kernel_of, parse_mechanism
 from facilab.objectives import Objective, opt_value_upper_stack
 from facilab.properties import Witness, check_group_strategyproof_at, check_strategyproof_at
 from facilab import search
@@ -223,15 +223,19 @@ def misreport_margins(kernel, norm, agents):
 
 def assert_matches_reference(batched, reference, count):
     """``batched(rows)`` against the one-poll-at-a-time ``reference(s)`` of
-    each of its ``count`` searches, uncapped and under row caps of one row,
-    a few, and more than any round needs: a cap changes how many polls a
-    round scores, never a search's moves."""
+    each of its ``count`` searches: uncapped, polling no sweep ahead, one,
+    three or more than any search makes, and under row caps of one row, a
+    few, and more than any round needs.  Look-ahead and caps change how
+    many polls a round scores, never a search's moves."""
     expected = [reference(s) for s in range(count)]
-    for rows in (None, 1, 7, 10_000):
-        found = batched(rows)
+    runs = [(depth, None) for depth in (0, 1, 3, 50)] + [(search._LOOK_AHEAD, rows) for rows in (1, 7, 10_000)]
+    for depth, rows in runs:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_LOOK_AHEAD", depth)
+            found = batched(rows)
         for s, (x, val, evals) in enumerate(expected):
-            assert found[0][s].tobytes() == x.tobytes(), rows
-            assert found[1][s] == val and found[2][s] == evals, rows
+            assert found[0][s].tobytes() == x.tobytes(), (depth, rows)
+            assert found[1][s] == val and found[2][s] == evals, (depth, rows)
 
 
 @pytest.mark.parametrize("mech", ["rand_med", "rand_center", "sep2d:a=0.5", "coord_median"])
@@ -353,6 +357,174 @@ def test_row_cap_bounds_each_call_and_scores_fewer_rows(rows):
     assert found[0].tobytes() == free[0].tobytes()
     assert found[1].tobytes() == free[1].tobytes() and found[2].tobytes() == free[2].tobytes()
     assert sum(capped) < sum(uncapped)
+
+
+def quadratic_margins(target):
+    """A smooth, wavy score, one point at a time and batched."""
+
+    def value(z):
+        return float(((z - target) ** 2).sum() + np.sin(5.0 * z).sum())
+
+    def values(zs, owners):
+        return ((zs - target) ** 2).sum(axis=1) + np.sin(5.0 * zs).sum(axis=1)
+
+    return value, values
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 3])
+def test_look_ahead_stops_at_max_sweeps(max_sweeps):
+    # three sweeps ahead of the first would cross the cap at every depth > 0
+    count, dim = 5, 3
+    starts = np.random.default_rng(11).normal(size=(count, dim))
+    lo, hi = np.full(dim, -4.0), np.full(dim, 4.0)
+    value, values = quadratic_margins(np.array([0.4, -0.3, 1.1]))
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(values, starts, 1.3, max_sweeps, lo, hi, rows=rows),
+        lambda s: reference_pattern_minimize(value, starts[s], 1.3, max_sweeps, lo, hi),
+        count,
+    )
+
+
+def test_look_ahead_stops_at_the_step_floor():
+    # a coarse score stops moving early, then every search halves its step
+    # down to the 1e-7 x scale floor, well before the sweep cap
+    count, dim = 6, 2
+    starts = np.random.default_rng(12).normal(size=(count, dim))
+    scales = np.array([0.5, 1.0, 2.0, 3.0, 7.0, 0.01])
+    lo, hi = np.full(dim, -5.0), np.full(dim, 5.0)
+
+    def value(z):
+        return float(np.round(np.abs(z - 0.2).sum(), 1))
+
+    def values(zs, owners):
+        return np.round(np.abs(zs - 0.2).sum(axis=1), 1)
+
+    expected = [reference_pattern_minimize(value, starts[s], scales[s], 60, lo, hi) for s in range(count)]
+    assert all(evals < 1 + 60 * 2 * (dim + 1) for _, _, evals in expected)  # the floor ends every search
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(values, starts, scales, 60, lo, hi, rows=rows),
+        lambda s: expected[s],
+        count,
+    )
+
+
+def test_a_search_moves_inside_a_speculated_sweep(monkeypatch):
+    # from 0 at step 1, no poll of the first sweep improves on |z - 0.3|;
+    # the second sweep's first poll, at step 0.5, does
+    monkeypatch.setattr(search, "_LOOK_AHEAD", 3)
+    sizes = []
+
+    def values(zs, owners):
+        sizes.append(len(zs))
+        return np.abs(zs - 0.3).sum(axis=1)
+
+    lo, hi = np.full(1, -5.0), np.full(1, 5.0)
+    x, best, evals = _pattern_minimize(values, np.zeros((1, 1)), 4.0, 20, lo, hi)
+    want = reference_pattern_minimize(lambda z: float(np.abs(z - 0.3).sum()), np.zeros(1), 4.0, 20, lo, hi)
+    assert (x[0].tobytes(), best[0], evals[0]) == (want[0].tobytes(), want[1], want[2])
+    assert sizes[:2] == [1, 4 * 4]  # the start, then the rest of the sweep and three ahead
+    rounds = len(sizes)
+    monkeypatch.setattr(search, "_LOOK_AHEAD", 0)
+    sizes.clear()
+    _pattern_minimize(values, np.zeros((1, 1)), 4.0, 20, lo, hi)
+    assert rounds < len(sizes)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-305, 1e-316, 1e200])
+def test_extreme_scales_match_reference(scale):
+    # at 1e-305 and 1e-316 the steps fall into subnormals, where halving rounds
+    count, dim = 3, 2
+    starts = np.array([[1.0, 1.0], [-2.0, 0.5], [0.3, -0.7]]) * scale
+    target = np.array([0.3, -0.7])
+    lo, hi = np.full(dim, -10.0 * scale), np.full(dim, 10.0 * scale)
+
+    def value(z):
+        return float(np.abs(z / scale - target).sum())
+
+    def values(zs, owners):
+        return np.abs(zs / scale - target).sum(axis=1)
+
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(values, starts, scale, 40, lo, hi, rows=rows),
+        lambda s: reference_pattern_minimize(value, starts[s], scale, 40, lo, hi),
+        count,
+    )
+
+
+def test_look_ahead_halves_steps_one_at_a_time():
+    # in subnormals, halving four times rounds differently from one product
+    # with 0.125: the fifth sweep's step is 79,064 ulps, not 79,063, and
+    # only a poll at exactly that step scores better
+    scale, needle = 2.5e-317, 2.5e-317 / 4.0
+    for _ in range(4):
+        needle *= 0.5
+    assert needle != scale / 4.0 * 0.5 * 0.125
+    lo, hi = np.full(2, -10.0 * scale), np.full(2, 10.0 * scale)
+
+    def value(z):
+        return 0.0 if z[0] == needle else 1.0
+
+    def values(zs, owners):
+        return np.where(zs[:, 0] == needle, 0.0, 1.0)
+
+    starts = np.zeros((2, 2))
+    starts[1, 1] = scale
+    expected = [reference_pattern_minimize(value, starts[s], scale, 30, lo, hi) for s in range(2)]
+    assert all(x[0] == needle for x, _, _ in expected)
+    assert_matches_reference(
+        lambda rows: _pattern_minimize(values, starts, scale, 30, lo, hi, rows=rows),
+        lambda s: expected[s],
+        2,
+    )
+
+
+def test_given_start_values_are_not_scored_again():
+    count, dim = 4, 3
+    starts = np.random.default_rng(13).normal(size=(count, dim)) * 3.0
+    lo, hi = np.full(dim, -2.0), np.full(dim, 2.0)  # some starts are clipped
+    _, values = quadratic_margins(np.array([0.4, -0.3, 1.1]))
+    calls = []
+
+    def counting(zs, owners):
+        calls.append(zs.copy())
+        return values(zs, owners)
+
+    scored = _pattern_minimize(counting, starts, 1.3, 20, lo, hi)
+    rounds = len(calls)
+    given = _pattern_minimize(counting, starts, 1.3, 20, lo, hi, values=values(np.clip(starts, lo, hi), None))
+    assert len(calls) == 2 * rounds - 1
+    for a, b in zip(scored, given):
+        assert a.tobytes() == b.tobytes()  # evaluations still count the start
+
+
+AUDIT_NORMS = ("lp:2", "lp:1", "lp:inf", "lp:3;w=1,2")
+
+
+@pytest.mark.parametrize(
+    "mech,rounds",
+    [("dictator:1", [5, 5, 5, 5]), ("rand_med", [5, 5, 5, 5]), ("rand_center", [18, 5, 16, 18]),
+     ("sep2d:a=0", [5, 5, 5, 5]), ("coord_median", [10, 5, 13, 16])],
+)
+def test_one_audit_block_polls_in_few_rounds(mech, rounds, monkeypatch):
+    # check's misreport search at budget 2000 (8 restarts, 20 sweeps) runs
+    # its 56 (restart, coalition) searches at n = 3, d = 2 as one block; a
+    # search that never moves polls its 20 sweeps in 5 rounds.  Scoring the
+    # starts and then polling one sweep a round took 21 rounds at the
+    # least (37, 21, 31, 36 for rand_center and 26, 21, 28, 34 for
+    # coord_median), with the same moves and evaluations
+    calls, minimize = [], search._pattern_minimize
+
+    def counting(fn, *args, **kwargs):
+        return minimize(lambda z, owners: calls.append(len(z)) or fn(z, owners), *args, **kwargs)
+
+    monkeypatch.setattr(search, "_pattern_minimize", counting)
+    config = SearchConfig(rng_seed=0, restarts=8, local_steps=20)
+    found = []
+    for norm_text in AUDIT_NORMS:
+        calls.clear()
+        search._misreport_witnesses(parse_mechanism(mech), parse_norm(norm_text), 3, 2, config)
+        found.append(len(calls))
+    assert found == rounds
 
 
 def median_mean(profile, norm):
@@ -495,7 +667,7 @@ def assert_block_matches_reference(mech, norm, n, d, config, block, singles_afte
         queue, blocks = queue[block:], blocks + 1
         if blocks == singles_after:
             queue = queue[sizes[queue % len(coalitions)] == 1]
-        targets, mask, starts, moves = search._block(
+        targets, mask, starts, start_values, moves = search._block(
             plan, runs, padded[coalition], sizes[coalition], stream, tied_margins
         )
         want_targets, want_moves = reference_block(plan, runs, [coalitions[c] for c in coalition], reference_stream)
@@ -505,6 +677,7 @@ def assert_block_matches_reference(mech, norm, n, d, config, block, singles_afte
         assert mask.sum(axis=1).tolist() == counts
         assert targets[mask].tobytes() == np.concatenate(want_targets).tobytes()
         assert starts.tobytes() == want_starts.tobytes()
+        assert start_values.tobytes() == np.array([v.min() for v in vals]).tobytes()
         for j, want in enumerate(want_moves):
             assert moves[j, :, : sizes[coalition[j]]].tobytes() == want.tobytes()
     return blocks
@@ -601,6 +774,16 @@ def test_single_agent_witness_after_a_pair_witness():
     assert not verdict.passed and verdict.witness == sp
     [(_, before, after)] = sp.per_agent_delta
     assert verdict.margin == after - before
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 3), (2, 1)])
+def test_structured_rows_are_built_once_read_only(n, d):
+    rows = search._structured(n, d)
+    assert search._structured(n, d) is rows
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0, 0] = 1.0
+    assert rows.tobytes() == search._structured.__wrapped__(n, d).tobytes()
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 3), (2, 1)])
