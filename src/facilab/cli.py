@@ -53,9 +53,12 @@ from .search import (
     DISCUSSION_PROFILE,
     SearchConfig,
     _misreport_witnesses,
+    _rng,
+    _structured,
     search_worst_ratio,
-    structured_profiles,
 )
+
+CHECK_MAX_AGENTS = 16  # check's largest --n: its subset stacks and coalition queue grow as 2**n
 
 PROPERTIES = (
     "unanimity",
@@ -240,23 +243,17 @@ def _sp_search_verdict(name: str, witness: Optional[Witness]) -> PropertyVerdict
     return PropertyVerdict(name, False, margin, witness)
 
 
-def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> list[Profile]:
-    profiles = structured_profiles(n, d)
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(987))
-    for _ in range(4):
-        profiles.append(Profile.from_rows(gen.normal(size=(n, d)) * 1.5))
+def _check_profiles(spec: MechanismSpec, n: int, d: int, seed: int) -> np.ndarray:
+    """A check's probe profiles: the structured families and four draws."""
+    xs = np.concatenate([_structured(n, d), _rng(seed, 987).normal(size=(4, n, d)) * 1.5])
     if spec.a is not None:
         # pin profiles on both sides of the branch constant, moving agent 1
         # of a profile whose agents 2 and 3 differ: with x2 = x3 the segments
         # x1x2 and x1x3 coincide, and one dictator pair can fit every probe
-        base = next(p for p in profiles if p.agent(2) != p.agent(3))
-        for offset in (0.7, -0.7):
-            shifted = base.replaced(
-                1,
-                Point(tuple([spec.a + offset] + list(base.agent(1).coords[1:]))),
-            )
-            profiles.append(shifted)
-    return profiles
+        pins = np.repeat(xs[np.argmax((xs[:, 1] != xs[:, 2]).any(axis=1))][None], 2, axis=0)
+        pins[:, 0, 0] = spec.a + np.array([0.7, -0.7])
+        xs = np.concatenate([xs, pins])
+    return xs
 
 
 def run_check(
@@ -265,33 +262,23 @@ def run_check(
     restarts = max(8, min(300, budget // 250))
     config = SearchConfig(rng_seed=seed, restarts=restarts, local_steps=20)
     profiles = _check_profiles(spec, n, d, seed)
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(13))
-
-    verdicts: list[PropertyVerdict] = []
-    z_points = [Point.from_array(row) for row in gen.normal(size=(24, d)) * 2.0]
-    verdicts.append(check_unanimity(spec, norm, z_points, n=n))
-
-    shifts = [Point.from_array(row) for row in gen.normal(size=(3, d))]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    shifts.append(Point.from_array(1.5 * e1))
-    if spec.a is not None:
-        # shifts that push the first coordinate across the branch constant
-        shifts.append(Point.from_array((spec.a + 1.0) * e1))
-        shifts.append(Point.from_array((spec.a - 2.0) * e1))
-    verdicts.append(check_translation_invariance(spec, norm, profiles[:8], shifts))
-
+    gen = _rng(seed, 13)
+    zs = gen.normal(size=(24, d)) * 2.0
+    # shifts: three draws, then steps along e1, across the branch constant if any
+    steps = [1.5] + ([] if spec.a is None else [spec.a + 1.0, spec.a - 2.0])
+    shifts = np.concatenate([gen.normal(size=(3, d)), np.outer(steps, np.eye(d)[0])])
+    moves = profiles[:6].reshape(-1, 1, d) + gen.normal(size=(6 * n, 8, d)) * 0.4  # every agent of 6 profiles
     sp, gsp = _misreport_witnesses(spec, norm, n, d, config)
-    verdicts.append(_sp_search_verdict("strategyproof", sp))
-    verdicts.append(_sp_search_verdict("group_strategyproof", gsp))
-    verdicts.append(check_support_segment(spec, profiles, norm))
-    verdicts.append(check_2dictatorship(spec, profiles, norm))
-    probes = [(p, i) for p in profiles[:6] for i in range(1, n + 1)]
-    steps = gen.normal(size=(len(probes), 8, d)) * 0.4
-    moves = np.array([p.agent(i).as_array() for p, i in probes])[:, None] + steps
-    verdicts.append(check_cost_continuity(spec, [p for p, _ in probes], [i for _, i in probes], moves, norm))
-    unanimous = Profile(tuple(z_points[0] for _ in range(n)))
-    verdicts.append(check_uncompromising(spec, [unanimous] + profiles[:5], norm))
+    verdicts = [
+        check_unanimity(spec, norm, zs, n=n),
+        check_translation_invariance(spec, norm, profiles[:8], shifts),
+        _sp_search_verdict("strategyproof", sp),
+        _sp_search_verdict("group_strategyproof", gsp),
+        check_support_segment(spec, profiles, norm),
+        check_2dictatorship(spec, profiles, norm),
+        check_cost_continuity(spec, np.repeat(profiles[:6], n, axis=0), np.tile(np.arange(1, n + 1), 6), moves, norm),
+        check_uncompromising(spec, np.concatenate([np.repeat(zs[:1, None], n, axis=1), profiles[:5]]), norm),
+    ]
 
     expected = expected_outcomes(spec, n, d, norm)
     exit_code = 0 if all(_meets(expected.get(v.name, "info"), v) for v in verdicts) else 1
@@ -379,6 +366,8 @@ def cmd_evaluate(args) -> tuple[ExperimentReport, None, list[str]]:
 
 
 def cmd_check(args) -> tuple[ExperimentReport, int, list[str]]:
+    if args.n > CHECK_MAX_AGENTS:
+        raise ValueError(f"check needs --n <= {CHECK_MAX_AGENTS}: its searches grow as 2**n")
     spec = parse_mechanism(args.mech)
     norm = parse_norm(args.norm)
     if args.n < spec.min_agents:

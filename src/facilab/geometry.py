@@ -516,6 +516,9 @@ class Profile:
     def as_array(self) -> np.ndarray:
         return np.asarray([p.coords for p in self.points], dtype=float)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.as_array, dtype=dtype or float)
+
     def agent(self, i: int) -> Point:
         """Report of agent i (1-based)."""
         if not 1 <= i <= self.n:

@@ -16,20 +16,21 @@ Margin conventions:
   uncompromising, support segment, 2-dictatorship): margin is minus the
   worst deviation, and there is no inconclusive band.
 
-Every checker runs on an array core: it stacks all of its probe report
-arrays into one (m, n, d) stack, makes one call of the mechanism's kernel
+Every checker runs on an array core: it reads all of its probe reports
+as one (m, n, d) stack (:func:`_stack`), makes one call of the mechanism's kernel
 (:func:`~facilab.mechanisms.kernel_of`) on it (uncompromising makes a
 second, for its moves onto the outputs), and scores agent costs with one
 call of the expected-cost kernel
 (:func:`~facilab.geometry.expected_cost_stack`, one agent per row) and
 distances with one ``Norm.eval_many`` on one-row blocks, which round as
-the one-row ``Norm.distance`` does.  ``Profile`` and ``Point`` stay at the
-API, and a :class:`Witness` is built only for the verdict returned, which
-is the first lowest-margin probe's in input order (2-dictatorship judges
-its set as a whole).  A probe set holds profiles of one (n, d) shape, and
-a bare ``Profile`` is a set of one (:data:`Profiles`); the points of
-unanimity and the shifts of translation invariance share one dimension
-too, and a set of another shape raises ``DimensionMismatch``.
+the one-row ``Norm.distance`` does.  Inputs are ``Profile``/``Point``
+objects or their arrays alike; a checker builds such objects only for the
+:class:`Witness` it returns, from the first lowest-margin probe in input
+order (2-dictatorship judges its set as a whole).  A probe set holds
+profiles of one (n, d) shape, a bare profile being a set of one; the
+points of unanimity and the shifts of translation invariance share one
+dimension too, and a ragged or empty set or another shape raises
+``DimensionMismatch``.
 
 Agent indices are 1-based everywhere.
 """
@@ -56,7 +57,8 @@ from .geometry import (
 )
 from .mechanisms import MechanismLike, MechanismSpec, kernel_of, parse_mechanism
 
-Profiles = Union[Profile, Sequence[Profile]]
+Profiles = Union[Profile, Sequence[Profile], np.ndarray]
+PROBE_SHAPE = "a probe set needs one or more profiles of one (n, d) shape"
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,19 @@ def _dist(norm: Norm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return norm.eval_many(diff.reshape(-1, 1, diff.shape[-1])).reshape(diff.shape[:-1])
 
 
-def _probe_stack(profiles: Profiles) -> tuple[tuple[Profile, ...], np.ndarray]:
-    """The probe set (a bare Profile is a set of one) and its (m, n, d) stack."""
-    profiles = (profiles,) if isinstance(profiles, Profile) else tuple(profiles)
-    if len({p.as_array.shape for p in profiles}) != 1:
-        raise DimensionMismatch("a probe set needs one or more profiles of one (n, d) shape")
-    return profiles, np.stack([p.as_array for p in profiles])
+def _stack(items, rank: int, problem: str, d: Optional[int] = None) -> np.ndarray:
+    """A probe set as one float array of ``rank`` axes, the first over its
+    probes; one bare probe (``rank - 1`` axes) is a set of one.  A ragged or
+    empty set, or a last axis other than ``d``, raises DimensionMismatch."""
+    try:
+        xs = np.asarray(items, dtype=float)
+    except ValueError:  # ragged: probes of unequal shapes
+        xs = np.empty(0)
+    if xs.ndim == rank - 1 and xs.size:
+        xs = xs[None]
+    if xs.ndim != rank or not xs.size or d not in (None, xs.shape[-1]):
+        raise DimensionMismatch(problem)
+    return xs
 
 
 def _strays(norm: Norm, weights: np.ndarray, points: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,24 +206,22 @@ def _default_arity(mech: MechanismLike) -> int:
 
 
 def check_unanimity(
-    mech: MechanismLike, norm: Norm, points: Sequence[Point], n: Optional[int] = None
+    mech: MechanismLike, norm: Norm, points: Union[Sequence[Point], np.ndarray], n: Optional[int] = None
 ) -> PropertyVerdict:
     """Identical reports z must force a degenerate output at z.
 
-    The points, all of one dimension, run as one stack.
+    The points (or an (m, d) array), all of one dimension, run as one stack.
     """
-    points = tuple(points)
     n = n if n is not None else _default_arity(mech)
-    if len({z.dim for z in points}) > 1:
-        raise DimensionMismatch("unanimity needs points of one dimension")
     devs = np.zeros(0)
-    if points:
-        xs = np.repeat(np.array([z.coords for z in points])[:, None], n, axis=1)
-        devs = _strays(norm, *kernel_of(mech)(xs, norm), xs[:, 0])
+    if len(points):
+        zs = _stack(points, 2, "unanimity needs points of one dimension")
+        xs = np.repeat(zs[:, None], n, axis=1)
+        devs = _strays(norm, *kernel_of(mech)(xs, norm), zs)
 
     def witness_at(k: int, dev: float) -> Witness:
-        z = points[k]
-        return Witness(Profile(tuple(z for _ in range(n))), note=f"all-{z.coords} profile output strays by {dev:.3g}")
+        note = f"all-{tuple(zs[k].tolist())} profile output strays by {dev:.3g}"
+        return Witness(Profile.from_rows(xs[k]), note=note)
 
     return _worst_verdict("unanimity", devs, witness_at)
 
@@ -237,7 +244,7 @@ def _translated(weights: np.ndarray, points: np.ndarray, shifts: np.ndarray):
 
 
 def check_translation_invariance(
-    mech: MechanismLike, norm: Norm, profiles: Sequence[Profile], shifts: Sequence[Point]
+    mech: MechanismLike, norm: Norm, profiles: Profiles, shifts: Union[Sequence[Point], np.ndarray]
 ) -> PropertyVerdict:
     """Shifting all reports must shift the output lottery atom-by-atom.
 
@@ -245,31 +252,27 @@ def check_translation_invariance(
     run as one stack; no profile or no shift is a vacuous pass.
     """
     kernel = kernel_of(mech)
-    profiles, shifts = tuple(profiles), tuple(shifts)
-    if not profiles or not shifts:
+    if not len(profiles) or not len(shifts):
         return _worst_verdict("translation_invariance", np.zeros(0), None)
-    profiles, xs = _probe_stack(profiles)
+    xs = _stack(profiles, 3, PROBE_SHAPE)
     g, n, d = xs.shape
-    if any(shift.dim != d for shift in shifts):
-        raise DimensionMismatch(f"every shift needs dimension {d}")
-    moves = np.tile(np.array([shift.coords for shift in shifts]), (g, 1))
-    moved = np.repeat(xs, len(shifts), axis=0) + moves[:, None]
+    steps = _stack(shifts, 2, f"every shift needs dimension {d}", d)
+    moves = np.tile(steps, (g, 1))
+    moved = np.repeat(xs, len(steps), axis=0) + moves[:, None]  # row k: profile k // shifts, shift k % shifts
     weights, points = kernel(np.concatenate([xs, moved]), norm)
-    base = np.repeat(weights[:g], len(shifts), axis=0), np.repeat(points[:g], len(shifts), axis=0)
+    base = np.repeat(weights[:g], len(steps), axis=0), np.repeat(points[:g], len(steps), axis=0)
     devs = mass_gap_stack(*_translated(*base, moves), weights[g:], points[g:])  # (profile, shift), flat
 
     def witness_at(k: int, dev: float) -> Witness:
-        profile, shift = profiles[k // len(shifts)], shifts[k % len(shifts)]
-        moved = profile.translate(shift)
-        weights, points = kernel(np.stack([profile.as_array, moved.as_array]), norm)
-        ew, ep = _translated(weights[:1], points[:1], shift.as_array()[None])
-        n = profile.n
+        weights, points = kernel(np.stack([xs[k // len(steps)], moved[k]]), norm)
+        ew, ep = _translated(weights[:1], points[:1], moves[k : k + 1])
         rows = np.repeat([0, 1], n)  # each agent under the expected, then the actual output
         both = np.concatenate([ew, weights[1:]])[rows], np.concatenate([ep, points[1:]])[rows]
-        costs = expected_cost_stack(np.add, *both, np.tile(moved.as_array, (2, 1))[:, None], norm)
-        note = f"shift {shift.coords} moves {dev:.3g} probability mass off the translated output"
+        costs = expected_cost_stack(np.add, *both, np.tile(moved[k], (2, 1))[:, None], norm)
+        note = f"shift {tuple(moves[k].tolist())} moves {dev:.3g} probability mass off the translated output"
         deltas = tuple(zip(range(1, n + 1), costs[:n].tolist(), costs[n:].tolist()))
-        return Witness(profile, tuple(range(1, n + 1)), moved.points, deltas, note)
+        profile, misreports = Profile.from_rows(xs[k // len(steps)]), tuple(map(Point.from_array, moved[k]))
+        return Witness(profile, tuple(range(1, n + 1)), misreports, deltas, note)
 
     return _worst_verdict("translation_invariance", devs, witness_at)
 
@@ -280,7 +283,7 @@ def check_uncompromising(mech: MechanismLike, profiles: Profiles, norm: Norm) ->
     Applies to degenerate outputs; a randomized one is a vacuous pass with
     a note.  The probes run as one stack, all 2**n - 1 subsets as another.
     """
-    profiles, xs = _probe_stack(profiles)
+    xs = _stack(profiles, 3, PROBE_SHAPE)
     kernel = kernel_of(mech)
     weights, points = kernel(xs, norm)
     fixed = (weights > 0.0).sum(axis=1) == 1
@@ -299,7 +302,8 @@ def check_uncompromising(mech: MechanismLike, profiles: Profiles, norm: Norm) ->
     def witness_at(k: int, dev: float) -> Witness:
         probe, subset = k // len(subsets), subsets[k % len(subsets)]
         note = f"moving agents {subset} onto the output moves it by {dev:.3g}"
-        return Witness(profiles[probe], subset, (Point.from_array(points[probe, 0]),) * len(subset), note=note)
+        y = Point.from_array(points[probe, 0])
+        return Witness(Profile.from_rows(xs[probe]), subset, (y,) * len(subset), note=note)
 
     return _worst_verdict("uncompromising", devs, witness_at)
 
@@ -311,16 +315,16 @@ def check_cost_continuity(
 
     Probe k moves agent agents[k] of profiles[k] to each point z of
     perturbations[k], as many points for every probe: Points, or one
-    (probes, points, d) array (a bare Profile takes one sequence or a
-    (points, d) array).  mu(z) is the
+    (probes, points, d) array (a bare profile takes a bare agent and one
+    sequence or (points, d) array).  mu(z) is the
     agent's expected distance to the output when she reports z; the check
     compares |mu(x_i) - mu(z)| against ||x_i - z||.  Reported as an
     empirical margin even for mechanisms with no strategyproofness claim.
     Every truth and every z run as one stack.
     """
-    if isinstance(profiles, Profile):
-        profiles, agents, perturbations = (profiles,), (agents,), (perturbations,)
-    profiles, xs = _probe_stack(profiles)
+    if np.ndim(agents) == 0:  # one probe
+        agents, perturbations = (agents,), (perturbations,)
+    xs = _stack(profiles, 3, PROBE_SHAPE)
     m, n, d = xs.shape
     if len(agents) != m or len(perturbations) != m or not all(1 <= i <= n for i in agents):
         raise ValueError(f"each profile needs one agent in [1, {n}] and one list of perturbations")
@@ -342,10 +346,12 @@ def check_cost_continuity(
         return PropertyVerdict("cost_continuity", True, 0.0, note="no perturbations sampled")
     slack = _dist(norm, own[:, :1], own[:, 1:]) - np.abs(mu[:, 1:] - mu[:, :1])
     probe, j = divmod(int(np.argmin(slack)), size - 1)
-    agent, note = int(agents[probe]), "own-cost change exceeds the agent's movement"
-    deltas = ((agent, *mu[probe, [0, j + 1]].tolist()),)  # the truth's cost, then z's
-    witness = Witness(profiles[probe], (agent,), (Point.from_array(zs[probe, j]),), deltas, note)
-    return _inequality_verdict("cost_continuity", float(slack[probe, j]), witness)
+    margin, witness = float(slack[probe, j]), None
+    if margin < -IMPROVE_MARGIN:  # a violation
+        agent, note = int(agents[probe]), "own-cost change exceeds the agent's movement"
+        deltas = ((agent, *mu[probe, [0, j + 1]].tolist()),)  # the truth's cost, then z's
+        witness = Witness(Profile.from_rows(xs[probe]), (agent,), (Point.from_array(zs[probe, j]),), deltas, note)
+    return _inequality_verdict("cost_continuity", margin, witness)
 
 
 def _segment_excess(xs: np.ndarray, weights: np.ndarray, points: np.ndarray, norm: Norm) -> np.ndarray:
@@ -371,7 +377,7 @@ def check_support_segment(mech: MechanismLike, profiles: Profiles, norm: Norm) -
     segment membership only for strictly convex norms; under p in {1, inf}
     it falls back to Euclidean collinearity and notes the downgrade.
     """
-    profiles, xs = _probe_stack(profiles)
+    xs = _stack(profiles, 3, PROBE_SHAPE)
     weights, points = kernel_of(mech)(xs, norm)
     spread = (weights > 0.0).sum(axis=1) > 1
     seg_norm, note = _segment_norm(norm)
@@ -380,19 +386,21 @@ def check_support_segment(mech: MechanismLike, profiles: Profiles, norm: Norm) -
     k = int(np.argmax(devs))  # the first lowest margin: +0.0 (degenerate) ties -0.0
     if not spread[k]:
         return PropertyVerdict("support_segment", True, 0.0, note="degenerate output")
-    atoms = "; ".join(str(tuple(pt)) for pt in points[k][weights[k] > 0.0].tolist())
-    witness = Witness(profiles[k], note=f"support atoms {atoms} fit no agent segment")
+    witness = None
+    if devs[k] > GEOM_TOL:  # a failure
+        atoms = "; ".join(str(tuple(pt)) for pt in points[k][weights[k] > 0.0].tolist())
+        witness = Witness(Profile.from_rows(xs[k]), note=f"support atoms {atoms} fit no agent segment")
     return _equality_verdict("support_segment", float(devs[k]), witness, note=note)
 
 
-def check_2dictatorship(mech: MechanismLike, profiles: Sequence[Profile], norm: Norm) -> PropertyVerdict:
+def check_2dictatorship(mech: MechanismLike, profiles: Profiles, norm: Norm) -> PropertyVerdict:
     """One fixed agent pair must carry the support across all profiles.
 
     The profiles, of one (n, d) shape, run as one stack.
     """
-    if len(profiles) < 2:
+    xs = _stack(profiles, 3, PROBE_SHAPE) if len(profiles) > 1 else ()
+    if len(xs) < 2:
         raise ValueError("2-dictatorship needs at least 2 sampled profiles")
-    profiles, xs = _probe_stack(profiles)
     n = xs.shape[1]
     seg_norm, note = _segment_norm(norm)
     excess = _segment_excess(xs, *kernel_of(mech)(xs, norm), seg_norm)  # (profile, pair)
@@ -403,7 +411,7 @@ def check_2dictatorship(mech: MechanismLike, profiles: Sequence[Profile], norm: 
         i, j = np.triu_indices(n)
         extra = f"dictator pair {(int(i[best]) + 1, int(j[best]) + 1)}"
         return PropertyVerdict("2dictatorship", True, -best_excess, note="; ".join(s for s in (note, extra) if s))
-    worst_profile = profiles[int(np.argmax(excess.min(axis=1)))]
+    worst_profile = Profile.from_rows(xs[np.argmax(excess.min(axis=1))])
     witness = Witness(worst_profile, note="no fixed agent pair carries the support")
     return _equality_verdict("2dictatorship", best_excess, witness, note=note)
 

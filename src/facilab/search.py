@@ -90,7 +90,8 @@ class SearchConfig:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+    """``Philox(key=seed).jumped(stream)``, built at the counter the jump reaches."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, 0]))
 
 
 DISCUSSION_PROFILE = Profile.from_rows(
@@ -545,13 +546,9 @@ def search_worst_ratio(
         hi,
         rows=block,
     )
-    best_score = -math.inf
-    best_profile: Optional[Profile] = None
-    for x, val in zip(found, values.tolist()):
-        if -val > best_score:
-            best_score = -val
-            best_profile = Profile.from_rows(x.reshape(n, d))
-    assert best_profile is not None
+    best = int(np.argmin(values))  # the first of equals
+    best_score = -float(values[best])
+    best_profile = Profile.from_rows(found[best].reshape(n, d))
     certified = approx_ratio(mech, best_profile, norm, objective)
     return WorstRatioResult(
         profile=best_profile,

@@ -361,6 +361,32 @@ def test_unwritable_output_fails_before_any_work(command, two_agent_file, monkey
     assert err.startswith("error: ") and path in err and err.count("\n") == 1
 
 
+def test_check_refuses_more_than_16_agents_before_any_work(monkeypatch, capsys):
+    from facilab import cli
+
+    def work(*args, **kwargs):
+        raise AssertionError("check ran with too many agents")
+
+    monkeypatch.setattr(cli, "run_check", work)
+    monkeypatch.setattr(cli, "parse_mechanism", work)
+    assert main(["check", "--mech", "dictator:1", "--n", "17"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: check needs --n <= {cli.CHECK_MAX_AGENTS}: its searches grow as 2**n\n"
+    assert cli.CHECK_MAX_AGENTS == 16
+
+
+def test_witness_free_check_builds_no_point_or_profile(monkeypatch):
+    # the probes stay arrays from the draw to the verdict; only a witness is an object
+    from facilab import cli, geometry
+
+    built = []
+    for cls in (geometry.Point, geometry.Profile):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: built.append(self) or init(self))
+    report, code = cli.run_check(parse_mechanism("dictator:1"), parse_norm("lp:2"), 3, 2, 0, 2000)
+    assert code == 0 and all(v.witness is None for v in report.verdicts)
+    assert built == []
+
+
 @pytest.mark.parametrize("command", ["check", "evaluate", "ratio", "repro"])
 def test_main_finishes_every_command_alike(command, tmp_path, two_agent_file, capsys):
     # the command's lines, the runtime line, then the report and the CSV;

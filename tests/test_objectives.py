@@ -1113,7 +1113,9 @@ def test_ball_equilateral_circumradius_exact():
     assert res.certified_gap <= 1e-15
 
 
-@pytest.mark.xfail(strict=True, reason="_ball_lower_bound charges no rounding slack")
+@pytest.mark.xfail(
+    strict=True, reason="_optimum's half-diameter floor charges no rounding slack: it equals the value, and max(floor, bound) gives gap 0"
+)
 def test_ball_zero_gap_sound_to_the_ulp():
     # the oracle set's cube profile: the ball route certifies its value with
     # gap 0, yet a feasible point one rounding away costs one ulp less

@@ -535,16 +535,31 @@ def test_array_checkers_match_the_lottery_loops(name, norm_text, d):
     with pytest.raises(DimensionMismatch):  # profiles of another size
         check_2dictatorship(mech, profiles[:6] + [Profile.from_rows(draw(4, d))], norm)
     same(check_2dictatorship(mech, profiles, norm), _ref_2dictatorship(mech, profiles, norm))
+    # the arrays of the same probes give the same verdicts, witnesses included
+    arr = np.asarray
+    same(check_unanimity(mech, norm, arr(pts)), check_unanimity(mech, norm, pts))
+    same(check_unanimity(mech, norm, np.zeros((0, d)), n=4), check_unanimity(mech, norm, [], n=4))
+    same(
+        check_translation_invariance(mech, norm, arr(profiles[:8]), arr(shifts)),
+        check_translation_invariance(mech, norm, profiles[:8], shifts),
+    )
+    same(check_2dictatorship(mech, arr(profiles), norm), check_2dictatorship(mech, profiles, norm))
     unanimous = Profile(tuple(pts[0] for _ in range(3)))
     for profile in [unanimous] + profiles:
         same(check_support_segment(mech, profile, norm), _ref_support(mech, profile, norm))
         same(check_uncompromising(mech, profile, norm), _ref_uncompromising(mech, profile, norm))
+        same(check_support_segment(mech, arr(profile), norm), check_support_segment(mech, profile, norm))
+        same(check_uncompromising(mech, arr(profile), norm), check_uncompromising(mech, profile, norm))
     for profile in profiles[6:9]:
         for agent in (1, 2, 3):
             moves = [Point.from_array(profile.agent(agent).as_array() + step) for step in draw(5, d) * 0.4]
             same(
                 check_cost_continuity(mech, profile, agent, moves, norm),
                 _ref_continuity(mech, profile, agent, moves, norm),
+            )
+            same(
+                check_cost_continuity(mech, arr(profile), agent, arr(moves), norm),
+                check_cost_continuity(mech, profile, agent, moves, norm),
             )
             same(
                 check_strategyproof_at(mech, profile, agent, moves[0], norm), _ref_sp(mech, profile, agent, moves[0], norm)
@@ -597,6 +612,11 @@ def test_probe_sets_give_the_first_worst_profile_verdict(name, norm_text, d):
     continuity = check_cost_continuity(mech, movers, agents, moves, norm)
     same(continuity, [check_cost_continuity(mech, p, i, zs, norm) for (p, i), zs in zip(probes, moves)])
     assert name != "jumpy" or continuity.witness is not None
+    # the same probe sets as arrays
+    arr = np.asarray
+    same(check_support_segment(mech, arr(profiles), norm), [check_support_segment(mech, profiles, norm)])
+    same(check_uncompromising(mech, arr(profiles), norm), [check_uncompromising(mech, profiles, norm)])
+    same(check_cost_continuity(mech, arr(movers), arr(agents), arr(moves), norm), [continuity])
     nothing = [check_cost_continuity(mech, p, i, [], norm) for p, i in probes[:4]]
     same(check_cost_continuity(mech, movers[:4], agents[:4], [[]] * 4, norm), nothing)
 
@@ -666,10 +686,20 @@ class TestErrorPaths:
         assert check_translation_invariance(SEP2D, N2, [self.PROF], []).passed
         with pytest.raises(DimensionMismatch):
             check_unanimity(SEP2D, N2, [point(1, 2), point(1, 2, 3)])
+        # arrays: ragged or of another dimension raise, and none is a vacuous pass
+        for shifts in (np.zeros((1, 3)), [np.zeros(2), np.zeros(3)]):
+            with pytest.raises(DimensionMismatch):
+                check_translation_invariance(SEP2D, N2, self.PROF.as_array[None], shifts)
+        for points in ([np.zeros(2), np.zeros(3)], np.zeros((2, 3, 2))):
+            with pytest.raises(DimensionMismatch):
+                check_unanimity(SEP2D, N2, points)
+        assert check_translation_invariance(SEP2D, N2, self.PROF.as_array[None], np.zeros((0, 2))).passed
+        assert check_unanimity(SEP2D, N2, np.zeros((0, 2))).passed
 
     def test_probe_sets_need_one_shape(self):
         square = Profile.from_rows([(0, 0), (2, 0)])
-        for mixed in ([self.PROF, square], [self.PROF, Profile.from_rows([(0, 0, 0)] * 3)], []):
+        arrays = [self.PROF.as_array, square.as_array], [self.PROF.as_array, np.zeros((3, 3))], np.zeros((0, 3, 2))
+        for mixed in ([self.PROF, square], [self.PROF, Profile.from_rows([(0, 0, 0)] * 3)], [], *arrays):
             with pytest.raises(DimensionMismatch):
                 check_support_segment(RAND_MED, mixed, N2)
             with pytest.raises(DimensionMismatch):
@@ -678,11 +708,15 @@ class TestErrorPaths:
                 check_cost_continuity(RAND_MED, mixed, [1] * len(mixed), [[point(0.1, 0)]] * len(mixed), N2)
         with pytest.raises(DimensionMismatch):  # as many perturbations per probe
             check_cost_continuity(RAND_MED, [self.PROF] * 2, [1, 2], [[point(0.1, 0)], []], N2)
+        for moves in ([np.zeros((1, 2)), np.zeros((0, 2))], np.zeros((2, 1, 3))):  # arrays: ragged, another d
+            with pytest.raises(DimensionMismatch):
+                check_cost_continuity(RAND_MED, [self.PROF.as_array] * 2, [1, 2], moves, N2)
         with pytest.raises(ValueError, match="one agent"):
             check_cost_continuity(RAND_MED, [self.PROF] * 2, [1, 4], [[point(0.1, 0)]] * 2, N2)
 
     def test_2dictatorship_needs_two_profiles(self):
-        for few in ([], [self.PROF]):
+        # a bare (n, d) array is a set of one profile
+        for few in ([], [self.PROF], np.zeros((0, 3, 2)), self.PROF.as_array[None], self.PROF.as_array):
             with pytest.raises(ValueError, match="at least 2"):
                 check_2dictatorship(RAND_MED, few, N2)
 

@@ -791,3 +791,14 @@ def test_structured_profiles_are_the_family_rows(n, d):
     rows = search._structured(n, d)
     assert rows.shape[1:] == (n, d)
     assert [p.as_array.tobytes() for p in structured_profiles(n, d)] == [r.tobytes() for r in rows]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_restart_streams_are_the_jumped_streams(seed):
+    # a jump adds stream * 2**128 to the 256-bit counter, where _rng starts
+    for stream in (0, 1, 13, 299, 987):
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+        made = search._rng(seed, stream)
+        for key in ("counter", "key"):
+            assert np.array_equal(made.bit_generator.state["state"][key], jumped.bit_generator.state["state"][key])
+        assert made.normal(size=(5, 3)).tobytes() == jumped.normal(size=(5, 3)).tobytes()
