@@ -332,13 +332,15 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     distinct set of merged positions.  The work runs along the rows, never
     along a short coordinate axis: duplicates are compared one coordinate
     plane at a time (:func:`duplicate_rows`), each atom's merged positions
-    are one little-endian ``np.packbits`` mask read as a 64-bit integer,
-    and one ``np.lexsort`` on the coordinate planes orders the atoms, with
-    the keys of merged atoms set to ``+inf`` so they sort after every
-    first occurrence.  A stack of one row, of more than 60 atoms, or one
-    that :func:`canonical_atoms` might reject (weights not positive and
-    finite or more than half of ``WEIGHT_TOL`` off a total of 1,
-    non-finite points), goes through :func:`canonical_atoms` row by row.
+    are one 64-bit mask, bit j for position j (an integer product of the
+    duplicate table with the powers of two), and one ``np.lexsort`` on the
+    coordinate planes orders the atoms, with the keys of merged atoms set
+    to ``+inf`` so they sort after every first occurrence, each row's
+    order read as flat indices into the stack.  A stack of one row, of
+    more than 60 atoms, or one that :func:`canonical_atoms` might reject
+    (weights not positive and finite or more than half of ``WEIGHT_TOL``
+    off a total of 1, non-finite points), goes through
+    :func:`canonical_atoms` row by row.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
@@ -358,9 +360,7 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     width = k
     keys = [pts[..., c] for c in range(d - 1, -1, -1)]  # lexsort sorts by its last key first
     if not lead.all():
-        packed = np.zeros((m, k, 8), np.uint8)
-        packed[..., : (k + 7) // 8] = np.packbits(same, axis=-1, bitorder="little")
-        masks = packed.view("<u8")[..., 0]  # positions merged onto each atom
+        masks = same.astype(np.uint64) @ (np.uint64(1) << np.arange(k, dtype=np.uint64))  # positions merged onto each atom
         multi = lead & (masks & (masks - 1) != 0)
         merged = masks[multi].tolist()
         sums = {mask: math.fsum(w[[j for j in range(k) if mask >> j & 1]]) for mask in set(merged)}
@@ -369,9 +369,8 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
         out_w[counts == 1] = lead[counts == 1]  # a full merge carries exactly 1.0
         width = counts.max()
         keys = [np.where(lead, key, np.inf) for key in keys]  # the points are finite: merged atoms sort last
-    order = np.lexsort(keys, axis=-1)[:, :width]
-    rows = np.arange(m)[:, None]
-    out_w, out_p = out_w[rows, order], pts[rows, order]
+    order = np.lexsort(keys, axis=-1)[:, :width] + k * np.arange(m)[:, None]  # flat atom indices
+    out_w, out_p = out_w.reshape(-1)[order], pts.reshape(-1, d)[order]
     out_p[out_w == 0.0] = 0.0
     return out_w, out_p
 
@@ -447,12 +446,22 @@ def expected_cost_stack(
     group makes one norm call and one batched (1, k) @ (k, 1) product,
     which rounds as ``w @ per_atom`` on the row alone.
     """
+    return _owned_costs(per_atom, weights, points, None, xs, norm)
+
+
+def _owned_costs(per_atom: np.ufunc, weights, points, owners, xs: np.ndarray, norm: Norm) -> np.ndarray:
+    """:func:`expected_cost_stack`, where row i of ``xs`` reads the lottery
+    at row owners[i] (row i itself when ``owners`` is None): each atom-count
+    group gathers its atoms and weights once, by owner."""
     counts = (weights > 0.0).sum(axis=1)
+    if owners is not None:
+        counts = counts[owners]
     out = np.empty(len(xs))
     for k in np.flatnonzero(np.bincount(counts)).tolist():
         rows = np.flatnonzero(counts == k)
-        folded = fold(per_atom, distance_matrix(points[rows, :k], xs[rows], norm))
-        out[rows] = np.matmul(weights[rows, None, :k], folded[:, :, None])[:, 0, 0]
+        at = rows if owners is None else owners[rows]
+        folded = fold(per_atom, distance_matrix(points[at, :k], xs[rows], norm))
+        out[rows] = np.matmul(weights[at, None, :k], folded[:, :, None])[:, 0, 0]
     return out
 
 

@@ -140,6 +140,12 @@ def _stack(items, rank: int, problem: str, d: Optional[int] = None) -> np.ndarra
     return xs
 
 
+def _empty(items) -> bool:
+    """Is a probe set an empty sequence or array?  A bare ``Profile``, which
+    has no length, is a set of one."""
+    return not isinstance(items, Profile) and not len(items)
+
+
 def _strays(norm: Norm, weights: np.ndarray, points: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Each padded lottery row's farthest atom distance from its point y[i]."""
     return np.where(weights > 0.0, _dist(norm, points, y[:, None]), 0.0).max(axis=1)
@@ -252,7 +258,7 @@ def check_translation_invariance(
     run as one stack; no profile or no shift is a vacuous pass.
     """
     kernel = kernel_of(mech)
-    if not len(profiles) or not len(shifts):
+    if _empty(profiles) or not len(shifts):
         return _worst_verdict("translation_invariance", np.zeros(0), None)
     xs = _stack(profiles, 3, PROBE_SHAPE)
     g, n, d = xs.shape
@@ -398,7 +404,7 @@ def check_2dictatorship(mech: MechanismLike, profiles: Profiles, norm: Norm) -> 
 
     The profiles, of one (n, d) shape, run as one stack.
     """
-    xs = _stack(profiles, 3, PROBE_SHAPE) if len(profiles) > 1 else ()
+    xs = () if _empty(profiles) else _stack(profiles, 3, PROBE_SHAPE)
     if len(xs) < 2:
         raise ValueError("2-dictatorship needs at least 2 sampled profiles")
     n = xs.shape[1]

@@ -25,7 +25,14 @@ cut into blocks of ``LOCKSTEP_BLOCK``, and each block's candidates are built
 as arrays on the plan's rows (:func:`_block`: start targets as one padded
 stack, single agents' extra targets among them, and per-member moves as
 another), with no Python loop over its searches; each search draws from its
-restart's stream, and the block is scored and refined as one stack.  Only
+restart's stream, and the block is scored and refined as one stack.  One
+member-margin core scores every candidate of a block, start target,
+pattern-search poll or per-member move (:func:`_member_margins`): the
+block builds its member tables once (each search's member slots, their
+truthful reports and truthful costs), and a call makes one kernel call
+and one cost pass over the members, each atom-count group gathering its
+lotteries once by owner.  The pattern search clips its polls to each
+search's box, so only the start targets are clipped before scoring.  Only
 the searches whose best margin beats the validation margin are validated,
 in restart order, so each witness returned is the one a restart-at-a-time
 search finds; a ``Profile`` is built only for that validation.  Each round
@@ -60,6 +67,7 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    _owned_costs,
     expected_cost_stack,
 )
 from .mechanisms import MechanismLike, kernel_of
@@ -291,14 +299,40 @@ def _streams(config: SearchConfig):
     return functools.cache(functools.partial(_rng, config.rng_seed))
 
 
-def _costs(kernel, norm: Norm, moved: np.ndarray, owners: np.ndarray, truth: np.ndarray):
-    """Expected distance from each true report truth[j] to the lottery the
-    mechanism draws on the (m, n, d) stack ``moved`` at row owners[j]."""
-    weights, points = kernel(moved, norm)
-    return expected_cost_stack(np.add, weights[owners], points[owners], truth[:, None], norm)
-
-
 # -- misreport search -----------------------------------------------------------
+
+
+def _member_margins(kernel, norm: Norm, plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray):
+    """The scorer of a block of (restart, coalition) searches, where search j
+    makes agents members[j, :sizes[j]] of restart runs[j] misreport.
+
+    The block's member tables are built once: one row per member slot, in
+    search order, with its agent, truthful report and truthful cost.
+    ``margins(reports, which)`` gives the worst member gain (cost after
+    minus cost before) of each candidate row j of search which[j], whose
+    members report either reports[j] together (one row per candidate) or
+    the next sizes[which[j]] rows of ``reports`` (one row per member; the
+    two agree when every member is alone).  A call makes one kernel call
+    and one cost pass over the members.
+    """
+    xs = plan.reports[runs]
+    agents = members[np.arange(members.shape[1]) < sizes[:, None]]
+    searches = np.repeat(np.arange(len(runs)), sizes)
+    truth = xs[searches, agents][:, None]
+    before = plan.before[runs[searches], agents]
+    first = np.cumsum(sizes) - sizes  # each search's first member slot
+
+    def margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
+        counts = sizes[which]
+        starts = np.cumsum(counts) - counts
+        owners = np.repeat(np.arange(len(which)), counts)
+        at = np.repeat(first[which] - starts, counts) + np.arange(len(owners))  # member slots, row by row
+        moved = xs[which]
+        moved[owners, agents[at]] = reports[owners] if len(reports) == len(which) else reports
+        costs = _owned_costs(np.add, *kernel(moved, norm), owners, truth[at], norm)
+        return np.maximum.reduceat(costs - before[at], starts)
+
+    return margins
 
 
 def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray, stream, margins):
@@ -403,34 +437,19 @@ def _misreport_witnesses(
     while queue.size:
         runs, coalition = np.divmod(queue[:LOCKSTEP_BLOCK], len(coalitions))
         queue = queue[LOCKSTEP_BLOCK:]
-        xs, before, lo, hi = plan.reports[runs], plan.before[runs], plan.lo[runs], plan.hi[runs]
-
-        def joint_margins(reports: np.ndarray, which: np.ndarray) -> np.ndarray:
-            """Worst member gain of each search which[j] making its coalition's
-            members report the next sizes[coalition[which[j]]] rows of reports."""
-            counts = sizes[coalition[which]]
-            owners = np.repeat(np.arange(len(which)), counts)
-            starts = np.cumsum(counts) - counts
-            agents = padded[coalition[which]][np.arange(n) < counts[:, None]]
-            moved = xs[which]
-            moved[owners, agents] = reports
-            rows = which[owners]
-            margins = _costs(kernel, norm, moved, owners, xs[rows, agents]) - before[rows, agents]
-            return np.maximum.reduceat(margins, starts)
-
-        def common_margins(z: np.ndarray, which: np.ndarray) -> np.ndarray:
-            z = np.clip(z, lo[which], hi[which])
-            return joint_margins(np.repeat(z, sizes[coalition[which]], axis=0), which)
-
+        lo, hi = plan.lo[runs], plan.hi[runs]
+        margins = _member_margins(kernel, norm, plan, runs, padded[coalition], sizes[coalition])
         _, _, starts, start_margins, moves = _block(
-            plan, runs, padded[coalition], sizes[coalition], stream, common_margins
+            plan, runs, padded[coalition], sizes[coalition], stream,
+            lambda z, which: margins(np.clip(z, lo[which], hi[which]), which),
         )
+        # the pattern search clips its candidates to the same boxes
         zs, best_margin, _ = _pattern_minimize(
-            common_margins, starts, plan.scales[runs], config.local_steps, lo, hi, values=start_margins
+            margins, starts, plan.scales[runs], config.local_steps, lo, hi, values=start_margins
         )
         every = np.arange(len(runs))
         real = np.arange(n) < sizes[coalition][:, None, None]
-        vals = joint_margins(moves[np.broadcast_to(real, moves.shape[:3])], np.repeat(every, moves.shape[1]))
+        vals = margins(moves[np.broadcast_to(real, moves.shape[:3])], np.repeat(every, moves.shape[1]))
         vals = vals.reshape(len(runs), -1)
         k = np.argmin(vals, axis=1)
         move_wins = vals[every, k] < best_margin  # a per-member move beats the pattern search
@@ -442,7 +461,7 @@ def _misreport_witnesses(
             if move_wins[j]:
                 best_reports = moves[j, k[j], : sizes[c]]
             else:
-                best_reports = np.tile(np.clip(zs[j], lo[j], hi[j]), (sizes[c], 1))
+                best_reports = np.tile(zs[j], (sizes[c], 1))
             verdict = check_group_strategyproof_at(
                 mech,
                 Profile.from_rows(plan.reports[r]),

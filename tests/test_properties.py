@@ -715,10 +715,19 @@ class TestErrorPaths:
             check_cost_continuity(RAND_MED, [self.PROF] * 2, [1, 4], [[point(0.1, 0)]] * 2, N2)
 
     def test_2dictatorship_needs_two_profiles(self):
-        # a bare (n, d) array is a set of one profile
-        for few in ([], [self.PROF], np.zeros((0, 3, 2)), self.PROF.as_array[None], self.PROF.as_array):
+        # a bare Profile or (n, d) array is a set of one profile
+        few_sets = ([], [self.PROF], np.zeros((0, 3, 2)), self.PROF.as_array[None], self.PROF.as_array, self.PROF)
+        for few in few_sets:
             with pytest.raises(ValueError, match="at least 2"):
                 check_2dictatorship(RAND_MED, few, N2)
+
+    def test_translation_invariance_takes_a_bare_profile(self):
+        # a bare Profile or (n, d) array is a set of one profile, judged
+        want = check_translation_invariance(SEP2D, N2, [self.PROF], [point(-3, 0)])
+        assert not want.passed
+        for bare in (self.PROF, self.PROF.as_array):
+            assert check_translation_invariance(SEP2D, N2, bare, [point(-3, 0)]) == want
+            assert check_translation_invariance(RAND_MED, N2, bare, [point(-3, 0)]).passed
 
 
 def test_translation_recanonicalizes_atoms_that_rounding_merges():

@@ -715,6 +715,137 @@ def test_block_build_after_a_group_witness_matches_bitwise(block):
         assert_block_matches_reference(RAND_CENTER, N2, 4, 2, config, block, singles_after)
 
 
+# -- the member-margin core against the block scorers it replaced -------------
+
+
+def reference_margins(kernel, norm, plan, runs, members, sizes):
+    """A block's two scorers as written before the member-margin core:
+    ``joint`` gathers each row's reports and truthful costs again and
+    copies every atom to every member, ``common`` clips each point to its
+    search's box and repeats it once per member."""
+    n = members.shape[1]
+    xs, before, lo, hi = plan.reports[runs], plan.before[runs], plan.lo[runs], plan.hi[runs]
+
+    def costs(moved, owners, truth):
+        weights, points = kernel(moved, norm)
+        return expected_cost_stack(np.add, weights[owners], points[owners], truth[:, None], norm)
+
+    def joint(reports, which):
+        counts = sizes[which]
+        owners = np.repeat(np.arange(len(which)), counts)
+        starts = np.cumsum(counts) - counts
+        agents = members[which][np.arange(n) < counts[:, None]]
+        moved = xs[which]
+        moved[owners, agents] = reports
+        rows = which[owners]
+        return np.maximum.reduceat(costs(moved, owners, xs[rows, agents]) - before[rows, agents], starts)
+
+    def common(z, which):
+        z = np.clip(z, lo[which], hi[which])
+        return joint(np.repeat(z, sizes[which], axis=0), which)
+
+    return joint, common
+
+
+def assert_margins_match_reference(mech, norm, n, d, config, block, singles_after=None):
+    """Walk the (restart, coalition) queue in blocks, as the misreport search
+    does, and score each block's start targets, pattern-round candidates
+    and per-member moves with the core and with the old scorers, by bytes."""
+    kernel, plan = kernel_of(mech), search._plan(mech, norm, n, d, config)
+    coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])
+    sizes = np.array([len(c) for c in coalitions])
+    stream, queue, blocks, rows = search._streams(config), np.arange(config.restarts * len(coalitions)), 0, 0
+    while queue.size:
+        runs, coalition = np.divmod(queue[:block], len(coalitions))
+        queue, blocks = queue[block:], blocks + 1
+        if blocks == singles_after:
+            queue = queue[sizes[queue % len(coalitions)] == 1]
+        lo, hi = plan.lo[runs], plan.hi[runs]
+        margins = search._member_margins(kernel, norm, plan, runs, padded[coalition], sizes[coalition])
+        joint, common = reference_margins(kernel, norm, plan, runs, padded[coalition], sizes[coalition])
+
+        def both(z, which, clip):
+            got = margins(np.clip(z, lo[which], hi[which]) if clip else z, which)
+            assert got.tobytes() == common(z, which).tobytes()
+            return got
+
+        _, _, starts, values, moves = search._block(
+            plan, runs, padded[coalition], sizes[coalition], stream, lambda z, which: both(z, which, True)
+        )
+        rounds = []
+        search._pattern_minimize(
+            lambda z, which: rounds.append(len(z)) or both(z, which, False),
+            starts, plan.scales[runs], config.local_steps, lo, hi, values=values,
+        )
+        real = np.broadcast_to(np.arange(n) < sizes[coalition][:, None, None], moves.shape[:3])
+        which = np.repeat(np.arange(len(runs)), moves.shape[1])
+        assert margins(moves[real], which).tobytes() == joint(moves[real], which).tobytes()
+        rows += sum(rounds)
+    assert rows > 0  # pattern rounds were compared too
+    return blocks
+
+
+MARGIN_MECHS = {"dictator:1": 1, "rand_med": 1, "rand_center": 1, "sep2d:a=0.5": 2, "coord_median": 1, "median_mean": 2}
+
+
+@pytest.mark.parametrize("block", [64, 3])
+@pytest.mark.parametrize(
+    "mech,norm_text,n,d",
+    [
+        (mech, norm_text, n, d)
+        for mech, mech_d in MARGIN_MECHS.items()
+        for norm_text, norm_d in BLOCK_NORMS.items()
+        for n, d in [(1, 2), (2, 1), (3, 2), (4, 2), (5, 3)]
+        if mech_d in (1, d) and norm_d in (1, d)
+        and (n >= parse_mechanism(mech).min_agents if mech != "median_mean" else norm_text.startswith("lp:2"))
+    ],
+)
+def test_member_margins_match_the_old_scorers_bitwise(mech, norm_text, n, d, block):
+    # median_mean runs through the per-profile adapter, under two norms
+    config = SearchConfig(rng_seed=7, restarts=len(structured_profiles(n, d)) + 2, local_steps=6)
+    mech = median_mean if mech == "median_mean" else mech
+    blocks = assert_margins_match_reference(mech, parse_norm(norm_text), n, d, config, block)
+    assert blocks > 1 or block == 64 or n == 1
+
+
+@pytest.mark.parametrize("block", [64, 3])
+def test_member_margins_after_a_group_witness_match_bitwise(block):
+    # after the first blocks only single agents are left, mid-restart
+    config = SearchConfig(rng_seed=3, restarts=12, local_steps=6)
+    for singles_after in (1, 2):
+        assert_margins_match_reference(RAND_CENTER, N2, 4, 2, config, block, singles_after)
+
+
+def inside_box(fn, lo, hi):
+    """``fn``, asserting first that every candidate row lies in its search's box."""
+
+    def checked(cands, owners):
+        low, high = (lo, hi) if lo.ndim == 1 else (lo[owners], hi[owners])
+        assert ((low <= cands) & (cands <= high)).all()
+        return fn(cands, owners)
+
+    return checked
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-316, 1e200])
+def test_pattern_search_scores_only_rows_inside_the_box(scale, rows):
+    # the misreport scorer does not clip again: every row polled, the
+    # start included, must already lie in its search's box; the boxes are
+    # tight enough that unclipped polls and starts would leave them
+    count, dim = 6, 2
+    starts = np.random.default_rng(14).normal(size=(count, dim)) * 2.0 * scale
+    target = np.array([0.3, -0.7])
+    _, values = quadratic_margins(target)
+    score = lambda zs, owners: values(zs / scale, owners)  # noqa: E731
+    pads = np.array([0.05, 0.3, 1.0, 0.5, 0.1, 2.0]) * scale
+    boxes = [(np.full(dim, -0.5 * scale), np.full(dim, 0.5 * scale)), (target * scale - pads[:, None], target * scale + pads[:, None] * 0.5)]
+    for lo, hi in boxes:
+        x, _, _ = _pattern_minimize(inside_box(score, lo, hi), starts, 3.0 * scale, 12, lo, hi, rows=rows)
+        assert ((lo <= x) & (x <= hi)).all()
+
+
 def count_plans(monkeypatch) -> list:
     """Record the arguments of every restart plan built from now on."""
     built, build = [], search._plan
