@@ -449,10 +449,14 @@ def expected_cost_stack(
     return _owned_costs(per_atom, weights, points, None, xs, norm)
 
 
-def _owned_costs(per_atom: np.ufunc, weights, points, owners, xs: np.ndarray, norm: Norm) -> np.ndarray:
+def _owned_costs(per_atom: np.ufunc, weights, points, owners, xs: np.ndarray, norm: Norm, table=None) -> np.ndarray:
     """:func:`expected_cost_stack`, where row i of ``xs`` reads the lottery
     at row owners[i] (row i itself when ``owners`` is None): each atom-count
-    group gathers its atoms and weights once, by owner."""
+    group gathers its atoms and weights once, by owner.  ``table``, given
+    with no owners, holds row i's atom distances already folded by
+    ``per_atom``, one column per atom, and is read in place of a norm call,
+    except where one atom meets one agent: that lone distance keeps the
+    one-row norm call of :func:`distance_matrix`."""
     counts = (weights > 0.0).sum(axis=1)
     if owners is not None:
         counts = counts[owners]
@@ -460,7 +464,10 @@ def _owned_costs(per_atom: np.ufunc, weights, points, owners, xs: np.ndarray, no
     for k in np.flatnonzero(np.bincount(counts)).tolist():
         rows = np.flatnonzero(counts == k)
         at = rows if owners is None else owners[rows]
-        folded = fold(per_atom, distance_matrix(points[at, :k], xs[rows], norm))
+        if table is None or k * xs.shape[1] == 1:
+            folded = fold(per_atom, distance_matrix(points[at, :k], xs[rows], norm))
+        else:
+            folded = table[rows, :k]
         out[rows] = np.matmul(weights[at, None, :k], folded[:, :, None])[:, 0, 0]
     return out
 

@@ -71,6 +71,7 @@ from .geometry import (
     Norm,
     Point,
     Profile,
+    _owned_costs,
     distance_matrix,
     duplicate_rows,
     expected_cost_stack,
@@ -1118,27 +1119,53 @@ def opt_value_upper(objective: Objective, profile: Profile, norm: Norm) -> float
 def opt_value_upper_stack(objective: Objective, xs: np.ndarray, norm: Norm) -> np.ndarray:
     """:func:`opt_value_upper` of each row of an (m, n, d) report stack:
     0 for a unanimous row, half the diameter for a max cost over two
-    distinct reports, and otherwise the best seed point."""
-    lead = duplicate_rows(xs)[1]
-    distinct = lead.sum(axis=1)
-    out = np.zeros(len(xs))
+    distinct reports, and otherwise the best seed point (the reports, their
+    mean and median and every pairwise midpoint).  The bound of
+    :func:`_upper_and_cost`, which also prices a mechanism from the same
+    distance table."""
+    return _upper_and_cost(objective, xs, norm)[0]
+
+
+def _upper_and_cost(objective: Objective, xs: np.ndarray, norm: Norm, weights=None, points=None):
+    """(bound, cost) of each row of an (m, n, d) report stack: the bound of
+    :func:`opt_value_upper_stack` and, given the zero-padded lotteries
+    (weights, points) a mechanism kernel returns for those rows, their
+    expected costs bit for bit as :func:`expected_cost_stack` prices them
+    (cost is None without them).
+
+    Every row's seeds, then its atoms, meet its reports in one flat
+    subtraction and one norm call, folded by the objective into one
+    (m, seeds + atoms) table: the bound is the min over the seeds and the
+    cost one batched product per atom count over the atoms.  A unanimous
+    row's bound is 0, never its seeds' min (an overflowing mean makes that
+    NaN): social cost tests unanimity exactly, and max cost reads it from
+    the duplicate table it needs anyway for its two-point rows.
+    """
+    m, n, d = xs.shape
+    seeds = _seed_points(xs)
+    s = seeds.shape[1]
+    cands = seeds if points is None else np.concatenate([seeds, points], axis=1)
+    # every candidate minus every report in one flat subtraction: the rows of
+    # distance_matrix(cands, xs), several times cheaper than its broadcast
+    # here, but slower than it on the one-agent cost calls of the searches
+    diffs = np.repeat(cands, n, axis=1) - np.tile(xs, (cands.shape[1], 1))
+    table = fold(objective.per_atom, norm.eval_many(diffs.reshape(-1, d)).reshape(m, -1, n))
+    upper = fold(np.minimum, table[:, :s])
     if objective is Objective.MAX_COST:
+        lead = duplicate_rows(xs)[1]
+        distinct = lead.sum(axis=1)
         # the midpoint halves the diameter regardless of multiplicities
         two = np.flatnonzero(distinct == 2)
         if two.size:  # none at n = 1, where lead[two, 1:] has no column to pick
             half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
-            out[two] = norm.eval_many(half[:, None, :])[:, 0]
-    rest = distinct > (2 if objective is Objective.MAX_COST else 1)
-    zs = xs[rest]
-    seeds = _seed_points(zs)
-    (m, k, d), n = seeds.shape, zs.shape[1]
-    # every seed minus every report in one flat subtraction: the rows of
-    # distance_matrix(seeds, zs), several times cheaper than its broadcast
-    # here, but slower than it on the one-agent cost calls of the searches
-    diffs = np.repeat(seeds, n, axis=1) - np.tile(zs, (k, 1))
-    dists = norm.eval_many(diffs.reshape(-1, d)).reshape(m, k, n)
-    out[rest] = fold(np.minimum, fold(objective.per_atom, dists))
-    return out
+            upper[two] = norm.eval_many(half[:, None, :])[:, 0]
+        unanimous = distinct == 1
+    else:
+        unanimous = (xs == xs[:, :1]).all(axis=(1, 2))
+    upper[unanimous] = 0.0
+    if points is None:
+        return upper, None
+    return upper, _owned_costs(objective.per_atom, weights, points, None, xs, norm, table[:, s:])
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,8 +18,10 @@ and one check runs it once for both.  It builds every restart once, as one
 read-only array plan (:func:`_plan`): the stacked reports, their truthful
 lotteries and costs, common points, scales and boxes, one row per restart.
 The hunt reads only the reports and their diameters, and builds no plan.
-Agent costs and the hunt's mechanism costs come from one expected-cost
-kernel (:func:`~facilab.geometry.expected_cost_stack`).  The misreport
+Agent costs come from one expected-cost kernel
+(:func:`~facilab.geometry.expected_cost_stack`); the hunt prices each
+round's mechanism costs and optimum bounds from one distance table
+(:func:`~facilab.objectives._upper_and_cost`).  The misreport
 search runs its restarts in lockstep: the (restart, coalition) searches are
 cut into blocks of ``LOCKSTEP_BLOCK``, and each block's candidates are built
 as arrays on the plan's rows (:func:`_block`: start targets as one padded
@@ -71,7 +73,7 @@ from .geometry import (
     expected_cost_stack,
 )
 from .mechanisms import MechanismLike, kernel_of
-from .objectives import Objective, OptResult, approx_ratio, opt_value_upper_stack
+from .objectives import Objective, OptResult, _upper_and_cost, approx_ratio
 from .properties import Witness, check_group_strategyproof_at
 
 BOUNDING_SCALE = 4.0  # misreports stay within this many diameters of the profile box
@@ -529,10 +531,16 @@ def search_worst_ratio(
 
     Structured families run first, then random restarts; each profile is
     hill-climbed in profile space (per-agent axis directions plus per-agent
-    diagonals, geometric step decay), all restarts in lockstep, with the
-    mechanism, its cost and the bound run on each round's stack of polls.
-    Scoring uses a feasible upper bound on the optimum, so scores never
-    exceed true ratios and the best-so-far score is monotone in the budget.
+    diagonals, geometric step decay), all restarts in lockstep.  Restarts
+    with the same clipped start and scale are one search, run once and
+    counted for each (a search's moves do not depend on the others in the
+    lockstep).  Each round's stack of polls makes one kernel call and one
+    distance table, from which the mechanism's cost and the bound are read
+    (:func:`~facilab.objectives._upper_and_cost`).  Scoring uses a feasible
+    upper bound on the optimum, so scores never exceed true ratios and the
+    best-so-far score is monotone in the budget; a profile scores -1 where
+    the bound is 0, as it is exactly on a unanimous profile, so the score
+    holds under a norm of any scale.
     """
     kernel = kernel_of(mech)
     # the cheap bound measures about n**3 / 2 distances per profile; blocks of
@@ -543,10 +551,10 @@ def search_worst_ratio(
     def score(arrs: np.ndarray) -> np.ndarray:
         """Negated cost / (cheap optimum upper bound) of each flattened profile."""
         stack = arrs.reshape(-1, n, d)
-        upper = opt_value_upper_stack(objective, stack, norm)
-        costs = expected_cost_stack(objective.per_atom, *kernel(stack, norm), stack, norm)
-        # a unanimous profile has cost 0 as well
-        unanimous = upper <= GEOM_TOL * GEOM_TOL
+        upper, costs = _upper_and_cost(objective, stack, norm, *kernel(stack, norm))
+        # the bound is exactly 0 on a unanimous profile, which has cost 0 as
+        # well; no threshold, so a norm of any scale scores its profiles
+        unanimous = upper <= 0.0
         return np.where(unanimous, -1.0, -(costs / np.where(unanimous, 1.0, upper)))
 
     def scores(arrs: np.ndarray, owners: np.ndarray) -> np.ndarray:
@@ -556,15 +564,16 @@ def search_worst_ratio(
     lo = np.full(n * d, -box)
     hi = np.full(n * d, box)
     reports, diameters = _restarts(norm, n, d, config)
+    starts, scales = np.clip(reports.reshape(config.restarts, -1), lo, hi), np.maximum(1.0, diameters)
+    # restarts with one start and scale make one search (the structured
+    # families repeat profiles): search each once and hand its result to all
+    seen: dict[bytes, int] = {}
+    back = np.array([seen.setdefault(key.tobytes(), len(seen)) for key in np.column_stack([starts, scales])])
+    first = np.unique(back, return_index=True)[1]
     found, values, evals = _pattern_minimize(
-        scores,
-        np.clip(reports.reshape(config.restarts, -1), lo, hi),
-        np.maximum(1.0, diameters),
-        config.local_steps,
-        lo,
-        hi,
-        rows=block,
+        scores, starts[first], scales[first], config.local_steps, lo, hi, rows=block
     )
+    found, values, evals = found[back], values[back], evals[back]
     best = int(np.argmin(values))  # the first of equals
     best_score = -float(values[best])
     best_profile = Profile.from_rows(found[best].reshape(n, d))

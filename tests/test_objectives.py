@@ -22,11 +22,15 @@ from facilab.geometry import (
     Lottery,
     Norm,
     Profile,
+    distance_matrix,
+    duplicate_rows,
+    expected_cost_stack,
     expected_distance,
+    fold,
     parse_norm,
     point,
 )
-from facilab.mechanisms import REGISTRY, MechanismSpec, apply, resolve
+from facilab.mechanisms import REGISTRY, MechanismSpec, apply, kernel_of, parse_mechanism, resolve
 from facilab.objectives import (
     GAP_REL,
     RATIO_ULPS,
@@ -39,8 +43,9 @@ from facilab.objectives import (
     opt_max_cost,
     opt_social_cost,
     opt_value_upper,
+    opt_value_upper_stack,
 )
-from facilab.objectives import _bundle_lower_bound
+from facilab.objectives import _bundle_lower_bound, _seed_points, _upper_and_cost
 
 from conftest import (
     STANDARD_NORMS,
@@ -256,6 +261,78 @@ class TestOptUpperBound:
         xs = np.random.default_rng(1).normal(size=(3, 1, 2))
         assert opt_value_upper_stack(objective, xs, N2).tolist() == [0.0, 0.0, 0.0]
         assert opt_value_upper(objective, Profile.from_rows(xs[0]), N2) == 0.0
+
+
+def reference_upper_stack(objective, xs, norm):
+    """opt_value_upper_stack as it was written before the bound shared its
+    distance table with the mechanism cost: a duplicate table for both
+    objectives, and the seeds scored only on the rows they decide."""
+    lead = duplicate_rows(xs)[1]
+    distinct = lead.sum(axis=1)
+    out = np.zeros(len(xs))
+    if objective is MC:
+        two = np.flatnonzero(distinct == 2)
+        if two.size:
+            half = (xs[two, 0] - xs[two, lead[two, 1:].argmax(axis=1) + 1]) / 2.0
+            out[two] = norm.eval_many(half[:, None, :])[:, 0]
+    rest = distinct > (2 if objective is MC else 1)
+    zs = xs[rest]
+    seeds = _seed_points(zs)
+    (m, k, d), n = seeds.shape, zs.shape[1]
+    diffs = np.repeat(seeds, n, axis=1) - np.tile(zs, (k, 1))
+    dists = norm.eval_many(diffs.reshape(-1, d)).reshape(m, k, n)
+    out[rest] = fold(np.minimum, fold(objective.per_atom, dists))
+    return out
+
+
+def two_ends(profile, norm):
+    """Half each on 1.25 x the first and the last report: one atom that is
+    no report at n = 1, two on most profiles."""
+    xs = 1.25 * profile.as_array
+    return Lottery(((0.5, point(*xs[0])), (0.5, point(*xs[-1]))))
+
+
+def core_stack(n):
+    """Report stacks of n agents in d = 2: generic rows, unanimous rows, rows
+    of two distinct reports, signed zeros, and generic rows near 1e300 and
+    1e-316."""
+    rng = np.random.default_rng(27 + n)
+    generic = rng.normal(size=(4, n, 2))
+    unanimous = np.repeat(rng.normal(size=(2, 1, 2)), n, axis=1)
+    a, b = rng.normal(size=(2, 2))
+    two = np.array([[a if i % 2 else b for i in range(n)], [a] * (n - 1) + [b]])
+    zeros = np.zeros((2, n, 2))
+    zeros[0, ::2, 0] = -0.0  # unanimous: -0.0 == 0.0
+    zeros[1, -1] = (-0.0, 1.0)
+    return np.concatenate([generic, unanimous, two, zeros, 1e300 * generic, 1e-316 * generic, 1e300 * unanimous])
+
+
+@pytest.mark.parametrize("mech", ["dictator:1", "rand_med", "rand_center", "sep2d:a=0.5", "coord_median", two_ends])
+@pytest.mark.parametrize("text", ["lp:1", "lp:2", "lp:inf", "lp:3;w=1,2", "lp:2;A=1.1,0.3,-0.2,0.9"])
+def test_upper_and_cost_match_the_separate_passes_bitwise(mech, text):
+    # n = 1 under the transform prices a lone atom off the report, which
+    # distance_matrix measures by a one-row (gemv) norm call
+    norm, kernel = parse_norm(text), kernel_of(mech)
+    fewest = parse_mechanism(mech).min_agents if isinstance(mech, str) else 1
+    for n in range(fewest, 6):
+        xs = core_stack(n)
+        lottery = kernel(xs, norm)
+        for objective in (MC, SC):
+            upper, cost = _upper_and_cost(objective, xs, norm, *lottery)
+            assert upper.tobytes() == reference_upper_stack(objective, xs, norm).tobytes(), (n, objective)
+            assert upper.tobytes() == opt_value_upper_stack(objective, xs, norm).tobytes(), (n, objective)
+            expected = expected_cost_stack(objective.per_atom, *lottery, xs, norm)
+            assert cost.tobytes() == expected.tobytes(), (n, objective)
+
+
+@pytest.mark.parametrize("objective", [MC, SC], ids=lambda o: o.value)
+def test_unanimous_row_bound_is_zero_where_the_seeds_overflow(objective):
+    # the mean and midpoints of 1.7e308 overflow, so the seeds' min is NaN
+    xs = np.full((2, 3, 2), 1.7e308)
+    xs[1, 0, 0] = -0.0 * xs[1, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(fold(np.minimum, fold(objective.per_atom, distance_matrix(_seed_points(xs[:1]), xs[:1], N2))))
+        assert opt_value_upper_stack(objective, xs[:1], N2).tolist() == [0.0]
 
 
 def reference_ratio(mech, profile, norm, objective):

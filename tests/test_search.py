@@ -933,3 +933,99 @@ def test_restart_streams_are_the_jumped_streams(seed):
         for key in ("counter", "key"):
             assert np.array_equal(made.bit_generator.state["state"][key], jumped.bit_generator.state["state"][key])
         assert made.normal(size=(5, 3)).tobytes() == jumped.normal(size=(5, 3)).tobytes()
+
+
+# -- the hunt: each distinct restart searched once ----------------------------
+
+
+def reference_hunt(mech, norm, objective, n, d, config, distinct=False):
+    """Every restart's pattern search as ``search_worst_ratio`` ran it before
+    it searched each distinct start once, with the bound and the mechanism
+    cost from their own passes; ``distinct`` keeps only the first restart of
+    each start and scale.  Returns (found, values, evals, rows scored)."""
+    kernel = kernel_of(mech)
+    scored = []
+
+    def scores(arrs, owners):
+        stack = arrs.reshape(-1, n, d)
+        scored.append(len(stack))
+        upper = opt_value_upper_stack(objective, stack, norm)
+        costs = expected_cost_stack(objective.per_atom, *kernel(stack, norm), stack, norm)
+        return np.where(upper <= 0.0, -1.0, -(costs / np.where(upper <= 0.0, 1.0, upper)))
+
+    reports, diameters = search._restarts(norm, n, d, config)
+    lo, hi = np.full(n * d, -8.0), np.full(n * d, 8.0)
+    starts, scales = np.clip(reports.reshape(len(reports), -1), lo, hi), np.maximum(1.0, diameters)
+    if distinct:
+        keys = [s.tobytes() + c.tobytes() for s, c in zip(starts, scales)]
+        keep = [i for i, key in enumerate(keys) if keys.index(key) == i]
+        starts, scales = starts[keep], scales[keep]
+    block = max(1, search.SCORE_DISTANCES // n**3)
+    found, values, evals = _pattern_minimize(scores, starts, scales, config.local_steps, lo, hi, rows=block)
+    return found, values, evals, sum(scored)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "mech,objective",
+    [(RAND_CENTER, Objective.MAX_COST), (RAND_MED, Objective.SOCIAL_COST), (DICTATOR, Objective.SOCIAL_COST)],
+    ids=["rand_center-mc", "rand_med-sc", "dictator-sc"],
+)
+def test_hunt_searches_each_distinct_restart_once(mech, objective, n, monkeypatch):
+    config = SearchConfig(rng_seed=3, restarts=len(search._structured(n, 2)) + 2, local_steps=8)
+    found, values, evals, _ = reference_hunt(mech, N2, objective, n, 2, config)
+    searched = []
+    real = search._pattern_minimize
+
+    def recording(fn, starts, *args, **kwargs):
+        out = real(fn, starts, *args, **kwargs)
+        searched.append((starts, out))
+        return out
+
+    monkeypatch.setattr(search, "_pattern_minimize", recording)
+    res = search_worst_ratio(mech, N2, objective, n, 2, config)
+    [(starts, (x, v, e))] = searched
+    assert len({row.tobytes() for row in starts}) == len(starts) < config.restarts
+    restarts = np.clip(search._restarts(N2, n, 2, config)[0].reshape(config.restarts, -1), -8.0, 8.0)
+    at = [[s.tobytes() for s in starts].index(r.tobytes()) for r in restarts]
+    assert x[at].tobytes() == found.tobytes()
+    assert v[at].tobytes() == values.tobytes() and e[at].tolist() == evals.tolist()
+    best = int(np.argmin(values))
+    assert (res.evaluations, res.ratio) == (evals.sum(), -values[best])
+    assert res.profile.as_array.tobytes() == found[best].reshape(n, 2).tobytes()
+
+
+def test_a_repeated_restart_is_scored_once(monkeypatch):
+    # restarts 1 and 3 of the structured families at d = 2 are one profile,
+    # the reversed cluster and the first two-cluster split
+    config = SearchConfig(rng_seed=0, restarts=4, local_steps=6)
+    every = reference_hunt(RAND_CENTER, N2, Objective.MAX_COST, 3, 2, config)[3]
+    once = reference_hunt(RAND_CENTER, N2, Objective.MAX_COST, 3, 2, config, distinct=True)[3]
+    rows = []
+    real = search._upper_and_cost
+
+    def counting(objective, xs, *rest):
+        rows.append(len(xs))
+        return real(objective, xs, *rest)
+
+    monkeypatch.setattr(search, "_upper_and_cost", counting)
+    search_worst_ratio(RAND_CENTER, N2, Objective.MAX_COST, 3, 2, config)
+    assert (sum(rows), once, every) == (359, 359, 444)
+
+
+TINY = 2.0**-600
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [Norm(2.0, transform=((TINY, 0.0), (0.0, TINY))), Norm(2.0, weights=(2.0**-1000, 2.0**-1000))],
+    ids=["A=2^-600", "w=2^-1000"],
+)
+@pytest.mark.parametrize(
+    "mech,objective", [(RAND_CENTER, Objective.MAX_COST), (DICTATOR, Objective.SOCIAL_COST)], ids=["rand_center-mc", "dictator-sc"]
+)
+def test_hunt_ratio_does_not_depend_on_the_norm_scale(mech, objective, norm):
+    # a unanimous profile is one whose bound is exactly 0, not one below an
+    # absolute threshold that a small-scale norm puts every profile under
+    unit = search_worst_ratio(mech, N2, objective, 3, 2, small_config()).ratio
+    assert search_worst_ratio(mech, norm, objective, 3, 2, small_config()).ratio == pytest.approx(unit, rel=1e-12)
