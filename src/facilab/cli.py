@@ -661,6 +661,21 @@ def _check_outputs(*paths: Optional[str]) -> None:
             raise ValueError(f"cannot write {path}: permission denied")
 
 
+def _print_lines(lines) -> None:
+    """Print each line to stdout.  A reader that closed the pipe early is
+    no error: stdout goes to ``os.devnull`` from then on, so the command
+    still writes its files and exits with its own code, and the flush at
+    interpreter exit raises nothing."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     csv = getattr(args, "csv", None)
@@ -668,10 +683,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_outputs(args.out, csv)
         started = time.perf_counter()
         report, code, lines = args.func(args)
-        for line in lines:
-            print(line)
+        _print_lines(lines)
         report.runtime_ms = int((time.perf_counter() - started) * 1000)
-        print(f"runtime {report.runtime_ms} ms" + ("" if code is None else f"; exit {code}"))
+        _print_lines([f"runtime {report.runtime_ms} ms" + ("" if code is None else f"; exit {code}")])
         report.write(args.out)
         if csv:
             if "rows" in report.extra:

@@ -120,11 +120,32 @@ def duplicate_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows (``-0.0 == 0.0``) along the last two axes of an
     (..., k, d) array: ``same[..., i, j]`` says rows i and j are equal and
     ``lead[..., j]`` that row j is the first of its duplicates.  Compared
-    one coordinate plane at a time, so no (..., k, k, d) array is built."""
+    one coordinate plane at a time, so no (..., k, k, d) array is built;
+    ``lead`` is read from the merge masks of :func:`_merge_masks`."""
+    same, _, lead = _merge_masks(pts)
+    return same, lead
+
+
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a merge mask: row i
+_BELOW = _BITS - np.uint64(1)  # the bits of the rows before row i
+_BITS.flags.writeable = _BELOW.flags.writeable = False
+
+
+def _merge_masks(pts: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """:func:`duplicate_rows`' ``same`` and ``lead``, and between them each
+    row's merge mask: a uint64 with bit i set where row i equals it (the
+    integer product of ``same`` with the powers of two).  A row leads
+    where no lower bit is set.  Past 64 rows the masks would overflow:
+    they are None, and ``lead`` is read from the first ``True`` down each
+    column (the two agree wherever a row equals itself, so not on NaN)."""
     same = pts[..., :, None, 0] == pts[..., None, :, 0]
     for c in range(1, pts.shape[-1]):
         same &= pts[..., :, None, c] == pts[..., None, :, c]
-    return same, same.argmax(axis=-2) == np.arange(pts.shape[-2])
+    k = pts.shape[-2]
+    if k > len(_BITS):
+        return same, None, same.argmax(axis=-2) == np.arange(k)
+    masks = same.astype(np.uint64) @ _BITS[:k]
+    return same, masks, masks & _BELOW[:k] == 0
 
 
 @dataclass(frozen=True)
@@ -331,9 +352,9 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
     which does not depend on the order of the terms: one ``fsum`` per
     distinct set of merged positions.  The work runs along the rows, never
     along a short coordinate axis: duplicates are compared one coordinate
-    plane at a time (:func:`duplicate_rows`), each atom's merged positions
-    are one 64-bit mask, bit j for position j (an integer product of the
-    duplicate table with the powers of two), and one ``np.lexsort`` on the
+    plane at a time, each atom's merged positions are one 64-bit mask, bit
+    j for position j, and the first occurrences are read from those masks
+    (:func:`_merge_masks`, one table for both), and one ``np.lexsort`` on the
     coordinate planes orders the atoms, with the keys of merged atoms set
     to ``+inf`` so they sort after every first occurrence, each row's
     order read as flat indices into the stack.  A stack of one row, of
@@ -355,12 +376,11 @@ def canonical_stack(weights, points) -> tuple[np.ndarray, np.ndarray]:
         return stack_lotteries([canonical_atoms(w, p) for p in pts], d)
     if k == 1:  # a lone atom carries the whole unit mass exactly
         return np.ones((m, 1)), pts.copy()
-    same, lead = duplicate_rows(pts)
+    _, masks, lead = _merge_masks(pts)  # masks: the positions merged onto each atom
     out_w = np.where(lead, w, 0.0)
     width = k
     keys = [pts[..., c] for c in range(d - 1, -1, -1)]  # lexsort sorts by its last key first
     if not lead.all():
-        masks = same.astype(np.uint64) @ (np.uint64(1) << np.arange(k, dtype=np.uint64))  # positions merged onto each atom
         multi = lead & (masks & (masks - 1) != 0)
         merged = masks[multi].tolist()
         sums = {mask: math.fsum(w[[j for j in range(k) if mask >> j & 1]]) for mask in set(merged)}

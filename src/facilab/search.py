@@ -34,7 +34,12 @@ block builds its member tables once (each search's member slots, their
 truthful reports and truthful costs), and a call makes one kernel call
 and one cost pass over the members, each atom-count group gathering its
 lotteries once by owner.  The pattern search clips its polls to each
-search's box, so only the start targets are clipped before scoring.  Only
+search's box, so only the start targets are clipped before scoring.  A
+restart whose reports equal an earlier restart's, byte for byte (the
+structured families repeat the reversed cluster as the first two-cluster
+split), makes the same start and pattern search for every coalition: it
+takes that restart's (:func:`_search_block`, ``plan.firsts``), and scores
+only its own per-member moves, which draw from its own stream.  Only
 the searches whose best margin beats the validation margin are validated,
 in restart order, so each witness returned is the one a restart-at-a-time
 search finds; a ``Profile`` is built only for that validation.  Each round
@@ -264,6 +269,7 @@ class _Plan(NamedTuple):
     scales: np.ndarray  # (restarts,) pattern-search scale: the diameter, or 1 for a point
     lo: np.ndarray  # (restarts, d) misreport box
     hi: np.ndarray
+    firsts: np.ndarray  # (restarts,) the first restart whose reports equal this one's, byte for byte
 
 
 def _restarts(norm: Norm, n: int, d: int, config: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +295,9 @@ def _plan(mech: MechanismLike, norm: Norm, n: int, d: int, config: SearchConfig)
     scales = np.where(diameters > GEOM_TOL, diameters, 1.0)
     pad = BOUNDING_SCALE * scales[:, None]
     box = reports.min(axis=1) - pad, reports.max(axis=1) + pad
-    plan = _Plan(reports, weights, points, before, common, scales, *box)
+    seen: dict[bytes, int] = {}
+    firsts = np.array([seen.setdefault(row.tobytes(), r) for r, row in enumerate(reports)])
+    plan = _Plan(reports, weights, points, before, common, scales, *box, firsts)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -337,7 +345,7 @@ def _member_margins(kernel, norm: Norm, plan: _Plan, runs: np.ndarray, members: 
     return margins
 
 
-def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray, stream, margins):
+def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray, stream, margins, fresh: np.ndarray):
     """The candidates of a block of (restart, coalition) searches, built as
     arrays: search j makes agents members[j, :sizes[j]] of restart runs[j]
     misreport (``members`` is padded to n columns, ``runs`` non-decreasing).
@@ -349,13 +357,15 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
     points on the segments to the other reports.  They lie in a padded
     (B, L, d) stack; ``targets[mask]`` holds each search's in turn, and
     ``margins(targets[mask], owners)`` scores them, where owners[j] is the
-    search of row j.  Each search starts from its best target, the first
-    of equals, whose score is its start value.  Per-member moves: segment
-    pulls to the coalition centroid, correlated jitter from the restart's
-    stream (four normals per search, drawn once per restart for the block),
-    and axis shifts; the (B, 6 + 4d, n, d) stack is padded past each
-    coalition's members.  Returns (targets, mask, starts, start values,
-    moves).
+    search of row j.  Only the targets of the searches ``fresh`` lists
+    are scored (the others repeat a search made before); each of those
+    starts from its best target, the first of equals, whose score is its
+    start value, and the starts and start values are theirs alone.
+    Per-member moves: segment pulls to the coalition centroid, correlated
+    jitter from the restart's stream (four normals per search, drawn once
+    per restart for the block), and axis shifts; the (B, 6 + 4d, n, d)
+    stack is padded past each coalition's members.  Returns (targets,
+    mask, starts, start values, moves).
     """
     count, n = members.shape
     d = plan.reports.shape[2]
@@ -390,10 +400,12 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
         np.repeat(real, 2 * d, axis=1) & alone[:, None],
         np.repeat(alone[:, None], 4 * (n - 1), axis=1),
     ], axis=1)
-    vals = np.full(mask.shape, np.inf)  # a pad never wins: row 0 of every search is real
-    vals[mask] = margins(targets[mask], np.nonzero(mask)[0])
+    scored = mask[fresh]
+    vals = np.full(scored.shape, np.inf)  # a pad never wins: row 0 of every search is real
+    if fresh.size:  # a block may hold repeats alone
+        vals[scored] = margins(targets[fresh][scored], fresh[np.nonzero(scored)[0]])
     pick = np.argmin(vals, axis=1)
-    starts, start_values = targets[every, pick], vals[every, pick]
+    starts, start_values = targets[fresh, pick], vals[np.arange(fresh.size), pick]
     # per-member moves: segment pulls, correlated jitter, axis shifts
     pulls = own[:, None] + np.array([0.5, 1.0])[:, None, None] * (center[:, None] - own)[:, None]
     normals = np.concatenate([stream(r).normal(size=(4 * len(list(g)), d)) for r, g in itertools.groupby(runs.tolist())])
@@ -403,6 +415,53 @@ def _block(plan: _Plan, runs: np.ndarray, members: np.ndarray, sizes: np.ndarray
     lo, hi = plan.lo[runs][:, None, None], plan.hi[runs][:, None, None]
     moves = np.concatenate([pulls, np.clip(own[:, None] + shifts[:, :, None, :], lo, hi)], axis=1)
     return targets, mask, starts, start_values, moves
+
+
+class _Found(NamedTuple):
+    """What each (restart, coalition) search found, at [restart, coalition]:
+    a search that repeats an earlier one (its restart's reports equal an
+    earlier restart's) reads that search's entries and writes none."""
+
+    starts: np.ndarray  # (restarts, coalitions, d) the best start target
+    start_margins: np.ndarray  # (restarts, coalitions) its margin
+    points: np.ndarray  # (restarts, coalitions, d) the pattern search's best point
+    margins: np.ndarray  # (restarts, coalitions) its margin
+
+
+def _search_block(
+    kernel, norm: Norm, plan: _Plan, runs: np.ndarray, coalition: np.ndarray,
+    padded: np.ndarray, sizes: np.ndarray, stream, steps: int, found: _Found,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a block of (restart, coalition) searches, where search j makes
+    coalition[j] (agents padded[coalition[j], :sizes[coalition[j]]]) of
+    restart runs[j] misreport.
+
+    A search whose restart is the first with its reports (``plan.firsts``)
+    scores its start targets and runs its pattern search, in lockstep with
+    the others of the block, and writes what it found to ``found``; any
+    other search is the repeat of one made before it, in this block or an
+    earlier one, and scores neither.  Every search builds its per-member
+    moves (:func:`_block`: its jitter is the next draw of its restart's
+    stream) and scores them.  Returns the (B, 6 + 4d, n, d) moves and their
+    (B, 6 + 4d) margins.
+    """
+    members, counts = padded[coalition], sizes[coalition]
+    lo, hi = plan.lo[runs], plan.hi[runs]
+    margins = _member_margins(kernel, norm, plan, runs, members, counts)
+    fresh = np.flatnonzero(plan.firsts[runs] == runs)
+    _, _, starts, start_margins, moves = _block(
+        plan, runs, members, counts, stream, lambda z, which: margins(np.clip(z, lo[which], hi[which]), which), fresh
+    )
+    # the pattern search clips its candidates to the same boxes
+    points, best, _ = _pattern_minimize(
+        lambda z, which: margins(z, fresh[which]), starts, plan.scales[runs[fresh]], steps, lo[fresh], hi[fresh],
+        values=start_margins,
+    )
+    at = runs[fresh], coalition[fresh]
+    found.starts[at], found.start_margins[at], found.points[at], found.margins[at] = starts, start_margins, points, best
+    real = np.arange(members.shape[1]) < counts[:, None, None]
+    vals = margins(moves[np.broadcast_to(real, moves.shape[:3])], np.repeat(np.arange(len(runs)), moves.shape[1]))
+    return moves, vals.reshape(len(runs), -1)
 
 
 def _misreport_witnesses(
@@ -416,12 +475,12 @@ def _misreport_witnesses(
     all-members-report-one-point move from the best start target, refined
     by pattern search on the worst member's gain; per-member moves follow.
     The (restart, coalition) searches run in lockstep blocks of
-    ``LOCKSTEP_BLOCK``: each block's targets and moves are built as arrays
-    by :func:`_block`, on the rows of the restart plan (:func:`_plan`),
-    scored as stacks, and its pattern searches run together; only the
-    searches whose best margin beats -IMPROVE_MARGIN re-validate through
-    the group checker, in restart order, then coalition order, so each
-    witness is the one a search of one coalition at a time finds.  The first validated witness of any size is
+    ``LOCKSTEP_BLOCK`` (:func:`_search_block`, which runs a repeated
+    restart's start and pattern searches once), on the rows of the restart
+    plan (:func:`_plan`); only the searches whose best margin beats
+    -IMPROVE_MARGIN re-validate through the group checker, in restart
+    order, then coalition order, so each witness is the one a search of
+    one coalition at a time finds.  The first validated witness of any size is
     the group witness, after which only single agents are searched; the
     first single-agent witness ends the walk, and is the group witness as
     well when no coalition validated before it.  A caller that needs both
@@ -434,25 +493,19 @@ def _misreport_witnesses(
     coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
     sizes = np.array([len(c) for c in coalitions])
     padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])  # coalition c is padded[c, :sizes[c]]
+    shape = config.restarts, len(coalitions)
+    found = _Found(np.empty(shape + (d,)), np.empty(shape), np.empty(shape + (d,)), np.empty(shape))
     queue = np.arange(config.restarts * len(coalitions))  # (restart, coalition) pairs in walk order
     group: Optional[Witness] = None
     while queue.size:
         runs, coalition = np.divmod(queue[:LOCKSTEP_BLOCK], len(coalitions))
         queue = queue[LOCKSTEP_BLOCK:]
-        lo, hi = plan.lo[runs], plan.hi[runs]
-        margins = _member_margins(kernel, norm, plan, runs, padded[coalition], sizes[coalition])
-        _, _, starts, start_margins, moves = _block(
-            plan, runs, padded[coalition], sizes[coalition], stream,
-            lambda z, which: margins(np.clip(z, lo[which], hi[which]), which),
+        moves, vals = _search_block(
+            kernel, norm, plan, runs, coalition, padded, sizes, stream, config.local_steps, found
         )
-        # the pattern search clips its candidates to the same boxes
-        zs, best_margin, _ = _pattern_minimize(
-            margins, starts, plan.scales[runs], config.local_steps, lo, hi, values=start_margins
-        )
+        ran = plan.firsts[runs], coalition  # the search each one made or repeats
+        zs, best_margin = found.points[ran], found.margins[ran]
         every = np.arange(len(runs))
-        real = np.arange(n) < sizes[coalition][:, None, None]
-        vals = margins(moves[np.broadcast_to(real, moves.shape[:3])], np.repeat(every, moves.shape[1]))
-        vals = vals.reshape(len(runs), -1)
         k = np.argmin(vals, axis=1)
         move_wins = vals[every, k] < best_margin  # a per-member move beats the pattern search
         best_margin = np.where(move_wins, vals[every, k], best_margin)

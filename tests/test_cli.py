@@ -542,3 +542,24 @@ def test_module_entry_point_exit_codes():
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: unknown scenario")
+
+
+def test_a_closed_stdout_keeps_the_exit_code_and_the_report(tmp_path):
+    # the reader has gone before the first write (as under `| head -0`): the
+    # command still writes its report and exits 0, with nothing on stderr
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    report = tmp_path / "ratio.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facilab", "ratio", "--mech", "rand_center", "--norm", "lp:2", "--n", "3",
+             "--d", "2", "--obj", "mc", "--out", str(report)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(report.read_text())["scenario"] == "ratio"

@@ -13,6 +13,9 @@ from facilab.geometry import (
     Lottery,
     Norm,
     Profile,
+    _merge_masks,
+    canonical_atoms,
+    canonical_stack,
     centroid,
     duplicate_rows,
     expected_cost_stack,
@@ -134,6 +137,44 @@ def test_duplicate_rows_marks_first_occurrences():
     assert same.tolist() == [[a == b for b in rows.tolist()] for a in rows.tolist()]
     stack = np.stack([rows, rows[::-1]])
     assert duplicate_rows(stack)[1].tolist() == [lead.tolist(), [True, True, True, False, False]]
+
+
+def _argmax_duplicates(pts):
+    """``duplicate_rows`` as written before the merge masks: ``lead`` is the
+    first ``True`` down each column of the duplicate table."""
+    same = pts[..., :, None, 0] == pts[..., None, :, 0]
+    for c in range(1, pts.shape[-1]):
+        same &= pts[..., :, None, c] == pts[..., None, :, c]
+    return same, same.argmax(axis=-2) == np.arange(pts.shape[-2])
+
+
+def test_mask_leads_match_the_argmax_leads():
+    # stacks of k = 1..65 rows drawn from few points, zeros of both signs,
+    # so most rows repeat one before them; past 64 rows there are no masks
+    rng = np.random.default_rng(28)
+    zero = np.array([0.0, -0.0])
+    for k in range(1, 66):
+        pool = np.vstack([zero[rng.integers(0, 2, size=(4, 2))], rng.integers(-1, 2, size=(3, 2)).astype(float)])
+        pts = pool[rng.integers(0, len(pool), size=(6, k))]
+        want_same, want_lead = _argmax_duplicates(pts)
+        same, masks, lead = _merge_masks(pts)
+        assert same.tolist() == want_same.tolist() and lead.tolist() == want_lead.tolist()
+        assert [x.tolist() for x in duplicate_rows(pts)] == [want_same.tolist(), want_lead.tolist()]
+        assert [x.tolist() for x in duplicate_rows(pts[0])] == [want_same[0].tolist(), want_lead[0].tolist()]
+        if k > 64:
+            assert masks is None
+            continue
+        bits = [[sum(1 << j for j in range(k) if row[j]) for row in table] for table in want_same.tolist()]
+        assert masks.dtype == np.uint64 and masks.tolist() == bits
+        if k <= 60:  # canonical_stack's own limit
+            w = rng.integers(1, 9, size=k).astype(float)
+            w /= w.sum()
+            out_w, out_p = canonical_stack(w, pts)
+            for i in range(len(pts)):
+                ref_w, ref_p = canonical_atoms(w, pts[i])
+                width = len(ref_w)
+                assert out_w[i, :width].tobytes() == ref_w.tobytes() and out_p[i, :width].tobytes() == ref_p.tobytes()
+                assert not out_w[i, width:].any() and not out_p[i, width:].any()
 
 
 def _old_expected_distance_stack(xs, weights, points, norm):

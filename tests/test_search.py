@@ -668,7 +668,7 @@ def assert_block_matches_reference(mech, norm, n, d, config, block, singles_afte
         if blocks == singles_after:
             queue = queue[sizes[queue % len(coalitions)] == 1]
         targets, mask, starts, start_values, moves = search._block(
-            plan, runs, padded[coalition], sizes[coalition], stream, tied_margins
+            plan, runs, padded[coalition], sizes[coalition], stream, tied_margins, np.arange(len(runs))
         )
         want_targets, want_moves = reference_block(plan, runs, [coalitions[c] for c in coalition], reference_stream)
         counts = [len(t) for t in want_targets]
@@ -771,7 +771,8 @@ def assert_margins_match_reference(mech, norm, n, d, config, block, singles_afte
             return got
 
         _, _, starts, values, moves = search._block(
-            plan, runs, padded[coalition], sizes[coalition], stream, lambda z, which: both(z, which, True)
+            plan, runs, padded[coalition], sizes[coalition], stream, lambda z, which: both(z, which, True),
+            np.arange(len(runs)),
         )
         rounds = []
         search._pattern_minimize(
@@ -815,6 +816,142 @@ def test_member_margins_after_a_group_witness_match_bitwise(block):
     config = SearchConfig(rng_seed=3, restarts=12, local_steps=6)
     for singles_after in (1, 2):
         assert_margins_match_reference(RAND_CENTER, N2, 4, 2, config, block, singles_after)
+
+
+# -- repeated restarts against the search that ran every one -----------------
+
+
+def reference_search_block(kernel, norm, plan, runs, coalition, padded, sizes, stream, steps):
+    """One block of the misreport search as it was before repeated restarts
+    took their twins' results: every search scores its start targets and
+    runs its pattern search.  Returns each search's start, start margin,
+    pattern point and pattern margin, its moves and their margins."""
+    members, counts = padded[coalition], sizes[coalition]
+    lo, hi = plan.lo[runs], plan.hi[runs]
+    margins = search._member_margins(kernel, norm, plan, runs, members, counts)
+    _, _, starts, start_margins, moves = search._block(
+        plan, runs, members, counts, stream, lambda z, which: margins(np.clip(z, lo[which], hi[which]), which),
+        np.arange(len(runs)),
+    )
+    zs, best, _ = search._pattern_minimize(
+        margins, starts, plan.scales[runs], steps, lo, hi, values=start_margins
+    )
+    real = np.broadcast_to(np.arange(members.shape[1]) < counts[:, None, None], moves.shape[:3])
+    vals = margins(moves[real], np.repeat(np.arange(len(runs)), moves.shape[1])).reshape(len(runs), -1)
+    return starts, start_margins, zs, best, moves, vals
+
+
+def reference_misreport_witnesses(mech, norm, n, d, config):
+    """The misreport search as it was before repeated restarts took their
+    twins' results, with the same walk, validation and early ends."""
+    kernel, plan, stream = kernel_of(mech), search._plan(mech, norm, n, d, config), search._streams(config)
+    coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    sizes = np.array([len(c) for c in coalitions])
+    padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])
+    queue = np.arange(config.restarts * len(coalitions))
+    group = None
+    while queue.size:
+        runs, coalition = np.divmod(queue[: search.LOCKSTEP_BLOCK], len(coalitions))
+        queue = queue[search.LOCKSTEP_BLOCK :]
+        _, _, zs, best_margin, moves, vals = reference_search_block(
+            kernel, norm, plan, runs, coalition, padded, sizes, stream, config.local_steps
+        )
+        every = np.arange(len(runs))
+        k = np.argmin(vals, axis=1)
+        move_wins = vals[every, k] < best_margin
+        best_margin = np.where(move_wins, vals[every, k], best_margin)
+        for j in np.flatnonzero(best_margin < -IMPROVE_MARGIN).tolist():
+            r, c = int(runs[j]), int(coalition[j])
+            if group is not None and sizes[c] > 1:
+                continue
+            best_reports = moves[j, k[j], : sizes[c]] if move_wins[j] else np.tile(zs[j], (sizes[c], 1))
+            verdict = check_group_strategyproof_at(
+                mech, Profile.from_rows(plan.reports[r]), [i + 1 for i in coalitions[c]],
+                [Point.from_array(x) for x in best_reports], norm,
+            )
+            if not verdict.passed and not verdict.inconclusive:
+                if sizes[c] == 1:
+                    return verdict.witness, group or verdict.witness
+                group = verdict.witness
+                queue = queue[sizes[queue % len(coalitions)] == 1]
+    return None, group
+
+
+def witness_keys(pair):
+    """Each witness of a pair by its repr and the hex of every cost it carries."""
+    return [
+        None if w is None else (repr(w), [[float(x).hex() for x in delta[1:]] for delta in w.per_agent_delta])
+        for w in pair
+    ]
+
+
+REPEAT_MECHS = {"dictator:1": 1, "rand_center": 1, "sep2d:a=0.5": 2, "coord_median": 1, "median_mean": 2}
+
+
+@pytest.mark.parametrize(
+    "mech,norm_text,n,d,block",
+    [
+        (mech, norm_text, n, d, block)
+        for mech, mech_d in REPEAT_MECHS.items()
+        for norm_text in ("lp:2", "lp:2;A=1.1,0.3,-0.2,0.9")
+        for n, d, block in [(3, 2, 64), (3, 2, 3), (4, 2, 64), (5, 3, 64)]
+        if mech_d in (1, d) and (d == 2 or ";" not in norm_text)
+    ],
+)
+def test_repeated_searches_match_the_search_of_every_restart_bitwise(mech, norm_text, n, d, block, monkeypatch):
+    # restart 1 (2 under the discussion profile at (5, 3)) repeats as the
+    # first two-cluster split; at (5, 3) the twins' searches sit in
+    # different blocks, and blocks of three hold some with only repeats.
+    # Both walks search every (restart, coalition), with no validation
+    monkeypatch.setattr(search, "LOCKSTEP_BLOCK", block)
+    mech = median_mean if mech == "median_mean" else parse_mechanism(mech)
+    norm = parse_norm(norm_text)
+    config = SearchConfig(rng_seed=7, restarts=len(structured_profiles(n, d)) + 1, local_steps=8)
+    kernel, plan = kernel_of(mech), search._plan(mech, norm, n, d, config)
+    assert (plan.firsts != np.arange(config.restarts)).sum() == 1
+    coalitions = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    sizes = np.array([len(c) for c in coalitions])
+    padded = np.array([c + (0,) * (n - len(c)) for c in coalitions])
+    shape = config.restarts, len(coalitions)
+    found = search._Found(*(np.full(shape + tail, np.nan) for tail in [(d,), (), (d,), ()]))
+    stream, reference_stream = search._streams(config), search._streams(config)
+    queue = np.arange(config.restarts * len(coalitions))
+    for at in range(0, len(queue), block):
+        runs, coalition = np.divmod(queue[at : at + block], len(coalitions))
+        moves, vals = search._search_block(kernel, norm, plan, runs, coalition, padded, sizes, stream, 8, found)
+        want = reference_search_block(kernel, norm, plan, runs, coalition, padded, sizes, reference_stream, 8)
+        ran = plan.firsts[runs], coalition
+        got = found.starts[ran], found.start_margins[ran], found.points[ran], found.margins[ran], moves, vals
+        for got_array, want_array in zip(got, want):
+            assert got_array.tobytes() == want_array.tobytes()
+    assert not np.isnan(found.margins[plan.firsts == np.arange(config.restarts)]).any()
+    assert witness_keys(search._misreport_witnesses(mech, norm, n, d, config)) == witness_keys(
+        reference_misreport_witnesses(mech, norm, n, d, config)
+    )
+
+
+def test_a_repeated_search_scores_only_its_moves(monkeypatch):
+    # the dictator is group strategyproof, so every search runs: restart 3
+    # of 8 repeats restart 1, and each of its 7 searches scores only its
+    # 6 + 4d = 14 per-member moves, where it scored as many rows as its twin
+    rows = np.zeros(8, dtype=int)
+    core = search._member_margins
+
+    def counting(kernel, norm, plan, runs, members, sizes):
+        margins = core(kernel, norm, plan, runs, members, sizes)
+        return lambda reports, which: np.add.at(rows, runs[which], 1) or margins(reports, which)
+
+    monkeypatch.setattr(search, "_member_margins", counting)
+    config = SearchConfig(rng_seed=0, restarts=8, local_steps=20)
+    counts = []
+    for run in (search._misreport_witnesses, reference_misreport_witnesses):
+        rows[:] = 0
+        assert run(DICTATOR, N2, 3, 2, config) == (None, None)
+        counts.append(rows.copy())
+    after, before = counts
+    assert after[3] == 7 * 14 and before[3] == before[1]
+    assert np.delete(after, 3).tolist() == np.delete(before, 3).tolist()
+    assert (after.sum(), before.sum()) == (7553, 8520)
 
 
 def inside_box(fn, lo, hi):
